@@ -4,7 +4,9 @@ For each benchmark: compile, pre-optimize (constant folding and jump
 optimization, which the paper applies *before* inline expansion — §4.4),
 profile over the input set, classify call sites, inline, re-profile the
 inlined program over the same inputs, and check output equivalence
-between the original and inlined binaries on every input.
+between the original and inlined binaries on every input. The check
+compares the :class:`~repro.profiler.profile.Observation` each profiled
+run left behind, so every (module, input) pair executes once.
 
 Every stage is instrumented: pass an
 :class:`~repro.observability.Observability` as ``obs`` to collect a
@@ -26,7 +28,13 @@ from repro.observability import Observability, enable_console_logging, resolve
 from repro.opt import optimize_module
 from repro.pipeline.parallel import parallel_map, validate_executor, validate_jobs
 from repro.pipeline.session import CompilationSession
-from repro.profiler.profile import ProfileData, RunSpec, profile_module, run_once
+from repro.profiler.profile import (
+    Observation,
+    ProfileData,
+    RunSpec,
+    profile_module,
+    run_once,
+)
 from repro.callgraph.build import build_call_graph
 from repro.workloads.suite import (
     Benchmark,
@@ -102,6 +110,10 @@ class OutputComparison:
     #: One entry per diverging input: which spec, and what differed
     #: (exit code vs. stdout vs. written files).
     divergences: list[str] = field(default_factory=list)
+    #: Inputs matched from recorded observations alone, with no VM run.
+    reused: int = 0
+    #: Inputs for which at least one module was executed.
+    rerun: int = 0
 
 
 def run_benchmark(
@@ -188,10 +200,21 @@ def run_benchmark(
 
         comparison = OutputComparison(matches=True)
         if check_outputs:
-            with tracer.span("benchmark.check_outputs", name=benchmark.name):
+            with tracer.span(
+                "benchmark.check_outputs", name=benchmark.name
+            ) as check_attrs:
                 comparison = compare_outputs(
-                    module, inline_result.module, specs, engine=engine
+                    module,
+                    inline_result.module,
+                    specs,
+                    engine=engine,
+                    before=profile.observations,
+                    after=post_profile.observations,
                 )
+                check_attrs["reused"] = comparison.reused
+                check_attrs["rerun"] = comparison.rerun
+            if obs.metrics.enabled:
+                obs.metrics.inc("pipeline.check.reused_inputs", comparison.reused)
             for divergence in comparison.divergences:
                 tracer.event(
                     "output_divergence", benchmark=benchmark.name, detail=divergence
@@ -226,42 +249,78 @@ def run_benchmark(
 
 
 def compare_outputs(
-    module_a, module_b, specs: list[RunSpec], engine: str = "counting"
+    module_a,
+    module_b,
+    specs: list[RunSpec],
+    engine: str = "counting",
+    before: tuple[Observation, ...] | None = None,
+    after: tuple[Observation, ...] | None = None,
 ) -> OutputComparison:
-    """Run both modules over every spec and describe any divergence.
+    """Compare both modules' outputs over every spec; describe divergences.
 
-    Each divergence names the input (label or index) and the channels
-    that differed: exit code, stdout (with the first differing byte
-    offset), or written files (missing/extra/different per file).
+    ``before``/``after`` are the observations profiling already took of
+    ``module_a``/``module_b`` on ``specs`` (one per spec, in order; any
+    other count is ignored). An input whose two observations agree
+    matches without running; a side with no observation is run and
+    observed. A disagreeing input re-runs both modules in full, so each
+    divergence names the input (label or index) and the channels that
+    differed: exit code, stdout (with the first differing byte offset),
+    or written files (missing/extra/different per file).
     """
-    divergences: list[str] = []
+    if before is not None and len(before) != len(specs):
+        before = None
+    if after is not None and len(after) != len(specs):
+        after = None
+    comparison = OutputComparison(matches=True)
     for index, spec in enumerate(specs):
-        result_a = run_once(module_a, spec, engine=engine)
-        result_b = run_once(module_b, spec, engine=engine)
-        label = spec.label or f"input {index}"
-        problems: list[str] = []
-        if result_a.exit_code != result_b.exit_code:
-            problems.append(
-                f"exit code {result_a.exit_code} != {result_b.exit_code}"
-            )
-        stdout_a = bytes(result_a.os.stdout)
-        stdout_b = bytes(result_b.os.stdout)
-        if stdout_a != stdout_b:
-            problems.append(
-                "stdout differs at byte"
-                f" {_first_mismatch(stdout_a, stdout_b)}"
-                f" (lengths {len(stdout_a)} vs {len(stdout_b)})"
-            )
-        if result_a.os.written_files != result_b.os.written_files:
-            problems.append(
-                "written files differ: "
-                + _describe_file_diff(
-                    result_a.os.written_files, result_b.os.written_files
-                )
-            )
+        seen_a = before[index] if before is not None else None
+        seen_b = after[index] if after is not None else None
+        if seen_a is not None and seen_a == seen_b:
+            comparison.reused += 1
+            continue
+        comparison.rerun += 1
+        if seen_a is None:
+            seen_a = _observe(module_a, spec, engine)
+        if seen_b is None:
+            seen_b = _observe(module_b, spec, engine)
+        if seen_a == seen_b:
+            continue
+        problems = _describe_divergence(
+            run_once(module_a, spec, engine=engine),
+            run_once(module_b, spec, engine=engine),
+        )
         if problems:
-            divergences.append(f"{label}: " + "; ".join(problems))
-    return OutputComparison(matches=not divergences, divergences=divergences)
+            label = spec.label or f"input {index}"
+            comparison.divergences.append(f"{label}: " + "; ".join(problems))
+    comparison.matches = not comparison.divergences
+    return comparison
+
+
+def _observe(module, spec: RunSpec, engine: str) -> Observation:
+    return Observation.of(run_once(module, spec, engine=engine))
+
+
+def _describe_divergence(result_a, result_b) -> list[str]:
+    """Every channel on which two runs of one input differ."""
+    problems: list[str] = []
+    if result_a.exit_code != result_b.exit_code:
+        problems.append(f"exit code {result_a.exit_code} != {result_b.exit_code}")
+    stdout_a = bytes(result_a.os.stdout)
+    stdout_b = bytes(result_b.os.stdout)
+    if stdout_a != stdout_b:
+        problems.append(
+            "stdout differs at byte"
+            f" {_first_mismatch(stdout_a, stdout_b)}"
+            f" (lengths {len(stdout_a)} vs {len(stdout_b)})"
+        )
+    if result_a.os.written_files != result_b.os.written_files:
+        problems.append(
+            "written files differ: "
+            + _describe_file_diff(
+                result_a.os.written_files, result_b.os.written_files
+            )
+        )
+    return problems
 
 
 def _first_mismatch(a: bytes, b: bytes) -> int:

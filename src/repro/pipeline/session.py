@@ -10,7 +10,8 @@ experiment pipeline:
 - **profiles**, keyed over (module content, input specs, scale,
   :class:`~repro.inliner.params.InlineParameters`) — the module content
   key covers every instruction (including call-site ids), so a profile
-  is only ever replayed against the exact code it was measured on.
+  (and the output observations it carries) is only ever replayed
+  against the exact code it was measured on.
 
 An optional on-disk store (``.repro-cache/`` by convention) makes the
 cache survive across processes — and is **shared between concurrent
@@ -56,8 +57,9 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 from repro.observability import Observability, resolve
 
 #: Bump when the pickled artifact layout changes; old entries become
-#: invisible (a different subdirectory), not errors.
-CACHE_FORMAT = 1
+#: invisible (a different subdirectory), not errors. Format 2 profiles
+#: carry the per-input output observations.
+CACHE_FORMAT = 2
 
 #: Default on-disk store location (created on first use).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -274,7 +276,7 @@ class CompilationSession:
     # the on-disk store (sharded, process-safe, corruption-tolerant)
 
     def _disk_path(self, kind: str, key: str) -> str:
-        """Sharded entry path: ``v1/<kind>/<first-2-hex>/<key>.pkl``."""
+        """Sharded entry path: ``v<FORMAT>/<kind>/<first-2-hex>/<key>.pkl``."""
         return os.path.join(self._dir, kind, key[:2], f"{key}.pkl")
 
     def _legacy_disk_path(self, kind: str, key: str) -> str:
@@ -451,9 +453,11 @@ class CompilationSession:
     ):
         """Cached :func:`~repro.profiler.profile.profile_module` call.
 
+        The cached profile keeps its per-input output observations, so
+        a warm pipeline checks outputs without executing either module.
         ``engine`` is deliberately absent from the cache key: both VM
-        execution tiers produce identical counters, so a profile cached
-        under one engine is valid for the other.
+        execution tiers produce identical counters and outputs, so a
+        profile cached under one engine is valid for the other.
         """
         obs = resolve(obs if obs is not None else self._obs)
         key = profile_cache_key(module, specs, scale, params)

@@ -6,11 +6,18 @@ a program", from which node weights (function execution counts) and arc
 weights (call-site invocation counts) are inferred.
 """
 
-from repro.profiler.profile import ProfileData, RunSpec, profile_module, run_once
+from repro.profiler.profile import (
+    Observation,
+    ProfileData,
+    RunSpec,
+    profile_module,
+    run_once,
+)
 from repro.profiler.serialize import dump_profile, load_profile, module_fingerprint
 from repro.profiler.static_estimate import estimate_profile
 
 __all__ = [
+    "Observation",
     "ProfileData",
     "RunSpec",
     "dump_profile",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.il.module import ILModule
@@ -25,6 +26,34 @@ class RunSpec:
         return VirtualOS(stdin=self.stdin, files=dict(self.files), argv=list(self.argv))
 
 
+@dataclass(frozen=True)
+class Observation:
+    """What one run showed the outside world, reduced to digests.
+
+    Two runs with equal observations exited alike, printed the same
+    stdout bytes and wrote the same files with the same contents; the
+    digests keep the record a few hundred bytes at any output size.
+    """
+
+    exit_code: int
+    stdout_sha256: str
+    #: Sorted ``(path, sha256)`` pairs of every file the run wrote.
+    files: tuple[tuple[str, str], ...]
+
+    @classmethod
+    def of(cls, result: RunResult) -> "Observation":
+        return cls(
+            exit_code=result.exit_code,
+            stdout_sha256=hashlib.sha256(result.os.stdout).hexdigest(),
+            files=tuple(
+                sorted(
+                    (path, hashlib.sha256(data).hexdigest())
+                    for path, data in result.os.written_files.items()
+                )
+            ),
+        )
+
+
 @dataclass
 class ProfileData:
     """Averaged dynamic statistics over a set of runs.
@@ -32,13 +61,16 @@ class ProfileData:
     ``node_weights`` maps function names to expected execution counts
     per typical run; ``arc_weights`` maps static call-site ids to
     expected invocation counts — exactly the weighted-call-graph inputs
-    of §2.2. Totals over all runs are kept in ``total``.
+    of §2.2. Totals over all runs are kept in ``total``, and
+    ``observations`` holds one :class:`Observation` per profiled input,
+    in input order (empty for estimated or deserialized profiles).
     """
 
     runs: int
     total: Counters
     node_weights: dict[str, float] = field(default_factory=dict)
     arc_weights: dict[int, float] = field(default_factory=dict)
+    observations: tuple[Observation, ...] = ()
 
     @property
     def avg_il(self) -> float:
@@ -59,8 +91,13 @@ class ProfileData:
         return self.arc_weights.get(site, 0.0)
 
     @classmethod
-    def from_counters(cls, total: Counters, runs: int) -> "ProfileData":
-        profile = cls(runs=runs, total=total)
+    def from_counters(
+        cls,
+        total: Counters,
+        runs: int,
+        observations: tuple[Observation, ...] = (),
+    ) -> "ProfileData":
+        profile = cls(runs=runs, total=total, observations=observations)
         divisor = runs if runs else 1
         profile.node_weights = {
             name: count / divisor for name, count in total.func_counts.items()
@@ -110,6 +147,7 @@ def profile_module(
         raise ValueError("profiling requires at least one input")
     obs = resolve(obs)
     total = Counters()
+    observations: list[Observation] = []
     with obs.tracer.span("profile.module", runs=len(specs)):
         for index, spec in enumerate(specs):
             label = spec.label or f"run {index}"
@@ -126,6 +164,7 @@ def profile_module(
                     f" stderr: {result.os.stderr_text()[:200]!r}"
                 )
             total.merge(result.counters)
+            observations.append(Observation.of(result))
     if obs.metrics.enabled:
         obs.metrics.inc("profiler.runs", len(specs))
-    return ProfileData.from_counters(total, len(specs))
+    return ProfileData.from_counters(total, len(specs), tuple(observations))

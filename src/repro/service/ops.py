@@ -158,7 +158,11 @@ def op_inline(params: dict, obs: Observability, session=None) -> dict:
 
 
 def op_check(params: dict, obs: Observability, session=None) -> dict:
-    """Inline, then run original and inlined side by side on the input."""
+    """Inline, then check the inlined module's outputs against the original.
+
+    The original's side comes from the observation its profiling run
+    left, so only the inlined module executes a second time.
+    """
     from repro.experiments.pipeline import compare_outputs
     from repro.inliner.manager import inline_module
     from repro.profiler.profile import profile_module
@@ -170,7 +174,13 @@ def op_check(params: dict, obs: Observability, session=None) -> dict:
         module, [spec], check_exit=False, obs=obs, engine=engine
     )
     outcome = inline_module(module, profile, _inline_params(params), obs=obs)
-    comparison = compare_outputs(module, outcome.module, [spec], engine=engine)
+    comparison = compare_outputs(
+        module,
+        outcome.module,
+        [spec],
+        engine=engine,
+        before=profile.observations,
+    )
     return {
         "ok": comparison.matches,
         "expanded": len(outcome.records),

@@ -2,11 +2,11 @@
 
 Inline expansion must be a *semantic no-op*: for every input, the
 inlined program produces exactly the outputs of the original. This
-module proves that claim empirically by running both modules in
-lockstep over the same inputs and asserting, per input, identical exit
-codes, identical stdout bytes, and identical written files — and, over
-the whole input set, two quantitative invariants tying the inliner's
-bookkeeping to physical reality:
+module proves that claim empirically by running both modules over the
+same inputs and asserting, per input, identical exit codes, identical
+stdout bytes, and identical written files — and, over the whole input
+set, two quantitative invariants tying the inliner's bookkeeping to
+physical reality:
 
 - **calls-eliminated floor**: the dynamic calls removed by inlining
   (original total minus inlined total, from the VM's exact integer
@@ -29,7 +29,13 @@ from repro.inliner.manager import InlineResult, inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, resolve
 from repro.opt import optimize_module
-from repro.profiler.profile import ProfileData, RunSpec, profile_module, run_once
+from repro.profiler.profile import (
+    Observation,
+    ProfileData,
+    RunSpec,
+    profile_module,
+    run_once,
+)
 from repro.workloads.suite import Benchmark, benchmark_names, benchmark_suite
 
 
@@ -120,19 +126,26 @@ def verify_inlining(
 
     Profiles the original over ``specs`` (unless a matching ``profile``
     is supplied), inlines under it with the per-pass IL checker enabled,
-    then executes original and inlined modules in lockstep over every
-    input. Never raises on a divergence — everything the oracle finds
-    lands in the returned :class:`DifferentialReport`. All executions
-    use ``engine`` (both tiers produce identical counters, so the
-    oracle's verdict is engine-independent; ``fast`` just gets there
-    sooner).
+    then executes the inlined module over every input and compares it
+    with the original. When the oracle profiles the original itself,
+    the original's outputs and call count come from those profiling
+    runs, and it re-runs only to describe a divergence; a supplied
+    ``profile`` may stem from other inputs, so the original then runs
+    beside the inlined module on every input. Never raises on a
+    divergence — everything the oracle finds lands in the returned
+    :class:`DifferentialReport`. All executions use ``engine`` (both
+    tiers produce identical counters, so the oracle's verdict is
+    engine-independent; ``fast`` just gets there sooner).
     """
     params = params or InlineParameters()
     obs = resolve(obs)
     report = DifferentialReport(name=name, runs=len(specs))
     with obs.tracer.span("verify.differential", name=name) as attrs:
+        observed = None
         if profile is None:
             profile = profile_module(module, specs, obs=obs, engine=engine)
+            observed = profile.observations
+            report.calls_before = profile.total.calls
         result: InlineResult = inline_module(
             module, profile, params, seed=seed, check=True, obs=obs
         )
@@ -151,10 +164,13 @@ def verify_inlining(
         )
         for index, spec in enumerate(specs):
             label = spec.label or f"input {index}"
-            original = run_once(module, spec, obs=obs, engine=engine)
             inlined = run_once(result.module, spec, obs=obs, engine=engine)
-            report.calls_before += original.counters.calls
             report.calls_after += inlined.counters.calls
+            if observed is not None and Observation.of(inlined) == observed[index]:
+                continue
+            original = run_once(module, spec, obs=obs, engine=engine)
+            if observed is None:
+                report.calls_before += original.counters.calls
             report.divergences.extend(_compare_run(label, original, inlined))
         if report.calls_eliminated < report.eliminated_floor:
             report.invariant_failures.append(

@@ -17,6 +17,8 @@ from repro.experiments.tables import (
     table4,
 )
 from repro.inliner.classify import SiteClass
+from repro.pipeline.session import CompilationSession
+from repro.vm.machine import Machine
 from repro.workloads import benchmark_by_name
 
 
@@ -60,6 +62,38 @@ class TestPipeline:
     def test_breakdown_fractions_sum_to_one(self, two_results):
         mix = aggregate_dynamic_breakdown(two_results)
         assert sum(mix.values()) == pytest.approx(1.0)
+
+
+class TestSingleExecution:
+    """Each (module, input) pair runs once: the output check compares
+    the observations its profiling runs took."""
+
+    @pytest.fixture
+    def machine_runs(self, monkeypatch):
+        runs = []
+        original_run = Machine.run
+
+        def counting_run(self):
+            runs.append(self)
+            return original_run(self)
+
+        monkeypatch.setattr(Machine, "run", counting_run)
+        return runs
+
+    def test_cold_run_executes_each_module_once_per_input(self, machine_runs):
+        result = run_benchmark(benchmark_by_name("cmp"), "small")
+        assert result.outputs_match
+        assert len(machine_runs) == 2 * result.runs
+
+    def test_warm_session_checks_without_running(self, machine_runs):
+        session = CompilationSession()
+        benchmark = benchmark_by_name("cmp")
+        cold = run_benchmark(benchmark, "small", session=session)
+        machine_runs.clear()
+        warm = run_benchmark(benchmark, "small", session=session)
+        assert machine_runs == []
+        assert warm.outputs_match
+        assert all_tables([warm]) == all_tables([cold])
 
 
 class TestTables:

@@ -391,6 +391,68 @@ class TestOutputDivergenceDiagnostics:
         assert result.outputs_match
         assert result.output_divergences == []
 
+    #: Module pairs: equal, and diverging on each output channel.
+    PAIRS = {
+        "match": (
+            "int main(void) { putchar('a'); return 0; }",
+            "int main(void) { putchar('a'); return 0; }",
+        ),
+        "stdout": (
+            "int main(void) { putchar('a'); return 0; }",
+            "int main(void) { putchar('b'); return 0; }",
+        ),
+        "exit": ("int main(void) { return 0; }", "int main(void) { return 3; }"),
+        "files": (
+            'int main(void) { int fd = open("o", O_WRITE);'
+            " fputc('a', fd); close(fd); return 0; }",
+            'int main(void) { int fd = open("o", O_WRITE);'
+            " fputc('b', fd); close(fd); return 0; }",
+        ),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_observed_divergences_equal_running_ones(self, pair):
+        module_a, module_b = (self._module(body) for body in self.PAIRS[pair])
+        specs = [RunSpec(label="probe"), RunSpec(stdin=b"x")]
+        running = compare_outputs(module_a, module_b, specs)
+        assert running.reused == 0
+        before = profile_module(module_a, specs, check_exit=False).observations
+        after = profile_module(module_b, specs, check_exit=False).observations
+        for recorded in (
+            {"before": before, "after": after},
+            {"before": before},
+            {"after": after},
+        ):
+            observed = compare_outputs(module_a, module_b, specs, **recorded)
+            assert observed.matches == running.matches
+            assert observed.divergences == running.divergences
+        assert (pair == "match") == running.matches
+
+    def test_matching_observations_run_nothing(self):
+        module = self._module("int main(void) { putchar('a'); return 0; }")
+        specs = [RunSpec(), RunSpec(stdin=b"x")]
+        seen = profile_module(module, specs).observations
+        both = compare_outputs(module, module, specs, before=seen, after=seen)
+        assert (both.reused, both.rerun) == (2, 0)
+        one_side = compare_outputs(module, module, specs, before=seen)
+        assert (one_side.reused, one_side.rerun) == (0, 2)
+        # Observations of another input set are ignored, not misapplied.
+        other = compare_outputs(
+            module, module, specs, before=seen[:1], after=seen[:1]
+        )
+        assert (other.reused, other.rerun) == (0, 2)
+
+    def test_check_span_and_metric_count_reuse(self):
+        obs = Observability.create()
+        result = run_benchmark(benchmark_by_name("cmp"), "small", obs=obs)
+        (span,) = [
+            r for r in obs.tracer.records
+            if r.get("name") == "benchmark.check_outputs"
+        ]
+        assert span["attrs"]["reused"] == result.runs
+        assert span["attrs"]["rerun"] == 0
+        assert obs.metrics.counters["pipeline.check.reused_inputs"] == result.runs
+
 
 class TestSuiteLogging:
     def test_progress_uses_repro_logger(self, caplog):

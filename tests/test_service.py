@@ -13,6 +13,7 @@ from repro.observability.export import (
     PROMETHEUS_CONTENT_TYPE,
     parse_prometheus,
 )
+from repro.pipeline.session import CACHE_FORMAT
 from repro.service import (
     ServiceClient,
     ServiceError,
@@ -98,6 +99,23 @@ class TestOps:
         result = execute("check", {"source": PROGRAM, "threshold": 1.0})
         assert result["ok"] is True
         assert result["divergences"] == []
+
+    def test_check_reuses_the_profiling_run(self, monkeypatch):
+        # One machine profiles the original, one runs the inlined
+        # module; the original's outputs come from its profiling run.
+        from repro.vm.machine import Machine
+
+        built = []
+        original_init = Machine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "__init__", counting_init)
+        result = execute("check", {"source": PROGRAM, "threshold": 1.0})
+        assert result["ok"] is True
+        assert len(built) == 2
 
     def test_unknown_op_raises(self):
         with pytest.raises(ValueError, match="unknown operation"):
@@ -246,11 +264,8 @@ class TestProcessBackend:
                 assert client.compile(PROGRAM)["code_size"] > 0
         finally:
             handle.stop()
-        sharded = [
-            name
-            for _root, _dirs, files in os.walk(os.path.join(cache_dir, "v1"))
-            for name in files
-        ]
+        store = os.path.join(cache_dir, f"v{CACHE_FORMAT}")
+        sharded = [name for _root, _dirs, files in os.walk(store) for name in files]
         assert sharded, "process workers populated the sharded store"
 
 

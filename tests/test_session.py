@@ -12,7 +12,8 @@ from repro.pipeline import (
     module_content_key,
     profile_cache_key,
 )
-from repro.profiler.profile import RunSpec
+from repro.pipeline.session import CACHE_FORMAT, _copy_profile
+from repro.profiler.profile import RunSpec, profile_module
 from repro.vm.machine import Machine
 
 SOURCE = """
@@ -25,6 +26,9 @@ OTHER_SOURCE = """
 #include <sys.h>
 int main(void) { putchar('z'); return 0; }
 """
+
+#: The versioned store directory under a session's ``cache_dir``.
+STORE = f"v{CACHE_FORMAT}"
 
 
 def _cache_counters(obs):
@@ -123,7 +127,7 @@ class TestDiskStore:
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         CompilationSession(cache_dir=cache_dir).compiled_module(SOURCE)
-        store = tmp_path / "cache" / "v1"
+        store = tmp_path / "cache" / STORE
         entries = list(store.rglob("*.pkl"))
         assert entries
         for entry in entries:
@@ -145,13 +149,31 @@ class TestDiskStore:
         cache_dir = str(tmp_path / "cache")
         session = CompilationSession(cache_dir=cache_dir)
         session.compiled_module(SOURCE)
-        assert list((tmp_path / "cache" / "v1").iterdir())
+        assert list((tmp_path / "cache" / STORE).iterdir())
         session.clear(disk=True)
-        assert not list((tmp_path / "cache" / "v1").iterdir())
+        assert not list((tmp_path / "cache" / STORE).iterdir())
         obs = Observability.create()
         again = CompilationSession(cache_dir=cache_dir, obs=obs)
         again.compiled_module(SOURCE)
         assert _cache_counters(obs)["misses"] == 1
+
+
+class TestProfileObservations:
+    def test_observations_survive_copy_and_disk(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        specs = [RunSpec(label="empty"), RunSpec(stdin=b"x")]
+        producer = CompilationSession(cache_dir=cache_dir)
+        module = producer.compiled_module(SOURCE)
+        expected = profile_module(module, specs).observations
+        assert len(expected) == len(specs)
+        assert producer.profile(module, specs).observations == expected
+
+        obs = Observability.create()
+        consumer = CompilationSession(cache_dir=cache_dir, obs=obs)
+        loaded = consumer.profile(consumer.compiled_module(SOURCE), specs)
+        assert _cache_counters(obs)["disk_hits"] == 2
+        assert loaded.observations == expected
+        assert _copy_profile(loaded).observations == expected
 
 
 def _raise_oserror(*args, **kwargs):
@@ -162,7 +184,7 @@ class TestShardedLayout:
     def test_entries_live_in_two_hex_shards(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         CompilationSession(cache_dir=cache_dir).compiled_module(SOURCE)
-        entries = list((tmp_path / "cache" / "v1").rglob("*.pkl"))
+        entries = list((tmp_path / "cache" / STORE).rglob("*.pkl"))
         assert len(entries) == 1
         entry = entries[0]
         assert entry.parent.name == entry.stem[:2]
@@ -171,7 +193,7 @@ class TestShardedLayout:
     def test_legacy_flat_entries_still_readable(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         CompilationSession(cache_dir=cache_dir).compiled_module(SOURCE)
-        store = tmp_path / "cache" / "v1"
+        store = tmp_path / "cache" / STORE
         (entry,) = store.rglob("*.pkl")
         # Demote the entry to the pre-sharding flat layout.
         kind = entry.parent.parent.name
@@ -204,10 +226,10 @@ class TestDiskEviction:
         )
         session.compiled_module(SOURCE)
         os.utime(
-            next((tmp_path / "cache" / "v1").rglob("*.pkl")), times=(1, 1)
+            next((tmp_path / "cache" / STORE).rglob("*.pkl")), times=(1, 1)
         )
         session.compiled_module(OTHER_SOURCE)
-        entries = list((tmp_path / "cache" / "v1").rglob("*.pkl"))
+        entries = list((tmp_path / "cache" / STORE).rglob("*.pkl"))
         assert len(entries) == 1
         assert _cache_counters(obs)["disk_evictions"] == 1
         # The survivor is the newer entry: OTHER_SOURCE is a disk hit

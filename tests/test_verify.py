@@ -33,6 +33,7 @@ from repro.verify import (
     verify_inlining,
     verify_suite,
 )
+from repro.vm.machine import Machine
 from repro.workloads.suite import benchmark_by_name
 
 LOW_THRESHOLD = InlineParameters(weight_threshold=4.0, size_limit_factor=3.0)
@@ -399,6 +400,47 @@ class TestDifferentialOracle:
         assert not report.divergences
         assert report.invariant_failures
         assert report.eliminated_floor > report.calls_eliminated
+
+    def test_self_profiled_oracle_runs_each_module_once(self, monkeypatch):
+        module = compile_program(NESTED)
+        specs = [RunSpec(), RunSpec(stdin=b"x")]
+        supplied = verify_inlining(
+            module, specs, LOW_THRESHOLD, profile=profile_module(module, specs)
+        )
+        runs = []
+        original_run = Machine.run
+
+        def counting_run(self):
+            runs.append(self)
+            return original_run(self)
+
+        monkeypatch.setattr(Machine, "run", counting_run)
+        report = verify_inlining(module, specs, LOW_THRESHOLD)
+        assert len(runs) == 2 * len(specs)
+        assert report.calls_before == supplied.calls_before
+        assert report.summary() == supplied.summary()
+
+    def test_planted_divergence_reported_alike(self, monkeypatch):
+        # Swap the inliner's output for a program printing something
+        # else: the self-profiled oracle must report exactly what the
+        # oracle running both modules on every input reports.
+        module = compile_program(NESTED)
+        wrong = compile_program(NESTED.replace("s += outer(i);", "s += i;"))
+        specs = [RunSpec(label="probe")]
+
+        def planted(*args, **kwargs):
+            result = inline_module(*args, **kwargs)
+            result.module = wrong
+            return result
+
+        monkeypatch.setattr("repro.verify.differential.inline_module", planted)
+        supplied = verify_inlining(
+            module, specs, LOW_THRESHOLD, profile=profile_module(module, specs)
+        )
+        report = verify_inlining(module, specs, LOW_THRESHOLD)
+        assert supplied.divergences
+        assert report.divergences == supplied.divergences
+        assert report.calls_before == supplied.calls_before
 
     def test_unknown_benchmark_name_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
