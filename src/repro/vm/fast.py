@@ -9,16 +9,21 @@ into Python closures fused over control-flow regions
 
 - The function body is split into basic blocks (leaders: entry, jump /
   switch targets, the instruction after every control transfer or
-  call). Each block becomes one generated Python closure whose body is
-  straight-line Python — operand fetches, 32-bit wrapping arithmetic,
-  and memory bounds checks are inlined with no per-instruction
-  dispatch at all.
+  call). Each block that can be entered becomes one generated Python
+  closure whose body is straight-line Python — operand fetches, 32-bit
+  wrapping arithmetic, and memory bounds checks are inlined with no
+  per-instruction dispatch at all. A block can be entered only if it
+  is the function entry (``b0``) or generated code names its closure:
+  as a budget bounce, a deep-call or indirect-call continuation, or a
+  switch arm. Closures are generated from a worklist seeded with
+  ``b0``, so blocks that are only ever inlined get none.
 - Each closure greedily *inlines* its forward successors (both arms of
   a conditional, jump chains, fallthroughs, call continuations) up to
-  a per-closure instruction budget, duplicating join blocks instead of
-  bouncing through the driver. A branch back to the closure's own
-  entry block compiles to ``continue`` of a surrounding ``while``
-  loop, so hot inner loops run entirely inside one Python frame.
+  a per-closure instruction budget (`_INLINE_BUDGET`), duplicating join
+  blocks instead of bouncing through the driver. A branch back to the
+  closure's own entry block compiles to ``continue`` of a surrounding
+  ``while`` loop, so hot inner loops run entirely inside one Python
+  frame.
 - Virtual registers are promoted to Python locals for the lifetime of
   a closure invocation: only live-in registers (and, for closures with
   back-edges, loop-carried ones) are unpacked from the register file
@@ -51,19 +56,24 @@ successful run it produces the exact same :class:`~repro.vm.counters.
 Counters` — ``il``/``ct``/``calls``/``returns`` totals and the
 ``site_counts``/``func_counts``/``branch_counts`` dicts — and identical
 outputs (see :mod:`repro.verify.engines` and the ``fast-tier-smoke`` CI
-job). Divergences exist only on *aborted* runs: fuel exhaustion is
-detected at region granularity (the trap still fires, but the reported
-instruction count may differ from the reference by up to one closure's
-inline budget), and a :class:`~repro.errors.VMTrap` mid-segment leaves
-that segment's trailing instructions partially counted.
+job). Divergences exist only on *aborted* runs. Fuel is checked at
+every closure entry and every loop iteration, and between two checks a
+frame runs at most its closure's entry block plus `_INLINE_BUDGET`
+instructions; the trap still fires, but up to that many instructions
+late for each frame that returns before the next check, where the
+reference traps at exactly ``fuel + 1``. A :class:`~repro.errors.VMTrap`
+mid-segment leaves that segment's trailing instructions partially
+counted.
 
-Generated code is a pure function of the linked instruction stream, so
-factory sources are cached process-wide keyed on a structural
-fingerprint of the compiled tuples and byte-compiled lazily, one
-function at a time, the first time a run actually calls that function.
-Re-running the same module (profiling loops, differential checks, fuzz
-replay) pays code generation once, and functions that never execute
-are never compiled.
+Code is generated on demand. A function's factory source is generated
+and byte-compiled the first time a run calls it, so functions that
+never execute cost nothing; a cold run spends most of its time in
+CPython's ``compile()``, which is why only enterable closures are
+generated. Generated code is a pure function of the linked instruction
+stream, so factory tables are cached process-wide under a structural
+fingerprint of the compiled tuples, memoised with the link result it
+describes. Re-running the same module (profiling loops, differential
+checks, fuzz replay) pays code generation once.
 """
 
 from __future__ import annotations
@@ -71,7 +81,7 @@ from __future__ import annotations
 import struct
 import sys
 import threading
-import weakref
+import time
 from collections import OrderedDict
 
 from repro.errors import VMTrap
@@ -111,6 +121,12 @@ _TERMINATORS = (
 #: How many instructions each closure may inline beyond its entry
 #: block. Join blocks get tail-duplicated into both arms, so this caps
 #: generated code growth; the budget is shared across the whole tree.
+#: Chosen by measurement (2-vCPU x86-64 container): a smaller budget
+#: generates less code for a cold run (176K lines at 64 against 305K at
+#: 256 for six benchmarks' table pipeline) but bounces out of branchy
+#: loops, so warm full-scale throughput falls (wc keeps 76% of it at
+#: 192 and 42% at 64, the whole suite 86% at 64). 256 is the smallest
+#: budget tried that loses none.
 _INLINE_BUDGET = 256
 
 #: Leaf callees whose fully tail-duplicated expansion exceeds this many
@@ -127,16 +143,10 @@ _DEPTH_LIMIT = 512
 _PY_STACK_NEED = 3000
 
 #: Process-wide factory cache: structural code fingerprint -> module
-#: factory table (sources compiled lazily, shared across machines).
+#: factory table (functions generated lazily, shared across machines).
 _FACTORY_CACHE: OrderedDict[tuple, "_FactoryTable"] = OrderedDict()
 _FACTORY_CACHE_LIMIT = 32
 _FACTORY_LOCK = threading.Lock()
-
-#: Fingerprint memo: source module -> {collect_branches: fingerprint}.
-#: Linking the same module with the same flags always produces the same
-#: instruction stream, so the (expensive) canonicalisation runs once
-#: per module instead of once per run.
-_FP_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _UNPACK4 = struct.Struct("<i").unpack_from
 _PACK4 = struct.Struct("<I").pack_into
@@ -157,29 +167,43 @@ class _FastFunction:
 
 
 class _FactoryTable:
-    """Lazily byte-compiled factory sources for one module shape.
+    """Factories for one module shape, generated as functions are called.
 
-    Shared by every machine whose linked code has the same fingerprint;
-    each function's source is compiled at most once per process (a
-    benign race under threads re-compiles identical source).
+    Shared by every machine whose linked code has the same fingerprint.
+    A function's source is generated and byte-compiled the first time a
+    run calls it, at most once per process (a benign race under threads
+    re-generates identical source), and never for functions no run
+    calls.
     """
 
-    __slots__ = ("sources", "factories")
+    __slots__ = ("functions", "leaves", "factories")
 
-    def __init__(self, sources: dict[str, str]):
-        self.sources = sources
+    def __init__(self, functions: dict):
+        self.functions = functions
+        self.leaves: dict[str, tuple[int, int | None]] = {}
+        for name, function in functions.items():
+            leaf = _leaf_expansion_size(function)
+            if leaf is not None:
+                self.leaves[name] = leaf
         self.factories: dict = {}
 
-    def get(self, name: str):
+    def get(self, name: str, metrics=None):
         factory = self.factories.get(name)
         if factory is None:
+            start = time.perf_counter()
+            codegen = _FunctionCodegen(name, self.functions, self.leaves)
+            source = codegen.generate()
             namespace: dict = {}
-            exec(
-                compile(self.sources[name], "<repro-fast-tier>", "exec"),
-                namespace,
-            )
+            exec(compile(source, "<repro-fast-tier>", "exec"), namespace)
             factory = namespace[f"_factory_{name}"]
             self.factories[name] = factory
+            if metrics is not None:
+                metrics.inc("vm.codegen.functions")
+                metrics.inc("vm.codegen.closures", len(codegen.closures))
+                metrics.inc("vm.codegen.lines", source.count("\n") + 1)
+                metrics.observe(
+                    "vm.codegen_seconds", time.perf_counter() - start
+                )
         return factory
 
 
@@ -401,6 +425,10 @@ class _FunctionCodegen:
         self.bindings: dict[str, str] = {}  # identifier -> init statement
         self.switches: list[str] = []
         self._switch_count = 0
+        #: Blocks whose closure generated code names, in first-named
+        #: order; only these can ever be entered.
+        self.closures: list[int] = [0]
+        self._named: set[int] = {0}
         #: Branch key -> bound alias of its [taken, not-taken] pair.
         #: run_fast pre-seeds every static key, so the binding resolves
         #: at materialisation and each arm is a plain list bump.
@@ -434,6 +462,13 @@ class _FunctionCodegen:
 
     def emit(self, indent: int, line: str) -> None:
         self.body.append("    " * indent + line)
+
+    def closure(self, index: int) -> str:
+        """Name block ``index``'s closure, queueing it for generation."""
+        if index not in self._named:
+            self._named.add(index)
+            self.closures.append(index)
+        return f"b{index}"
 
     def bind(self, identifier: str, init: str) -> str:
         self.bindings.setdefault(identifier, f"    {identifier} = {init}")
@@ -784,7 +819,7 @@ class _FunctionCodegen:
         self._writeback(indent + 1, assigned)
         self.emit(
             indent + 1,
-            f"return ({binding}, nr, {dst}, b{cont}, {fp2})",
+            f"return ({binding}, nr, {dst}, {self.closure(cont)}, {fp2})",
         )
 
     def _emit_icall(self, frame: _Frame, ins, cont: int, entry: int,
@@ -803,7 +838,7 @@ class _FunctionCodegen:
         self.emit(
             indent,
             f"t = icall({pointer}, {values}, {dst}, {site},"
-            f" {fp2}, {depth}, b{cont})",
+            f" {fp2}, {depth}, {self.closure(cont)})",
         )
         self.emit(indent, "lm = len(mem)")
         self.emit(indent, "if len(t) == 1:")
@@ -912,7 +947,7 @@ class _FunctionCodegen:
             return
         self._flush(indent, pil, pct, pca, prt)
         self._writeback(indent, assigned)
-        self.emit(indent, f"return b{target}")
+        self.emit(indent, f"return {self.closure(target)}")
 
     def _gen_block(self, frame: _Frame, index: int, entry: int,
                    path: frozenset, assigned: set[str], indent: int,
@@ -1015,12 +1050,12 @@ class _FunctionCodegen:
             name = f"S{self._switch_count}"
             self._switch_count += 1
             entries = ", ".join(
-                f"{value!r}: b{frame.block_of[target]}"
+                f"{value!r}: {self.closure(frame.block_of[target])}"
                 for value, target in terminator[2].items()
             )
             self.switches.append(f"    {name} = {{{entries}}}")
             value = self.operand(frame, terminator[1], assigned)
-            default = f"b{frame.block_of[terminator[3]]}"
+            default = self.closure(frame.block_of[terminator[3]])
             self._writeback(indent, assigned)
             self.emit(indent, f"return {name}.get({value}, {default})")
         elif op == _OP_RET:
@@ -1103,7 +1138,10 @@ class _FunctionCodegen:
                 )
 
     def generate(self) -> str:
-        for index in range(len(self.root.starts)):
+        """Source of the factory: closures for ``b0`` and every block
+        that emitted code names, transitively. ``closures`` grows while
+        this loop walks it."""
+        for index in self.closures:
             self._gen_closure(index)
         header = [
             f"def _factory_{self.name}(env, FNS):",
@@ -1129,42 +1167,15 @@ class _FunctionCodegen:
         return "\n".join(header + self.lines + self.switches + ["    return b0"])
 
 
-def _build_sources(compiled: dict) -> dict[str, str]:
-    """Generate (but do not compile) the factory source per function."""
-    leaves: dict[str, tuple[int, int | None]] = {}
-    for name, function in compiled.items():
-        leaf = _leaf_expansion_size(function)
-        if leaf is not None:
-            leaves[name] = leaf
-    return {
-        name: _FunctionCodegen(name, compiled, leaves).generate()
-        for name in compiled
-    }
-
-
-def _factories_for(compiled: dict, module=None,
-                   collect_branches: bool = False) -> _FactoryTable:
-    key = None
-    if module is not None:
-        try:
-            memo = _FP_MEMO.setdefault(module, {})
-        except TypeError:  # unhashable/unweakrefable module object
-            memo = None
-        if memo is not None:
-            key = memo.get(collect_branches)
-            if key is None:
-                key = _code_fingerprint(compiled)
-                memo[collect_branches] = key
+def _factories_for(linked) -> _FactoryTable:
+    """The shared factory table for a machine's link result."""
+    key = linked.fingerprint
     if key is None:
-        key = _code_fingerprint(compiled)
+        key = linked.fingerprint = _code_fingerprint(linked.functions)
     with _FACTORY_LOCK:
         table = _FACTORY_CACHE.get(key)
-        if table is not None:
-            _FACTORY_CACHE.move_to_end(key)
-            return table
-    table = _FactoryTable(_build_sources(compiled))
-    with _FACTORY_LOCK:
-        table = _FACTORY_CACHE.setdefault(key, table)
+        if table is None:
+            table = _FACTORY_CACHE[key] = _FactoryTable(linked.functions)
         _FACTORY_CACHE.move_to_end(key)
         while len(_FACTORY_CACHE) > _FACTORY_CACHE_LIMIT:
             _FACTORY_CACHE.popitem(last=False)
@@ -1188,9 +1199,8 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
         sys.setrecursionlimit(_PY_STACK_NEED)
 
     compiled = machine._compiled
-    factories = _factories_for(
-        compiled, machine.module, machine._collect_branches
-    )
+    factories = _factories_for(machine._linked)
+    metrics = machine._metrics
     counters = machine.counters
     site_counts = counters.site_counts
     func_counts = counters.func_counts
@@ -1208,7 +1218,7 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
 
     def materialize(shell):
         """Build a function's block closures on first call."""
-        block = factories.get(shell.name)(env, shells)
+        block = factories.get(shell.name, metrics)(env, shells)
         shell.entry = block
         return block
 

@@ -8,13 +8,21 @@ and per-branch dictionaries — on every successful run, and a trap in
 the same situations on aborted runs.
 """
 
+import re
+import sys
+import threading
+from collections import OrderedDict
+
 import pytest
 
 from repro.compiler import compile_program
 from repro.errors import ILError, VMTrap
+from repro.observability import Observability
 from repro.profiler.profile import RunSpec, run_once
+from repro.vm import fast
 from repro.vm.machine import ENGINES, Machine
 from repro.vm.os import VirtualOS
+from repro.workloads.suite import benchmark_by_name
 
 from helpers import c_main
 
@@ -258,3 +266,167 @@ class TestFastTrapParity:
                 Machine(
                     module, VirtualOS(), engine=engine, heap_limit=1 << 20
                 ).run()
+
+
+class TestLinkKnobs:
+    def test_stack_size_change_never_runs_stale_code(self):
+        # Globals are placed after the stack region, so linked code
+        # bakes in addresses that move with stack_size. Either order of
+        # two fast runs must match the interpreter.
+        module = compile_program(
+            c_main(
+                "int i; int s = 0; for (i = 0; i < a; i++) s += b;"
+                " print_int(a); putchar(' '); print_int(b);"
+                " putchar(' '); print_int(s);",
+                prelude="int a = 17; int b = 10;",
+            )
+        )
+        for sizes in ((1 << 16, 1 << 20), (1 << 18, 1 << 17)):
+            for stack_size in sizes:
+                reference = _run_engine(
+                    module, "counting", stack_size=stack_size
+                )
+                result = _run_engine(module, "fast", stack_size=stack_size)
+                assert reference.stdout == "17 10 170"
+                assert result.stdout == reference.stdout, stack_size
+                assert _counter_state(result.counters) == _counter_state(
+                    reference.counters
+                ), stack_size
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """(name, source) of every factory the fast tier generates from
+    here on, starting from an empty process-wide factory cache."""
+    sources = []
+    generate = fast._FunctionCodegen.generate
+
+    def recording_generate(codegen):
+        source = generate(codegen)
+        sources.append((codegen.name, source))
+        return source
+
+    monkeypatch.setattr(fast._FunctionCodegen, "generate", recording_generate)
+    monkeypatch.setattr(fast, "_FACTORY_CACHE", OrderedDict())
+    return sources
+
+
+def _run_small_inputs(names, obs=None):
+    for name in names:
+        benchmark = benchmark_by_name(name)
+        module = benchmark.compile()
+        for spec in benchmark.make_runs("small"):
+            run_once(module, spec, engine="fast", obs=obs)
+
+
+_CLOSURE_DEF = re.compile(r"    def b(\d+)\(")
+_CLOSURE_REF = re.compile(r"\bb(\d+)\b")
+
+
+def _closure_references(source: str) -> tuple[set, set]:
+    """(defined block closures, (referencing closure, block) pairs).
+
+    Factory-level lines (switch tables) reference from closure None.
+    """
+    defined: set[int] = set()
+    references: set[tuple] = set()
+    owner = None
+    for line in source.splitlines():
+        match = _CLOSURE_DEF.match(line)
+        if match:
+            owner = int(match.group(1))
+            defined.add(owner)
+            continue
+        if not line.startswith("        "):
+            owner = None
+        for ref in _CLOSURE_REF.findall(line):
+            references.add((owner, int(ref)))
+    return defined, references
+
+
+class TestCodegenOnDemand:
+    def test_generates_only_called_functions(self, generated):
+        benchmark = benchmark_by_name("wc")
+        module = benchmark.compile()
+        spec = benchmark.make_runs("small")[0]
+        result = run_once(module, spec, engine="fast")
+        names = [name for name, _ in generated]
+        assert "main" in names
+        assert len(names) == len(set(names))
+        called = set(result.counters.func_counts) & set(module.functions)
+        assert set(names) <= called
+
+    def test_every_closure_but_the_entry_is_named_elsewhere(self, generated):
+        _run_small_inputs(["wc", "cmp", "tee"])
+        assert generated
+        for name, source in generated:
+            defined, references = _closure_references(source)
+            assert 0 in defined, name
+            for block in defined - {0}:
+                assert any(
+                    owner != block
+                    for owner, target in references
+                    if target == block
+                ), f"{name}: b{block} is generated but never entered"
+
+    def test_generated_lines_stay_under_ceiling(self, generated):
+        # Tail duplication multiplies generated code, and a timing gate
+        # cannot see a blow-up through CI noise; this count can. The
+        # ceiling is the measured total, 33,279 lines, plus 10%.
+        _run_small_inputs(["wc", "cmp", "tee"])
+        lines = sum(source.count("\n") + 1 for _, source in generated)
+        assert lines <= 36_607
+
+    def test_codegen_metrics(self, generated):
+        obs = Observability.create()
+        _run_small_inputs(["tee"], obs=obs)
+        counters = obs.metrics.counters
+        assert counters["vm.codegen.functions"] == len(generated)
+        assert counters["vm.codegen.lines"] == sum(
+            source.count("\n") + 1 for _, source in generated
+        )
+        assert counters["vm.codegen.closures"] == sum(
+            len(_closure_references(source)[0]) for _, source in generated
+        )
+        seconds = obs.metrics.histogram("vm.codegen_seconds")
+        assert seconds["count"] == len(generated) and seconds["total"] > 0
+        # Warm: factories are cached, so a rerun generates nothing.
+        again = Observability.create()
+        _run_small_inputs(["tee"], obs=again)
+        assert "vm.codegen.functions" not in again.metrics.counters
+        assert again.metrics.counters["vm.runs"] > 0
+
+    def test_threads_racing_to_generate_run_correct_code(self, generated):
+        # Machines in several threads share one factory table and may
+        # generate the same function at once; a lost or torn factory
+        # would show up as a wrong count.
+        benchmark = benchmark_by_name("cmp")
+        module = benchmark.compile()
+        specs = benchmark.make_runs("small")
+        expected = [
+            _counter_state(run_once(module, spec).counters) for spec in specs
+        ]
+        results = {}
+
+        def work(worker):
+            results[worker] = [
+                _counter_state(run_once(module, spec, engine="fast").counters)
+                for spec in specs
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(worker,))
+                for worker in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {worker: expected for worker in range(4)}
+        assert "main" in {name for name, _ in generated}
