@@ -9,6 +9,11 @@ response object per line out, on a persistent connection::
     {"id": 1, "ok": true, "result": {...}, "coalesced": false,
      "seconds": 0.012, "trace_id": "9f2c...", "request_id": "03ab..."}
 
+A line that is not a JSON object, or whose ``params`` is not one, gets
+an ``ok: false`` reply whose error starts with ``bad request:``. So
+does a line longer than :data:`MAX_REQUEST_BYTES`, which also closes
+its connection.
+
 Request flow:
 
 - **trace context** — every request carries a
@@ -88,6 +93,11 @@ DEFAULT_SOCKET = ".repro-service.sock"
 
 #: Default slow-request threshold (seconds).
 DEFAULT_SLOW_THRESHOLD = 1.0
+
+#: Longest request line the server reads (the stream reader's limit).
+#: Fits a real C source plus its stdin with room for JSON escaping; a
+#: longer line gets one error reply and its connection is closed.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
 class CompilationService:
@@ -171,7 +181,7 @@ class CompilationService:
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)  # a stale socket from a dead server
         self._server = await asyncio.start_unix_server(
-            self._handle_client, path=self.socket_path
+            self._handle_client, path=self.socket_path, limit=MAX_REQUEST_BYTES
         )
         if self._obs.metrics.enabled:
             self._obs.metrics.gauge("service.jobs", self.jobs)
@@ -339,20 +349,32 @@ class CompilationService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._writers.add(writer)
+
+        async def send(response: dict) -> None:
+            writer.write(
+                json.dumps(response, sort_keys=True, default=str).encode() + b"\n"
+            )
+            await writer.drain()
+
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over MAX_REQUEST_BYTES: the rest of the line is
+                    # unread, so no later line can be framed.
+                    await send(
+                        _bad_request(
+                            f"request line longer than {MAX_REQUEST_BYTES} bytes"
+                        )
+                    )
+                    break
                 if not line:
                     break
                 self._active_responses += 1
                 self._idle.clear()
                 try:
-                    response = await self._respond(line)
-                    writer.write(
-                        json.dumps(response, sort_keys=True, default=str).encode()
-                        + b"\n"
-                    )
-                    await writer.drain()
+                    await send(await self._respond(line))
                 finally:
                     self._active_responses -= 1
                     if self._active_responses == 0:
@@ -366,11 +388,20 @@ class CompilationService:
     async def _respond(self, line: bytes) -> dict:
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return {"id": None, "ok": False, "error": f"bad request: {exc}"}
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            return _bad_request(str(exc))
+        if not isinstance(request, dict):
+            return _bad_request(
+                f"expected a JSON object, got {type(request).__name__}"
+            )
         request_id = request.get("id")
         op = request.get("op")
         params = request.get("params") or {}
+        if not isinstance(params, dict):
+            return _bad_request(
+                f"params must be a JSON object, got {type(params).__name__}",
+                request_id,
+            )
         # Ingress default: a server started with --engine fast runs
         # engine-agnostic requests on the fast tier. Explicit per-request
         # engines always win, and the injection happens before
@@ -621,6 +652,10 @@ class ServiceHandle:
         )
         future.result(timeout=timeout)
         self._thread.join(timeout=timeout)
+
+
+def _bad_request(reason: str, request_id=None) -> dict:
+    return {"id": request_id, "ok": False, "error": f"bad request: {reason}"}
 
 
 def serve_in_thread(

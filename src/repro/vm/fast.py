@@ -9,14 +9,15 @@ into Python closures fused over control-flow regions
 
 - The function body is split into basic blocks (leaders: entry, jump /
   switch targets, the instruction after every control transfer or
-  call). Each block that can be entered becomes one generated Python
+  call). A block that control enters becomes one generated Python
   closure whose body is straight-line Python — operand fetches, 32-bit
   wrapping arithmetic, and memory bounds checks are inlined with no
-  per-instruction dispatch at all. A block can be entered only if it
-  is the function entry (``b0``) or generated code names its closure:
-  as a budget bounce, a deep-call or indirect-call continuation, or a
-  switch arm. Closures are generated from a worklist seeded with
-  ``b0``, so blocks that are only ever inlined get none.
+  per-instruction dispatch at all. Control enters a block at the
+  function's first call (``b0``) or where a closure exits to it: a
+  budget bounce, a deep-call or indirect-call continuation, or a
+  switch arm. Exits name their target by block index, and a block's
+  closure is generated the first time control enters it, so blocks
+  that are only ever inlined, or never reached, get none.
 - Each closure greedily *inlines* its forward successors (both arms of
   a conditional, jump chains, fallthroughs, call continuations) up to
   a per-closure instruction budget (`_INLINE_BUDGET`), duplicating join
@@ -27,8 +28,9 @@ into Python closures fused over control-flow regions
 - Virtual registers are promoted to Python locals for the lifetime of
   a closure invocation: only live-in registers (and, for closures with
   back-edges, loop-carried ones) are unpacked from the register file
-  on entry, and modified locals are written back only where control
-  leaves the closure (cold branches, switches, deep calls).
+  on entry. A modified local is written back only where control leaves
+  the closure (budget bounces, switches, deep and indirect calls), and
+  only if it is live where control resumes (`_block_liveness`).
 - *Leaf* callees (acyclic, no calls to other user functions, no
   switch) are expanded transparently into the caller's closure with
   renamed locals — while still bumping the call/site/function/return
@@ -65,15 +67,17 @@ reference traps at exactly ``fuel + 1``. A :class:`~repro.errors.VMTrap`
 mid-segment leaves that segment's trailing instructions partially
 counted.
 
-Code is generated on demand. A function's factory source is generated
-and byte-compiled the first time a run calls it, so functions that
-never execute cost nothing; a cold run spends most of its time in
-CPython's ``compile()``, which is why only enterable closures are
-generated. Generated code is a pure function of the linked instruction
-stream, so factory tables are cached process-wide under a structural
-fingerprint of the compiled tuples, memoised with the link result it
-describes. Re-running the same module (profiling loops, differential
-checks, fuzz replay) pays code generation once.
+Code is generated on demand, one closure at a time: a block's closure
+is generated and byte-compiled the first time a run enters that block,
+so blocks and functions that never execute cost nothing. A cold run
+still spends most of its time in CPython's ``compile()`` of the
+closures it enters. Generated code is a pure function of the linked
+instruction stream, so closure factories are cached process-wide per
+structural fingerprint of the compiled tuples (memoised with the link
+result it describes), function and block. A later machine only
+instantiates the factories of the blocks it enters, so re-running the
+same module (profiling loops, differential checks, fuzz replay) pays
+code generation once.
 """
 
 from __future__ import annotations
@@ -122,12 +126,21 @@ _TERMINATORS = (
 #: block. Join blocks get tail-duplicated into both arms, so this caps
 #: generated code growth; the budget is shared across the whole tree.
 #: Chosen by measurement (2-vCPU x86-64 container): a smaller budget
-#: generates less code for a cold run (176K lines at 64 against 305K at
+#: generates less code for a cold run (33K lines at 64 against 53K at
 #: 256 for six benchmarks' table pipeline) but bounces out of branchy
-#: loops, so warm full-scale throughput falls (wc keeps 76% of it at
-#: 192 and 42% at 64, the whole suite 86% at 64). 256 is the smallest
+#: loops, so warm full-scale throughput falls (wc keeps 68% of it at
+#: 192 and 53% at 64, the whole suite 94% at 64). 256 is the smallest
 #: budget tried that loses none.
 _INLINE_BUDGET = 256
+
+#: Per-run values every closure factory takes, in parameter order,
+#: before the calling function's block table ``BT`` and installer
+#: ``MK`` (see ``materialize`` in `run_fast`).
+_ENV = (
+    "st", "mem", "fuel", "site_counts", "func_counts", "branch_counts",
+    "M", "icall", "drive", "MAT", "stack_limit", "builtins", "U4", "P4",
+    "c_div", "c_mod", "VMTrap", "FNS",
+)
 
 #: Leaf callees whose fully tail-duplicated expansion exceeds this many
 #: instructions are called through the normal protocol instead.
@@ -167,16 +180,18 @@ class _FastFunction:
 
 
 class _FactoryTable:
-    """Factories for one module shape, generated as functions are called.
+    """Closure factories for one module shape, generated on first entry.
 
-    Shared by every machine whose linked code has the same fingerprint.
-    A function's source is generated and byte-compiled the first time a
-    run calls it, at most once per process (a benign race under threads
-    re-generates identical source), and never for functions no run
-    calls.
+    Shared by every machine (and thread) whose linked code has the same
+    fingerprint. A block's closure is generated and byte-compiled the
+    first time a run enters it, and never for blocks no run enters.
+    Each generation keeps its mutable state in its own
+    `_ClosureCodegen`, so threads may generate closures of one function
+    at once: they share only immutable analysis, a race re-generates
+    identical source, and the last store wins.
     """
 
-    __slots__ = ("functions", "leaves", "factories")
+    __slots__ = ("functions", "leaves", "live", "factories")
 
     def __init__(self, functions: dict):
         self.functions = functions
@@ -185,21 +200,35 @@ class _FactoryTable:
             leaf = _leaf_expansion_size(function)
             if leaf is not None:
                 self.leaves[name] = leaf
-        self.factories: dict = {}
+        #: Function name -> registers live on entry to each block.
+        self.live: dict[str, tuple[frozenset[int], ...]] = {}
+        #: (function name, block index) -> closure factory.
+        self.factories: dict[tuple[str, int], object] = {}
 
-    def get(self, name: str, metrics=None):
-        factory = self.factories.get(name)
+    def liveness(self, name: str) -> tuple[frozenset[int], ...]:
+        live = self.live.get(name)
+        if live is None:
+            live = self.live[name] = _block_liveness(
+                self.functions[name].code
+            )
+        return live
+
+    def factory(self, name: str, index: int, metrics=None):
+        """The factory of block ``index``'s closure in function ``name``."""
+        factory = self.factories.get((name, index))
         if factory is None:
             start = time.perf_counter()
-            codegen = _FunctionCodegen(name, self.functions, self.leaves)
-            source = codegen.generate()
+            source = _ClosureCodegen(
+                name, index, self.functions, self.leaves,
+                self.liveness(name),
+            ).generate()
             namespace: dict = {}
             exec(compile(source, "<repro-fast-tier>", "exec"), namespace)
-            factory = namespace[f"_factory_{name}"]
-            self.factories[name] = factory
+            factory = self.factories[(name, index)] = namespace["_factory"]
             if metrics is not None:
-                metrics.inc("vm.codegen.functions")
-                metrics.inc("vm.codegen.closures", len(codegen.closures))
+                if index == 0:
+                    metrics.inc("vm.codegen.functions")
+                metrics.inc("vm.codegen.closures")
                 metrics.inc("vm.codegen.lines", source.count("\n") + 1)
                 metrics.observe(
                     "vm.codegen_seconds", time.perf_counter() - start
@@ -276,6 +305,89 @@ def _block_starts(code: list) -> list[int]:
     return sorted(start for start in starts if start <= len(code))
 
 
+#: Operand fields each opcode reads; a register is an ``int`` operand,
+#: an immediate a boxed 1-tuple.
+_READS = {
+    _OP_MOV: (2,), _OP_BIN: (3, 4), _OP_UN: (3,), _OP_LOAD4: (2,),
+    _OP_LOAD1: (2,), _OP_STORE4: (1, 2), _OP_STORE1: (1, 2),
+    _OP_ICALL: (2,), _OP_RET: (1,), _OP_CJUMP: (1,), _OP_SWITCH: (1,),
+}
+
+#: Opcodes writing the register in field 1 (calls: ``dst``, -1 if none).
+_WRITES = {
+    _OP_CONST, _OP_MOV, _OP_BIN, _OP_UN, _OP_LOAD4, _OP_LOAD1, _OP_FRAME,
+    _OP_CALLU, _OP_CALLB, _OP_ICALL,
+}
+
+#: Opcodes whose field 3 is the argument tuple.
+_CALLS = {_OP_CALLU, _OP_CALLB, _OP_ICALL}
+
+
+def _block_successors(code: list, starts: list[int]) -> list[tuple[int, ...]]:
+    """Successor block indices of each `_block_starts` block.
+
+    A call's continuation is the next block; the block at ``len(code)``
+    (falling off the end) has none.
+    """
+    block_of = {start: i for i, start in enumerate(starts)}
+    successors = []
+    for i, start in enumerate(starts):
+        end = starts[i + 1] if i + 1 < len(starts) else len(code)
+        targets: tuple = ()
+        if start < len(code):
+            last = code[end - 1]
+            op = last[0]
+            if op == _OP_JUMP:
+                targets = (last[1],)
+            elif op == _OP_CJUMP:
+                targets = (last[2], last[3])
+            elif op == _OP_SWITCH:
+                targets = (*last[2].values(), last[3])
+            elif op != _OP_RET:
+                targets = (end,)
+        successors.append(tuple(block_of[target] for target in targets))
+    return successors
+
+
+def _block_liveness(code: list) -> tuple[frozenset[int], ...]:
+    """Registers live on entry to each `_block_starts` block of ``code``.
+
+    A backward dataflow: a register is live at a block when some path
+    from its start reads it before writing it.
+    """
+    starts = _block_starts(code)
+    count = len(starts)
+    successors = _block_successors(code, starts)
+    reads: list[set[int]] = []
+    writes: list[set[int]] = []
+    for i, start in enumerate(starts):
+        end = starts[i + 1] if i + 1 < count else len(code)
+        read: set[int] = set()
+        written: set[int] = set()
+        for ins in reversed(code[start:end]):
+            op = ins[0]
+            if op in _WRITES and ins[1] >= 0:
+                read.discard(ins[1])
+                written.add(ins[1])
+            operands = [ins[field] for field in _READS.get(op, ())]
+            if op in _CALLS:
+                operands.extend(ins[3])
+            read.update(value for value in operands if type(value) is int)
+        reads.append(read)
+        writes.append(written)
+    live: list[frozenset[int]] = [frozenset()] * count
+    changed = True
+    while changed:
+        changed = False
+        for i in reversed(range(count)):
+            out = set().union(*(live[s] for s in successors[i]))
+            now = frozenset(reads[i] | (out - writes[i]))
+            if now != live[i]:
+                live[i] = now
+                changed = True
+    return tuple(live)
+
+
 def _leaf_expansion_size(function) -> tuple[int, int | None] | None:
     """(expansion size, loop header block) for an inlinable leaf.
 
@@ -309,30 +421,16 @@ def _leaf_expansion_size(function) -> tuple[int, int | None] | None:
     block_of = {start: i for i, start in enumerate(starts)}
     header = None if header_pc is None else block_of[header_pc]
 
-    def successors(index: int):
-        start = starts[index]
-        end = starts[index + 1] if index + 1 < len(starts) else len(code)
-        if start >= len(code):
-            return ()
-        terminator = code[end - 1]
-        op = terminator[0]
-        if op == _OP_JUMP:
-            return (block_of[terminator[1]],)
-        if op == _OP_CJUMP:
-            return (block_of[terminator[2]], block_of[terminator[3]])
-        if op == _OP_RET:
-            return ()
-        return (block_of[end],) if end in block_of else ()
-
     if header is not None and header != 0:
         # The generated `continue` is only well-formed if every
         # back-edge source sits inside the header's `while` — i.e. is
         # unreachable without passing through the header. Reject jumps
         # into the middle of the loop.
+        successors = _block_successors(code, starts)
         seen = {0}
         work = [0]
         while work:
-            for successor in successors(work.pop()):
+            for successor in successors[work.pop()]:
                 if successor != header and successor not in seen:
                     seen.add(successor)
                     work.append(successor)
@@ -412,26 +510,27 @@ class _Frame:
         return "fp" if self.fp_off == 0 else f"fp + {self.fp_off}"
 
 
-class _FunctionCodegen:
-    """Emits the factory source for one compiled function."""
+class _ClosureCodegen:
+    """Emits the factory source for one block's closure.
 
-    def __init__(self, name: str, compiled: dict,
-                 leaves: dict[str, tuple[int, int | None]]):
+    One instance per generated closure: all of its state is private to
+    that generation. ``live`` is the function's `_block_liveness`.
+    """
+
+    def __init__(self, name: str, index: int, compiled: dict,
+                 leaves: dict[str, tuple[int, int | None]],
+                 live: tuple[frozenset[int], ...]):
         self.name = name
+        self.index = index
         self.compiled = compiled
         self.leaves = leaves
+        self.live = live
         self.root = _Frame(compiled[name], "", 0, 0)
-        self.lines: list[str] = []
         self.bindings: dict[str, str] = {}  # identifier -> init statement
-        self.switches: list[str] = []
         self._switch_count = 0
-        #: Blocks whose closure generated code names, in first-named
-        #: order; only these can ever be entered.
-        self.closures: list[int] = [0]
-        self._named: set[int] = {0}
         #: Branch key -> bound alias of its [taken, not-taken] pair.
         #: run_fast pre-seeds every static key, so the binding resolves
-        #: at materialisation and each arm is a plain list bump.
+        #: at instantiation and each arm is a plain list bump.
         self._branch_aliases: dict = {}
         # Blocks targeted by a backward branch: each gets a nested
         # `while` when reached, so inner loops never bounce through the
@@ -448,12 +547,11 @@ class _FunctionCodegen:
                         self.root_loop_headers.add(
                             self.root.block_of[target]
                         )
-        # Per-closure emission state.
         self.body: list = []
         self.live_in: set[int] = set()
         self.assigned_anywhere: set[int] = set()
         self.has_backedge = False
-        self.budget = 0
+        self.budget = _INLINE_BUDGET
         self._inline_count = 0
         #: Textually-open nested root loops, innermost last.
         self._loop_stack: list[int] = []
@@ -463,12 +561,10 @@ class _FunctionCodegen:
     def emit(self, indent: int, line: str) -> None:
         self.body.append("    " * indent + line)
 
-    def closure(self, index: int) -> str:
-        """Name block ``index``'s closure, queueing it for generation."""
-        if index not in self._named:
-            self._named.add(index)
-            self.closures.append(index)
-        return f"b{index}"
+    @staticmethod
+    def closure(index: int) -> str:
+        """Block ``index``'s closure, installed on first use."""
+        return f"BT[{index}] or MK({index})"
 
     def bind(self, identifier: str, init: str) -> str:
         self.bindings.setdefault(identifier, f"    {identifier} = {init}")
@@ -532,21 +628,26 @@ class _FunctionCodegen:
         self.emit(indent, "except KeyError:")
         self.emit(indent, f"    {counts}[{key!r}] = 1")
 
-    def _writeback(self, indent: int, assigned: set[str]) -> None:
-        """Spill modified root-frame locals back to the register file.
+    def _writeback(self, indent: int, assigned: set[str],
+                   live: frozenset[int]) -> None:
+        """Spill modified root-frame locals that are ``live`` at an exit.
 
-        Emitted as a placeholder and expanded once the whole closure is
-        generated: when the closure contains a back-edge, locals
-        assigned on *any* path may carry state from a previous loop
-        iteration into this exit, so the spill must cover the
-        closure-wide assigned set, not just the current path's.
-        Inlined-frame registers never spill — they are dead at every
-        closure exit.
+        ``live`` holds the registers live where control resumes: the
+        bounce target, the call continuation, or every switch arm. Any
+        other register is written before it is read again, so its stale
+        register-file value is never observed. Emitted as a placeholder
+        and expanded once the whole closure is generated: when the
+        closure contains a back-edge, locals assigned on *any* path may
+        carry state from a previous loop iteration into this exit, so
+        the spill covers the closure-wide assigned set (and the entry
+        unpacks whatever some exit spills), not just the current
+        path's. Inlined-frame registers never spill — they are dead at
+        every closure exit.
         """
         roots = frozenset(
             int(name[1:]) for name in assigned if name[0] == "r"
         )
-        self.body.append((indent, roots))
+        self.body.append((indent, roots, live))
 
     # -- per-instruction bodies ---------------------------------------
 
@@ -816,7 +917,7 @@ class _FunctionCodegen:
             self.emit(inner, f"{self.assign(frame, shallow, dst)} = t[0]")
         self._goto(frame, cont, entry, path, shallow, inner, 0, 0, 0, 1)
         self.emit(indent, "else:")
-        self._writeback(indent + 1, assigned)
+        self._writeback(indent + 1, assigned, self.live[cont])
         self.emit(
             indent + 1,
             f"return ({binding}, nr, {dst}, {self.closure(cont)}, {fp2})",
@@ -836,9 +937,7 @@ class _FunctionCodegen:
         fp2 = "fp" if fp_off == 0 else f"fp + {fp_off}"
         depth = "d" if frame.depth_off == 0 else f"d + {frame.depth_off}"
         self.emit(
-            indent,
-            f"t = icall({pointer}, {values}, {dst}, {site},"
-            f" {fp2}, {depth}, {self.closure(cont)})",
+            indent, f"t = icall({pointer}, {values}, {site}, {fp2}, {depth})"
         )
         self.emit(indent, "lm = len(mem)")
         self.emit(indent, "if len(t) == 1:")
@@ -848,8 +947,12 @@ class _FunctionCodegen:
             self.emit(inner, f"{self.assign(frame, shallow, dst)} = t[0]")
         self._goto(frame, cont, entry, path, shallow, inner, 0, 0, 0, 0)
         self.emit(indent, "else:")
-        self._writeback(indent + 1, assigned)
-        self.emit(indent + 1, "return t")
+        # Deep: only now does the continuation need a closure.
+        self._writeback(indent + 1, assigned, self.live[cont])
+        self.emit(
+            indent + 1,
+            f"return (t[0], t[1], {dst}, {self.closure(cont)}, {fp2})",
+        )
 
     # -- control-flow-region emission ---------------------------------
 
@@ -946,7 +1049,7 @@ class _FunctionCodegen:
             )
             return
         self._flush(indent, pil, pct, pca, prt)
-        self._writeback(indent, assigned)
+        self._writeback(indent, assigned, self.live[target])
         self.emit(indent, f"return {self.closure(target)}")
 
     def _gen_block(self, frame: _Frame, index: int, entry: int,
@@ -1047,17 +1150,20 @@ class _FunctionCodegen:
             )
         elif op == _OP_SWITCH:
             self._flush(indent, pil, pct + 1, pca, prt)
-            name = f"S{self._switch_count}"
-            self._switch_count += 1
-            entries = ", ".join(
-                f"{value!r}: {self.closure(frame.block_of[target])}"
+            arms = {
+                value: frame.block_of[target]
                 for value, target in terminator[2].items()
-            )
-            self.switches.append(f"    {name} = {{{entries}}}")
+            }
+            default = frame.block_of[terminator[3]]
+            table = self.bind(f"S{self._switch_count}", repr(arms))
+            self._switch_count += 1
             value = self.operand(frame, terminator[1], assigned)
-            default = self.closure(frame.block_of[terminator[3]])
-            self._writeback(indent, assigned)
-            self.emit(indent, f"return {name}.get({value}, {default})")
+            live = self.live[default].union(
+                *(self.live[arm] for arm in arms.values())
+            )
+            self._writeback(indent, assigned, live)
+            self.emit(indent, f"t = {table}.get({value}, {default})")
+            self.emit(indent, "return BT[t] or MK(t)")
         elif op == _OP_RET:
             # Registers die at return: no spill needed.
             operand = terminator[1]
@@ -1084,16 +1190,13 @@ class _FunctionCodegen:
         else:  # pragma: no cover
             raise AssertionError(f"unhandled terminator {op}")
 
-    # -- closures ------------------------------------------------------
+    # -- the closure -------------------------------------------------
 
-    def _gen_closure(self, index: int) -> None:
-        self.body = []
-        self.live_in = set()
-        self.assigned_anywhere = set()
-        self.has_backedge = False
-        self.budget = _INLINE_BUDGET
-        self._inline_count = 0
-        self._loop_stack = []
+    def generate(self) -> str:
+        """Source of ``_factory``, which binds one run's environment
+        (`_ENV`, then ``BT`` and ``MK``) and returns block ``index``'s
+        closure."""
+        index = self.index
         # The fuel probe sits at the top of every closure (and so on
         # every loop iteration and every call): all executed
         # instructions are flushed at closure exits and back-edges, so
@@ -1108,63 +1211,40 @@ class _FunctionCodegen:
             self.root, index, index, frozenset((("", index),)), set(), 3,
             0, 0,
         )
-        self.lines.append(f"    def b{index}(r, fp, d):")
+        body: list[str] = []
+        spilled: set[int] = set()
+        for item in self.body:
+            if type(item) is str:
+                body.append(item)
+                continue
+            indent, path_assigned, live = item
+            spill = live & (
+                self.assigned_anywhere if self.has_backedge else path_assigned
+            )
+            spilled |= spill
+            body.extend(
+                "    " * indent + f"r[{register}] = r{register}"
+                for register in sorted(spill)
+            )
+        lines = [f"def _factory({', '.join(_ENV)}, BT, MK):"]
+        lines.extend(sorted(self.bindings.values()))
+        lines.append(f"    def b{index}(r, fp, d):")
         # Localise the memory bound: ``mem`` only grows, and only
         # builtins grow it, so refreshing ``lm`` at entry and after
         # every call keeps the bound exact without a ``len`` per access.
-        self.lines.append("        lm = len(mem)")
+        lines.append("        lm = len(mem)")
         # Unpack live-in registers; a back-edge additionally keeps every
-        # assigned register local across iterations, so those spill
-        # targets must be defined on every path too.
-        unpack = self.live_in
-        if self.has_backedge:
-            unpack = unpack | self.assigned_anywhere
+        # assigned register local across iterations, so whatever an
+        # exit spills must be defined on every path too.
+        unpack = self.live_in | spilled if self.has_backedge else self.live_in
         for register in sorted(unpack):
-            self.lines.append(f"        r{register} = r[{register}]")
+            lines.append(f"        r{register} = r[{register}]")
         # Every path through the region tree ends in continue / return /
         # raise, so the loop only repeats on back-edges to this entry.
-        self.lines.append("        while 1:")
-        for item in self.body:
-            if type(item) is str:
-                self.lines.append(item)
-                continue
-            indent, path_assigned = item
-            spill = (
-                self.assigned_anywhere if self.has_backedge else path_assigned
-            )
-            for register in sorted(spill):
-                self.lines.append(
-                    "    " * indent + f"r[{register}] = r{register}"
-                )
-
-    def generate(self) -> str:
-        """Source of the factory: closures for ``b0`` and every block
-        that emitted code names, transitively. ``closures`` grows while
-        this loop walks it."""
-        for index in self.closures:
-            self._gen_closure(index)
-        header = [
-            f"def _factory_{self.name}(env, FNS):",
-            "    st = env['st']",
-            "    mem = env['mem']",
-            "    fuel = env['fuel']",
-            "    site_counts = env['site_counts']",
-            "    func_counts = env['func_counts']",
-            "    branch_counts = env['branch_counts']",
-            "    M = env['machine']",
-            "    icall = env['icall']",
-            "    drive = env['drive']",
-            "    MAT = env['materialize']",
-            "    stack_limit = env['stack_limit']",
-            "    builtins = env['builtins']",
-            "    U4 = env['U4']",
-            "    P4 = env['P4']",
-            "    c_div = env['c_div']",
-            "    c_mod = env['c_mod']",
-            "    VMTrap = env['VMTrap']",
-        ]
-        header.extend(sorted(self.bindings.values()))
-        return "\n".join(header + self.lines + self.switches + ["    return b0"])
+        lines.append("        while 1:")
+        lines.extend(body)
+        lines.append(f"    return b{index}")
+        return "\n".join(lines)
 
 
 def _factories_for(linked) -> _FactoryTable:
@@ -1217,9 +1297,23 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
     }
 
     def materialize(shell):
-        """Build a function's block closures on first call."""
-        block = factories.get(shell.name, metrics)(env, shells)
-        shell.entry = block
+        """Install a function's block table and entry on its first call.
+
+        ``blocks`` starts empty; generated exits read ``BT[k] or
+        MK(k)``, so each closure is instantiated (and, the first time in
+        the process, generated) when control first enters it.
+        """
+        name = shell.name
+        blocks = [None] * len(factories.liveness(name))
+
+        def make(index):
+            block = factories.factory(name, index, metrics)(
+                *env, blocks, make
+            )
+            blocks[index] = block
+            return block
+
+        block = shell.entry = make(0)
         return block
 
     def drive(request, regs, fp, d):
@@ -1260,12 +1354,12 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
                 block = request
             request = block(regs, fp, d)
 
-    def icall(pointer, values, dst, site, fp2, d, cont):
+    def icall(pointer, values, site, fp2, d):
         """Indirect-call resolution (the reference's _OP_ICALL arm).
 
         Returns a 1-tuple holding the produced value, or — for a user
-        call past the depth limit — the trampoline request tuple the
-        calling closure must propagate.
+        call past the depth limit — ``(callee, registers)``, from which
+        the calling closure builds the trampoline request.
         """
         if pointer >= 0:
             raise VMTrap(f"indirect call through bad pointer {pointer}")
@@ -1292,7 +1386,7 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
         new_regs = [0] * callee.nregs
         new_regs[: len(values)] = values
         if d >= _DEPTH_LIMIT:
-            return (callee, new_regs, dst, cont, fp2)
+            return (callee, new_regs)
         if fp2 + callee.frame_size > stack_limit:
             raise VMTrap(
                 f"control stack overflow calling {name} (depth {d + 1})"
@@ -1308,17 +1402,17 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
         st[3] += 1
         return result
 
-    env = {
+    environment = {
         "st": st,
         "mem": machine._mem,
         "fuel": machine._fuel,
         "site_counts": site_counts,
         "func_counts": func_counts,
         "branch_counts": counters.branch_counts,
-        "machine": machine,
+        "M": machine,
         "icall": icall,
         "drive": drive,
-        "materialize": materialize,
+        "MAT": materialize,
         "stack_limit": stack_limit,
         "builtins": BUILTINS,
         "U4": _UNPACK4,
@@ -1326,10 +1420,12 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
         "c_div": _c_div,
         "c_mod": _c_mod,
         "VMTrap": VMTrap,
+        "FNS": shells,
     }
+    env = tuple(environment[name] for name in _ENV)
 
     # Pre-seed every static branch key so factories can bind the
-    # [taken, not-taken] pair once at materialisation instead of paying
+    # [taken, not-taken] pair once at instantiation instead of paying
     # a dict probe per executed branch. Keys a run never touches are
     # pruned on exit — the reference interpreter only creates entries
     # for executed branches.

@@ -8,7 +8,6 @@ and per-branch dictionaries — on every successful run, and a trap in
 the same situations on aborted runs.
 """
 
-import re
 import sys
 import threading
 from collections import OrderedDict
@@ -296,19 +295,116 @@ class TestLinkKnobs:
 
 @pytest.fixture
 def generated(monkeypatch):
-    """(name, source) of every factory the fast tier generates from
-    here on, starting from an empty process-wide factory cache."""
+    """(function, block, source) of every closure the fast tier generates
+    from here on, starting from an empty process-wide factory cache."""
     sources = []
-    generate = fast._FunctionCodegen.generate
+    generate = fast._ClosureCodegen.generate
 
     def recording_generate(codegen):
         source = generate(codegen)
-        sources.append((codegen.name, source))
+        sources.append((codegen.name, codegen.index, source))
         return source
 
-    monkeypatch.setattr(fast._FunctionCodegen, "generate", recording_generate)
+    monkeypatch.setattr(fast._ClosureCodegen, "generate", recording_generate)
     monkeypatch.setattr(fast, "_FACTORY_CACHE", OrderedDict())
     return sources
+
+
+def _diamonds(count: int) -> str:
+    """``count`` if/else statements in a row: tail duplication doubles
+    the code of a loop body per diamond, so it outgrows one closure."""
+    return " ".join(
+        f"if ((i >> {k % 5}) & 1) a = a * 3 + b; else b = b + a + {k};"
+        for k in range(count)
+    )
+
+
+class TestSpillRule:
+    """A closure exit spills only the registers live where control
+    resumes. Each program sets a value before one kind of exit and reads
+    it after control re-enters generated code, and must match the
+    interpreter exactly."""
+
+    def _agree_across_closures(self, generated, source, function="main"):
+        assert_engines_agree(source)
+        blocks = {index for name, index, _ in generated if name == function}
+        assert len(blocks) > 1, f"{function} never left its entry closure"
+
+    def test_budget_bounce_out_of_a_branchy_loop(self, generated):
+        self._agree_across_closures(
+            generated,
+            c_main(
+                "int i; int a = 1; int b = 2; int c = 0; int seen = 0;"
+                " for (i = 0; i < 60; i++) {"
+                " c = c + seen; seen = a & 255; "
+                + _diamonds(10)
+                + " a = a & 65535; b = b & 65535; }"
+                " print_int(a); putchar(' '); print_int(b);"
+                " putchar(' '); print_int(c);"
+            ),
+        )
+
+    def test_switch_inside_a_loop(self, generated):
+        # `v` is live only at case 1 and `w` only at the default: the
+        # spill must cover the union of every arm and the default.
+        self._agree_across_closures(
+            generated,
+            c_main(
+                "int i; int acc = 0; int last = 7; int k = 3; int v; int w;"
+                " for (i = 0; i < 40; i++) {"
+                " k = (k * 5 + i) & 7; v = acc * 3 + i; w = i + 1;"
+                " switch (k) {"
+                " case 0: acc = acc + last; last = i; break;"
+                " case 1: acc = acc - v; break;"
+                " case 2: last = acc & 15; break;"
+                " case 5: acc = acc + k * last; break;"
+                " default: acc = acc + w; } }"
+                " print_int(acc); putchar(' '); print_int(last);"
+            ),
+        )
+
+    def test_call_past_the_depth_limit(self, generated):
+        # `s` is set (in a loop, so the closure has a back-edge) before
+        # the recursive call and read in its continuation.
+        depth = 2 * fast._DEPTH_LIMIT + 100
+        self._agree_across_closures(
+            generated,
+            c_main(
+                f"print_int(down({depth}));",
+                prelude="int down(int n) { int k = 0; int s = n;"
+                " while (k < 3) { s = s * 7 + k; k++; }"
+                " if (n == 0) return s & 255;"
+                " return (down(n - 1) + s) & 65535; }",
+            ),
+            function="down",
+        )
+
+    def test_indirect_call_past_the_depth_limit(self, generated):
+        depth = 2 * fast._DEPTH_LIMIT + 100
+        self._agree_across_closures(
+            generated,
+            c_main(
+                f"print_int(down({depth}));",
+                prelude="int down(int n) { int (*self)(int v) = down;"
+                " int s = n * 5 + 3; if (n == 0) return s;"
+                " return (self(n - 1) + s) & 65535; }",
+            ),
+            function="down",
+        )
+
+    def test_local_read_before_any_assignment(self, generated):
+        # `x` holds its initial 0 on the first iteration and is carried
+        # around the loop through budget bounces afterwards.
+        self._agree_across_closures(
+            generated,
+            c_main(
+                "int i; int x; int a = 5; int b = 9; int s = 0;"
+                " for (i = 0; i < 30; i++) { s = s + x; "
+                + _diamonds(9)
+                + " x = i * 3 + (a & 7); }"
+                " print_int(s);"
+            ),
+        )
 
 
 def _run_small_inputs(names, obs=None):
@@ -319,93 +415,102 @@ def _run_small_inputs(names, obs=None):
             run_once(module, spec, engine="fast", obs=obs)
 
 
-_CLOSURE_DEF = re.compile(r"    def b(\d+)\(")
-_CLOSURE_REF = re.compile(r"\bb(\d+)\b")
-
-
-def _closure_references(source: str) -> tuple[set, set]:
-    """(defined block closures, (referencing closure, block) pairs).
-
-    Factory-level lines (switch tables) reference from closure None.
-    """
-    defined: set[int] = set()
-    references: set[tuple] = set()
-    owner = None
-    for line in source.splitlines():
-        match = _CLOSURE_DEF.match(line)
-        if match:
-            owner = int(match.group(1))
-            defined.add(owner)
-            continue
-        if not line.startswith("        "):
-            owner = None
-        for ref in _CLOSURE_REF.findall(line):
-            references.add((owner, int(ref)))
-    return defined, references
-
-
 class TestCodegenOnDemand:
     def test_generates_only_called_functions(self, generated):
         benchmark = benchmark_by_name("wc")
         module = benchmark.compile()
         spec = benchmark.make_runs("small")[0]
         result = run_once(module, spec, engine="fast")
-        names = [name for name, _ in generated]
-        assert "main" in names
-        assert len(names) == len(set(names))
+        blocks = [(name, index) for name, index, _ in generated]
+        assert ("main", 0) in blocks
+        assert len(blocks) == len(set(blocks))
         called = set(result.counters.func_counts) & set(module.functions)
-        assert set(names) <= called
+        assert {name for name, _ in blocks} <= called
 
-    def test_every_closure_but_the_entry_is_named_elsewhere(self, generated):
+    def test_every_generated_closure_is_entered(self, generated, monkeypatch):
+        entered = set()
+        factory = fast._FactoryTable.factory
+
+        def recording_factory(table, name, index, metrics=None):
+            make = factory(table, name, index, metrics)
+
+            def instantiate(*env):
+                block = make(*env)
+
+                def enter(r, fp, d):
+                    entered.add((name, index))
+                    return block(r, fp, d)
+
+                return enter
+
+            return instantiate
+
+        monkeypatch.setattr(fast._FactoryTable, "factory", recording_factory)
         _run_small_inputs(["wc", "cmp", "tee"])
-        assert generated
-        for name, source in generated:
-            defined, references = _closure_references(source)
-            assert 0 in defined, name
-            for block in defined - {0}:
-                assert any(
-                    owner != block
-                    for owner, target in references
-                    if target == block
-                ), f"{name}: b{block} is generated but never entered"
+        blocks = {(name, index) for name, index, _ in generated}
+        assert any(index for _, index in blocks)
+        assert blocks <= entered
 
     def test_generated_lines_stay_under_ceiling(self, generated):
         # Tail duplication multiplies generated code, and a timing gate
         # cannot see a blow-up through CI noise; this count can. The
-        # ceiling is the measured total, 33,279 lines, plus 10%.
+        # ceiling is the measured total, 10,103 lines, plus 10%.
         _run_small_inputs(["wc", "cmp", "tee"])
-        lines = sum(source.count("\n") + 1 for _, source in generated)
-        assert lines <= 36_607
+        lines = sum(source.count("\n") + 1 for _, _, source in generated)
+        assert lines <= 11_113
 
     def test_codegen_metrics(self, generated):
         obs = Observability.create()
         _run_small_inputs(["tee"], obs=obs)
         counters = obs.metrics.counters
-        assert counters["vm.codegen.functions"] == len(generated)
-        assert counters["vm.codegen.lines"] == sum(
-            source.count("\n") + 1 for _, source in generated
+        assert counters["vm.codegen.closures"] == len(generated)
+        assert counters["vm.codegen.functions"] == sum(
+            1 for _, index, _ in generated if index == 0
         )
-        assert counters["vm.codegen.closures"] == sum(
-            len(_closure_references(source)[0]) for _, source in generated
+        assert counters["vm.codegen.functions"] < len(generated)
+        assert counters["vm.codegen.lines"] == sum(
+            source.count("\n") + 1 for _, _, source in generated
         )
         seconds = obs.metrics.histogram("vm.codegen_seconds")
         assert seconds["count"] == len(generated) and seconds["total"] > 0
         # Warm: factories are cached, so a rerun generates nothing.
         again = Observability.create()
         _run_small_inputs(["tee"], obs=again)
-        assert "vm.codegen.functions" not in again.metrics.counters
+        assert not any(
+            name.startswith("vm.codegen") for name in again.metrics.counters
+        )
+        assert again.metrics.histogram("vm.codegen_seconds") is None
         assert again.metrics.counters["vm.runs"] > 0
 
-    def test_threads_racing_to_generate_run_correct_code(self, generated):
-        # Machines in several threads share one factory table and may
-        # generate the same function at once; a lost or torn factory
-        # would show up as a wrong count.
+    def test_threads_racing_to_generate_run_correct_code(
+        self, generated, monkeypatch
+    ):
+        # Machines in several threads share one factory table. A barrier
+        # holds each thread's first generation, main's entry closure,
+        # until all of them are generating it at once; the rest of cmp's
+        # closures then race under a tiny switch interval. Shared or
+        # torn codegen state would show up as a wrong count.
         benchmark = benchmark_by_name("cmp")
         module = benchmark.compile()
         specs = benchmark.make_runs("small")
         expected = [
             _counter_state(run_once(module, spec).counters) for spec in specs
         ]
+        workers = 4
+        barrier = threading.Barrier(workers, timeout=60)
+        started = threading.local()
+        generators = set()
+        generate = fast._ClosureCodegen.generate
+
+        def racing_generate(codegen):
+            if not getattr(started, "flag", False):
+                started.flag = True
+                barrier.wait()
+            if (codegen.name, codegen.index) == ("main", 0):
+                generators.add(threading.get_ident())
+            return generate(codegen)
+
+        monkeypatch.setattr(fast._ClosureCodegen, "generate", racing_generate)
         results = {}
 
         def work(worker):
@@ -419,7 +524,7 @@ class TestCodegenOnDemand:
         try:
             threads = [
                 threading.Thread(target=work, args=(worker,))
-                for worker in range(4)
+                for worker in range(workers)
             ]
             for thread in threads:
                 thread.start()
@@ -428,5 +533,5 @@ class TestCodegenOnDemand:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert results == {worker: expected for worker in range(4)}
-        assert "main" in {name for name, _ in generated}
+        assert len(generators) == workers
+        assert results == {worker: expected for worker in range(workers)}

@@ -3,6 +3,7 @@ health/metrics/stats introspection, trace propagation, and the slow log."""
 
 import json
 import os
+import socket
 import time
 
 import pytest
@@ -24,7 +25,7 @@ from repro.service import (
     serve_in_thread,
     watch,
 )
-from repro.service.server import CompilationService
+from repro.service.server import MAX_REQUEST_BYTES, CompilationService
 
 PROGRAM = """
 #include <sys.h>
@@ -159,6 +160,76 @@ class TestServiceRoundTrip:
             with pytest.raises(ServiceError):
                 client.compile("int main(void) { return !!!; }")
             assert client.stats()["counters"]["service.requests.failed"] == 1
+
+
+class TestMalformedRequests:
+    """Every request line gets an envelope, and the server keeps
+    answering afterwards."""
+
+    @staticmethod
+    def _send_line(client, line: bytes) -> dict:
+        client._connection().sendall(line + b"\n")
+        return json.loads(client._read_line())
+
+    def test_non_object_body_is_a_bad_request(self, service):
+        socket_path, _obs, _handle = service
+        with ServiceClient(socket_path) as client:
+            for body in (b"[]", b"[1, 2]", b"7", b'"ping"', b"null"):
+                reply = self._send_line(client, body)
+                assert reply["ok"] is False, body
+                assert reply["error"].startswith(
+                    "bad request: expected a JSON object"
+                ), reply
+            assert client.ping() == "pong"
+
+    def test_non_object_params_are_a_bad_request(self, service):
+        socket_path, _obs, _handle = service
+        with ServiceClient(socket_path) as client:
+            reply = self._send_line(
+                client, b'{"id": 9, "op": "compile", "params": [1]}'
+            )
+            assert reply == {
+                "id": 9,
+                "ok": False,
+                "error": "bad request: params must be a JSON object, got list",
+            }
+            assert client.ping() == "pong"
+
+    def test_invalid_utf8_is_a_bad_request(self, service):
+        socket_path, _obs, _handle = service
+        with ServiceClient(socket_path) as client:
+            reply = self._send_line(client, b'{"op": "\xff"}')
+            assert reply["ok"] is False
+            assert reply["error"].startswith("bad request: ")
+            assert client.ping() == "pong"
+
+    def test_stdin_over_64_kib_is_served(self, service):
+        # asyncio's default line limit is 64 KiB.
+        socket_path, _obs, _handle = service
+        params = {"source": ECHO, "stdin": "0123456789abcde\n" * 5000}
+        with ServiceClient(socket_path) as client:
+            assert client.request("profile", params) == execute("profile", params)
+
+    def test_line_over_the_limit_gets_one_reply_then_close(self, service):
+        socket_path, _obs, _handle = service
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(60)
+            sock.connect(socket_path)
+            try:
+                sock.sendall(b"x" * (MAX_REQUEST_BYTES + 1) + b"\n")
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the server stops reading once the limit is passed
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        (line,) = received.splitlines()
+        reply = json.loads(line)
+        assert reply["ok"] is False
+        assert reply["error"] == (
+            f"bad request: request line longer than {MAX_REQUEST_BYTES} bytes"
+        )
+        with ServiceClient(socket_path) as client:
+            assert client.ping() == "pong"
 
 
 class TestDeduplication:
