@@ -6,13 +6,13 @@ MIPS-style loop inlining, callee-size thresholds, or GNU-style
 programmer hints — the paper's core argument for profile information.
 """
 
-from conftest import SCALE, emit
+from conftest import CONFIG, emit
 from repro.experiments.ablations import baseline_comparison, render_points
 
 
 def bench_ablation_baselines(benchmark):
     points = benchmark.pedantic(
-        baseline_comparison, args=(SCALE,), iterations=1, rounds=1
+        baseline_comparison, args=(CONFIG,), iterations=1, rounds=1
     )
     emit(
         "Ablation B: profile-guided vs. static heuristics",

@@ -5,13 +5,13 @@ saturates — the profile concentrates the benefit in few sites, so extra
 code budget buys little (the paper's justification for a modest cap).
 """
 
-from conftest import SCALE, emit
+from conftest import CONFIG, emit
 from repro.experiments.ablations import growth_limit_sweep, render_points
 
 
 def bench_ablation_growth(benchmark):
     points = benchmark.pedantic(
-        growth_limit_sweep, args=(SCALE,), iterations=1, rounds=1
+        growth_limit_sweep, args=(CONFIG,), iterations=1, rounds=1
     )
     emit("Ablation C: code-growth limit", render_points("", points))
 

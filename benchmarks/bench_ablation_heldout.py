@@ -7,13 +7,13 @@ benchmark's inputs eliminate nearly as many calls on the held-out half
 — hot call sites are a property of the program, not of one input.
 """
 
-from conftest import SCALE, emit
+from conftest import CONFIG, emit
 from repro.experiments.ablations import heldout_input_check, render_points
 
 
 def bench_ablation_heldout(benchmark):
     points = benchmark.pedantic(
-        heldout_input_check, args=(SCALE,), iterations=1, rounds=1
+        heldout_input_check, args=(CONFIG,), iterations=1, rounds=1
     )
     emit("Ablation E: profile generalization", render_points("", points))
 

@@ -6,13 +6,13 @@ call decrease, because weight ties between a hot caller and its equally
 hot callee no longer block arcs arbitrarily.
 """
 
-from conftest import SCALE, emit
+from conftest import CONFIG, emit
 from repro.experiments.ablations import linearization_comparison, render_points
 
 
 def bench_ablation_linearization(benchmark):
     points = benchmark.pedantic(
-        linearization_comparison, args=(SCALE,), iterations=1, rounds=1
+        linearization_comparison, args=(CONFIG,), iterations=1, rounds=1
     )
     emit("Ablation D: linearization order", render_points("", points))
 

@@ -5,13 +5,13 @@ the code increase and the call decrease — T=10 (the paper's value)
 gives nearly all the benefit of T=1 at lower cost.
 """
 
-from conftest import SCALE, emit
+from conftest import CONFIG, emit
 from repro.experiments.ablations import render_points, threshold_sweep
 
 
 def bench_ablation_threshold(benchmark):
     points = benchmark.pedantic(
-        threshold_sweep, args=(SCALE,), iterations=1, rounds=1
+        threshold_sweep, args=(CONFIG,), iterations=1, rounds=1
     )
     emit("Ablation A: weight threshold T", render_points("", points))
 

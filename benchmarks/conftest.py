@@ -12,9 +12,12 @@ import os
 
 import pytest
 
-from repro.experiments.pipeline import run_suite
+from repro.experiments.pipeline import RunConfig, run_suite
 
 SCALE = os.environ.get("REPRO_SCALE", "small")
+
+#: The run configuration every ablation bench sweeps under.
+CONFIG = RunConfig(scale=SCALE)
 
 _capture_manager = None
 
@@ -27,7 +30,7 @@ def pytest_configure(config):
 @pytest.fixture(scope="session")
 def suite_results():
     """Pipeline results for all twelve benchmarks (computed once)."""
-    return run_suite(scale=SCALE)
+    return run_suite(CONFIG)
 
 
 def emit(title: str, text: str) -> None:

@@ -7,12 +7,14 @@ Equivalent to ``python -m repro.experiments all``; use
 Run with ``python examples/paper_tables.py``.
 """
 
-from repro.experiments import run_suite
+from repro.experiments import RunConfig, run_suite
 from repro.experiments.tables import all_tables
+from repro.observability import enable_console_logging
 
 
 def main() -> None:
-    results = run_suite(scale="small", progress=True)
+    enable_console_logging()
+    results = run_suite(RunConfig(scale="small"))
     print()
     print(all_tables(results))
 

@@ -7,8 +7,9 @@ Subcommands::
     impact-inline inline FILE.c [--stdin TEXT] [--arg A ...] [--dump]
         Profile the program on the given input, inline, re-run, and
         report the call decrease / code increase.
-    impact-inline tables [--scale small|full] [--jobs N] [--cache-dir [DIR]]
-        Regenerate the paper's tables (same as python -m repro.experiments).
+    impact-inline tables [WHAT] [--scale small|full] [--benchmarks ...]
+        Regenerate the paper's tables, the ablations or the extension
+        experiments (python -m repro.experiments is another name).
     impact-inline bench [--benchmarks ...] [--config NAME] [-o FILE]
         Run the suite under full telemetry and write a schema-versioned
         BENCH_<config>.json record (counts, phase times, cache rates).
@@ -45,11 +46,13 @@ pass) and ``--trace FILE`` (structured
 JSONL trace: phase spans, events, inline-decision audit records),
 ``--metrics-out FILE`` (JSON snapshot of pipeline counters/gauges/
 histograms), and ``--summary`` (metrics summary table on stderr); see
-README "Observability". ``tables`` additionally takes ``--jobs N``
-(parallel suite execution), ``--cache-dir [DIR]`` (content-addressed
-compile/profile cache), and ``--passes SPEC`` (custom pre-optimization
-pipeline); see README "Pipeline architecture". ``bench``/``report``
-are the performance-tracking loop; see README "Performance tracking".
+README "Observability". ``tables`` and ``bench`` share the run flags
+of :func:`add_run_flags` — ``--scale``, ``--benchmarks``, ``--jobs N``
+(parallel suite execution), ``--executor``, ``--cache-dir [DIR]``
+(content-addressed compile/profile cache), ``--passes SPEC`` (custom
+pre-optimization pipeline) and ``--engine``; see README "Pipeline
+architecture". ``bench``/``report`` are the performance-tracking loop;
+see README "Performance tracking".
 ``run``, ``inline``, ``tables``, ``bench``, ``check``, ``serve``, and
 ``call`` accept ``--engine counting|fast`` to pick the VM execution
 engine; both engines produce identical outputs and counters (README
@@ -65,7 +68,7 @@ from repro.compiler import compile_program
 from repro.il.printer import format_module
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
-from repro.observability import Observability
+from repro.observability import Observability, enable_console_logging
 from repro.pipeline.parallel import jobs_argument
 from repro.profiler.profile import RunSpec, profile_module, run_once
 
@@ -137,6 +140,60 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the metrics text summary to stderr",
     )
+
+
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The suite-run flags ``tables`` and ``bench`` share.
+
+    They describe one :class:`~repro.experiments.pipeline.RunConfig`
+    (see :func:`_run_config`) plus the ``--cache-dir`` session.
+    """
+    parser.add_argument(
+        "--scale",
+        default="small",
+        choices=["small", "full"],
+        help="input scale: 'small' is quick, 'full' mirrors Table 1's run counts",
+    )
+    parser.add_argument(
+        "--benchmarks",
+        nargs="*",
+        default=None,
+        help="restrict to named benchmarks",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=jobs_argument,
+        default=1,
+        metavar="N",
+        help="run benchmarks on N workers (deterministic order; must be"
+        " >= 1, 1 = serial)",
+    )
+    parser.add_argument(
+        "--executor",
+        default="thread",
+        choices=["thread", "process"],
+        help="worker pool for --jobs: 'thread' starts instantly and"
+        " shares the in-memory cache but CPU-bound work serializes on"
+        " the GIL; 'process' runs compile/profile/inline work truly in"
+        " parallel (output stays byte-identical) at the cost of"
+        " per-worker startup and artifact pickling",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        nargs="?",
+        const=".repro-cache",
+        default=None,
+        metavar="DIR",
+        help="serve repeat compiles/profiles from a content-addressed"
+        " on-disk cache (default DIR: .repro-cache)",
+    )
+    parser.add_argument(
+        "--passes",
+        default=None,
+        metavar="SPEC",
+        help="pre-optimization pass spec, e.g. 'fold,copyprop,cse,jumpopt,dce'",
+    )
+    _add_engine_flag(parser)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -259,50 +316,111 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
-    from repro.experiments.__main__ import main as experiments_main
+def _run_config(args: argparse.Namespace, **options):
+    """The :class:`~repro.experiments.pipeline.RunConfig` of the flags
+    :func:`add_run_flags` defined, plus ``options``."""
+    from repro.experiments.pipeline import RunConfig
 
-    argv = [args.what, "--scale", args.scale]
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.executor != "thread":
-        argv += ["--executor", args.executor]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.passes:
-        argv += ["--passes", args.passes]
-    if args.engine != "counting":
-        argv += ["--engine", args.engine]
-    if args.check:
-        argv += ["--check"]
-    if args.trace:
-        argv += ["--trace", args.trace]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    if args.summary:
-        argv += ["--summary"]
-    return experiments_main(argv)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.observability import BenchRecorder, Observability
-
-    recorder = BenchRecorder(
-        config_name=args.config,
+    return RunConfig(
         scale=args.scale,
         names=args.benchmarks,
         jobs=args.jobs,
         executor=args.executor,
-        pass_spec=args.passes,
-        params=InlineParameters(
-            weight_threshold=args.threshold,
-            size_limit_factor=args.growth,
-        ),
-        cache_dir=args.cache_dir,
         engine=args.engine,
+        pass_spec=args.passes,
+        **options,
+    )
+
+
+def _session(args: argparse.Namespace):
+    """The compile/profile cache ``--cache-dir`` asks for, if any."""
+    if not args.cache_dir:
+        return None
+    from repro.pipeline.session import CompilationSession
+
+    return CompilationSession(cache_dir=args.cache_dir)
+
+
+def _print_extensions(scale: str) -> None:
+    """The extension experiments: icache, placement, register pressure."""
+    from repro.icache import icache_experiment
+    from repro.layout import placement_experiment
+    from repro.regalloc import pressure_experiment
+    from repro.workloads import benchmark_by_name
+
+    benchmark = benchmark_by_name("compress")
+    module = benchmark.compile()
+    specs = benchmark.make_runs(scale)[:2]
+
+    print("I-cache miss ratios before/after inlining (compress, scattered):")
+    for point in icache_experiment(module, specs):
+        print(
+            f"  {point.size_bytes:5d}B {point.associativity}-way:"
+            f" {point.miss_before:.4f} -> {point.miss_after:.4f}"
+            f" ({point.improvement:+.0%})"
+        )
+    print()
+    print("Placement vs. inlining (compress):")
+    for p in placement_experiment(module, specs):
+        print(
+            f"  {p.size_bytes:5d}B {p.associativity}-way: scattered"
+            f" {p.miss_scattered:.4f}, placed {p.miss_placed:.4f}"
+            f" ({p.placement_improvement:+.0%}), inlined"
+            f" {p.miss_inlined_scattered:.4f} ({p.inlining_improvement:+.0%})"
+        )
+    print()
+    print("Register memory traffic before/after inlining (compress):")
+    for k, before, after in pressure_experiment(module, specs, ks=(4, 8, 16)):
+        print(
+            f"  K={k:2d}: save/restore {before.save_restore_events:.0f} ->"
+            f" {after.save_restore_events:.0f}; spills"
+            f" {before.spill_events:.0f} -> {after.spill_events:.0f}"
+        )
+
+
+def _cmd_tables(args: argparse.Namespace) -> int:
+    # run_suite is looked up on its module at call time, so a wrapper
+    # installed there (bench/launch.py installs one) sees every run.
+    from repro.experiments import pipeline
+    from repro.experiments.tables import TABLES
+
+    config = _run_config(args, check=args.check)
+    if args.what in ("ablations", "extensions"):
+        if args.cache_dir or args.trace or args.metrics_out or args.summary:
+            args.parser.error(
+                f"{args.what} takes neither --cache-dir nor"
+                " --trace/--metrics-out/--summary"
+            )
+        if args.what == "extensions":
+            if config != pipeline.RunConfig(scale=config.scale):
+                args.parser.error("extensions takes no run flag but --scale")
+            _print_extensions(config.scale)
+        else:
+            from repro.experiments.ablations import render_ablations
+
+            print(render_ablations(config))
+        return 0
+    enable_console_logging()
+    obs = _make_obs(args)
+    results = pipeline.run_suite(config, obs=obs, session=_session(args))
+    print(TABLES[args.what](results))
+    _export_obs(args, obs)
+    return 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.observability import record_suite
+
+    params = InlineParameters(
+        weight_threshold=args.threshold, size_limit_factor=args.growth
     )
     obs = Observability.create()
-    record = recorder.run(obs=obs)
+    record = record_suite(
+        args.config,
+        _run_config(args, params=params),
+        obs=obs,
+        session=_session(args),
+    )
     path = record.write(args.output)
     if args.trace:
         from repro.observability.export import write_trace
@@ -616,55 +734,29 @@ def main(argv: list[str] | None = None) -> int:
     graph_parser.add_argument("--growth", type=float, default=1.25)
     graph_parser.set_defaults(func=_cmd_graph)
 
-    tables_parser = sub.add_parser("tables", help="regenerate the paper's tables")
+    tables_parser = sub.add_parser(
+        "tables",
+        help="regenerate the paper's tables (also: python -m repro.experiments)",
+        description="Regenerate the tables of Hwu & Chang (PLDI 1989).",
+    )
     tables_parser.add_argument(
         "what",
         nargs="?",
         default="all",
-        choices=["table1", "table2", "table3", "table4", "breakdown", "all"],
+        choices=[
+            "table1", "table2", "table3", "table4", "breakdown", "all",
+            "ablations", "extensions",
+        ],
+        help="which table to regenerate (default: all)",
     )
-    tables_parser.add_argument("--scale", default="small", choices=["small", "full"])
-    tables_parser.add_argument(
-        "--jobs",
-        type=jobs_argument,
-        default=1,
-        metavar="N",
-        help="run benchmarks on N workers (deterministic order; must be"
-        " >= 1, 1 = serial)",
-    )
-    tables_parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool for --jobs: 'thread' starts instantly and"
-        " shares the in-memory cache but CPU-bound work serializes on"
-        " the GIL; 'process' runs compile/profile/inline work truly in"
-        " parallel (output stays byte-identical) at the cost of"
-        " per-worker startup and artifact pickling",
-    )
-    tables_parser.add_argument(
-        "--cache-dir",
-        nargs="?",
-        const=".repro-cache",
-        default=None,
-        metavar="DIR",
-        help="serve repeat compiles/profiles from an on-disk cache"
-        " (default DIR: .repro-cache)",
-    )
-    tables_parser.add_argument(
-        "--passes",
-        default=None,
-        metavar="SPEC",
-        help="pre-optimization pass spec (see repro.pipeline)",
-    )
+    add_run_flags(tables_parser)
     tables_parser.add_argument(
         "--check",
         action="store_true",
-        help="re-verify IL well-formedness after every pipeline pass",
+        help="re-verify IL well-formedness after every inline phase",
     )
-    _add_engine_flag(tables_parser)
     _add_obs_flags(tables_parser)
-    tables_parser.set_defaults(func=_cmd_tables)
+    tables_parser.set_defaults(func=_cmd_tables, parser=tables_parser)
 
     bench_parser = sub.add_parser(
         "bench",
@@ -676,35 +768,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="NAME",
         help="record name: the default output file is BENCH_<NAME>.json",
     )
-    bench_parser.add_argument("--scale", default="small", choices=["small", "full"])
-    bench_parser.add_argument(
-        "--benchmarks",
-        nargs="*",
-        default=None,
-        help="restrict to named benchmarks",
-    )
-    bench_parser.add_argument(
-        "--jobs",
-        type=jobs_argument,
-        default=1,
-        metavar="N",
-        help="worker count (>= 1; see tables --help for the"
-        " thread-vs-process tradeoff)",
-    )
-    bench_parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool backend for --jobs",
-    )
-    bench_parser.add_argument(
-        "--cache-dir",
-        nargs="?",
-        const=".repro-cache",
-        default=None,
-        metavar="DIR",
-    )
-    bench_parser.add_argument("--passes", default=None, metavar="SPEC")
+    add_run_flags(bench_parser)
     bench_parser.add_argument("--threshold", type=float, default=10.0)
     bench_parser.add_argument("--growth", type=float, default=1.25)
     bench_parser.add_argument(
@@ -720,7 +784,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         help="also write the run's JSONL trace (for report --flame)",
     )
-    _add_engine_flag(bench_parser)
     bench_parser.set_defaults(func=_cmd_bench)
 
     check_parser = sub.add_parser(

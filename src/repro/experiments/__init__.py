@@ -10,7 +10,12 @@
   profile-guided vs. static heuristics).
 """
 
-from repro.experiments.pipeline import BenchmarkResult, run_benchmark, run_suite
+from repro.experiments.pipeline import (
+    BenchmarkResult,
+    RunConfig,
+    run_benchmark,
+    run_suite,
+)
 from repro.experiments.tables import (
     post_inline_breakdown,
     table1,
@@ -21,6 +26,7 @@ from repro.experiments.tables import (
 
 __all__ = [
     "BenchmarkResult",
+    "RunConfig",
     "post_inline_breakdown",
     "run_benchmark",
     "run_suite",

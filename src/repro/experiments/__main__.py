@@ -1,297 +1,22 @@
-"""``python -m repro.experiments`` — regenerate the paper's tables.
+"""``python -m repro.experiments`` — another name for ``impact-inline tables``.
 
 Usage::
 
     python -m repro.experiments [table1|table2|table3|table4|breakdown|
-                                 all|ablations] [--scale small|full]
-                                [--jobs N] [--executor thread|process]
-                                [--cache-dir [DIR]]
-                                [--passes SPEC] [--bench-out FILE]
-                                [--summary]
+                                 all|ablations|extensions] [FLAGS]
+
+It takes exactly the flags of ``impact-inline tables`` (see ``--help``).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-import time
 
-from repro.experiments.ablations import (
-    baseline_comparison,
-    growth_limit_sweep,
-    linearization_comparison,
-    render_points,
-    threshold_sweep,
-)
-from repro.experiments.pipeline import run_suite
-from repro.pipeline.parallel import jobs_argument
-from repro.experiments.tables import (
-    all_tables,
-    post_inline_breakdown,
-    table1,
-    table2,
-    table3,
-    table4,
-)
-
-_TABLES = {
-    "table1": table1,
-    "table2": table2,
-    "table3": table3,
-    "table4": table4,
-    "breakdown": post_inline_breakdown,
-    "all": all_tables,
-}
-
-
-def _run_extensions(scale: str) -> None:
-    """The extension experiments: icache, placement, regalloc, LICM."""
-    from repro.icache import icache_experiment
-    from repro.layout import placement_experiment
-    from repro.regalloc import pressure_experiment
-    from repro.workloads import benchmark_by_name
-
-    benchmark = benchmark_by_name("compress")
-    module = benchmark.compile()
-    specs = benchmark.make_runs(scale)[:2]
-
-    print("I-cache miss ratios before/after inlining (compress, scattered):")
-    for point in icache_experiment(module, specs):
-        print(
-            f"  {point.size_bytes:5d}B {point.associativity}-way:"
-            f" {point.miss_before:.4f} -> {point.miss_after:.4f}"
-            f" ({point.improvement:+.0%})"
-        )
-    print()
-    print("Placement vs. inlining (compress):")
-    for p in placement_experiment(module, specs):
-        print(
-            f"  {p.size_bytes:5d}B {p.associativity}-way: scattered"
-            f" {p.miss_scattered:.4f}, placed {p.miss_placed:.4f}"
-            f" ({p.placement_improvement:+.0%}), inlined"
-            f" {p.miss_inlined_scattered:.4f} ({p.inlining_improvement:+.0%})"
-        )
-    print()
-    print("Register memory traffic before/after inlining (compress):")
-    for k, before, after in pressure_experiment(module, specs, ks=(4, 8, 16)):
-        print(
-            f"  K={k:2d}: save/restore {before.save_restore_events:.0f} ->"
-            f" {after.save_restore_events:.0f}; spills"
-            f" {before.spill_events:.0f} -> {after.spill_events:.0f}"
-        )
+from repro import cli
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate the tables of Hwu & Chang (PLDI 1989).",
-    )
-    parser.add_argument(
-        "what",
-        nargs="?",
-        default="all",
-        choices=[*_TABLES, "ablations", "extensions"],
-        help="which table to regenerate (default: all)",
-    )
-    parser.add_argument(
-        "--scale",
-        default="small",
-        choices=["small", "full"],
-        help="input scale: 'small' is quick, 'full' mirrors Table 1's run counts",
-    )
-    parser.add_argument(
-        "--benchmarks",
-        nargs="*",
-        default=None,
-        help="restrict to named benchmarks",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=jobs_argument,
-        default=1,
-        metavar="N",
-        help="run benchmarks on N workers (deterministic order; default"
-        " 1 = serial; must be >= 1)",
-    )
-    parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool backend for --jobs: 'thread' is cheap to start"
-        " but GIL-bound (best when the cache absorbs most work);"
-        " 'process' runs CPU-heavy compile/profile/inline work truly in"
-        " parallel at the cost of pickling artifacts between processes",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        nargs="?",
-        const=".repro-cache",
-        default=None,
-        metavar="DIR",
-        help="serve repeat compiles/profiles from a content-addressed"
-        " on-disk cache (default DIR: .repro-cache)",
-    )
-    parser.add_argument(
-        "--engine",
-        default="counting",
-        choices=["counting", "fast"],
-        help="VM execution tier for profiling runs: 'counting' is the"
-        " reference interpreter, 'fast' the closure-compiled tier"
-        " (identical counters, several times the throughput)",
-    )
-    parser.add_argument(
-        "--passes",
-        default=None,
-        metavar="SPEC",
-        help="pre-optimization pass spec, e.g. 'fold,copyprop,cse,jumpopt,dce'",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="re-verify IL well-formedness after every inline phase",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a JSONL trace (spans, events, inline decisions)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="write a JSON metrics snapshot",
-    )
-    parser.add_argument(
-        "--summary",
-        action="store_true",
-        help="print the metrics text summary to stderr",
-    )
-    parser.add_argument(
-        "--bench-out",
-        default=None,
-        metavar="FILE",
-        help="write a schema-versioned bench telemetry record of the"
-        " suite run (table modes only)",
-    )
-    args = parser.parse_args(argv)
-
-    obs = None
-    if args.trace or args.metrics_out or args.summary or args.bench_out:
-        from repro.observability import Observability
-
-        obs = Observability.create()
-
-    if args.what == "extensions":
-        _run_extensions(args.scale)
-        return 0
-
-    if args.what == "ablations":
-        print(
-            render_points(
-                "Ablation A: weight threshold T.",
-                threshold_sweep(
-                    args.scale,
-                    jobs=args.jobs,
-                    executor=args.executor,
-                    engine=args.engine,
-                ),
-            )
-        )
-        print()
-        print(
-            render_points(
-                "Ablation B: profile-guided vs. static heuristics.",
-                baseline_comparison(
-                    args.scale,
-                    jobs=args.jobs,
-                    executor=args.executor,
-                    engine=args.engine,
-                ),
-            )
-        )
-        print()
-        print(
-            render_points(
-                "Ablation C: code-growth limit.",
-                growth_limit_sweep(
-                    args.scale,
-                    jobs=args.jobs,
-                    executor=args.executor,
-                    engine=args.engine,
-                ),
-            )
-        )
-        print()
-        print(
-            render_points(
-                "Ablation D: linearization order.",
-                linearization_comparison(
-                    args.scale,
-                    jobs=args.jobs,
-                    executor=args.executor,
-                    engine=args.engine,
-                ),
-            )
-        )
-        return 0
-
-    session = None
-    if args.cache_dir:
-        from repro.pipeline.session import CompilationSession
-
-        session = CompilationSession(cache_dir=args.cache_dir)
-
-    start = time.perf_counter()
-    results = run_suite(
-        args.scale,
-        names=args.benchmarks,
-        progress=True,
-        obs=obs,
-        jobs=args.jobs,
-        session=session,
-        pass_spec=args.passes,
-        check=args.check,
-        executor=args.executor,
-        engine=args.engine,
-    )
-    wall = time.perf_counter() - start
-    print(_TABLES[args.what](results))
-    if obs is not None:
-        from repro.observability.export import (
-            render_metrics_summary,
-            write_metrics,
-            write_trace,
-        )
-
-        if args.trace:
-            write_trace(obs.tracer, args.trace)
-            print(f"wrote trace to {args.trace}", file=sys.stderr)
-        if args.metrics_out:
-            write_metrics(obs.metrics, args.metrics_out)
-            print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
-        if args.summary:
-            print(render_metrics_summary(obs.metrics), file=sys.stderr)
-        if args.bench_out:
-            from repro.observability.bench import record_from_results
-
-            record = record_from_results(
-                results,
-                obs,
-                config={
-                    "name": "experiments",
-                    "scale": args.scale,
-                    "benchmarks": args.benchmarks,
-                    "jobs": args.jobs,
-                    "executor": args.executor,
-                    "pass_spec": args.passes,
-                    "engine": args.engine,
-                },
-                wall_seconds=wall,
-            )
-            record.write(args.bench_out)
-            print(f"wrote bench record to {args.bench_out}", file=sys.stderr)
-    return 0
+    return cli.main(["tables", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

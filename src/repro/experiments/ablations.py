@@ -5,7 +5,9 @@ B — profile-guided selection vs. the no-profile baselines of §1.2,
 C — code-growth limit (§2.3.1's program-size cap),
 D — linearization order (paper's weight heuristic vs. hybrid).
 
-Every sweep fans out over the suite via
+Every sweep takes a :class:`~repro.experiments.pipeline.RunConfig`
+(benchmarks, scale, engine, pre-optimization passes, ``check``, and
+the worker pool) and fans out over the selected benchmarks via
 :func:`~repro.pipeline.parallel.parallel_map`; the measurement tasks
 are module-level functions parameterized with :func:`functools.partial`
 so they run unchanged on either the thread or the process executor
@@ -24,13 +26,14 @@ from repro.baselines import (
     loop_inline,
     size_threshold_inline,
 )
+from repro.experiments.pipeline import RunConfig
 from repro.experiments.report import pct, render_table
 from repro.inliner.manager import InlineExpander
 from repro.inliner.params import InlineParameters
 from repro.opt import optimize_module
 from repro.pipeline.parallel import parallel_map
 from repro.profiler.profile import profile_module
-from repro.workloads.suite import benchmark_by_name, benchmark_names, benchmark_suite
+from repro.workloads.suite import benchmark_by_name, select_benchmarks
 
 
 @dataclass
@@ -40,46 +43,46 @@ class AblationPoint:
     call_decrease: float
 
 
-def _prepare(benchmark, scale, engine="counting"):
+def _prepare(benchmark, config):
     module = benchmark.compile()
-    optimize_module(module)
-    specs = benchmark.make_runs(scale)
-    profile = profile_module(module, specs, engine=engine)
+    optimize_module(module, pass_spec=config.pass_spec)
+    specs = benchmark.make_runs(config.scale)
+    profile = profile_module(module, specs, engine=config.engine)
     return module, specs, profile
 
 
-def _prepare_task(name, _obs, *, scale, engine="counting"):
+def _prepare_task(name, _obs, *, config):
     """Compile+pre-optimize+profile one benchmark, addressed by name."""
-    return _prepare(benchmark_by_name(name), scale, engine)
+    return _prepare(benchmark_by_name(name), config)
 
 
-def _prepare_suite(scale, jobs=1, executor="thread", engine="counting"):
-    """Compile+pre-optimize+profile every benchmark (optionally parallel)."""
+def _prepare_suite(config):
+    """Compile+pre-optimize+profile every selected benchmark."""
     return parallel_map(
-        functools.partial(_prepare_task, scale=scale, engine=engine),
-        benchmark_names(),
-        jobs,
+        functools.partial(_prepare_task, config=config),
+        [benchmark.name for benchmark in select_benchmarks(config.names)],
+        config.jobs,
         worker_label="ablation-prepare",
-        executor=executor,
+        executor=config.executor,
     )
 
 
-def _measure_all(prepared, one, jobs=1, executor="thread"):
+def _measure_all(prepared, one, config):
     """Apply ``one(module, specs, profile)`` to every prepared benchmark."""
     return parallel_map(
         one,
         prepared,
-        jobs,
+        config.jobs,
         worker_label="ablation-measure",
-        executor=executor,
+        executor=config.executor,
     )
 
 
 def _measure(
-    module, inlined_module, specs, profile, engine="counting"
+    module, inlined_module, specs, profile, config
 ) -> tuple[float, float]:
     before = profile.avg_calls
-    after_profile = profile_module(inlined_module, specs, engine=engine)
+    after_profile = profile_module(inlined_module, specs, engine=config.engine)
     after = after_profile.avg_calls
     decrease = max(0.0, 1.0 - after / before) if before else 0.0
     original = module.total_code_size()
@@ -87,18 +90,15 @@ def _measure(
     return increase, decrease
 
 
-def _expander_task(
-    entry, _obs, *, params=None, linearize_method=None, engine="counting"
-):
-    """Inline one prepared benchmark with the paper's expander."""
+def _expander_task(entry, _obs, *, config, **options):
+    """Inline one prepared benchmark with the paper's expander.
+
+    ``options`` go to :class:`InlineExpander` (``params``,
+    ``linearize_method``).
+    """
     module, specs, profile = entry
-    if linearize_method is not None:
-        result = InlineExpander(
-            module, profile, params, linearize_method=linearize_method
-        ).run()
-    else:
-        result = InlineExpander(module, profile, params).run()
-    return _measure(module, result.module, specs, profile, engine)
+    result = InlineExpander(module, profile, check=config.check, **options).run()
+    return _measure(module, result.module, specs, profile, config)
 
 
 def _mean_point(label, pairs) -> AblationPoint:
@@ -108,61 +108,48 @@ def _mean_point(label, pairs) -> AblationPoint:
 
 
 def threshold_sweep(
-    scale: str = "small",
-    thresholds: tuple[float, ...] = (1, 10, 100, 1000),
-    jobs: int = 1,
-    executor: str = "thread",
-    engine: str = "counting",
+    config: RunConfig, thresholds: tuple[float, ...] = (1, 10, 100, 1000)
 ) -> list[AblationPoint]:
     """Ablation A: sweep the arc-weight threshold T."""
     points = []
-    prepared = _prepare_suite(scale, jobs, executor, engine)
+    prepared = _prepare_suite(config)
     for threshold in thresholds:
         one = functools.partial(
             _expander_task,
+            config=config,
             params=InlineParameters(weight_threshold=threshold),
-            engine=engine,
         )
-        pairs = _measure_all(prepared, one, jobs, executor)
+        pairs = _measure_all(prepared, one, config)
         points.append(_mean_point(f"T={threshold:g}", pairs))
     return points
 
 
 def growth_limit_sweep(
-    scale: str = "small",
-    factors: tuple[float, ...] = (1.0, 1.1, 1.25, 1.5, 2.0),
-    jobs: int = 1,
-    executor: str = "thread",
-    engine: str = "counting",
+    config: RunConfig, factors: tuple[float, ...] = (1.0, 1.1, 1.25, 1.5, 2.0)
 ) -> list[AblationPoint]:
     """Ablation C: sweep the program-size cap."""
     points = []
-    prepared = _prepare_suite(scale, jobs, executor, engine)
+    prepared = _prepare_suite(config)
     for factor in factors:
         one = functools.partial(
             _expander_task,
+            config=config,
             params=InlineParameters(size_limit_factor=factor),
-            engine=engine,
         )
-        pairs = _measure_all(prepared, one, jobs, executor)
+        pairs = _measure_all(prepared, one, config)
         points.append(_mean_point(f"limit={factor:g}x", pairs))
     return points
 
 
-def linearization_comparison(
-    scale: str = "small",
-    jobs: int = 1,
-    executor: str = "thread",
-    engine: str = "counting",
-) -> list[AblationPoint]:
+def linearization_comparison(config: RunConfig) -> list[AblationPoint]:
     """Ablation D: the paper's pure-weight order vs. the hybrid order."""
     points = []
-    prepared = _prepare_suite(scale, jobs, executor, engine)
+    prepared = _prepare_suite(config)
     for method in ("weight", "hybrid"):
         one = functools.partial(
-            _expander_task, linearize_method=method, engine=engine
+            _expander_task, config=config, linearize_method=method
         )
-        pairs = _measure_all(prepared, one, jobs, executor)
+        pairs = _measure_all(prepared, one, config)
         points.append(_mean_point(method, pairs))
     return points
 
@@ -171,23 +158,27 @@ def _size25_inline(module, params):
     return size_threshold_inline(module, 25, params)
 
 
-def _baseline_task(entry, _obs, *, label, engine="counting"):
+def _baseline_task(entry, _obs, *, config, label):
     """Inline one prepared benchmark with the named baseline heuristic."""
     module, specs, profile = entry
     params = InlineParameters()
     heuristic = dict(_BASELINES)[label]
     if heuristic is None:
-        inlined = InlineExpander(module, profile, params).run().module
+        inlined = InlineExpander(
+            module, profile, params, check=config.check
+        ).run().module
     elif heuristic == "static-estimate":
         # §4.2's open question: run the same expander on weights
         # estimated by structure analysis instead of profiling.
         from repro.profiler.static_estimate import estimate_profile
 
         estimated = estimate_profile(module)
-        inlined = InlineExpander(module, estimated, params).run().module
+        inlined = InlineExpander(
+            module, estimated, params, check=config.check
+        ).run().module
     else:
         inlined = heuristic(module, params).module
-    return _measure(module, inlined, specs, profile, engine)
+    return _measure(module, inlined, specs, profile, config)
 
 
 _BASELINES = (
@@ -200,25 +191,18 @@ _BASELINES = (
 )
 
 
-def baseline_comparison(
-    scale: str = "small",
-    jobs: int = 1,
-    executor: str = "thread",
-    engine: str = "counting",
-) -> list[AblationPoint]:
+def baseline_comparison(config: RunConfig) -> list[AblationPoint]:
     """Ablation B: profile-guided vs. static heuristics, same size cap."""
     points = []
-    prepared = _prepare_suite(scale, jobs, executor, engine)
+    prepared = _prepare_suite(config)
     for label, _heuristic in _BASELINES:
-        one = functools.partial(_baseline_task, label=label, engine=engine)
-        pairs = _measure_all(prepared, one, jobs, executor)
+        one = functools.partial(_baseline_task, config=config, label=label)
+        pairs = _measure_all(prepared, one, config)
         points.append(_mean_point(label, pairs))
     return points
 
 
-def heldout_input_check(
-    scale: str = "small", engine: str = "counting"
-) -> list[AblationPoint]:
+def heldout_input_check(config: RunConfig) -> list[AblationPoint]:
     """Ablation E: profile on half the inputs, evaluate on the rest.
 
     The paper's methodology hinges on representative inputs (§1.2,
@@ -230,19 +214,21 @@ def heldout_input_check(
     points = []
     for subset in ("train-inputs", "held-out-inputs"):
         incs, decs = [], []
-        for benchmark in benchmark_suite():
+        for benchmark in select_benchmarks(config.names):
             module = benchmark.compile()
-            optimize_module(module)
-            specs = benchmark.make_runs(scale)
+            optimize_module(module, pass_spec=config.pass_spec)
+            specs = benchmark.make_runs(config.scale)
             if len(specs) < 2:
                 continue
             train = specs[0::2]
             test = specs[1::2]
-            profile = profile_module(module, train, engine=engine)
-            inlined = InlineExpander(module, profile).run().module
+            profile = profile_module(module, train, engine=config.engine)
+            inlined = InlineExpander(
+                module, profile, check=config.check
+            ).run().module
             evaluate = train if subset == "train-inputs" else test
-            base = profile_module(module, evaluate, engine=engine)
-            after = profile_module(inlined, evaluate, engine=engine)
+            base = profile_module(module, evaluate, engine=config.engine)
+            after = profile_module(inlined, evaluate, engine=config.engine)
             decs.append(
                 max(0.0, 1.0 - after.avg_calls / base.avg_calls)
                 if base.avg_calls
@@ -262,3 +248,25 @@ def render_points(title: str, points: list[AblationPoint]) -> str:
         for point in points
     ]
     return render_table(title, ["configuration", "code inc", "call dec"], rows)
+
+
+def render_ablations(config: RunConfig) -> str:
+    """Ablations A–D under ``config``, one table each."""
+    return "\n\n".join(
+        [
+            render_points(
+                "Ablation A: weight threshold T.", threshold_sweep(config)
+            ),
+            render_points(
+                "Ablation B: profile-guided vs. static heuristics.",
+                baseline_comparison(config),
+            ),
+            render_points(
+                "Ablation C: code-growth limit.", growth_limit_sweep(config)
+            ),
+            render_points(
+                "Ablation D: linearization order.",
+                linearization_comparison(config),
+            ),
+        ]
+    )

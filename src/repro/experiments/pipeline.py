@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.inliner.classify import ClassifiedSites, SiteClass, classify_sites
 from repro.inliner.manager import InlineExpander, InlineResult
 from repro.inliner.params import InlineParameters
-from repro.observability import Observability, enable_console_logging, resolve
+from repro.observability import Observability, resolve
 from repro.opt import optimize_module
 from repro.pipeline.parallel import parallel_map, validate_executor, validate_jobs
 from repro.pipeline.session import CompilationSession
@@ -33,17 +33,58 @@ from repro.profiler.profile import (
     ProfileData,
     RunSpec,
     profile_module,
+    run_differences,
     run_once,
 )
 from repro.callgraph.build import build_call_graph
-from repro.workloads.suite import (
-    Benchmark,
-    benchmark_by_name,
-    benchmark_names,
-    benchmark_suite,
-)
+from repro.workloads.suite import Benchmark, benchmark_by_name, select_benchmarks
 
 _LOG = logging.getLogger("repro.experiments")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The options of one suite run, checked once and passed whole.
+
+    ``names`` restricts the run to those benchmarks, kept in suite
+    order; ``jobs > 1`` runs them on a ``"thread"`` or ``"process"``
+    ``executor`` pool; ``engine`` is the VM tier of every execution;
+    ``pass_spec`` selects the pre-optimization pipeline (``None``: the
+    full five-pass set); ``check`` re-verifies IL well-formedness after
+    every inline phase; ``params`` are the inliner's knobs.
+    Construction raises :class:`ValueError` on ``jobs < 1``, an unknown
+    executor, or any unknown benchmark name.
+    """
+
+    scale: str = "small"
+    names: tuple[str, ...] | None = None
+    jobs: int = 1
+    executor: str = "thread"
+    engine: str = "counting"
+    pass_spec: str | None = None
+    check: bool = False
+    params: InlineParameters = InlineParameters()
+
+    def __post_init__(self) -> None:
+        validate_jobs(self.jobs)
+        validate_executor(self.executor)
+        if self.names is not None:
+            object.__setattr__(self, "names", tuple(self.names))
+        select_benchmarks(self.names)
+
+    def stamp(self, name: str) -> dict:
+        """The ``config`` of a bench record of this run, named ``name``."""
+        return {
+            "name": name,
+            "scale": self.scale,
+            "benchmarks": None if self.names is None else list(self.names),
+            "jobs": self.jobs,
+            "executor": self.executor,
+            "pass_spec": self.pass_spec,
+            "engine": self.engine,
+            "threshold": self.params.weight_threshold,
+            "size_limit_factor": self.params.size_limit_factor,
+        }
 
 
 @dataclass
@@ -118,27 +159,20 @@ class OutputComparison:
 
 def run_benchmark(
     benchmark: Benchmark,
-    scale: str = "small",
-    params: InlineParameters | None = None,
-    pre_optimize: bool = True,
-    check_outputs: bool = True,
+    config: RunConfig,
+    *,
     obs: Observability | None = None,
     session: CompilationSession | None = None,
-    pass_spec: str | None = None,
-    check: bool = False,
-    engine: str = "counting",
 ) -> BenchmarkResult:
     """Run the full experiment pipeline for one benchmark.
 
     With a :class:`~repro.pipeline.session.CompilationSession`, the
     compile (including pre-optimization) and both profiling stages are
     served content-addressed from its cache when possible; without one
-    every stage runs from scratch, exactly as before. ``pass_spec``
-    selects a custom pre-optimization pipeline (default: the full
-    five-pass set). ``check`` re-verifies IL well-formedness after
-    every inline phase (the ``--check`` mode).
+    every stage runs from scratch. ``config.names`` and the pool
+    options are the suite's business and are ignored here.
     """
-    params = params or InlineParameters()
+    scale, params = config.scale, config.params
     obs = resolve(obs)
     tracer = obs.tracer
     # Mint a per-benchmark trace id (unless the caller already bound
@@ -156,30 +190,28 @@ def run_benchmark(
         if session is not None:
             with tracer.span("benchmark.compile", name=benchmark.name):
                 module = session.compile_benchmark(
-                    benchmark,
-                    pre_optimize=pre_optimize,
-                    pass_spec=pass_spec,
-                    obs=obs,
+                    benchmark, pass_spec=config.pass_spec, obs=obs
                 )
         else:
             with tracer.span("benchmark.compile", name=benchmark.name):
                 module = benchmark.compile(obs=obs)
-            if pre_optimize:
-                with tracer.span("benchmark.pre_optimize", name=benchmark.name):
-                    optimize_module(module, obs=obs, pass_spec=pass_spec)
+            with tracer.span("benchmark.pre_optimize", name=benchmark.name):
+                optimize_module(module, obs=obs, pass_spec=config.pass_spec)
         specs = benchmark.make_runs(scale)
         with tracer.span("benchmark.profile", name=benchmark.name):
             if session is not None:
                 profile = session.profile(
                     module, specs, scale=scale, params=params, obs=obs,
-                    engine=engine,
+                    engine=config.engine,
                 )
             else:
-                profile = profile_module(module, specs, obs=obs, engine=engine)
+                profile = profile_module(
+                    module, specs, obs=obs, engine=config.engine
+                )
 
         with tracer.span("benchmark.inline", name=benchmark.name):
             expander = InlineExpander(
-                module, profile, params, check=check, obs=obs
+                module, profile, params, check=config.check, obs=obs
             )
             inline_result = expander.run()
         if tracer.enabled:
@@ -191,35 +223,33 @@ def run_benchmark(
             if session is not None:
                 post_profile = session.profile(
                     inline_result.module, specs, scale=scale, params=params,
-                    obs=obs, engine=engine,
+                    obs=obs, engine=config.engine,
                 )
             else:
                 post_profile = profile_module(
-                    inline_result.module, specs, obs=obs, engine=engine
+                    inline_result.module, specs, obs=obs, engine=config.engine
                 )
 
-        comparison = OutputComparison(matches=True)
-        if check_outputs:
-            with tracer.span(
-                "benchmark.check_outputs", name=benchmark.name
-            ) as check_attrs:
-                comparison = compare_outputs(
-                    module,
-                    inline_result.module,
-                    specs,
-                    engine=engine,
-                    before=profile.observations,
-                    after=post_profile.observations,
-                )
-                check_attrs["reused"] = comparison.reused
-                check_attrs["rerun"] = comparison.rerun
-            if obs.metrics.enabled:
-                obs.metrics.inc("pipeline.check.reused_inputs", comparison.reused)
-            for divergence in comparison.divergences:
-                tracer.event(
-                    "output_divergence", benchmark=benchmark.name, detail=divergence
-                )
-                _LOG.warning("[%s] output divergence: %s", benchmark.name, divergence)
+        with tracer.span(
+            "benchmark.check_outputs", name=benchmark.name
+        ) as check_attrs:
+            comparison = compare_outputs(
+                module,
+                inline_result.module,
+                specs,
+                engine=config.engine,
+                before=profile.observations,
+                after=post_profile.observations,
+            )
+            check_attrs["reused"] = comparison.reused
+            check_attrs["rerun"] = comparison.rerun
+        if obs.metrics.enabled:
+            obs.metrics.inc("pipeline.check.reused_inputs", comparison.reused)
+        for divergence in comparison.divergences:
+            tracer.event(
+                "output_divergence", benchmark=benchmark.name, detail=divergence
+            )
+            _LOG.warning("[%s] output divergence: %s", benchmark.name, divergence)
 
         with tracer.span("benchmark.post_classify", name=benchmark.name):
             post_graph = build_call_graph(inline_result.module, post_profile, obs=obs)
@@ -263,14 +293,15 @@ def compare_outputs(
     other count is ignored). An input whose two observations agree
     matches without running; a side with no observation is run and
     observed. A disagreeing input re-runs both modules in full, so each
-    divergence names the input (label or index) and the channels that
-    differed: exit code, stdout (with the first differing byte offset),
-    or written files (missing/extra/different per file).
+    divergence names the input (label or index) and every channel
+    :func:`~repro.profiler.profile.run_differences` finds differing:
+    exit code, stdout, stderr, or written files.
     """
     if before is not None and len(before) != len(specs):
         before = None
     if after is not None and len(after) != len(specs):
         after = None
+    run = functools.partial(run_once, engine=engine)
     comparison = OutputComparison(matches=True)
     for index, spec in enumerate(specs):
         seen_a = before[index] if before is not None else None
@@ -280,71 +311,17 @@ def compare_outputs(
             continue
         comparison.rerun += 1
         if seen_a is None:
-            seen_a = _observe(module_a, spec, engine)
+            seen_a = Observation.of(run(module_a, spec))
         if seen_b is None:
-            seen_b = _observe(module_b, spec, engine)
+            seen_b = Observation.of(run(module_b, spec))
         if seen_a == seen_b:
             continue
-        problems = _describe_divergence(
-            run_once(module_a, spec, engine=engine),
-            run_once(module_b, spec, engine=engine),
-        )
+        problems = run_differences(run(module_a, spec), run(module_b, spec))
         if problems:
             label = spec.label or f"input {index}"
             comparison.divergences.append(f"{label}: " + "; ".join(problems))
     comparison.matches = not comparison.divergences
     return comparison
-
-
-def _observe(module, spec: RunSpec, engine: str) -> Observation:
-    return Observation.of(run_once(module, spec, engine=engine))
-
-
-def _describe_divergence(result_a, result_b) -> list[str]:
-    """Every channel on which two runs of one input differ."""
-    problems: list[str] = []
-    if result_a.exit_code != result_b.exit_code:
-        problems.append(f"exit code {result_a.exit_code} != {result_b.exit_code}")
-    stdout_a = bytes(result_a.os.stdout)
-    stdout_b = bytes(result_b.os.stdout)
-    if stdout_a != stdout_b:
-        problems.append(
-            "stdout differs at byte"
-            f" {_first_mismatch(stdout_a, stdout_b)}"
-            f" (lengths {len(stdout_a)} vs {len(stdout_b)})"
-        )
-    if result_a.os.written_files != result_b.os.written_files:
-        problems.append(
-            "written files differ: "
-            + _describe_file_diff(
-                result_a.os.written_files, result_b.os.written_files
-            )
-        )
-    return problems
-
-
-def _first_mismatch(a: bytes, b: bytes) -> int:
-    for index, (byte_a, byte_b) in enumerate(zip(a, b)):
-        if byte_a != byte_b:
-            return index
-    return min(len(a), len(b))
-
-
-def _describe_file_diff(
-    files_a: dict[str, bytes], files_b: dict[str, bytes]
-) -> str:
-    parts: list[str] = []
-    for path in sorted(set(files_a) | set(files_b)):
-        if path not in files_b:
-            parts.append(f"{path} missing after inlining")
-        elif path not in files_a:
-            parts.append(f"{path} only written after inlining")
-        elif files_a[path] != files_b[path]:
-            parts.append(
-                f"{path} content differs at byte"
-                f" {_first_mismatch(files_a[path], files_b[path])}"
-            )
-    return ", ".join(parts)
 
 
 #: Per-process registry of sessions opened from a spec, so one worker
@@ -368,60 +345,33 @@ def _benchmark_task(
     name: str,
     obs: Observability,
     *,
-    scale: str,
-    params: InlineParameters | None,
-    pre_optimize: bool,
-    check_outputs: bool,
-    session_spec: dict | None,
-    pass_spec: str | None,
-    check: bool,
-    engine: str,
+    config: RunConfig,
+    session: CompilationSession | dict | None,
 ) -> BenchmarkResult:
     """One suite item, addressed by benchmark name so it pickles.
 
-    Process workers re-open the shared disk cache from ``session_spec``;
-    thread workers and the serial path pass the live session directly
-    and never reach this function.
+    ``session`` is the live session when the task runs in this process
+    and the session's spec in a process worker, which re-opens the
+    shared disk store from it.
     """
+    if isinstance(session, dict):
+        session = _session_from_spec(session)
     _LOG.info("[%s] running ...", name)
-    return run_benchmark(
-        benchmark_by_name(name),
-        scale,
-        params,
-        pre_optimize,
-        check_outputs,
-        obs=obs,
-        session=_session_from_spec(session_spec),
-        pass_spec=pass_spec,
-        check=check,
-        engine=engine,
-    )
+    return run_benchmark(benchmark_by_name(name), config, obs=obs, session=session)
 
 
 def run_suite(
-    scale: str = "small",
-    params: InlineParameters | None = None,
-    names: list[str] | None = None,
-    pre_optimize: bool = True,
-    check_outputs: bool = True,
-    progress: bool = False,
+    config: RunConfig,
+    *,
     obs: Observability | None = None,
-    jobs: int = 1,
     session: CompilationSession | None = None,
-    pass_spec: str | None = None,
-    check: bool = False,
-    executor: str = "thread",
-    engine: str = "counting",
 ) -> list[BenchmarkResult]:
-    """Run the pipeline for every benchmark (or a named subset).
+    """Run the pipeline for every benchmark ``config`` selects.
 
-    ``names`` must all be known benchmark names; unknown names raise
-    :class:`ValueError` rather than being silently skipped. With
-    ``jobs > 1`` the benchmarks run on a worker pool — results keep
-    suite order and per-worker trace/metric records are merged into the
-    parent ``obs`` — while ``jobs=1`` is the plain serial loop,
-    byte-identical to the historical behavior. ``executor`` selects the
-    pool: ``"thread"`` shares the live ``session`` in memory but
+    Results keep suite order. With ``config.jobs > 1`` the benchmarks
+    run on a worker pool and per-worker trace/metric records are merged
+    into the parent ``obs``; ``jobs=1`` is the plain serial loop. The
+    ``"thread"`` executor shares the live ``session`` in memory but
     serializes CPU work on the GIL; ``"process"`` gives true CPU
     parallelism — workers share the session's *disk* store (each
     process re-opens it from :meth:`CompilationSession.spec`) and
@@ -429,88 +379,25 @@ def run_suite(
     ``session`` serves compiles and profiles from its
     content-addressed cache either way.
 
-    Progress goes through the ``repro.experiments`` logger; with
-    ``progress=True`` a stderr handler is attached (once) so the
-    messages stay visible from the CLI, while library users configure
-    or silence the ``repro`` logger themselves.
+    Progress goes through the ``repro.experiments`` logger; callers
+    that want it on stderr call
+    :func:`~repro.observability.enable_console_logging`.
     """
-    validate_jobs(jobs)
-    validate_executor(executor)
-    if progress:
-        enable_console_logging()
     obs = resolve(obs)
-    if names is not None:
-        unknown = sorted(set(names) - set(benchmark_names()))
-        if unknown:
-            raise ValueError(
-                f"unknown benchmark name(s): {', '.join(unknown)};"
-                f" known: {', '.join(benchmark_names())}"
-            )
-    selected = [
-        benchmark
-        for benchmark in benchmark_suite()
-        if names is None or benchmark.name in names
-    ]
-    with obs.tracer.span("suite", scale=scale) as attrs:
-        if jobs <= 1:
-            results = []
-            for benchmark in selected:
-                _LOG.info("[%s] running ...", benchmark.name)
-                results.append(
-                    run_benchmark(
-                        benchmark,
-                        scale,
-                        params,
-                        pre_optimize,
-                        check_outputs,
-                        obs=obs,
-                        session=session,
-                        pass_spec=pass_spec,
-                        check=check,
-                        engine=engine,
-                    )
-                )
-        else:
-            if executor == "process":
-                # Ship the session as its picklable spec; the live
-                # object holds locks and caches that cannot cross the
-                # process boundary.
-                task = functools.partial(
-                    _benchmark_task,
-                    scale=scale,
-                    params=params,
-                    pre_optimize=pre_optimize,
-                    check_outputs=check_outputs,
-                    session_spec=session.spec() if session else None,
-                    pass_spec=pass_spec,
-                    check=check,
-                    engine=engine,
-                )
-            else:
-
-                def task(name: str, child_obs) -> BenchmarkResult:
-                    _LOG.info("[%s] running ...", name)
-                    return run_benchmark(
-                        benchmark_by_name(name),
-                        scale,
-                        params,
-                        pre_optimize,
-                        check_outputs,
-                        obs=child_obs,
-                        session=session,
-                        pass_spec=pass_spec,
-                        check=check,
-                        engine=engine,
-                    )
-
-            results = parallel_map(
-                task,
-                [benchmark.name for benchmark in selected],
-                jobs,
-                obs=obs,
-                worker_label="suite",
-                executor=executor,
-            )
+    if session is not None and config.jobs > 1 and config.executor == "process":
+        # The live session holds locks and caches that cannot cross
+        # the process boundary.
+        session = session.spec()
+    task = functools.partial(_benchmark_task, config=config, session=session)
+    with obs.tracer.span("suite", scale=config.scale) as attrs:
+        results = parallel_map(
+            task,
+            [benchmark.name for benchmark in select_benchmarks(config.names)],
+            config.jobs,
+            obs=obs,
+            worker_label="suite",
+            executor=config.executor,
+        )
         attrs["benchmarks"] = len(results)
     return results
 

@@ -186,3 +186,14 @@ def all_tables(results: list[BenchmarkResult]) -> str:
             "All inlined binaries produced byte-identical outputs on every input."
         )
     return "\n\n".join(parts)
+
+
+#: What ``impact-inline tables WHAT`` renders from the suite results.
+TABLES = {
+    "table1": table1,
+    "table2": table2,
+    "table3": table3,
+    "table4": table4,
+    "breakdown": post_inline_breakdown,
+    "all": all_tables,
+}

@@ -31,11 +31,11 @@ from repro.observability.bench import (
     BENCH_SCHEMA_VERSION,
     BenchComparison,
     BenchRecord,
-    BenchRecorder,
     MetricDelta,
     compare,
     load_record,
     record_from_results,
+    record_suite,
 )
 from repro.observability.context import (
     TraceContext,
@@ -113,7 +113,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchComparison",
     "BenchRecord",
-    "BenchRecorder",
     "DEFAULT_MAX_SAMPLES",
     "DecisionReason",
     "InlineDecision",
@@ -126,6 +125,7 @@ __all__ = [
     "new_request_id",
     "new_trace_id",
     "record_from_results",
+    "record_suite",
     "NULL_OBS",
     "NullMetrics",
     "NullTracer",

@@ -1,7 +1,7 @@
 """Benchmark telemetry records and regression detection.
 
 The paper's claim is quantitative, so this module makes every suite run
-a durable, comparable measurement. A :class:`BenchRecorder` (or the
+a durable, comparable measurement. :func:`record_suite` (or the
 lower-level :func:`record_from_results`) turns one
 :func:`~repro.experiments.pipeline.run_suite` execution into a
 schema-versioned :class:`BenchRecord` — per-benchmark dynamic
@@ -233,80 +233,25 @@ def record_from_results(
     )
 
 
-class BenchRecorder:
-    """Runs the suite under full telemetry and produces a BenchRecord."""
+def record_suite(name: str, config, *, obs=None, session=None) -> BenchRecord:
+    """Run the suite under ``config`` with full telemetry and record it.
 
-    def __init__(
-        self,
-        config_name: str = "suite",
-        scale: str = "small",
-        names: list[str] | None = None,
-        jobs: int = 1,
-        executor: str = "thread",
-        pass_spec: str | None = None,
-        params=None,
-        cache_dir: str | None = None,
-        engine: str = "counting",
-    ):
-        self.config_name = config_name
-        self.scale = scale
-        self.names = names
-        self.jobs = jobs
-        self.executor = executor
-        self.pass_spec = pass_spec
-        self.params = params
-        self.cache_dir = cache_dir
-        self.engine = engine
+    ``name`` names the record (default file ``BENCH_<name>.json``) and
+    ``config`` (a :class:`~repro.experiments.pipeline.RunConfig`)
+    supplies the record's ``config`` stamp. A live
+    :class:`~repro.observability.Observability` may be passed in (e.g.
+    to also export the trace); by default one is created.
+    """
+    from repro.experiments import pipeline
+    from repro.observability import Observability
 
-    def config(self) -> dict:
-        from repro.inliner.params import InlineParameters
-
-        params = self.params or InlineParameters()
-        return {
-            "name": self.config_name,
-            "scale": self.scale,
-            "benchmarks": self.names,
-            "jobs": self.jobs,
-            "executor": self.executor,
-            "pass_spec": self.pass_spec,
-            "engine": self.engine,
-            "threshold": params.weight_threshold,
-            "size_limit_factor": params.size_limit_factor,
-        }
-
-    def run(self, obs=None) -> BenchRecord:
-        """Execute the suite and return the telemetry record.
-
-        A live :class:`~repro.observability.Observability` may be
-        passed in (e.g. to also export the trace); by default the
-        recorder creates its own.
-        """
-        from repro.experiments.pipeline import run_suite
-        from repro.observability import Observability
-        from repro.pipeline.session import CompilationSession
-
-        obs = obs if obs is not None else Observability.create()
-        session = (
-            CompilationSession(cache_dir=self.cache_dir)
-            if self.cache_dir
-            else None
-        )
-        start = time.perf_counter()
-        results = run_suite(
-            self.scale,
-            params=self.params,
-            names=self.names,
-            obs=obs,
-            jobs=self.jobs,
-            session=session,
-            pass_spec=self.pass_spec,
-            executor=self.executor,
-            engine=self.engine,
-        )
-        wall = time.perf_counter() - start
-        return record_from_results(
-            results, obs, self.config(), wall_seconds=wall
-        )
+    obs = obs if obs is not None else Observability.create()
+    start = time.perf_counter()
+    results = pipeline.run_suite(config, obs=obs, session=session)
+    wall = time.perf_counter() - start
+    return record_from_results(
+        results, obs, config.stamp(name), wall_seconds=wall
+    )
 
 
 # ----------------------------------------------------------------------

@@ -58,8 +58,9 @@ from repro.observability import Observability, resolve
 
 #: Bump when the pickled artifact layout changes; old entries become
 #: invisible (a different subdirectory), not errors. Format 2 profiles
-#: carry the per-input output observations.
-CACHE_FORMAT = 2
+#: carry the per-input output observations; format 3 observations
+#: include a stderr digest.
+CACHE_FORMAT = 3
 
 #: Default on-disk store location (created on first use).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -427,18 +428,17 @@ class CompilationSession:
     def compile_benchmark(
         self,
         benchmark,
-        pre_optimize: bool = True,
         pass_spec: str | None = None,
         obs: Observability | None = None,
     ):
-        """Cached compile of one suite benchmark (pre-optimized by default)."""
+        """Cached compile of one suite benchmark, pre-optimized by
+        ``pass_spec`` (default: the full pass set)."""
         from repro.pipeline.passes import DEFAULT_OPT_SPEC
 
-        effective = pass_spec if pass_spec is not None else DEFAULT_OPT_SPEC
         return self.compiled_module(
             benchmark.source,
             filename=f"{benchmark.name}.c",
-            pass_spec=effective if pre_optimize else "",
+            pass_spec=pass_spec if pass_spec is not None else DEFAULT_OPT_SPEC,
             obs=obs,
         )
 

@@ -31,12 +31,15 @@ class Observation:
     """What one run showed the outside world, reduced to digests.
 
     Two runs with equal observations exited alike, printed the same
-    stdout bytes and wrote the same files with the same contents; the
-    digests keep the record a few hundred bytes at any output size.
+    stdout and stderr bytes and wrote the same files with the same
+    contents; the digests keep the record a few hundred bytes at any
+    output size. :func:`run_differences` names what differs between
+    two runs whose observations disagree.
     """
 
     exit_code: int
     stdout_sha256: str
+    stderr_sha256: str
     #: Sorted ``(path, sha256)`` pairs of every file the run wrote.
     files: tuple[tuple[str, str], ...]
 
@@ -45,6 +48,7 @@ class Observation:
         return cls(
             exit_code=result.exit_code,
             stdout_sha256=hashlib.sha256(result.os.stdout).hexdigest(),
+            stderr_sha256=hashlib.sha256(result.os.stderr).hexdigest(),
             files=tuple(
                 sorted(
                     (path, hashlib.sha256(data).hexdigest())
@@ -52,6 +56,76 @@ class Observation:
                 )
             ),
         )
+
+
+def _first_difference(a: bytes, b: bytes) -> int:
+    return next(
+        (index for index, (x, y) in enumerate(zip(a, b)) if x != y),
+        min(len(a), len(b)),
+    )
+
+
+def run_differences(
+    a: RunResult,
+    b: RunResult,
+    counters: bool = False,
+    after: str = "after inlining",
+) -> list[str]:
+    """Every channel on which two runs of one input differ (empty: none).
+
+    Compares the exit code, stdout and stderr (first differing byte and
+    both lengths) and the written files (missing from ``b``, written
+    only by ``b`` — worded with ``after`` — or first differing byte).
+    With ``counters``, also every counter channel: ``il``, ``ct``,
+    ``calls``, ``returns`` and the per-site, per-function and
+    per-branch counts, naming up to five differing keys of each.
+    """
+    problems: list[str] = []
+    if a.exit_code != b.exit_code:
+        problems.append(f"exit code {a.exit_code} != {b.exit_code}")
+    for stream in ("stdout", "stderr"):
+        data_a = bytes(getattr(a.os, stream))
+        data_b = bytes(getattr(b.os, stream))
+        if data_a != data_b:
+            problems.append(
+                f"{stream} differs at byte {_first_difference(data_a, data_b)}"
+                f" (lengths {len(data_a)} vs {len(data_b)})"
+            )
+    files_a, files_b = a.os.written_files, b.os.written_files
+    if files_a != files_b:
+        parts: list[str] = []
+        for path in sorted(set(files_a) | set(files_b)):
+            if path not in files_b:
+                parts.append(f"{path} missing {after}")
+            elif path not in files_a:
+                parts.append(f"{path} only written {after}")
+            elif files_a[path] != files_b[path]:
+                parts.append(
+                    f"{path} content differs at byte"
+                    f" {_first_difference(files_a[path], files_b[path])}"
+                )
+        problems.append("written files differ: " + ", ".join(parts))
+    if counters:
+        for channel in ("il", "ct", "calls", "returns"):
+            value_a = getattr(a.counters, channel)
+            value_b = getattr(b.counters, channel)
+            if value_a != value_b:
+                problems.append(f"{channel} {value_a} != {value_b}")
+        for channel in ("site_counts", "func_counts", "branch_counts"):
+            dict_a = getattr(a.counters, channel)
+            dict_b = getattr(b.counters, channel)
+            keys = sorted(
+                key
+                for key in set(dict_a) | set(dict_b)
+                if dict_a.get(key) != dict_b.get(key)
+            )
+            if keys:
+                more = f" (+{len(keys) - 5} more)" if len(keys) > 5 else ""
+                problems.append(
+                    f"{channel} differ at"
+                    f" {', '.join(str(key) for key in keys[:5])}{more}"
+                )
+    return problems
 
 
 @dataclass

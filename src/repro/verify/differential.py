@@ -4,9 +4,9 @@ Inline expansion must be a *semantic no-op*: for every input, the
 inlined program produces exactly the outputs of the original. This
 module proves that claim empirically by running both modules over the
 same inputs and asserting, per input, identical exit codes, identical
-stdout bytes, and identical written files — and, over the whole input
-set, two quantitative invariants tying the inliner's bookkeeping to
-physical reality:
+stdout and stderr bytes, and identical written files — and, over the
+whole input set, two quantitative invariants tying the inliner's
+bookkeeping to physical reality:
 
 - **calls-eliminated floor**: the dynamic calls removed by inlining
   (original total minus inlined total, from the VM's exact integer
@@ -29,14 +29,8 @@ from repro.inliner.manager import InlineResult, inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, resolve
 from repro.opt import optimize_module
-from repro.profiler.profile import (
-    Observation,
-    ProfileData,
-    RunSpec,
-    profile_module,
-    run_once,
-)
-from repro.workloads.suite import Benchmark, benchmark_names, benchmark_suite
+from repro.profiler.profile import ProfileData, RunSpec, profile_module
+from repro.workloads.suite import Benchmark, select_benchmarks
 
 
 @dataclass
@@ -81,37 +75,6 @@ class DifferentialReport:
         return line
 
 
-def _compare_run(label: str, original, inlined) -> list[str]:
-    """Describe every channel on which two runs of one input differ."""
-    problems: list[str] = []
-    if original.exit_code != inlined.exit_code:
-        problems.append(
-            f"{label}: exit code {original.exit_code} != {inlined.exit_code}"
-        )
-    out_a, out_b = bytes(original.os.stdout), bytes(inlined.os.stdout)
-    if out_a != out_b:
-        offset = next(
-            (i for i, (a, b) in enumerate(zip(out_a, out_b)) if a != b),
-            min(len(out_a), len(out_b)),
-        )
-        problems.append(
-            f"{label}: stdout differs at byte {offset}"
-            f" (lengths {len(out_a)} vs {len(out_b)})"
-        )
-    if original.os.written_files != inlined.os.written_files:
-        paths = sorted(
-            set(original.os.written_files) | set(inlined.os.written_files)
-        )
-        differing = [
-            path
-            for path in paths
-            if original.os.written_files.get(path)
-            != inlined.os.written_files.get(path)
-        ]
-        problems.append(f"{label}: written files differ: {', '.join(differing)}")
-    return problems
-
-
 def verify_inlining(
     module,
     specs: list[RunSpec],
@@ -126,26 +89,28 @@ def verify_inlining(
 
     Profiles the original over ``specs`` (unless a matching ``profile``
     is supplied), inlines under it with the per-pass IL checker enabled,
-    then executes the inlined module over every input and compares it
-    with the original. When the oracle profiles the original itself,
-    the original's outputs and call count come from those profiling
-    runs, and it re-runs only to describe a divergence; a supplied
-    ``profile`` may stem from other inputs, so the original then runs
-    beside the inlined module on every input. Never raises on a
-    divergence — everything the oracle finds lands in the returned
-    :class:`DifferentialReport`. All executions use ``engine`` (both
-    tiers produce identical counters, so the oracle's verdict is
-    engine-independent; ``fast`` just gets there sooner).
+    then profiles the inlined module over the same inputs and compares
+    the two sides with
+    :func:`~repro.experiments.pipeline.compare_outputs`, which matches
+    each input on the observations profiling took and re-runs only to
+    describe a divergence. A supplied ``profile`` may stem from other
+    inputs, so the original is then profiled over ``specs`` as well.
+    Never raises on a divergence — everything the oracle finds lands in
+    the returned :class:`DifferentialReport`. All executions use
+    ``engine`` (both tiers produce identical counters, so the oracle's
+    verdict is engine-independent; ``fast`` just gets there sooner).
     """
+    from repro.experiments.pipeline import compare_outputs
+
     params = params or InlineParameters()
     obs = resolve(obs)
     report = DifferentialReport(name=name, runs=len(specs))
     with obs.tracer.span("verify.differential", name=name) as attrs:
-        observed = None
+        before = None
         if profile is None:
-            profile = profile_module(module, specs, obs=obs, engine=engine)
-            observed = profile.observations
-            report.calls_before = profile.total.calls
+            profile = before = profile_module(
+                module, specs, obs=obs, engine=engine
+            )
         result: InlineResult = inline_module(
             module, profile, params, seed=seed, check=True, obs=obs
         )
@@ -162,16 +127,23 @@ def verify_inlining(
         report.eliminated_floor = sum(
             site_counts.get(arc.site, 0) for arc in result.selection.selected
         )
-        for index, spec in enumerate(specs):
-            label = spec.label or f"input {index}"
-            inlined = run_once(result.module, spec, obs=obs, engine=engine)
-            report.calls_after += inlined.counters.calls
-            if observed is not None and Observation.of(inlined) == observed[index]:
-                continue
-            original = run_once(module, spec, obs=obs, engine=engine)
-            if observed is None:
-                report.calls_before += original.counters.calls
-            report.divergences.extend(_compare_run(label, original, inlined))
+        after = profile_module(
+            result.module, specs, check_exit=False, obs=obs, engine=engine
+        )
+        if before is None:
+            before = profile_module(
+                module, specs, check_exit=False, obs=obs, engine=engine
+            )
+        report.calls_before = before.total.calls
+        report.calls_after = after.total.calls
+        report.divergences = compare_outputs(
+            module,
+            result.module,
+            specs,
+            engine=engine,
+            before=before.observations,
+            after=after.observations,
+        ).divergences
         if report.calls_eliminated < report.eliminated_floor:
             report.invariant_failures.append(
                 f"only {report.calls_eliminated} dynamic calls eliminated,"
@@ -195,16 +167,14 @@ def verify_benchmark(
     benchmark: Benchmark,
     scale: str = "small",
     params: InlineParameters | None = None,
-    pre_optimize: bool = True,
     seed: int = 0,
     obs: Observability | None = None,
     engine: str = "counting",
 ) -> DifferentialReport:
-    """Compile one suite benchmark and run the oracle on it."""
+    """Compile and pre-optimize one suite benchmark, then run the oracle."""
     obs = resolve(obs)
     module = benchmark.compile(obs=obs)
-    if pre_optimize:
-        optimize_module(module, obs=obs)
+    optimize_module(module, obs=obs)
     return verify_inlining(
         module,
         benchmark.make_runs(scale),
@@ -220,29 +190,14 @@ def verify_suite(
     names: list[str] | None = None,
     scale: str = "small",
     params: InlineParameters | None = None,
-    pre_optimize: bool = True,
     seed: int = 0,
     obs: Observability | None = None,
     engine: str = "counting",
 ) -> list[DifferentialReport]:
     """Run the oracle over every suite benchmark (or a named subset)."""
-    if names is not None:
-        unknown = sorted(set(names) - set(benchmark_names()))
-        if unknown:
-            raise ValueError(
-                f"unknown benchmark name(s): {', '.join(unknown)};"
-                f" known: {', '.join(benchmark_names())}"
-            )
     return [
         verify_benchmark(
-            benchmark,
-            scale,
-            params,
-            pre_optimize,
-            seed=seed,
-            obs=obs,
-            engine=engine,
+            benchmark, scale, params, seed=seed, obs=obs, engine=engine
         )
-        for benchmark in benchmark_suite()
-        if names is None or benchmark.name in names
+        for benchmark in select_benchmarks(names)
     ]

@@ -4,8 +4,8 @@ The fast tier (:mod:`repro.vm.fast`) is only admissible if it is
 *observationally identical* to the reference counting interpreter — not
 just same outputs, but the same exact integer profile: dynamic IL
 instructions, control transfers, calls, returns, per-site and
-per-function counts, and (when collected) per-branch taken/not-taken
-splits. This module runs the same module under both engines over the
+per-function counts, and per-branch taken/not-taken splits. This
+module runs the same module under both engines over the
 same inputs and diffs every one of those channels.
 
 Two entry points mirror the differential oracle's shape:
@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.observability import Observability, resolve
-from repro.profiler.profile import RunSpec, run_once
+from repro.profiler.profile import RunSpec, run_differences, run_once
 from repro.vm.machine import ENGINES
-from repro.workloads.suite import Benchmark, benchmark_names, benchmark_suite
+from repro.workloads.suite import Benchmark, select_benchmarks
 
 
 @dataclass
@@ -37,8 +37,9 @@ class EngineDiffReport:
 
     name: str
     runs: int = 0
-    #: Per-input, per-channel differences (empty means the fast tier is
-    #: observationally identical to the counting interpreter).
+    #: One entry per diverging input, naming every differing channel
+    #: (empty means the fast tier is observationally identical to the
+    #: counting interpreter).
     divergences: list[str] = field(default_factory=list)
     #: Total dynamic IL instructions (identical across engines when ok).
     il: int = 0
@@ -56,111 +57,40 @@ class EngineDiffReport:
         return line
 
 
-def _counter_dicts(counters) -> dict[str, object]:
-    """Every counter channel as a plain comparable dict."""
-    return {
-        "il": counters.il,
-        "ct": counters.ct,
-        "calls": counters.calls,
-        "returns": counters.returns,
-        "site_counts": dict(counters.site_counts),
-        "func_counts": dict(counters.func_counts),
-        "branch_counts": dict(counters.branch_counts),
-    }
-
-
-def _compare_run(label: str, reference, fast) -> list[str]:
-    """Describe every channel on which the two engines differ."""
-    problems: list[str] = []
-    if reference.exit_code != fast.exit_code:
-        problems.append(
-            f"{label}: exit code {reference.exit_code} (counting)"
-            f" != {fast.exit_code} (fast)"
-        )
-    out_a, out_b = bytes(reference.os.stdout), bytes(fast.os.stdout)
-    if out_a != out_b:
-        offset = next(
-            (i for i, (a, b) in enumerate(zip(out_a, out_b)) if a != b),
-            min(len(out_a), len(out_b)),
-        )
-        problems.append(
-            f"{label}: stdout differs at byte {offset}"
-            f" (lengths {len(out_a)} vs {len(out_b)})"
-        )
-    if bytes(reference.os.stderr) != bytes(fast.os.stderr):
-        problems.append(f"{label}: stderr differs")
-    if reference.os.written_files != fast.os.written_files:
-        paths = sorted(
-            set(reference.os.written_files) | set(fast.os.written_files)
-        )
-        differing = [
-            path
-            for path in paths
-            if reference.os.written_files.get(path)
-            != fast.os.written_files.get(path)
-        ]
-        problems.append(f"{label}: written files differ: {', '.join(differing)}")
-    ref_counts = _counter_dicts(reference.counters)
-    fast_counts = _counter_dicts(fast.counters)
-    for channel, ref_value in ref_counts.items():
-        fast_value = fast_counts[channel]
-        if ref_value == fast_value:
-            continue
-        if isinstance(ref_value, dict):
-            keys = sorted(
-                k
-                for k in set(ref_value) | set(fast_value)
-                if ref_value.get(k) != fast_value.get(k)
-            )
-            shown = ", ".join(str(k) for k in keys[:5])
-            more = f" (+{len(keys) - 5} more)" if len(keys) > 5 else ""
-            problems.append(
-                f"{label}: {channel} differ at {shown}{more}"
-            )
-        else:
-            problems.append(
-                f"{label}: {channel} {ref_value} (counting)"
-                f" != {fast_value} (fast)"
-            )
-    return problems
-
-
 def diff_engines(
     module,
     specs: list[RunSpec],
     name: str = "module",
-    collect_branches: bool = True,
     obs: Observability | None = None,
 ) -> EngineDiffReport:
     """Run ``module`` under both engines over ``specs`` and diff them.
 
-    Compares, per input: exit code, stdout bytes, stderr bytes, written
-    files, and the full counter state — ``il``/``ct``/``calls``/
-    ``returns`` plus the per-site, per-function, and (with
-    ``collect_branches``) per-branch dictionaries. Never raises on a
-    divergence; everything lands in the returned report.
+    Compares, per input, every channel
+    :func:`~repro.profiler.profile.run_differences` knows with
+    ``counters=True``: exit code, stdout, stderr, written files, and
+    the full counter state — ``il``/``ct``/``calls``/``returns`` plus
+    the per-site, per-function, and per-branch dictionaries. Never
+    raises on a divergence; everything lands in the returned report.
     """
     obs = resolve(obs)
     report = EngineDiffReport(name=name, runs=len(specs))
     with obs.tracer.span("verify.engines", name=name) as attrs:
         for index, spec in enumerate(specs):
-            label = spec.label or f"input {index}"
             reference = run_once(
-                module,
-                spec,
-                collect_branches=collect_branches,
-                obs=obs,
-                engine="counting",
+                module, spec, collect_branches=True, obs=obs, engine="counting"
             )
             fast = run_once(
-                module,
-                spec,
-                collect_branches=collect_branches,
-                obs=obs,
-                engine="fast",
+                module, spec, collect_branches=True, obs=obs, engine="fast"
             )
             report.il += reference.counters.il
-            report.divergences.extend(_compare_run(label, reference, fast))
+            problems = run_differences(
+                reference, fast, counters=True, after="under fast"
+            )
+            if problems:
+                label = spec.label or f"input {index}"
+                report.divergences.append(
+                    f"{label} (counting vs fast): " + "; ".join(problems)
+                )
         attrs["ok"] = report.ok
         attrs["il"] = report.il
     if obs.metrics.enabled:
@@ -175,41 +105,25 @@ def diff_engines(
 def diff_engines_benchmark(
     benchmark: Benchmark,
     scale: str = "small",
-    collect_branches: bool = True,
     obs: Observability | None = None,
 ) -> EngineDiffReport:
     """Compile one suite benchmark and diff the engines on it."""
     obs = resolve(obs)
     module = benchmark.compile(obs=obs)
     return diff_engines(
-        module,
-        benchmark.make_runs(scale),
-        name=benchmark.name,
-        collect_branches=collect_branches,
-        obs=obs,
+        module, benchmark.make_runs(scale), name=benchmark.name, obs=obs
     )
 
 
 def diff_engines_suite(
     names: list[str] | None = None,
     scale: str = "small",
-    collect_branches: bool = True,
     obs: Observability | None = None,
 ) -> list[EngineDiffReport]:
     """Diff the engines over every suite benchmark (or a subset)."""
-    if names is not None:
-        unknown = sorted(set(names) - set(benchmark_names()))
-        if unknown:
-            raise ValueError(
-                f"unknown benchmark name(s): {', '.join(unknown)};"
-                f" known: {', '.join(benchmark_names())}"
-            )
     return [
-        diff_engines_benchmark(
-            benchmark, scale, collect_branches=collect_branches, obs=obs
-        )
-        for benchmark in benchmark_suite()
-        if names is None or benchmark.name in names
+        diff_engines_benchmark(benchmark, scale, obs=obs)
+        for benchmark in select_benchmarks(names)
     ]
 
 

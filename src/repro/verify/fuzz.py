@@ -30,7 +30,7 @@ from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, resolve
 from repro.opt import optimize_module
-from repro.profiler.profile import RunSpec, profile_module, run_once
+from repro.profiler.profile import Observation, RunSpec, profile_module, run_once
 from repro.verify.differential import DifferentialReport, verify_inlining
 
 #: Inliner knobs the fuzz stage runs under: a low threshold and a
@@ -221,10 +221,6 @@ def generate_program(seed: int) -> str:
     return _ProgramBuilder(random.Random(seed)).build()
 
 
-def _behavior(result) -> tuple[int, bytes]:
-    return result.exit_code, bytes(result.os.stdout)
-
-
 def check_program(
     source: str,
     index: int,
@@ -238,8 +234,9 @@ def check_program(
     Stage order: compile (hardened verifier runs inside), baseline run,
     optimize + re-verify + re-run, differential inline oracle on the
     optimized module, optimize-after-inlining + re-verify + re-run.
-    Every stage's behavior is compared against the baseline. All
-    executions use ``engine``.
+    Every stage's :class:`~repro.profiler.profile.Observation` (exit
+    code, stdout, stderr, written files) is compared against the
+    baseline's. All executions use ``engine``.
     """
     params = params or FUZZ_PARAMS
     obs = resolve(obs)
@@ -248,14 +245,16 @@ def check_program(
     def fail(stage: str, detail: str) -> FuzzFailure:
         return FuzzFailure(index, seed, stage, detail, source)
 
+    def observe(candidate) -> Observation:
+        return Observation.of(run_once(candidate, spec, obs=obs, engine=engine))
+
     try:
         module = compile_program(source, filename=f"fuzz{index}.c", obs=obs)
     except ReproError as error:
         return [fail("compile", str(error))], None
-    baseline = run_once(module, spec, obs=obs, engine=engine)
-    expected = _behavior(baseline)
-    if baseline.exit_code != 0:
-        return [fail("baseline", f"exit code {baseline.exit_code}")], None
+    expected = observe(module)
+    if expected.exit_code != 0:
+        return [fail("baseline", f"exit code {expected.exit_code}")], None
 
     optimized = module.clone()
     try:
@@ -263,7 +262,7 @@ def check_program(
         verify_module(optimized)
     except ReproError as error:
         return [fail("optimize", str(error))], None
-    if _behavior(run_once(optimized, spec, obs=obs, engine=engine)) != expected:
+    if observe(optimized) != expected:
         return [fail("optimize", "behavior diverged from baseline")], None
 
     try:
@@ -296,7 +295,7 @@ def check_program(
     except ReproError as error:
         failures.append(fail("optimize-after-inline", str(error)))
         return failures, report
-    if _behavior(run_once(result.module, spec, obs=obs, engine=engine)) != expected:
+    if observe(result.module) != expected:
         failures.append(
             fail("optimize-after-inline", "behavior diverged from baseline")
         )

@@ -11,6 +11,7 @@ from repro.workloads.suite import (
     benchmark_by_name,
     benchmark_names,
     benchmark_suite,
+    select_benchmarks,
 )
 
 __all__ = [
@@ -18,4 +19,5 @@ __all__ = [
     "benchmark_by_name",
     "benchmark_names",
     "benchmark_suite",
+    "select_benchmarks",
 ]

@@ -79,6 +79,26 @@ def benchmark_names() -> list[str]:
     return list(_MODULES)
 
 
+def select_benchmarks(names=None) -> list[Benchmark]:
+    """The suite (in Table 1 order), or the subset ``names`` picks.
+
+    Every name must be known: unknown names raise :class:`ValueError`
+    listing them all, rather than being silently skipped.
+    """
+    if names is not None:
+        unknown = sorted(set(names) - set(_MODULES))
+        if unknown:
+            raise ValueError(
+                f"unknown benchmark name(s): {', '.join(unknown)};"
+                f" known: {', '.join(_MODULES)}"
+            )
+    return [
+        benchmark
+        for benchmark in benchmark_suite()
+        if names is None or benchmark.name in names
+    ]
+
+
 def benchmark_by_name(name: str) -> Benchmark:
     module = _MODULES.get(name)
     if module is None:

@@ -1,18 +1,20 @@
 """Tests for bench telemetry records, comparison, and reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.experiments.pipeline import RunConfig
 from repro.observability import Observability
 from repro.observability.bench import (
     BENCH_SCHEMA_VERSION,
     BenchRecord,
-    BenchRecorder,
     collect_phase_seconds,
     compare,
     load_record,
+    record_suite,
 )
 from repro.observability.report import (
     load_trace,
@@ -27,7 +29,7 @@ from repro.pipeline.manager import pass_timings
 @pytest.fixture(scope="module")
 def record():
     """One real two-benchmark record, shared across the module."""
-    return BenchRecorder(config_name="t", names=["wc", "tee"]).run()
+    return record_suite("t", RunConfig(names=["wc", "tee"]))
 
 
 class TestBenchRecord:
@@ -83,9 +85,7 @@ class TestBenchRecord:
             BenchRecord.from_dict({"schema_version": BENCH_SCHEMA_VERSION})
 
     def test_jobs2_counts_match_serial(self, record):
-        parallel = BenchRecorder(
-            config_name="t2", names=["wc", "tee"], jobs=2
-        ).run()
+        parallel = record_suite("t2", RunConfig(names=["wc", "tee"], jobs=2))
         comparison = compare(record, parallel)
         assert comparison.regressions == []
         assert comparison.ok()
@@ -233,7 +233,7 @@ class TestBenchCli:
         assert "PASS" in out
 
     def test_report_exits_nonzero_naming_offender(self, tmp_path, capsys):
-        record = BenchRecorder(config_name="one", names=["wc"]).run()
+        record = record_suite("one", RunConfig(names=["wc"]))
         base_path = record.write(str(tmp_path / "BENCH_base.json"))
         payload = json.loads(json.dumps(record.to_dict()))
         payload["benchmarks"]["wc"]["counters"]["il"] *= 2
@@ -246,7 +246,7 @@ class TestBenchCli:
         assert "wc" in captured.err and "il" in captured.err
 
     def test_report_formats(self, tmp_path, capsys):
-        record = BenchRecorder(config_name="fmt", names=["wc"]).run()
+        record = record_suite("fmt", RunConfig(names=["wc"]))
         path = record.write(str(tmp_path / "BENCH_fmt.json"))
         out_path = tmp_path / "report.html"
         code = cli_main(
@@ -256,21 +256,10 @@ class TestBenchCli:
         assert out_path.read_text().startswith("<!doctype html>")
         capsys.readouterr()
 
-    def test_experiments_bench_out(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main as experiments_main
-
+    def test_bench_record_stamps_run_config(self, tmp_path, capsys):
         out = tmp_path / "BENCH_exp.json"
-        code = experiments_main(
-            [
-                "table4",
-                "--benchmarks",
-                "wc",
-                "tee",
-                "--jobs",
-                "2",
-                "--bench-out",
-                str(out),
-            ]
+        code = cli_main(
+            ["bench", "--benchmarks", "wc", "tee", "--jobs", "2", "-o", str(out)]
         )
         assert code == 0
         capsys.readouterr()
@@ -278,3 +267,8 @@ class TestBenchCli:
         assert record.config["jobs"] == 2
         assert set(record.benchmarks) == {"wc", "tee"}
         assert compare(record, record).ok()
+        # The stamp keeps the checked-in records' keys, so they compare.
+        checked_in = load_record(
+            str(Path(__file__).resolve().parents[1] / "BENCH_fast-tier.json")
+        )
+        assert set(record.config) == set(checked_in.config)

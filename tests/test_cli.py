@@ -92,6 +92,102 @@ class TestTablesCommand:
         assert "code inc" in out
 
 
+class TestTablesAlias:
+    """``python -m repro.experiments`` is another name for ``tables``."""
+
+    ARGV = ["table4", "--benchmarks", "wc", "tee"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--jobs", "2"], ["--engine", "fast"]],
+        ids=["plain", "jobs", "engine"],
+    )
+    def test_both_names_print_the_same(self, extra, capsys):
+        argv = [*self.ARGV, *extra]
+        assert experiments_main(argv) == 0
+        alias = capsys.readouterr().out
+        assert cli_main(["tables", *argv]) == 0
+        assert capsys.readouterr().out == alias
+        assert "Table 4" in alias and "wc" in alias and "tee" in alias
+
+    def test_both_names_print_the_same_from_a_cache(self, tmp_path, capsys):
+        argv = [*self.ARGV, "--cache-dir", str(tmp_path / "cache")]
+        outputs = []
+        for _ in range(2):
+            assert experiments_main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            assert cli_main(["tables", *argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(set(outputs)) == 1
+
+
+class TestModeFlags:
+    """``ablations`` and ``extensions`` honour a flag or reject it."""
+
+    @pytest.mark.parametrize("mode", ["ablations", "extensions"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--trace", "t.jsonl"],
+            ["--metrics-out", "m.json"],
+            ["--summary"],
+            ["--cache-dir", "cache"],
+        ],
+        ids=["trace", "metrics-out", "summary", "cache-dir"],
+    )
+    def test_obs_and_cache_flags_rejected(
+        self, mode, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main([mode, *flag])
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--benchmarks", "wc"],
+            ["--jobs", "2"],
+            ["--executor", "process"],
+            ["--engine", "fast"],
+            ["--passes", "fold"],
+            ["--check"],
+        ],
+        ids=["benchmarks", "jobs", "executor", "engine", "passes", "check"],
+    )
+    def test_extensions_rejects_run_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(["extensions", "--scale", "small", *flag])
+        assert excinfo.value.code == 2
+        assert "takes no run flag but --scale" in capsys.readouterr().err
+
+    def test_ablations_honour_run_flags(self, monkeypatch, capsys):
+        from repro.experiments import ablations
+
+        prepared = []
+        original = ablations._prepare
+
+        def spy(benchmark, config):
+            prepared.append((benchmark.name, config))
+            return original(benchmark, config)
+
+        monkeypatch.setattr(ablations, "_prepare", spy)
+        code = experiments_main(
+            ["ablations", "--benchmarks", "wc", "tee", "--passes", "fold",
+             "--check"]
+        )
+        assert code == 0
+        assert "Ablation D" in capsys.readouterr().out
+        # Four sweeps, each over the two programs in suite order.
+        assert [name for name, _ in prepared] == ["tee", "wc"] * 4
+        for _, config in prepared:
+            assert config.names == ("wc", "tee")
+            assert config.pass_spec == "fold"
+            assert config.check
+
+
 class TestGraphCommand:
     def test_dot_output(self, c_file, capsys):
         code = cli_main(["graph", c_file])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.pipeline import (
+    RunConfig,
     aggregate_dynamic_breakdown,
     run_benchmark,
     run_suite,
@@ -26,8 +27,8 @@ from repro.workloads import benchmark_by_name
 def two_results():
     """Pipeline results for a cheap benchmark pair (module-scoped)."""
     return [
-        run_benchmark(benchmark_by_name("wc"), "small"),
-        run_benchmark(benchmark_by_name("cmp"), "small"),
+        run_benchmark(benchmark_by_name("wc"), RunConfig()),
+        run_benchmark(benchmark_by_name("cmp"), RunConfig()),
     ]
 
 
@@ -56,7 +57,7 @@ class TestPipeline:
             )
 
     def test_run_suite_subset(self):
-        results = run_suite("small", names=["tee"])
+        results = run_suite(RunConfig(names=["tee"]))
         assert [r.name for r in results] == ["tee"]
 
     def test_breakdown_fractions_sum_to_one(self, two_results):
@@ -81,16 +82,16 @@ class TestSingleExecution:
         return runs
 
     def test_cold_run_executes_each_module_once_per_input(self, machine_runs):
-        result = run_benchmark(benchmark_by_name("cmp"), "small")
+        result = run_benchmark(benchmark_by_name("cmp"), RunConfig())
         assert result.outputs_match
         assert len(machine_runs) == 2 * result.runs
 
     def test_warm_session_checks_without_running(self, machine_runs):
         session = CompilationSession()
         benchmark = benchmark_by_name("cmp")
-        cold = run_benchmark(benchmark, "small", session=session)
+        cold = run_benchmark(benchmark, RunConfig(), session=session)
         machine_runs.clear()
-        warm = run_benchmark(benchmark, "small", session=session)
+        warm = run_benchmark(benchmark, RunConfig(), session=session)
         assert machine_runs == []
         assert warm.outputs_match
         assert all_tables([warm]) == all_tables([cold])

@@ -200,6 +200,30 @@ class TestEngineEquivalence:
             reference.counters
         )
 
+    def test_oracle_reports_a_counters_only_difference(self, monkeypatch):
+        # Identical outputs are not enough: a fast tier that miscounts
+        # must fail the engine oracle, channel by channel.
+        from repro.verify import engines
+
+        original = engines.run_once
+
+        def miscounting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if kwargs["engine"] == "fast":
+                result.counters.il += 1
+                result.counters.func_counts["main"] += 1
+            return result
+
+        monkeypatch.setattr(engines, "run_once", miscounting)
+        module = compile_program(c_main("print_int(7);"))
+        report = engines.diff_engines(module, [RunSpec(label="probe")])
+        (divergence,) = report.divergences
+        il = report.il
+        assert divergence == (
+            f"probe (counting vs fast): il {il} != {il + 1};"
+            " func_counts differ at main"
+        )
+
 
 class TestFastTrapParity:
     def _both_trap(self, source, match, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.compiler import compile_program
 from repro.experiments.pipeline import (
+    RunConfig,
     compare_outputs,
     run_benchmark,
     run_suite,
@@ -333,9 +334,9 @@ class TestInlineAuditLog:
 class TestNoOpTransparency:
     def test_observed_run_matches_unobserved_byte_for_byte(self):
         benchmark = benchmark_by_name("cmp")
-        plain = run_benchmark(benchmark, "small")
+        plain = run_benchmark(benchmark, RunConfig())
         obs = Observability.create()
-        observed = run_benchmark(benchmark, "small", obs=obs)
+        observed = run_benchmark(benchmark, RunConfig(), obs=obs)
         assert all_tables([plain]) == all_tables([observed])
         # The observed run actually recorded something.
         assert obs.metrics.counters["pipeline.benchmarks"] == 1
@@ -345,7 +346,7 @@ class TestNoOpTransparency:
 
     def test_trace_covers_all_arcs_of_benchmark(self):
         obs = Observability.create()
-        result = run_benchmark(benchmark_by_name("cmp"), "small", obs=obs)
+        result = run_benchmark(benchmark_by_name("cmp"), RunConfig(), obs=obs)
         decision_sites = [
             r["site"]
             for r in obs.tracer.records
@@ -386,8 +387,19 @@ class TestOutputDivergenceDiagnostics:
         assert "exit code 0 != 3" in detail
         assert detail.startswith("input 0:")
 
+    def test_stderr_divergence_is_described(self):
+        module_a, module_b = (
+            self._module(body) for body in self.PAIRS["stderr"]
+        )
+        comparison = compare_outputs(
+            module_a, module_b, [RunSpec(label="probe")]
+        )
+        assert comparison.divergences == [
+            "probe: stderr differs at byte 0 (lengths 1 vs 1)"
+        ]
+
     def test_benchmark_result_carries_divergences(self):
-        result = run_benchmark(benchmark_by_name("cmp"), "small")
+        result = run_benchmark(benchmark_by_name("cmp"), RunConfig())
         assert result.outputs_match
         assert result.output_divergences == []
 
@@ -402,6 +414,10 @@ class TestOutputDivergenceDiagnostics:
             "int main(void) { putchar('b'); return 0; }",
         ),
         "exit": ("int main(void) { return 0; }", "int main(void) { return 3; }"),
+        "stderr": (
+            "int main(void) { eputc('a'); putchar('x'); return 0; }",
+            "int main(void) { eputc('b'); putchar('x'); return 0; }",
+        ),
         "files": (
             'int main(void) { int fd = open("o", O_WRITE);'
             " fputc('a', fd); close(fd); return 0; }",
@@ -444,7 +460,7 @@ class TestOutputDivergenceDiagnostics:
 
     def test_check_span_and_metric_count_reuse(self):
         obs = Observability.create()
-        result = run_benchmark(benchmark_by_name("cmp"), "small", obs=obs)
+        result = run_benchmark(benchmark_by_name("cmp"), RunConfig(), obs=obs)
         (span,) = [
             r for r in obs.tracer.records
             if r.get("name") == "benchmark.check_outputs"
@@ -457,7 +473,7 @@ class TestOutputDivergenceDiagnostics:
 class TestSuiteLogging:
     def test_progress_uses_repro_logger(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro.experiments"):
-            run_suite("small", names=["cmp"], check_outputs=False)
+            run_suite(RunConfig(names=["cmp"]))
         messages = [r.getMessage() for r in caplog.records]
         assert any("[cmp] running ..." in m for m in messages)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.pipeline import run_suite
+from repro.experiments.pipeline import RunConfig, run_suite
 from repro.experiments.tables import all_tables, table4
 from repro.observability import Observability
 from repro.pipeline import CompilationSession, parallel_map
@@ -14,17 +14,17 @@ NAMES = ["cmp", "tee", "wc"]
 
 @pytest.fixture(scope="module")
 def serial_results():
-    return run_suite("small", names=NAMES, jobs=1)
+    return run_suite(RunConfig(names=NAMES, jobs=1))
 
 
 class TestUnknownNames:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown benchmark name"):
-            run_suite("small", names=["wc", "nonesuch"])
+            RunConfig(names=["wc", "nonesuch"])
 
     def test_error_lists_every_unknown_name(self):
         with pytest.raises(ValueError, match="nonesuch, other"):
-            run_suite("small", names=["other", "wc", "nonesuch"])
+            RunConfig(names=["other", "wc", "nonesuch"])
 
     def test_known_subset_still_works(self, serial_results):
         assert [r.name for r in serial_results] == NAMES
@@ -32,7 +32,7 @@ class TestUnknownNames:
 
 class TestParallelDeterminism:
     def test_jobs2_equals_jobs1(self, serial_results):
-        parallel = run_suite("small", names=NAMES, jobs=2)
+        parallel = run_suite(RunConfig(names=NAMES, jobs=2))
         assert [r.name for r in parallel] == [r.name for r in serial_results]
         for serial, threaded in zip(serial_results, parallel):
             assert threaded.outputs_match == serial.outputs_match
@@ -43,12 +43,12 @@ class TestParallelDeterminism:
         assert all_tables(parallel) == all_tables(serial_results)
 
     def test_jobs_exceeding_benchmarks(self, serial_results):
-        parallel = run_suite("small", names=NAMES, jobs=16)
+        parallel = run_suite(RunConfig(names=NAMES, jobs=16))
         assert table4(parallel) == table4(serial_results)
 
     def test_worker_observability_merged(self):
         obs = Observability.create()
-        run_suite("small", names=NAMES, jobs=2, obs=obs)
+        run_suite(RunConfig(names=NAMES, jobs=2), obs=obs)
         assert obs.metrics.counters["pipeline.benchmarks"] == len(NAMES)
         benchmark_spans = [
             r
@@ -68,11 +68,11 @@ class TestSessionCaching:
     def test_warm_suite_run_is_all_hits(self, serial_results):
         session = CompilationSession()
         cold_obs = Observability.create()
-        run_suite("small", names=NAMES, session=session, obs=cold_obs)
+        run_suite(RunConfig(names=NAMES), session=session, obs=cold_obs)
         assert cold_obs.metrics.counters["pipeline.cache.misses"] > 0
 
         warm_obs = Observability.create()
-        warm = run_suite("small", names=NAMES, session=session, obs=warm_obs)
+        warm = run_suite(RunConfig(names=NAMES), session=session, obs=warm_obs)
         counters = warm_obs.metrics.counters
         hits = counters.get("pipeline.cache.hits", 0)
         misses = counters.get("pipeline.cache.misses", 0)
@@ -85,26 +85,26 @@ class TestSessionCaching:
 
     def test_cached_run_matches_uncached(self, serial_results):
         session = CompilationSession()
-        cached = run_suite("small", names=NAMES, session=session)
+        cached = run_suite(RunConfig(names=NAMES), session=session)
         assert all_tables(cached) == all_tables(serial_results)
 
     def test_parallel_and_cached_together(self, serial_results):
         session = CompilationSession()
-        results = run_suite("small", names=NAMES, jobs=2, session=session)
+        results = run_suite(RunConfig(names=NAMES, jobs=2), session=session)
         assert all_tables(results) == all_tables(serial_results)
 
 
 class TestProcessExecutor:
     def test_process_suite_equals_serial(self, serial_results):
         parallel = run_suite(
-            "small", names=NAMES, jobs=2, executor="process"
+            RunConfig(names=NAMES, jobs=2, executor="process")
         )
         assert [r.name for r in parallel] == NAMES
         assert all_tables(parallel) == all_tables(serial_results)
 
     def test_process_worker_observability_merged(self):
         obs = Observability.create()
-        run_suite("small", names=NAMES, jobs=2, executor="process", obs=obs)
+        run_suite(RunConfig(names=NAMES, jobs=2, executor="process"), obs=obs)
         assert obs.metrics.counters["pipeline.benchmarks"] == len(NAMES)
         benchmark_spans = [
             r
@@ -117,10 +117,10 @@ class TestProcessExecutor:
     def test_process_workers_share_disk_store(self, tmp_path):
         session = CompilationSession(cache_dir=str(tmp_path / "cache"))
         run_suite(
-            "small", names=NAMES, jobs=2, executor="process", session=session
+            RunConfig(names=NAMES, jobs=2, executor="process"), session=session
         )
         warm_obs = Observability.create()
-        run_suite("small", names=NAMES, session=session, obs=warm_obs)
+        run_suite(RunConfig(names=NAMES), session=session, obs=warm_obs)
         # The warm serial run reads artifacts the worker processes wrote.
         assert warm_obs.metrics.counters.get("pipeline.cache.disk_hits", 0) > 0
 
@@ -132,7 +132,33 @@ class TestValidation:
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            run_suite("small", names=["wc"], jobs=-2)
+            RunConfig(names=["wc"], jobs=-2)
+
+    def test_run_config_rejects_zero_jobs(self):
+        with pytest.raises(
+            ValueError, match=r"jobs must be >= 1 \(1 = serial\), got 0"
+        ):
+            RunConfig(jobs=0)
+
+    def test_run_config_rejects_unknown_executor(self):
+        with pytest.raises(
+            ValueError, match="unknown executor 'fiber'; choose from thread, process"
+        ):
+            RunConfig(jobs=2, executor="fiber")
+
+    def test_run_config_rejects_unknown_names(self):
+        with pytest.raises(
+            ValueError,
+            match=r"unknown benchmark name\(s\): nonesuch; known: cccp, cmp,",
+        ):
+            RunConfig(names=["wc", "nonesuch"])
+
+    def test_run_config_names_are_frozen(self):
+        config = RunConfig(names=["wc", "tee"])
+        assert config.names == ("wc", "tee")
+        assert config == RunConfig(names=("wc", "tee"))
+        with pytest.raises(AttributeError):
+            config.jobs = 2
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):

@@ -442,6 +442,31 @@ class TestDifferentialOracle:
         assert report.divergences == supplied.divergences
         assert report.calls_before == supplied.calls_before
 
+    def test_planted_stderr_divergence_reported(self, monkeypatch):
+        # An inlined program that differs from the original only in
+        # what it writes to stderr is still a divergence.
+        source = (
+            "#include <sys.h>\n"
+            "int main(void) { eputc('a'); putchar('x'); return 0; }"
+        )
+        module = compile_program(source)
+        wrong = compile_program(source.replace("eputc('a')", "eputc('b')"))
+        specs = [RunSpec(label="probe")]
+
+        def planted(*args, **kwargs):
+            result = inline_module(*args, **kwargs)
+            result.module = wrong
+            return result
+
+        monkeypatch.setattr("repro.verify.differential.inline_module", planted)
+        supplied = verify_inlining(
+            module, specs, LOW_THRESHOLD, profile=profile_module(module, specs)
+        )
+        report = verify_inlining(module, specs, LOW_THRESHOLD)
+        expected = ["probe: stderr differs at byte 0 (lengths 1 vs 1)"]
+        assert report.divergences == supplied.divergences == expected
+        assert not report.ok
+
     def test_unknown_benchmark_name_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             verify_suite(names=["nope"])
