@@ -50,8 +50,8 @@ def to_dot(
     are hidden unless ``include_synthetic`` is set; ``min_weight`` can
     hide cold arcs in large graphs. With ``decisions`` (a call-site →
     reason-code map from the inline-audit log) arcs are instead colored
-    and labeled by the selector's reason for each site, making a
-    selection run visually debuggable.
+    by, and carry as their label, the selector's reason for each site,
+    making a selection run visually debuggable.
     """
     lines = ["digraph callgraph {", "  rankdir=LR;", "  node [shape=box];"]
     for node in graph.nodes.values():

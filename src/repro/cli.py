@@ -13,7 +13,7 @@ Subcommands::
     impact-inline bench [--benchmarks ...] [--config NAME] [-o FILE]
         Run the suite under full telemetry and write a schema-versioned
         BENCH_<config>.json record (counts, phase times, cache rates).
-    impact-inline report BASELINE [CURRENT] [--format table|markdown|html]
+    impact-inline report BASELINE [CURRENT] [--format table|markdown]
         Compare two bench records; non-zero exit on exact-metric
         regressions (wall time gated only with --fail-on-time).
     impact-inline check [--benchmarks ...] [--fuzz N] [--seed S] [--engines]
@@ -28,23 +28,17 @@ Subcommands::
         Long-running compilation service on a local Unix socket:
         batches and deduplicates concurrent compile/profile/inline/
         check requests onto a worker pool; SIGINT/SIGTERM drain
-        gracefully. ``--prom-out FILE`` keeps a Prometheus text
-        exposition file fresh, ``--slow-log FILE`` appends a JSONL
-        record for every slow/failed request. See README "Service
-        mode".
+        gracefully. ``--slow-log FILE`` appends a JSONL record for
+        every slow/failed request. See README "Service mode".
     impact-inline call OP [FILE.c] [--socket PATH] ...
         Client for a running server: compile|profile|inline|check a
-        source file, or ping|health|stats|metrics|shutdown the server.
-    impact-inline top [--socket PATH] [--interval S] [--count N]
-        Live dashboard over a running server: throughput, per-op
-        latency percentiles, queue depth, pool utilization, and cache
-        hit rates, refreshed every --interval seconds.
+        source file, or ping|health|stats|shutdown the server.
 
 ``run``, ``inline``, and ``tables`` accept ``--check`` (re-verify IL
 well-formedness — for ``inline`` and ``tables`` after every pipeline
 pass) and ``--trace FILE`` (structured
 JSONL trace: phase spans, events, inline-decision audit records),
-``--metrics-out FILE`` (JSON snapshot of pipeline counters/gauges/
+``--metrics-out FILE`` (JSON snapshot of pipeline counters and
 histograms), and ``--summary`` (metrics summary table on stderr); see
 README "Observability". ``tables`` and ``bench`` share the run flags
 of :func:`add_run_flags` — ``--scale``, ``--benchmarks``, ``--jobs N``
@@ -116,9 +110,10 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         default="counting",
         choices=["counting", "fast"],
         help="VM execution engine: 'counting' is the reference"
-        " interpreter; 'fast' compiles each function to Python closures"
-        " and produces the exact same counters several times faster"
-        " (see README 'Execution engines')",
+        " interpreter; 'fast' generates Python closures for the blocks a"
+        " run enters and produces the exact same counters, faster once"
+        " that code is generated. 'counting' is the better pick for"
+        " one-off and small-scale runs (see README 'Execution engines')",
     )
 
 
@@ -518,8 +513,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         slow_log=args.slow_log,
         slow_threshold=args.slow_threshold,
-        prom_out=args.prom_out,
-        prom_interval=args.prom_interval,
         engine=args.engine,
     )
 
@@ -581,24 +574,8 @@ def _cmd_call(args: argparse.Namespace) -> int:
         except ServiceError as exc:
             print(f"service error: {exc}", file=sys.stderr)
             return 1
-    if args.op == "metrics" and envelope.get("ok"):
-        # Prometheus text exposition goes to stdout verbatim, scrapable
-        # with `impact-inline call metrics > metrics.prom`.
-        sys.stdout.write(envelope["result"]["body"])
-        return 0
     print(json.dumps(envelope, indent=2, sort_keys=True, default=str))
     return 0 if envelope.get("ok") else 1
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.service.top import watch
-
-    return watch(
-        args.socket,
-        interval=args.interval,
-        count=args.count,
-        clear=not args.no_clear,
-    )
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -607,7 +584,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         load_trace,
         render_comparison_table,
         render_flamegraph,
-        render_html_report,
         render_markdown_report,
     )
 
@@ -624,8 +600,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         flame = render_flamegraph(load_trace(args.flame))
     if args.format == "markdown":
         text = render_markdown_report(comparison, flame=flame)
-    elif args.format == "html":
-        text = render_html_report(comparison, flame=flame)
     else:
         text = render_comparison_table(comparison, show_ok=args.show_ok)
         if flame:
@@ -881,21 +855,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help="slow-request threshold for --slow-log (default: 1.0)",
     )
-    serve_parser.add_argument(
-        "--prom-out",
-        default=None,
-        metavar="FILE",
-        help="keep a Prometheus text exposition file fresh (rewritten"
-        " atomically every --prom-interval seconds; same format as the"
-        " 'metrics' admin op)",
-    )
-    serve_parser.add_argument(
-        "--prom-interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="refresh period for --prom-out (default: 5.0)",
-    )
     _add_engine_flag(serve_parser)
     _add_obs_flags(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
@@ -913,7 +872,6 @@ def main(argv: list[str] | None = None) -> int:
             "ping",
             "health",
             "stats",
-            "metrics",
             "shutdown",
         ],
     )
@@ -931,37 +889,6 @@ def main(argv: list[str] | None = None) -> int:
     call_parser.add_argument("--dump", action="store_true")
     _add_engine_flag(call_parser)
     call_parser.set_defaults(func=_cmd_call)
-
-    top_parser = sub.add_parser(
-        "top",
-        help="live dashboard (throughput, latency percentiles, queue"
-        " depth, cache rates) over a running service",
-    )
-    top_parser.add_argument(
-        "--socket",
-        default=".repro-service.sock",
-        metavar="PATH",
-    )
-    top_parser.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="polling/refresh period (default: 2.0)",
-    )
-    top_parser.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        metavar="N",
-        help="render N frames then exit (default 0: until Ctrl-C)",
-    )
-    top_parser.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append frames instead of clearing the screen",
-    )
-    top_parser.set_defaults(func=_cmd_top)
 
     report_parser = sub.add_parser(
         "report",
@@ -994,7 +921,7 @@ def main(argv: list[str] | None = None) -> int:
     report_parser.add_argument(
         "--format",
         default="table",
-        choices=["table", "markdown", "html"],
+        choices=["table", "markdown"],
     )
     report_parser.add_argument(
         "--show-ok",

@@ -4,8 +4,8 @@ Three cooperating pieces, all with zero-overhead no-op defaults:
 
 - :class:`Tracer` — structured JSONL span/event records (phase start and
   end, wall time, free-form attributes),
-- :class:`MetricsRegistry` — named counters, gauges, and histograms that
-  every pipeline stage reports into,
+- :class:`MetricsRegistry` — named counters and histograms that every
+  pipeline stage reports into,
 - :mod:`repro.observability.audit` — the inline-decision audit log: one
   record per call-graph arc the selector considers, carrying the §2.3.3
   cost inputs and an accept/reject reason code.
@@ -42,13 +42,7 @@ from repro.observability.context import (
     new_request_id,
     new_trace_id,
 )
-from repro.observability.metrics import (
-    DEFAULT_MAX_SAMPLES,
-    MetricsRegistry,
-    NullMetrics,
-    labeled,
-    split_labels,
-)
+from repro.observability.metrics import MAX_SAMPLES, MetricsRegistry, NullMetrics
 from repro.observability.tracer import NullTracer, Tracer
 
 
@@ -113,14 +107,13 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchComparison",
     "BenchRecord",
-    "DEFAULT_MAX_SAMPLES",
     "DecisionReason",
     "InlineDecision",
+    "MAX_SAMPLES",
     "MetricDelta",
     "MetricsRegistry",
     "TraceContext",
     "compare",
-    "labeled",
     "load_record",
     "new_request_id",
     "new_trace_id",
@@ -134,6 +127,5 @@ __all__ = [
     "enable_console_logging",
     "get_logger",
     "resolve",
-    "split_labels",
     "summarize_decisions",
 ]

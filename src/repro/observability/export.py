@@ -1,22 +1,10 @@
-"""Exporters: JSONL trace, JSON metrics, summary table, Prometheus text.
+"""Exporters: JSONL trace, JSON metrics, summary table, slow-request log.
 
-Three render paths over one :class:`MetricsRegistry` snapshot:
+Two render paths over one :class:`MetricsRegistry` snapshot:
 
 - :func:`render_metrics_summary` — the human-readable table the CLI
   prints with ``--summary``;
-- :func:`write_metrics` — the JSON snapshot (``--metrics-out``);
-- :func:`render_prometheus` — Prometheus text exposition format
-  (version 0.0.4), served by the service's ``metrics`` admin op and
-  written periodically by ``impact-inline serve --prom-out``.
-
-Prometheus naming is stable and mechanical: a dotted metric name maps
-to ``repro_<name with non-alphanumerics as underscores>``; counters
-gain a ``_total`` suffix; histograms render as summaries with
-``quantile`` labels (0.5/0.9/0.99 from the bounded reservoir) plus
-``_sum``/``_count``. Canonical embedded labels
-(``service.op_seconds{op=inline}``, see
-:func:`repro.observability.metrics.labeled`) become real Prometheus
-labels.
+- :func:`write_metrics` — the JSON snapshot (``--metrics-out``).
 
 This module also owns the **slow-request/error log** schema: one JSON
 object per line, appended by the service for every request slower than
@@ -29,17 +17,11 @@ from __future__ import annotations
 import json
 import time
 
-from repro.observability.metrics import MetricsRegistry, split_labels
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
-
-#: The content type a real scrape endpoint would declare.
-PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Schema version stamped on every slow-request/error log record.
 SLOW_LOG_SCHEMA_VERSION = 1
-
-#: The reservoir quantiles rendered on Prometheus summaries.
-_QUANTILES = (("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99"))
 
 
 def write_trace(tracer: Tracer, path: str) -> None:
@@ -53,13 +35,11 @@ def write_metrics(metrics: MetricsRegistry, path: str) -> None:
 
 
 def render_metrics_summary(metrics: MetricsRegistry) -> str:
-    """Human-readable summary of every counter, gauge, and histogram."""
+    """Human-readable summary of every counter and histogram."""
     snapshot = metrics.snapshot()
     rows: list[tuple[str, str, str]] = []
     for name, value in snapshot["counters"].items():
         rows.append((name, "counter", _number(value)))
-    for name, value in snapshot["gauges"].items():
-        rows.append((name, "gauge", _number(value)))
     for name, stats in snapshot["histograms"].items():
         detail = (
             f"n={stats['count']} mean={_number(stats['mean'])}"
@@ -85,125 +65,6 @@ def _number(value: float) -> str:
     if isinstance(value, float) and not value.is_integer():
         return f"{value:.6g}"
     return str(int(value))
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-
-
-def prometheus_name(name: str) -> str:
-    """The stable Prometheus family name for a dotted metric name."""
-    sanitized = "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name
-    )
-    return f"repro_{sanitized}"
-
-
-def _label_string(labels: dict, **extra) -> str:
-    merged = {**labels, **extra}
-    if not merged:
-        return ""
-    parts = []
-    for key in sorted(merged):
-        value = (
-            str(merged[key])
-            .replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-        )
-        parts.append(f'{key}="{value}"')
-    return "{" + ",".join(parts) + "}"
-
-
-def _prom_value(value: float) -> str:
-    if isinstance(value, float) and not value.is_integer():
-        return repr(value)
-    return str(int(value))
-
-
-def render_prometheus(metrics: MetricsRegistry) -> str:
-    """Render the registry in Prometheus text exposition format.
-
-    Counters become ``<name>_total`` counter families, gauges stay
-    gauges, histograms become summaries (``quantile`` labels from the
-    reservoir percentiles, plus ``_sum`` and ``_count``). Families and
-    label sets are emitted in sorted order, so the same registry state
-    always renders the same bytes — scrape diffs are meaningful.
-    """
-    snapshot = metrics.snapshot()
-    families: dict[tuple[str, str], list[str]] = {}
-    helps: dict[str, str] = {}
-
-    def add(family: str, kind: str, line: str) -> None:
-        families.setdefault((family, kind), []).append(line)
-
-    for name, value in snapshot["counters"].items():
-        base, labels = split_labels(name)
-        family = prometheus_name(base) + "_total"
-        helps[family] = base
-        add(family, "counter", f"{family}{_label_string(labels)} {_prom_value(value)}")
-    for name, value in snapshot["gauges"].items():
-        base, labels = split_labels(name)
-        family = prometheus_name(base)
-        helps[family] = base
-        add(family, "gauge", f"{family}{_label_string(labels)} {_prom_value(value)}")
-    for name, stats in snapshot["histograms"].items():
-        base, labels = split_labels(name)
-        family = prometheus_name(base)
-        helps[family] = base
-        for quantile, key in _QUANTILES:
-            if key in stats:
-                add(
-                    family,
-                    "summary",
-                    f"{family}{_label_string(labels, quantile=quantile)}"
-                    f" {_prom_value(stats[key])}",
-                )
-        add(
-            family,
-            "summary",
-            f"{family}_sum{_label_string(labels)} {_prom_value(stats['total'])}",
-        )
-        add(
-            family,
-            "summary",
-            f"{family}_count{_label_string(labels)} {_prom_value(stats['count'])}",
-        )
-    lines: list[str] = []
-    for (family, kind) in sorted(families):
-        lines.append(f"# HELP {family} repro metric {helps[family]}")
-        lines.append(f"# TYPE {family} {kind}")
-        lines.extend(families[(family, kind)])
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str) -> dict[str, dict]:
-    """Parse :func:`render_prometheus` output back into families.
-
-    Returns ``{family: {"type": kind, "samples": {sample_line_name:
-    value}}}`` where sample names keep their label string. Intended for
-    tests and the CI smoke job — not a general Prometheus parser.
-    """
-    families: dict[str, dict] = {}
-    current: dict | None = None
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            family, _, kind = rest.partition(" ")
-            current = {"type": kind, "samples": {}}
-            families[family] = current
-            continue
-        if line.startswith("#"):
-            continue
-        name, _, value = line.rpartition(" ")
-        if current is None:
-            raise ValueError(f"sample before any # TYPE line: {line!r}")
-        current["samples"][name] = float(value)
-    return families
 
 
 # ----------------------------------------------------------------------

@@ -1,36 +1,26 @@
-"""Named counters, gauges, and histograms for the pipeline.
+"""Named counters and histograms for the pipeline.
 
-Counters accumulate (``inc``), gauges hold the last value set
-(``gauge``), histograms keep count/total/min/max summaries plus a
-bounded sample reservoir for p50/p90/p99 percentiles (``observe``).
-:meth:`MetricsRegistry.snapshot` returns one plain dict suitable for
-JSON export; :class:`NullMetrics` discards everything.
+Counters accumulate (``inc``); histograms keep count/total/min/max
+summaries plus a bounded sample reservoir for p50/p90/p99 percentiles
+(``observe``). :meth:`MetricsRegistry.snapshot` returns one plain dict
+suitable for JSON export; :class:`NullMetrics` discards everything.
+Metric names are plain dotted strings; a family of related series
+spells the member in the name (``service.op_seconds.inline``).
 
-**Reservoir bound.** Each histogram keeps at most ``max_samples``
-observations (default :data:`DEFAULT_MAX_SAMPLES` = 4096, a
-constructor knob on :class:`MetricsRegistry`). Beyond the bound the
-count/total/min/max summary stays exact, but percentiles are computed
-over the first ``max_samples`` values only — fine for the steady-state
-latency distributions this registry tracks, and it keeps ``observe``
-O(1) with a hard memory cap.
-
-**Labels.** A metric name may embed Prometheus-style labels in a
-canonical suffix, e.g. ``service.op_seconds{op=inline}`` (build one
-with :func:`labeled`, parse with :func:`split_labels`). The registry
-itself treats the whole string as an opaque name — labeled variants
-are independent series — while the Prometheus renderer in
-:mod:`repro.observability.export` turns the suffix into real labels.
+**Reservoir bound.** Each histogram keeps at most :data:`MAX_SAMPLES`
+(4096) observations. Beyond the bound the count/total/min/max summary
+stays exact, but percentiles are computed over the first
+``MAX_SAMPLES`` values only — fine for the steady-state latency
+distributions this registry tracks, and it keeps ``observe`` O(1) with
+a hard memory cap.
 """
 
 from __future__ import annotations
 
 import json
 
-#: Default per-histogram sample cap (see the module docstring).
-DEFAULT_MAX_SAMPLES = 4096
-
-#: Backwards-compatible alias for the historical constant name.
-_MAX_SAMPLES = DEFAULT_MAX_SAMPLES
+#: Per-histogram sample cap (see the module docstring).
+MAX_SAMPLES = 4096
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -46,58 +36,13 @@ def percentile(samples: list[float], q: float) -> float:
     return ordered[rank]
 
 
-def labeled(name: str, **labels) -> str:
-    """The canonical labeled-series name: ``name{k1=v1,k2=v2}``.
-
-    Keys are sorted so the same label set always produces the same
-    series name; values are stringified with the reserved characters
-    (``{``, ``}``, ``,``, ``=``, ``"``) replaced to keep the form
-    parseable.
-    """
-    if not labels:
-        return name
-    parts = []
-    for key in sorted(labels):
-        value = str(labels[key])
-        for reserved in '{},="':
-            value = value.replace(reserved, "_")
-        parts.append(f"{key}={value}")
-    return f"{name}{{{','.join(parts)}}}"
-
-
-def split_labels(name: str) -> tuple[str, dict]:
-    """Split a canonical labeled name back into (base, labels).
-
-    Names without a well-formed ``{...}`` suffix come back whole with
-    empty labels, so the parser never raises on foreign metric names.
-    """
-    if not name.endswith("}"):
-        return name, {}
-    brace = name.find("{")
-    if brace <= 0:
-        return name, {}
-    base = name[:brace]
-    labels: dict = {}
-    body = name[brace + 1 : -1]
-    if not body:
-        return base, {}
-    for part in body.split(","):
-        key, sep, value = part.partition("=")
-        if not sep or not key:
-            return name, {}
-        labels[key] = value
-    return base, labels
-
-
 class MetricsRegistry:
     """Accumulates named metrics reported by pipeline stages."""
 
     enabled = True
 
-    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES):
-        self.max_samples = max(1, int(max_samples))
+    def __init__(self):
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         self._histograms: dict[str, list[float]] = {}  # [count, total, min, max]
         self._samples: dict[str, list[float]] = {}
 
@@ -105,9 +50,6 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         stats = self._histograms.get(name)
@@ -120,16 +62,15 @@ class MetricsRegistry:
             stats[2] = min(stats[2], value)
             stats[3] = max(stats[3], value)
             samples = self._samples[name]
-            if len(samples) < self.max_samples:
+            if len(samples) < MAX_SAMPLES:
                 samples.append(value)
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters add, gauges take the
-        other's value, histogram summaries and samples combine (the
-        combined reservoir keeps this registry's ``max_samples`` cap)."""
+        """Fold another registry in: counters add, histogram summaries
+        and samples combine (the combined reservoir keeps the
+        ``MAX_SAMPLES`` cap)."""
         for name, value in other.counters.items():
             self.inc(name, value)
-        self.gauges.update(other.gauges)
         for name, stats in other._histograms.items():
             mine = self._histograms.get(name)
             if mine is None:
@@ -141,7 +82,7 @@ class MetricsRegistry:
                 mine[3] = max(mine[3], stats[3])
             theirs = other._samples.get(name, [])
             combined = self._samples.setdefault(name, [])
-            combined.extend(theirs[: self.max_samples - len(combined)])
+            combined.extend(theirs[: MAX_SAMPLES - len(combined)])
 
     # ------------------------------------------------------------------
 
@@ -167,7 +108,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         return {
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
                 name: self.histogram(name) for name in sorted(self._histograms)
             },
@@ -187,9 +127,6 @@ class NullMetrics(MetricsRegistry):
     enabled = False
 
     def inc(self, name: str, amount: float = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
         pass
 
     def observe(self, name: str, value: float) -> None:

@@ -234,17 +234,7 @@ class CompilationSession:
     # generic keyed store
 
     def _count(self, obs: Observability, what: str) -> None:
-        if obs.metrics.enabled:
-            obs.metrics.inc(f"pipeline.cache.{what}")
-            if what in ("hits", "misses"):
-                # Keep a live hit-rate gauge alongside the raw counters
-                # so scrapers (the service `metrics` op, `--prom-out`)
-                # get a ready-made ratio without post-processing.
-                hits = obs.metrics.counters.get("pipeline.cache.hits", 0)
-                misses = obs.metrics.counters.get("pipeline.cache.misses", 0)
-                total = hits + misses
-                if total:
-                    obs.metrics.gauge("pipeline.cache.hit_rate", hits / total)
+        obs.metrics.inc(f"pipeline.cache.{what}")
 
     def _lookup(self, table: OrderedDict, kind: str, key: str, obs) -> Any:
         with self._lock:

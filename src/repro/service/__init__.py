@@ -16,25 +16,23 @@ long-running service that absorbs concurrent traffic:
   shutdown that drains in-flight work;
 - :mod:`repro.service.client` — a blocking :class:`ServiceClient`, an
   async :func:`arequest`, and :func:`run_concurrent` for firing many
-  requests at once;
-- :mod:`repro.service.top` — the live ``impact-inline top`` dashboard
-  polling the enriched ``stats`` op.
+  requests at once.
 
 Every request/response pair carries a
 :class:`~repro.observability.context.TraceContext` (client-minted, or
-server-edge-minted for bare requests), and the server exposes an
-operational plane — ``health``, ``metrics`` (Prometheus text),
-enriched ``stats``, and a threshold-gated slow-request/error log — on
-the same socket; see README "Service mode" and "Observability".
+server-edge-minted for bare requests). The same socket answers
+``health`` (liveness and readiness) and ``stats`` (request totals,
+per-op latency, cache rates), and the server can append a
+threshold-gated slow-request/error log; see README "Service mode" and
+"Observability".
 
-The CLI front ends are ``impact-inline serve``, ``impact-inline call``,
-and ``impact-inline top``.
+The CLI front ends are ``impact-inline serve`` and ``impact-inline
+call``.
 """
 
 from repro.service.client import ServiceClient, ServiceError, arequest, run_concurrent
 from repro.service.ops import OPS, execute, request_key
 from repro.service.server import CompilationService, ServiceHandle, serve_in_thread
-from repro.service.top import render_top, watch
 
 __all__ = [
     "OPS",
@@ -44,9 +42,7 @@ __all__ = [
     "ServiceHandle",
     "arequest",
     "execute",
-    "render_top",
     "request_key",
     "run_concurrent",
     "serve_in_thread",
-    "watch",
 ]

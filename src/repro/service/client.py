@@ -114,10 +114,6 @@ class ServiceClient:
         """Liveness/readiness checks plus uptime (the ``health`` op)."""
         return self.request("health")
 
-    def metrics(self) -> dict:
-        """Prometheus text exposition (``{"content_type", "body"}``)."""
-        return self.request("metrics")
-
     def shutdown(self) -> str:
         return self.request("shutdown")
 

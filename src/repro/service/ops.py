@@ -24,11 +24,6 @@ import json
 
 from repro.observability import Observability, resolve
 
-#: Operations a client may request. Admin operations (ping, stats,
-#: health, metrics, shutdown) are handled by the server itself and
-#: never reach the pool.
-OP_NAMES = ("compile", "profile", "inline", "check")
-
 
 def request_key(op: str, params: dict | None) -> str:
     """The content-addressed identity of one request.
@@ -188,6 +183,9 @@ def op_check(params: dict, obs: Observability, session=None) -> dict:
     }
 
 
+#: Operations a client may request. Admin operations (ping, stats,
+#: health, shutdown) are handled by the server itself and never reach
+#: the pool.
 OPS = {
     "compile": op_compile,
     "profile": op_profile,

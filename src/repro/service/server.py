@@ -42,29 +42,22 @@ Request flow:
   observability child, absorbed into the server's parent context
   (tagged ``worker="request-<n>"`` plus the request's trace ids), and
   its wall time lands in ``service.request_seconds`` and the per-op
-  ``service.op_seconds{op=...}`` histograms. Operational gauges
-  (``service.queue_depth``, ``service.inflight``,
-  ``service.pool_busy``/``service.pool_utilization``) are refreshed on
-  every state change and on every scrape; failures count into
-  ``service.errors{class=...,op=...}``. Requests slower than
-  ``slow_threshold`` (and every failed request) append a structured
-  record to the ``slow_log`` JSONL (trace ids, op, duration, cache
-  outcome).
-- **exposition** — the ``metrics`` admin op renders the registry as
-  Prometheus text (``repro_*`` families); ``prom_out`` additionally
-  rewrites that text to a file every ``prom_interval`` seconds for
-  file-based scraping. ``health`` reports liveness/readiness (pool up,
-  socket accepting, cache dir writable); ``stats`` returns the raw
-  snapshot enriched with uptime, request totals, per-op latency
+  ``service.op_seconds.<op>`` histograms; failures count into
+  ``service.requests.failed``. Requests slower than ``slow_threshold``
+  (and every failed request) append a structured record to the
+  ``slow_log`` JSONL (trace ids, op, duration, cache outcome).
+- **introspection** — ``health`` reports liveness/readiness (pool up,
+  socket accepting, cache dir writable); ``stats`` returns the metrics
+  snapshot plus a ``service`` section read from the server's state:
+  uptime, request totals, queue and pool state, per-op latency
   percentiles, and cache rates.
 - **graceful shutdown** — ``shutdown()`` (or the ``shutdown`` admin
   op, or SIGINT/SIGTERM under ``impact-inline serve``) stops accepting
   connections, lets every in-flight request finish and flush its
   response, then tears the pool down.
 
-Admin operations (``ping``, ``stats``, ``health``, ``metrics``,
-``shutdown``) are answered by the server itself and never reach the
-pool.
+Admin operations (``ping``, ``stats``, ``health``, ``shutdown``) are
+answered by the server itself and never reach the pool.
 """
 
 from __future__ import annotations
@@ -77,16 +70,11 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-from repro.observability import Observability, labeled, resolve, split_labels
+from repro.observability import Observability, resolve
 from repro.observability.context import TraceContext
-from repro.observability.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    append_jsonl,
-    render_prometheus,
-    slow_request_record,
-)
+from repro.observability.export import append_jsonl, slow_request_record
 from repro.pipeline.parallel import validate_executor, validate_jobs
-from repro.service.ops import pool_execute, request_key
+from repro.service.ops import OPS, pool_execute, request_key
 
 #: Default Unix socket path (cwd-relative, like ``.repro-cache``).
 DEFAULT_SOCKET = ".repro-service.sock"
@@ -113,8 +101,6 @@ class CompilationService:
         max_batch: int = 16,
         slow_log: str | None = None,
         slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
-        prom_out: str | None = None,
-        prom_interval: float = 5.0,
         engine: str = "counting",
     ):
         from repro.vm.machine import ENGINES
@@ -133,8 +119,6 @@ class CompilationService:
         self.max_batch = max(1, max_batch)
         self.slow_log = slow_log
         self.slow_threshold = slow_threshold
-        self.prom_out = prom_out
-        self.prom_interval = max(0.05, prom_interval)
         self._cache_dir = cache_dir
         self._session_spec = (
             {"cache_dir": cache_dir, "max_entries": 256, "disk_max_entries": None}
@@ -146,7 +130,6 @@ class CompilationService:
         self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._exporter: asyncio.Task | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         #: key -> every trace_id attached to that in-flight computation
         #: (the primary request's id first, coalesced joiners after).
@@ -183,12 +166,6 @@ class CompilationService:
         self._server = await asyncio.start_unix_server(
             self._handle_client, path=self.socket_path, limit=MAX_REQUEST_BYTES
         )
-        if self._obs.metrics.enabled:
-            self._obs.metrics.gauge("service.jobs", self.jobs)
-            self._update_gauges()
-        if self.prom_out:
-            self._write_prometheus()
-            self._exporter = asyncio.create_task(self._export_loop())
 
     async def wait_stopped(self) -> None:
         """Block until a graceful shutdown completes."""
@@ -215,16 +192,12 @@ class CompilationService:
                 await self._idle.wait()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
-        if self._exporter is not None:
-            self._exporter.cancel()
         for task in list(self._batch_tasks):
             await asyncio.gather(task, return_exceptions=True)
         for writer in list(self._writers):
             writer.close()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self.prom_out:
-            self._write_prometheus()  # final state for file scrapers
         try:
             os.unlink(self.socket_path)
         except OSError:
@@ -232,41 +205,7 @@ class CompilationService:
         self._stopped.set()
 
     # ------------------------------------------------------------------
-    # operational gauges + exposition
-
-    def _update_gauges(self) -> None:
-        """Refresh the live operational gauges (cheap; called on every
-        state change and on every scrape so they are never stale)."""
-        metrics = self._obs.metrics
-        if not metrics.enabled:
-            return
-        metrics.gauge(
-            "service.queue_depth", self._queue.qsize() if self._queue else 0
-        )
-        metrics.gauge("service.inflight", len(self._inflight))
-        metrics.gauge("service.pool_busy", self._pool_busy)
-        metrics.gauge(
-            "service.pool_utilization",
-            self._pool_busy / self.jobs if self.jobs else 0.0,
-        )
-        if self._started_unix is not None:
-            metrics.gauge(
-                "service.uptime_seconds",
-                round(time.time() - self._started_unix, 3),
-            )
-
-    def _write_prometheus(self) -> None:
-        """Atomically rewrite the Prometheus text file (``prom_out``)."""
-        self._update_gauges()
-        tmp = f"{self.prom_out}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(render_prometheus(self._obs.metrics))
-        os.replace(tmp, self.prom_out)
-
-    async def _export_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.prom_interval)
-            self._write_prometheus()
+    # introspection
 
     def _uptime(self) -> float:
         if self._started_unix is None:
@@ -304,14 +243,13 @@ class CompilationService:
         """The metrics snapshot enriched with a ``service`` section:
         uptime, request totals, queue/pool state, per-op latency
         percentiles, and cache rates."""
-        self._update_gauges()
         snapshot = self._obs.metrics.snapshot()
         counters = snapshot["counters"]
         ops: dict[str, dict] = {}
-        for name, stats in snapshot["histograms"].items():
-            base, labels = split_labels(name)
-            if base == "service.op_seconds" and "op" in labels:
-                ops[labels["op"]] = {
+        for op in OPS:
+            stats = snapshot["histograms"].get(f"service.op_seconds.{op}")
+            if stats is not None:
+                ops[op] = {
                     key: stats[key]
                     for key in ("count", "mean", "min", "max", "p50", "p90", "p99")
                     if key in stats
@@ -424,17 +362,6 @@ class CompilationService:
             return reply({"ok": True, "result": self._health_result()})
         if op == "stats":
             return reply({"ok": True, "result": self._stats_result()})
-        if op == "metrics":
-            self._update_gauges()
-            return reply(
-                {
-                    "ok": True,
-                    "result": {
-                        "content_type": PROMETHEUS_CONTENT_TYPE,
-                        "body": render_prometheus(self._obs.metrics),
-                    },
-                }
-            )
         if op == "shutdown":
             asyncio.get_running_loop().create_task(self.shutdown())
             return reply({"ok": True, "result": "draining"})
@@ -474,7 +401,6 @@ class CompilationService:
         self._inflight[key] = future
         self._inflight_traces[key] = [trace.trace_id]
         await self._queue.put((key, op, params, future, trace))
-        self._update_gauges()
         return await asyncio.shield(future), False
 
     async def _dispatch_loop(self) -> None:
@@ -488,7 +414,6 @@ class CompilationService:
             if self._obs.metrics.enabled:
                 self._obs.metrics.inc("service.batches")
                 self._obs.metrics.observe("service.batch_size", len(batch))
-                self._update_gauges()
             # One task per entry, all submitted to the pool in one
             # wave; batches overlap, so a slow batch never blocks the
             # dispatcher.
@@ -530,7 +455,6 @@ class CompilationService:
             request_id=trace.request_id,
         )
         self._pool_busy += 1
-        self._update_gauges()
         try:
             result, child = await loop.run_in_executor(
                 self._pool,
@@ -558,9 +482,7 @@ class CompilationService:
                 )
             if self._obs.metrics.enabled:
                 self._obs.metrics.observe("service.request_seconds", seconds)
-                self._obs.metrics.observe(
-                    labeled("service.op_seconds", op=op), seconds
-                )
+                self._obs.metrics.observe(f"service.op_seconds.{op}", seconds)
             attached = list(self._inflight_traces.get(key, ()))
             tracer.event(
                 "service.request_done",
@@ -594,13 +516,6 @@ class CompilationService:
             seconds = time.perf_counter() - start
             if self._obs.metrics.enabled:
                 self._obs.metrics.inc("service.requests.failed")
-                self._obs.metrics.inc(
-                    labeled(
-                        "service.errors",
-                        op=op,
-                        **{"class": type(exc).__name__},
-                    )
-                )
             tracer.event(
                 "service.request_error",
                 op=op,
@@ -628,7 +543,6 @@ class CompilationService:
             self._pool_busy -= 1
             self._inflight.pop(key, None)
             self._inflight_traces.pop(key, None)
-            self._update_gauges()
         if not future.cancelled():
             future.set_result(envelope)
 
@@ -672,24 +586,30 @@ def serve_in_thread(
 
     Returns once the socket is accepting connections. The caller owns
     ``obs`` and may read it after :meth:`ServiceHandle.stop`. Extra
-    keyword arguments (``slow_log``, ``slow_threshold``, ``prom_out``,
-    ``prom_interval``) pass through to the service.
+    keyword arguments (``slow_log``, ``slow_threshold``, ``engine``)
+    pass through to the service. If the service cannot be built or
+    started, the original exception is raised here.
     """
     started = threading.Event()
     holder: dict = {}
 
     def runner():
         async def main():
-            service = CompilationService(
-                socket_path,
-                jobs=jobs,
-                executor=executor,
-                cache_dir=cache_dir,
-                obs=obs,
-                max_batch=max_batch,
-                **service_kwargs,
-            )
-            await service.start()
+            try:
+                service = CompilationService(
+                    socket_path,
+                    jobs=jobs,
+                    executor=executor,
+                    cache_dir=cache_dir,
+                    obs=obs,
+                    max_batch=max_batch,
+                    **service_kwargs,
+                )
+                await service.start()
+            except Exception as exc:
+                holder["error"] = exc
+                started.set()
+                return
             holder["service"] = service
             holder["loop"] = asyncio.get_running_loop()
             started.set()
@@ -701,4 +621,6 @@ def serve_in_thread(
     thread.start()
     if not started.wait(timeout):
         raise RuntimeError("service failed to start")
+    if "error" in holder:
+        raise holder["error"]
     return ServiceHandle(holder["service"], holder["loop"], thread)

@@ -188,6 +188,26 @@ class TestModeFlags:
             assert config.check
 
 
+class TestDeletedSurface:
+    """The fleet-operations commands and flags are usage errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["top"],
+            ["serve", "--prom-out", "F"],
+            ["call", "metrics"],
+            ["report", "R", "--format", "html"],
+        ],
+        ids=["top", "prom-out", "call-metrics", "report-html"],
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestGraphCommand:
     def test_dot_output(self, c_file, capsys):
         code = cli_main(["graph", c_file])

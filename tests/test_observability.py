@@ -17,8 +17,8 @@ from repro.experiments.tables import all_tables
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import (
+    MAX_SAMPLES,
     NULL_OBS,
-    DEFAULT_MAX_SAMPLES,
     DecisionReason,
     MetricsRegistry,
     NullMetrics,
@@ -26,20 +26,14 @@ from repro.observability import (
     Observability,
     TraceContext,
     Tracer,
-    labeled,
     resolve,
-    split_labels,
     summarize_decisions,
 )
 from repro.observability.context import new_trace_id, valid_id
 from repro.observability.export import (
-    PROMETHEUS_CONTENT_TYPE,
     SLOW_LOG_SCHEMA_VERSION,
     append_jsonl,
-    parse_prometheus,
-    prometheus_name,
     render_metrics_summary,
-    render_prometheus,
     slow_request_record,
 )
 from repro.observability.metrics import percentile
@@ -112,12 +106,6 @@ class TestMetricsRegistry:
         metrics.inc("calls", 4)
         assert metrics.counters["calls"] == 5
 
-    def test_gauge_keeps_last(self):
-        metrics = MetricsRegistry()
-        metrics.gauge("size", 10)
-        metrics.gauge("size", 7)
-        assert metrics.gauges["size"] == 7
-
     def test_histogram_summary(self):
         metrics = MetricsRegistry()
         for value in (1.0, 3.0, 2.0):
@@ -165,31 +153,26 @@ class TestMetricsRegistry:
     def test_snapshot_json_round_trip(self):
         metrics = MetricsRegistry()
         metrics.inc("a")
-        metrics.gauge("b", 2)
         metrics.observe("c", 1.5)
         parsed = json.loads(metrics.to_json())
-        assert parsed["counters"]["a"] == 1
-        assert parsed["gauges"]["b"] == 2
-        assert parsed["histograms"]["c"]["count"] == 1
+        assert parsed == {
+            "counters": {"a": 1},
+            "histograms": {"c": metrics.histogram("c")},
+        }
 
     def test_null_metrics_discard(self):
         metrics = NullMetrics()
         metrics.inc("a")
-        metrics.gauge("b", 1)
         metrics.observe("c", 1)
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"] == {}
-        assert snapshot["gauges"] == {}
-        assert snapshot["histograms"] == {}
+        assert metrics.snapshot() == {"counters": {}, "histograms": {}}
 
     def test_summary_table_renders_all_kinds(self):
         metrics = MetricsRegistry()
         metrics.inc("vm.calls", 12)
-        metrics.gauge("size", 3.5)
         metrics.observe("seconds", 0.25)
         text = render_metrics_summary(metrics)
         assert "vm.calls" in text and "counter" in text
-        assert "gauge" in text and "histogram" in text
+        assert "seconds" in text and "histogram" in text
 
     def test_resolve_defaults_to_null(self):
         assert resolve(None) is NULL_OBS
@@ -744,108 +727,27 @@ class TestPercentileEdgeCases:
         assert percentile([7.0], 99) == 7.0
 
     def test_default_reservoir_bound_documented_value(self):
-        assert DEFAULT_MAX_SAMPLES == 4096
-        assert MetricsRegistry().max_samples == 4096
+        assert MAX_SAMPLES == 4096
 
-    def test_reservoir_bound_is_a_constructor_knob(self):
-        metrics = MetricsRegistry(max_samples=4)
-        for value in range(100):
+    def test_reservoir_keeps_the_first_max_samples(self):
+        metrics = MetricsRegistry()
+        for value in range(MAX_SAMPLES + 100):
             metrics.observe("s", float(value))
         stats = metrics.histogram("s")
-        assert stats["count"] == 100  # the summary stays exact
-        assert metrics._samples["s"] == [0.0, 1.0, 2.0, 3.0]
+        assert stats["count"] == MAX_SAMPLES + 100  # the summary stays exact
+        assert stats["max"] == MAX_SAMPLES + 99
+        assert metrics._samples["s"] == [float(v) for v in range(MAX_SAMPLES)]
 
     def test_merge_respects_receiver_bound(self):
-        small, big = MetricsRegistry(max_samples=2), MetricsRegistry()
+        full, other = MetricsRegistry(), MetricsRegistry()
+        for value in range(MAX_SAMPLES - 2):
+            full.observe("s", float(value))
         for value in range(10):
-            big.observe("s", float(value))
-        small.merge(big)
-        assert len(small._samples["s"]) == 2
-        assert small.histogram("s")["count"] == 10
-
-
-class TestLabeledMetricNames:
-    def test_labeled_sorts_keys(self):
-        assert labeled("m", b="2", a="1") == "m{a=1,b=2}"
-
-    def test_labeled_without_labels_is_identity(self):
-        assert labeled("m") == "m"
-
-    def test_split_round_trip(self):
-        name = labeled("service.op_seconds", op="inline")
-        assert split_labels(name) == ("service.op_seconds", {"op": "inline"})
-
-    def test_split_plain_name(self):
-        assert split_labels("service.requests") == ("service.requests", {})
-
-    def test_labeled_escapes_reserved_characters(self):
-        name = labeled("m", k='a{b}"c,d=e')
-        base, labels = split_labels(name)
-        assert base == "m"
-        assert "=" not in labels["k"][1:]
-
-    def test_labeled_series_are_independent(self):
-        metrics = MetricsRegistry()
-        metrics.inc(labeled("errors", op="a"))
-        metrics.inc(labeled("errors", op="b"), 2)
-        assert metrics.counters["errors{op=a}"] == 1
-        assert metrics.counters["errors{op=b}"] == 2
-
-
-class TestPrometheusExposition:
-    def _registry(self):
-        metrics = MetricsRegistry()
-        metrics.inc("service.requests", 5)
-        metrics.inc(labeled("service.errors", op="inline"), 2)
-        metrics.gauge("service.queue_depth", 3)
-        for value in range(1, 11):
-            metrics.observe(labeled("service.op_seconds", op="wc"), value / 10)
-        return metrics
-
-    def test_render_has_help_and_type_lines(self):
-        text = render_prometheus(self._registry())
-        assert "# HELP repro_service_requests_total" in text
-        assert "# TYPE repro_service_requests_total counter" in text
-        assert "# TYPE repro_service_queue_depth gauge" in text
-        assert "# TYPE repro_service_op_seconds summary" in text
-
-    def test_counter_gets_total_suffix_and_labels(self):
-        text = render_prometheus(self._registry())
-        assert 'repro_service_errors_total{op="inline"} 2' in text
-        assert "repro_service_requests_total 5" in text
-
-    def test_summary_exposes_quantiles_sum_count(self):
-        text = render_prometheus(self._registry())
-        assert 'repro_service_op_seconds{op="wc",quantile="0.5"}' in text
-        assert 'repro_service_op_seconds{op="wc",quantile="0.99"}' in text
-        assert 'repro_service_op_seconds_sum{op="wc"}' in text
-        assert 'repro_service_op_seconds_count{op="wc"} 10' in text
-
-    def test_round_trip_parse(self):
-        families = parse_prometheus(render_prometheus(self._registry()))
-        assert families["repro_service_requests_total"]["type"] == "counter"
-        assert families["repro_service_queue_depth"]["type"] == "gauge"
-        summary = families["repro_service_op_seconds"]
-        assert summary["type"] == "summary"
-        assert summary["samples"]['repro_service_op_seconds_count{op="wc"}'] == 10.0
-        assert 'repro_service_op_seconds{op="wc",quantile="0.9"}' in summary["samples"]
-
-    def test_output_is_deterministic(self):
-        assert render_prometheus(self._registry()) == render_prometheus(
-            self._registry()
-        )
-
-    def test_metric_name_sanitization(self):
-        assert prometheus_name("service.op-seconds") == (
-            "repro_service_op_seconds"
-        )
-        assert prometheus_name("9lives") == "repro_9lives"
-
-    def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
-
-    def test_content_type_is_text_v004(self):
-        assert "version=0.0.4" in PROMETHEUS_CONTENT_TYPE
+            other.observe("s", 100.0 + value)
+        full.merge(other)
+        assert full._samples["s"][-2:] == [100.0, 101.0]
+        assert len(full._samples["s"]) == MAX_SAMPLES
+        assert full.histogram("s")["count"] == MAX_SAMPLES + 8
 
 
 class TestSlowRequestLog:

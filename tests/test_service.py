@@ -1,29 +1,24 @@
 """Tests for the compilation service: ops, server, client, dedup,
-health/metrics/stats introspection, trace propagation, and the slow log."""
+health/stats introspection, trace propagation, and the slow log."""
 
 import json
 import os
 import socket
+import threading
 import time
 
 import pytest
 
 from repro.observability import Observability, TraceContext
 from repro.observability.context import valid_id
-from repro.observability.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus,
-)
 from repro.pipeline.session import CACHE_FORMAT
 from repro.service import (
     ServiceClient,
     ServiceError,
     execute,
-    render_top,
     request_key,
     run_concurrent,
     serve_in_thread,
-    watch,
 )
 from repro.service.server import MAX_REQUEST_BYTES, CompilationService
 
@@ -35,6 +30,20 @@ int main(void) {
     int s = 0;
     for (i = 0; i < 40; i++)
         s += triple(i);
+    print_int(s);
+    putchar('\\n');
+    return 0;
+}
+"""
+
+#: Runs for about a second in the counting interpreter.
+SLOW = """
+#include <sys.h>
+int main(void) {
+    int i;
+    int s = 0;
+    for (i = 0; i < 200000; i++)
+        s += i & 7;
     print_int(s);
     putchar('\\n');
     return 0;
@@ -203,6 +212,17 @@ class TestMalformedRequests:
             assert reply["error"].startswith("bad request: ")
             assert client.ping() == "pong"
 
+    def test_metrics_is_not_an_op(self, service):
+        socket_path, _obs, _handle = service
+        with ServiceClient(socket_path) as client:
+            reply = self._send_line(client, b'{"id": 5, "op": "metrics"}')
+            assert reply["id"] == 5
+            assert reply["ok"] is False
+            assert "unknown operation 'metrics'" in reply["error"]
+            # The next line is ping's reply (id 1), not a second envelope.
+            pong = client.request("ping", raw=True)
+            assert (pong["id"], pong["result"]) == (1, "pong")
+
     def test_stdin_over_64_kib_is_served(self, service):
         # asyncio's default line limit is 64 KiB.
         socket_path, _obs, _handle = service
@@ -317,6 +337,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown executor"):
             CompilationService("x.sock", executor="fiber")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"engine": "bogus"}, "engine must be one of"),
+            ({"jobs": 0}, "jobs must be >= 1"),
+        ],
+        ids=["engine", "jobs"],
+    )
+    def test_serve_in_thread_raises_the_startup_error(
+        self, tmp_path, kwargs, message
+    ):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=message):
+            serve_in_thread(str(tmp_path / "bad.sock"), timeout=30, **kwargs)
+        assert time.monotonic() - start < 5
+
 
 class TestProcessBackend:
     def test_process_pool_round_trip_with_shared_cache(self, tmp_path):
@@ -368,71 +404,34 @@ class TestHealthOp:
     def test_draining_service_is_not_ready(self, tmp_path):
         socket_path = str(tmp_path / "d.sock")
         handle = serve_in_thread(socket_path, jobs=1)
+        results = []
+
+        def profile_slow():
+            with ServiceClient(socket_path) as client:
+                results.append(client.profile(SLOW))
+
+        worker = threading.Thread(target=profile_slow)
+        worker.start()
         with ServiceClient(socket_path) as client:
-            client.shutdown()
+            deadline = time.monotonic() + 30
+            while client.stats()["service"]["inflight"] == 0:
+                assert time.monotonic() < deadline, "the profile never started"
+                time.sleep(0.01)
+            assert client.shutdown() == "draining"
+            # The in-flight profile holds the drain open.
+            assert client.stats()["service"]["inflight"] == 1
+            health = client.health()
+            assert health["ready"] is False
+            assert health["draining"] is True
+            assert health["status"] == "degraded"
+            with pytest.raises(ServiceError, match="server is shutting down"):
+                client.compile(PROGRAM)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert results[0]["exit_code"] == 0
+        assert results[0]["stdout"] == "700000\n"
         handle._thread.join(timeout=30)
         assert not handle._thread.is_alive()
-
-
-class TestMetricsOp:
-    def test_metrics_op_returns_prometheus_text(self, service):
-        socket_path, _obs, _handle = service
-        with ServiceClient(socket_path) as client:
-            client.compile(PROGRAM)
-            scrape = client.metrics()
-        assert scrape["content_type"] == PROMETHEUS_CONTENT_TYPE
-        families = parse_prometheus(scrape["body"])
-        assert families["repro_service_requests_total"]["type"] == "counter"
-        assert "repro_service_queue_depth" in families
-        assert "repro_service_inflight" in families
-        assert "repro_service_uptime_seconds" in families
-
-    def test_metrics_op_exposes_per_op_latency(self, service):
-        socket_path, _obs, _handle = service
-        with ServiceClient(socket_path) as client:
-            client.compile(PROGRAM)
-            client.inline(PROGRAM, threshold=1.0)
-            scrape = client.metrics()
-        families = parse_prometheus(scrape["body"])
-        samples = families["repro_service_op_seconds"]["samples"]
-        assert 'repro_service_op_seconds_count{op="compile"}' in samples
-        assert 'repro_service_op_seconds_count{op="inline"}' in samples
-        assert 'repro_service_op_seconds{op="compile",quantile="0.99"}' in samples
-
-    def test_error_counter_labeled_by_op_and_class(self, service):
-        socket_path, _obs, _handle = service
-        with ServiceClient(socket_path) as client:
-            with pytest.raises(ServiceError):
-                client.compile("int main(void) { return !!!; }")
-            scrape = client.metrics()
-        families = parse_prometheus(scrape["body"])
-        errors = families["repro_service_errors_total"]["samples"]
-        assert any('op="compile"' in name for name in errors)
-
-    def test_prom_out_file_export(self, tmp_path):
-        socket_path = str(tmp_path / "p.sock")
-        prom_out = str(tmp_path / "metrics.prom")
-        handle = serve_in_thread(
-            socket_path,
-            jobs=1,
-            obs=Observability.create(),
-            prom_out=prom_out,
-            prom_interval=0.05,
-        )
-        try:
-            with ServiceClient(socket_path) as client:
-                client.compile(PROGRAM)
-                deadline = time.time() + 10
-                while time.time() < deadline:
-                    if os.path.exists(prom_out):
-                        text = open(prom_out).read()
-                        if "repro_service_requests_total" in text:
-                            break
-                    time.sleep(0.05)
-        finally:
-            handle.stop()
-        families = parse_prometheus(open(prom_out).read())
-        assert families["repro_service_requests_total"]["samples"]
 
 
 class TestEnrichedStats:
@@ -632,36 +631,3 @@ class TestSlowLog:
         finally:
             handle.stop()
         assert not os.path.exists(slow_log)
-
-
-class TestTopDashboard:
-    def test_render_top_shows_ops_and_cache(self, service):
-        socket_path, _obs, _handle = service
-        with ServiceClient(socket_path) as client:
-            client.compile(PROGRAM)
-            stats = client.stats()
-        text = render_top(stats)
-        assert "uptime" in text
-        assert "compile" in text
-        assert "p99" in text
-
-    def test_render_top_derives_rates_from_previous(self, service):
-        socket_path, _obs, _handle = service
-        with ServiceClient(socket_path) as client:
-            client.compile(PROGRAM)
-            first = client.stats()
-            client.inline(PROGRAM, threshold=1.0)
-            second = client.stats()
-        text = render_top(second, previous=first, interval=1.0)
-        assert "req/s" in text
-
-    def test_watch_single_poll(self, service, capsys):
-        socket_path, _obs, _handle = service
-        with ServiceClient(socket_path) as client:
-            client.compile(PROGRAM)
-        code = watch(socket_path, interval=0.01, count=1, clear=False)
-        assert code == 0
-        assert "compile" in capsys.readouterr().out
-
-    def test_watch_unreachable_socket_fails(self, tmp_path):
-        assert watch(str(tmp_path / "nope.sock"), count=1, clear=False) == 1
