@@ -110,10 +110,10 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         default="counting",
         choices=["counting", "fast"],
         help="VM execution engine: 'counting' is the reference"
-        " interpreter; 'fast' generates Python closures for the blocks a"
-        " run enters and produces the exact same counters, faster once"
-        " that code is generated. 'counting' is the better pick for"
-        " one-off and small-scale runs (see README 'Execution engines')",
+        " interpreter; 'fast' interprets each block until 5,000 IL have"
+        " run from it, then compiles it to Python closures, and produces"
+        " the exact same counters (README 'Execution engines' has the"
+        " measured speeds and which engine to pick)",
     )
 
 

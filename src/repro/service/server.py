@@ -69,6 +69,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.observability import Observability, resolve
 from repro.observability.context import TraceContext
@@ -127,6 +128,8 @@ class CompilationService:
         )
         self._obs = resolve(obs)
         self._pool = None
+        #: How many broken process pools were replaced (see `_in_pool`).
+        self._pool_restarts = 0
         self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -151,10 +154,7 @@ class CompilationService:
         """Bind the socket, start the pool and the dispatch loop."""
         if self._server is not None:
             raise RuntimeError("service already started")
-        pool_cls = (
-            ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-        )
-        self._pool = pool_cls(max_workers=self.jobs)
+        self._pool = self._new_pool()
         self._queue = asyncio.Queue()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -166,6 +166,37 @@ class CompilationService:
         self._server = await asyncio.start_unix_server(
             self._handle_client, path=self.socket_path, limit=MAX_REQUEST_BYTES
         )
+
+    def _new_pool(self):
+        pool_cls = (
+            ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
+        )
+        return pool_cls(max_workers=self.jobs)
+
+    async def _in_pool(self, call):
+        """Run ``call`` on the pool, surviving one dead worker.
+
+        A worker that dies (killed, out of memory) breaks its whole
+        process pool: every later submission would fail. The first
+        request to see a broken pool replaces it, and each request that
+        saw it retries once on the new pool. The ops are pure functions
+        of their params and their cache writes are content-addressed,
+        so running one twice is safe. A retry that breaks the pool
+        again fails its request.
+        """
+        loop = asyncio.get_running_loop()
+        for attempt in range(2):
+            pool = self._pool
+            try:
+                return await loop.run_in_executor(pool, call)
+            except BrokenProcessPool:
+                if pool is self._pool:
+                    pool.shutdown(wait=False)
+                    self._pool = self._new_pool()
+                    self._pool_restarts += 1
+                    self._obs.metrics.inc("service.pool_restarts")
+                if attempt:
+                    raise
 
     async def wait_stopped(self) -> None:
         """Block until a graceful shutdown completes."""
@@ -237,6 +268,7 @@ class CompilationService:
             "executor": self.executor,
             "engine": self.engine,
             "draining": self._draining,
+            "pool_restarts": self._pool_restarts,
         }
 
     def _stats_result(self) -> dict:
@@ -445,7 +477,6 @@ class CompilationService:
         self._request_seq += 1
         sequence = self._request_seq
         start = time.perf_counter()
-        loop = asyncio.get_running_loop()
         tracer = self._obs.tracer
         tracer.event(
             "service.dispatch",
@@ -456,8 +487,7 @@ class CompilationService:
         )
         self._pool_busy += 1
         try:
-            result, child = await loop.run_in_executor(
-                self._pool,
+            result, child = await self._in_pool(
                 functools.partial(
                     pool_execute,
                     op,

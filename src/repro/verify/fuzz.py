@@ -12,10 +12,15 @@ only), always terminate (loops are counted, bounded, and strictly
 increasing), never divide by anything that can be zero (divisors are
 nonzero constants), and always produce output (``print_int`` of live
 results), so a silent miscompile cannot hide. Call structure is
-acyclic — each function calls only earlier-defined functions — and
-``main`` drives every root often enough to clear the inliner's weight
-threshold, so the inline stage actually exercises expansion rather
-than vacuously selecting nothing.
+acyclic — each function calls only earlier-defined functions, directly
+or through a local function pointer — and ``main`` drives every root
+often enough to clear the inliner's weight threshold, so the inline
+stage actually exercises expansion rather than vacuously selecting
+nothing. Besides ``if``/``while`` and int arithmetic, programs use
+``switch`` with a ``default``, loads and stores through a global
+``int`` array (indices masked into range), and half of them print their
+results from a callee that calls ``exit(0)`` with ``main``'s frame
+still open. Every program exits with code 0.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ from repro.verify.differential import DifferentialReport, verify_inlining
 #: Inliner knobs the fuzz stage runs under: a low threshold and a
 #: generous growth budget so small random programs still expand.
 FUZZ_PARAMS = InlineParameters(weight_threshold=4.0, size_limit_factor=3.0)
+
+#: Elements of the global array every program declares; a power of two,
+#: so ``index & (ARRAY_SIZE - 1)`` is always in range.
+ARRAY_SIZE = 8
 
 
 @dataclass
@@ -71,14 +80,26 @@ class _ProgramBuilder:
         self.globals: list[str] = []
         #: name -> (param count, returns value)
         self.functions: list[tuple[str, int, bool]] = []
+        #: (pointer local, param count) of the function being built.
+        self.pointer: tuple[str, int] | None = None
+        #: Whether main prints through ``finish``, which calls exit(0).
+        self.exits = False
 
     # -- expressions ---------------------------------------------------
 
-    def _operand(self, scope: list[str]) -> str:
+    def _scalar(self, scope: list[str]) -> str:
         choices = scope + self.globals
         if choices and self.rng.random() < 0.7:
             return self.rng.choice(choices)
         return str(self.rng.randint(0, 9))
+
+    def _element(self, scope: list[str]) -> str:
+        return f"arr[({self._scalar(scope)}) & {ARRAY_SIZE - 1}]"
+
+    def _operand(self, scope: list[str]) -> str:
+        if self.rng.random() < 0.1:
+            return self._element(scope)
+        return self._scalar(scope)
 
     def _expr(self, scope: list[str]) -> str:
         kind = self.rng.random()
@@ -102,15 +123,37 @@ class _ProgramBuilder:
         if not callable_fns:
             return None
         name, arity, _ = self.rng.choice(callable_fns)
+        if self.pointer is not None and self.rng.random() < 0.5:
+            name, arity = self.pointer
         args = ", ".join(self._operand(scope) for _ in range(arity))
         return f"{name}({args})"
 
     # -- statements ----------------------------------------------------
 
+    def _switch(self, scope: list[str], lines: list[str], indent: str) -> None:
+        """A ``switch`` on a small value with a ``default``; some cases
+        fall through into the next."""
+        modulus = self.rng.randint(3, 5)
+        lines.append(
+            f"{indent}switch ({self._scalar(scope)} % {modulus}) {{"
+        )
+        cases = sorted(self.rng.sample(range(-1, modulus), 2))
+        for label in [f"case {value}" for value in cases] + ["default"]:
+            target = self.rng.choice(scope + self.globals)
+            lines.append(f"{indent}{label}:")
+            lines.append(f"{indent}    {target} = {self._expr(scope)};")
+            if label == "default" or self.rng.random() < 0.7:
+                lines.append(f"{indent}    break;")
+        lines.append(f"{indent}}}")
+
     def _statement(self, scope: list[str], lines: list[str], indent: str) -> None:
         kind = self.rng.random()
         target = self.rng.choice(scope + self.globals)
-        if kind < 0.45:
+        if kind < 0.08:
+            self._switch(scope, lines, indent)
+        elif kind < 0.16:
+            lines.append(f"{indent}{self._element(scope)} = {self._expr(scope)};")
+        elif kind < 0.45:
             lines.append(f"{indent}{target} = {self._expr(scope)};")
         elif kind < 0.7:
             call = self._call(scope)
@@ -157,6 +200,15 @@ class _ProgramBuilder:
         locals_ = [f"v{i}" for i in range(self.rng.randint(1, 3))]
         for local in locals_:
             lines.append(f"    int {local} = {self._operand(params)};")
+        self.pointer = None
+        targets = [fn for fn in self.functions if fn[2]]
+        if targets and self.rng.random() < 0.5:
+            callee, callee_arity, _ = self.rng.choice(targets)
+            formals = ", ".join(f"int a{i}" for i in range(callee_arity))
+            lines.append(
+                f"    int (*ptr)({formals or 'void'}) = {callee};"
+            )
+            self.pointer = ("ptr", callee_arity)
         use_loop = self.rng.random() < 0.5
         if use_loop:
             # Declarations stay at the top of the block (C89 style).
@@ -193,14 +245,35 @@ class _ProgramBuilder:
                 lines.append(f"        {name}({args});")
         lines.append("        i = i + 1;")
         lines.append("    }")
-        lines.append("    print_int(acc);")
-        lines.append("    putchar('\\n');")
-        for name in self.globals:
-            lines.append(f"    print_int({name});")
-            lines.append("    putchar('\\n');")
+        if self.exits:
+            # Print from a callee that exits with main's frame open.
+            lines.append("    finish(acc);")
+        else:
+            lines.extend(f"    {line}" for line in self._report("acc", "i"))
         lines.append("    return 0;")
         lines.append("}")
         return "\n".join(lines)
+
+    def _report(self, acc: str, counter: str) -> list[str]:
+        """Statements printing ``acc``, the globals and the array."""
+        lines = [f"print_int({acc});", "putchar('\\n');"]
+        for name in self.globals:
+            lines.append(f"print_int({name});")
+            lines.append("putchar('\\n');")
+        lines.append(f"{counter} = 0;")
+        lines.append(f"while ({counter} < {ARRAY_SIZE}) {{")
+        lines.append(f"    print_int(arr[{counter}]);")
+        lines.append("    putchar(' ');")
+        lines.append(f"    {counter} = {counter} + 1;")
+        lines.append("}")
+        lines.append("putchar('\\n');")
+        return lines
+
+    def _finish(self) -> str:
+        body = ["int k = 0;", *self._report("acc", "k"), "exit(0);"]
+        return "\n".join(
+            ["void finish(int acc)", "{", *(f"    {line}" for line in body), "}"]
+        )
 
     def build(self) -> str:
         pieces = ["#include <sys.h>", ""]
@@ -208,9 +281,14 @@ class _ProgramBuilder:
             name = f"g{index}"
             self.globals.append(name)
             pieces.append(f"int {name} = {self.rng.randint(0, 9)};")
+        pieces.append(f"int arr[{ARRAY_SIZE}];")
         pieces.append("")
         for index in range(self.rng.randint(2, 5)):
             pieces.append(self._function(index))
+            pieces.append("")
+        self.exits = self.rng.random() < 0.5
+        if self.exits:
+            pieces.append(self._finish())
             pieces.append("")
         pieces.append(self._main())
         return "\n".join(pieces)

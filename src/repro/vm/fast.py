@@ -1,23 +1,41 @@
-"""The fast execution tier: closure compilation of linked IL code.
+"""The fast execution tier: interpret each region until compiling it pays.
 
 The counting interpreter in :mod:`repro.vm.machine` pays a full dispatch
 round (tuple fetch, opcode compare chain, operand boxing checks) for
-every executed IL instruction. This module removes that overhead by
-*compiling* each linked :class:`~repro.vm.machine._CompiledFunction`
-into Python closures fused over control-flow regions
+every executed IL instruction. This module runs linked code in two
+tiers, both speaking one protocol: a block's callable takes ``(r, fp,
+d)`` (register file, frame pointer, IL call depth) and returns the next
+block's callable, a 1-tuple holding the function's return value, or a
+call request for the trampoline.
+
+**Tier-0** is a per-function interpreter started at a given block. It
+counts exactly as the reference does and calls the way generated code
+calls. It also measures, per module and summed over every run of it,
+the IL interpreted from each *region entry*: a function's entry, a
+back-edge or switch target, or a block a closure exits to. And it
+records which arm of each conditional branch it took.
+
+**Tier-up.** Every block is reached through its block-table slot
+``BT[k] or MK(k)``. ``MK(k)`` returns block ``k``'s tier-0 stub until
+`_TIER_UP_IL` instructions have been interpreted from that region
+entry; then it generates the block's closure (**tier-1**), installs it
+in ``BT[k]``, and tier-0 hands control to it wherever it next reaches
+that block. This is the paper's threshold ``T`` applied to the VM:
+code is expanded only where the profile weight pays for it. A
+threshold of 0 generates the closure of every block control enters on
+first entry, with no tier-0; an infinite one generates none.
+
+A tier-1 closure is fused over a control-flow region
 ("superinstructions"):
 
 - The function body is split into basic blocks (leaders: entry, jump /
   switch targets, the instruction after every control transfer or
-  call). A block that control enters becomes one generated Python
-  closure whose body is straight-line Python — operand fetches, 32-bit
-  wrapping arithmetic, and memory bounds checks are inlined with no
-  per-instruction dispatch at all. Control enters a block at the
-  function's first call (``b0``) or where a closure exits to it: a
-  budget bounce, a deep-call or indirect-call continuation, or a
-  switch arm. Exits name their target by block index, and a block's
-  closure is generated the first time control enters it, so blocks
-  that are only ever inlined, or never reached, get none.
+  call). A tiered-up block becomes one generated Python closure whose
+  body is straight-line Python — operand fetches, 32-bit wrapping
+  arithmetic, and memory bounds checks are inlined with no
+  per-instruction dispatch at all. Exits name their target by block
+  index, so blocks that are only ever inlined, or never reached, get
+  no closure.
 - Each closure greedily *inlines* its forward successors (both arms of
   a conditional, jump chains, fallthroughs, call continuations) up to
   a per-closure instruction budget (`_INLINE_BUDGET`), duplicating join
@@ -25,12 +43,18 @@ into Python closures fused over control-flow regions
   closure's own entry block compiles to ``continue`` of a surrounding
   ``while`` loop, so hot inner loops run entirely inside one Python
   frame.
+- *Side exits*: an arm of a branch that tier-0 ran but never took is
+  not copied in. It becomes an exit to that arm's block, which runs in
+  tier-0 until it is hot enough to tier up itself. A branch tier-0
+  never ran keeps both arms. Arms that only generated code takes are
+  not recorded, so such an exit keeps leaving its closure each time.
 - Virtual registers are promoted to Python locals for the lifetime of
   a closure invocation: only live-in registers (and, for closures with
   back-edges, loop-carried ones) are unpacked from the register file
   on entry. A modified local is written back only where control leaves
-  the closure (budget bounces, switches, deep and indirect calls), and
-  only if it is live where control resumes (`_block_liveness`).
+  the closure (budget bounces, side exits, switches, deep and indirect
+  calls), and only if it is live where control resumes
+  (`_block_liveness`). Tier-0 works on the register file itself.
 - *Leaf* callees (acyclic, no calls to other user functions, no
   switch) are expanded transparently into the caller's closure with
   renamed locals — while still bumping the call/site/function/return
@@ -38,10 +62,10 @@ into Python closures fused over control-flow regions
   This is the fast tier quietly agreeing with the paper: most dynamic
   calls go to small leaves, and expanding them wins.
 - Remaining user calls are *direct Python calls*: the call site
-  invokes the callee's entry closure inline and resumes in the same
+  invokes the callee's entry (closure or stub) and resumes in the same
   Python frame, so the caller's promoted registers survive the call
   with no spill at all. Beyond a fixed IL call depth (`_DEPTH_LIMIT`)
-  call sites switch to returning a request tuple that an
+  call sites in both tiers switch to returning a request tuple that an
   explicit-stack trampoline (``drive``) executes iteratively, so IL
   recursion of any depth — the reference interpreter bounds it only by
   stack memory, not Python frames — can never overflow the host stack.
@@ -51,37 +75,41 @@ into Python closures fused over control-flow regions
   ``st[0] += n`` / ``st[1] += m`` at segment points (calls, closure
   exits, loop back-edges), so counters are exact at every call and on
   every successful run even when a builtin raises
-  :class:`~repro.vm.builtins.ExitSignal` mid-block.
+  :class:`~repro.vm.builtins.ExitSignal` mid-block. Tier-0 keeps its
+  counts in locals and flushes them at the same points.
 
 The tier is proven against the reference interpreter: for every
 successful run it produces the exact same :class:`~repro.vm.counters.
 Counters` — ``il``/``ct``/``calls``/``returns`` totals and the
 ``site_counts``/``func_counts``/``branch_counts`` dicts — and identical
 outputs (see :mod:`repro.verify.engines` and the ``fast-tier-smoke`` CI
-job). Divergences exist only on *aborted* runs. Fuel is checked at
-every closure entry and every loop iteration, and between two checks a
-frame runs at most its closure's entry block plus `_INLINE_BUDGET`
-instructions; the trap still fires, but up to that many instructions
-late for each frame that returns before the next check, where the
-reference traps at exactly ``fuel + 1``. A :class:`~repro.errors.VMTrap`
-mid-segment leaves that segment's trailing instructions partially
-counted.
+job), at every threshold. Divergences exist only on *aborted* runs.
+Fuel is checked where a cycle must pass: at every closure entry and
+loop iteration in tier-1, and at every stub entry and region entry
+tier-0 crosses. Between two checks a frame runs no cycle, so the trap
+still fires, but up to one acyclic path late for each frame that
+returns before the next check, where the reference traps at exactly
+``fuel + 1``. A :class:`~repro.errors.VMTrap` mid-segment leaves that
+segment's trailing instructions partially counted.
 
-Code is generated on demand, one closure at a time: a block's closure
-is generated and byte-compiled the first time a run enters that block,
-so blocks and functions that never execute cost nothing. A cold run
-still spends most of its time in CPython's ``compile()`` of the
-closures it enters. Generated code is a pure function of the linked
-instruction stream, so closure factories are cached process-wide per
-structural fingerprint of the compiled tuples (memoised with the link
-result it describes), function and block. A later machine only
-instantiates the factories of the blocks it enters, so re-running the
-same module (profiling loops, differential checks, fuzz replay) pays
-code generation once.
+Generated code is a pure function of the linked instruction stream and
+of the arms tier-0 saw when the block tiered up, so closure factories
+are cached process-wide per structural fingerprint of the compiled
+tuples (memoised with the link result it describes), function and
+block, beside the heat and arms tier-0 measured. A later machine of the
+same module starts from that heat and only instantiates the factories
+of the blocks it enters, so re-running the same module (profiling
+loops, differential checks, fuzz replay) interprets and generates once.
+On the whole small suite (``tables all --scale small``, one serial
+run's ``--metrics-out``), compiling every block a run entered
+generated 527 closures of 261,359 lines in all; at the default
+threshold the tier generates 173 closures of 56,326 lines, and tier-0
+runs 1.43M of the 6.63M IL.
 """
 
 from __future__ import annotations
 
+import bisect
 import struct
 import sys
 import threading
@@ -130,8 +158,25 @@ _TERMINATORS = (
 #: 256 for six benchmarks' table pipeline) but bounces out of branchy
 #: loops, so warm full-scale throughput falls (wc keeps 68% of it at
 #: 192 and 53% at 64, the whole suite 94% at 64). 256 is the smallest
-#: budget tried that loses none.
+#: budget tried that loses none. Re-measured with side exits on and
+#: `_TIER_UP_IL` at 5,000: ``tables-fast-cold`` p50 (``bench/run.py``,
+#: median of three runs) was 1146, 1162, 1146 and 1196 ms at 64, 128,
+#: 192 and 256, but five alternating pairs of 192 and 256 gave medians
+#: of 1158 and 1171 ms, inside the 27 ms between the quartiles of 256;
+#: warm full-scale throughput over four passes was 7.8-9.3M, 8.4-9.8M
+#: and 8.4-9.2M IL/s at 64, 192 and 256. No smaller budget won beyond
+#: that noise, so it stays 256.
 _INLINE_BUDGET = 256
+
+#: IL that tier-0 must interpret from a region entry, summed over every
+#: run of the module, before `MK` generates that block's closure (the
+#: module docstring says what a region entry is). Chosen by measurement
+#: with ``bench/run.py`` on a 2-vCPU x86-64 container, p50 at the
+#: bench's reference speed, median of three runs: ``tables-fast-cold``
+#: took 1195, 1210, 1176, 1157 and 1219 ms at 500, 1,000, 2,000, 5,000
+#: and 10,000, and the same workload over all twelve programs 3143 ms at
+#: 2,000 against 2932 ms at 5,000.
+_TIER_UP_IL = 5000
 
 #: Per-run values every closure factory takes, in parameter order,
 #: before the calling function's block table ``BT`` and installer
@@ -175,23 +220,24 @@ class _FastFunction:
         self.nregs = nregs
         self.nparams = nparams
         self.frame_size = frame_size
-        #: Entry block closure; None until the function first runs.
+        #: Entry block's closure or tier-0 stub; None until first called.
         self.entry = None
 
 
 class _FactoryTable:
-    """Closure factories for one module shape, generated on first entry.
+    """Closure factories for one module shape, generated at tier-up.
 
     Shared by every machine (and thread) whose linked code has the same
-    fingerprint. A block's closure is generated and byte-compiled the
-    first time a run enters it, and never for blocks no run enters.
+    fingerprint, together with what tier-0 measured of each function
+    (`_Regions`). A block's closure is generated and byte-compiled when
+    the block tiers up, and never for blocks that stay cold.
     Each generation keeps its mutable state in its own
     `_ClosureCodegen`, so threads may generate closures of one function
     at once: they share only immutable analysis, a race re-generates
     identical source, and the last store wins.
     """
 
-    __slots__ = ("functions", "leaves", "live", "factories")
+    __slots__ = ("functions", "leaves", "live", "factories", "regions")
 
     def __init__(self, functions: dict):
         self.functions = functions
@@ -204,6 +250,8 @@ class _FactoryTable:
         self.live: dict[str, tuple[frozenset[int], ...]] = {}
         #: (function name, block index) -> closure factory.
         self.factories: dict[tuple[str, int], object] = {}
+        #: Function name -> its tier-0 form and what tier-0 measured.
+        self.regions: dict[str, _Regions] = {}
 
     def liveness(self, name: str) -> tuple[frozenset[int], ...]:
         live = self.live.get(name)
@@ -213,6 +261,14 @@ class _FactoryTable:
             )
         return live
 
+    def regions_of(self, name: str) -> "_Regions":
+        regions = self.regions.get(name)
+        if regions is None:
+            regions = self.regions.setdefault(
+                name, _Regions(self.functions[name].code)
+            )
+        return regions
+
     def factory(self, name: str, index: int, metrics=None):
         """The factory of block ``index``'s closure in function ``name``."""
         factory = self.factories.get((name, index))
@@ -220,7 +276,7 @@ class _FactoryTable:
             start = time.perf_counter()
             source = _ClosureCodegen(
                 name, index, self.functions, self.leaves,
-                self.liveness(name),
+                self.liveness(name), bytes(self.regions_of(name).arms),
             ).generate()
             namespace: dict = {}
             exec(compile(source, "<repro-fast-tier>", "exec"), namespace)
@@ -321,6 +377,21 @@ _WRITES = {
 
 #: Opcodes whose field 3 is the argument tuple.
 _CALLS = {_OP_CALLU, _OP_CALLB, _OP_ICALL}
+
+
+def _back_edge_targets(code: list) -> set[int]:
+    """Pcs a jump or conditional branch reaches backwards: every cycle
+    in ``code`` passes through one of them."""
+    targets = set()
+    for pc, ins in enumerate(code):
+        if ins[0] == _OP_JUMP:
+            branches = ins[1:2]
+        elif ins[0] == _OP_CJUMP:
+            branches = ins[2:4]
+        else:
+            continue
+        targets.update(target for target in branches if target <= pc)
+    return targets
 
 
 def _block_successors(code: list, starts: list[int]) -> list[tuple[int, ...]]:
@@ -478,6 +549,39 @@ def _leaf_expansion_size(function) -> tuple[int, int | None] | None:
     return (total, header) if total <= _LEAF_EXPANSION_CAP else None
 
 
+class _Regions:
+    """What tier-0 needs of one function, and what it measured.
+
+    ``starts`` are the function's `_block_starts`. ``gate[pc]`` is the
+    block index at each region entry tier-0 can reach by a transfer
+    inside one activation (the function entry, back-edge targets and
+    switch targets) and None at every other pc, up to ``len(code)``.
+
+    ``heat`` and ``arms`` are measurements shared by every run of the
+    module: the IL interpreted from each region entry (by block index),
+    and for each ``CJUMP`` (by pc) bit 1 if tier-0 took the branch and
+    bit 2 if it fell through. Threads may race on them; a lost update
+    only delays a tier-up or turns a taken arm into a side exit.
+    """
+
+    __slots__ = ("starts", "gate", "heat", "arms")
+
+    def __init__(self, code: list):
+        starts = _block_starts(code)
+        block_of = {start: i for i, start in enumerate(starts)}
+        gate = [None] * (len(code) + 1)
+        entries = {0, *_back_edge_targets(code)}
+        for ins in code:
+            if ins[0] == _OP_SWITCH:
+                entries.update(ins[2].values(), (ins[3],))
+        for pc in entries:
+            gate[pc] = block_of[pc]
+        self.starts = tuple(starts)
+        self.gate = tuple(gate)
+        self.heat = [0] * len(starts)
+        self.arms = bytearray(len(code))
+
+
 class _Frame:
     """One level of transparent expansion inside a generated closure.
 
@@ -514,17 +618,21 @@ class _ClosureCodegen:
     """Emits the factory source for one block's closure.
 
     One instance per generated closure: all of its state is private to
-    that generation. ``live`` is the function's `_block_liveness`.
+    that generation. ``live`` is the function's `_block_liveness`, and
+    ``arms`` its `_Regions.arms` when generation starts: a branch whose
+    block tier-0 ran but one arm of which it never took gets a side
+    exit for that arm instead of a copy of it.
     """
 
     def __init__(self, name: str, index: int, compiled: dict,
                  leaves: dict[str, tuple[int, int | None]],
-                 live: tuple[frozenset[int], ...]):
+                 live: tuple[frozenset[int], ...], arms: bytes):
         self.name = name
         self.index = index
         self.compiled = compiled
         self.leaves = leaves
         self.live = live
+        self.arms = arms
         self.root = _Frame(compiled[name], "", 0, 0)
         self.bindings: dict[str, str] = {}  # identifier -> init statement
         self._switch_count = 0
@@ -535,18 +643,9 @@ class _ClosureCodegen:
         # Blocks targeted by a backward branch: each gets a nested
         # `while` when reached, so inner loops never bounce through the
         # driver between iterations.
-        self.root_loop_headers: set[int] = set()
-        code = self.root.code
-        for pc, ins in enumerate(code):
-            op = ins[0]
-            if op == _OP_JUMP and ins[1] <= pc:
-                self.root_loop_headers.add(self.root.block_of[ins[1]])
-            elif op == _OP_CJUMP:
-                for target in (ins[2], ins[3]):
-                    if target <= pc:
-                        self.root_loop_headers.add(
-                            self.root.block_of[target]
-                        )
+        self.root_loop_headers = {
+            self.root.block_of[pc] for pc in _back_edge_targets(self.root.code)
+        }
         self.body: list = []
         self.live_in: set[int] = set()
         self.assigned_anywhere: set[int] = set()
@@ -1048,6 +1147,11 @@ class _ClosureCodegen:
                 pil, pct, pca, prt,
             )
             return
+        self._exit(target, assigned, indent, pil, pct, pca, prt)
+
+    def _exit(self, target: int, assigned: set[str], indent: int, pil: int,
+              pct: int, pca: int = 0, prt: int = 0) -> None:
+        """Leave the closure for root block ``target``'s own closure."""
         self._flush(indent, pil, pct, pca, prt)
         self._writeback(indent, assigned, self.live[target])
         self.emit(indent, f"return {self.closure(target)}")
@@ -1130,6 +1234,9 @@ class _ClosureCodegen:
             taken = frame.block_of[terminator[2]]
             fallthrough = frame.block_of[terminator[3]]
             key = terminator[4]
+            # Arms tier-0 saw taken (bit 1: branch, bit 2: fallthrough);
+            # 3 copies both, as does a branch tier-0 never ran.
+            seen = 3 if frame.prefix else self.arms[end - 1] or 3
             self.emit(indent, f"if {value}:")
             if key is not None:
                 alias = self._branch_aliases.get(key)
@@ -1138,16 +1245,22 @@ class _ClosureCodegen:
                     self._branch_aliases[key] = alias
                     self.bind(alias, f"branch_counts[{key!r}]")
                 self.emit(indent + 1, f"{alias}[0] += 1")
-            self._goto(
-                frame, taken, entry, path, set(assigned), indent + 1,
-                pil, pct, pca, prt,
-            )
+            if seen & 1:
+                self._goto(
+                    frame, taken, entry, path, set(assigned), indent + 1,
+                    pil, pct, pca, prt,
+                )
+            else:
+                self._exit(taken, assigned, indent + 1, pil, pct, pca, prt)
             if key is not None:
                 self.emit(indent, f"{alias}[1] += 1")
-            self._goto(
-                frame, fallthrough, entry, path, assigned, indent,
-                pil, pct, pca, prt,
-            )
+            if seen & 2:
+                self._goto(
+                    frame, fallthrough, entry, path, assigned, indent,
+                    pil, pct, pca, prt,
+                )
+            else:
+                self._exit(fallthrough, assigned, indent, pil, pct, pca, prt)
         elif op == _OP_SWITCH:
             self._flush(indent, pil, pct + 1, pca, prt)
             arms = {
@@ -1286,35 +1399,245 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
     func_counts = counters.func_counts
     function_table = machine._function_table
     stack_limit = machine._stack_limit
+    mem = machine._mem
+    fuel = machine._fuel
 
-    #: [il, ct, calls, returns] — flushed into counters on exit.
-    st = [0, 0, 0, 0]
+    #: [il, ct, calls, returns, tier-0 il] — flushed on exit.
+    st = [0, 0, 0, 0, 0]
     shells = {
         name: _FastFunction(
             name, function.nregs, function.nparams, function.frame_size
         )
         for name, function in compiled.items()
     }
+    threshold = _TIER_UP_IL
+    #: Every per-function table this run made (see the end).
+    tables: list[list] = []
 
     def materialize(shell):
         """Install a function's block table and entry on its first call.
 
         ``blocks`` starts empty; generated exits read ``BT[k] or
-        MK(k)``, so each closure is instantiated (and, the first time in
-        the process, generated) when control first enters it.
+        MK(k)``, so block ``k`` runs as a tier-0 stub until enough IL
+        has been interpreted from it, and only then is its closure
+        instantiated (and, the first time in the process, generated).
         """
         name = shell.name
-        blocks = [None] * len(factories.liveness(name))
+        regions = factories.regions_of(name)
+        heat = regions.heat
+        blocks = [None] * len(heat)
+        stubs = [None] * len(heat)
+        # `_Regions.gate`, with each installed closure at its block.
+        gate = list(regions.gate)
+        tables.extend((blocks, stubs, gate))
 
         def make(index):
+            if heat[index] < threshold:
+                stub = stubs[index]
+                if stub is None:
+                    stub = stubs[index] = tier0(
+                        shell, regions, gate, blocks, make, index
+                    )
+                return stub
             block = factories.factory(name, index, metrics)(
                 *env, blocks, make
             )
-            blocks[index] = block
+            blocks[index] = gate[regions.starts[index]] = block
+            if index == 0:
+                shell.entry = block
             return block
 
         block = shell.entry = make(0)
         return block
+
+    def tier0(shell, regions, gate, BT, MK, index):
+        """Block ``index``'s tier-0 stub: interpret ``shell``'s code.
+
+        The stub speaks the closure protocol, counts exactly as the
+        reference interpreter does, and flushes ``st`` wherever
+        generated code would. Where it transfers control to a block
+        with a closure it hands over; where it reaches a region entry
+        whose heat has reached the threshold, it tiers that entry up.
+        """
+        code = compiled[shell.name].code
+        starts = regions.starts
+        heat = regions.heat
+        arms = regions.arms
+        frame_size = shell.frame_size
+
+        def stub(r, fp, d):
+            block = BT[index]
+            if block is not None:
+                return block
+            if heat[index] >= threshold:
+                return MK(index)
+            if st[0] > fuel:
+                raise VMTrap("fuel exhausted after %d instructions" % st[0])
+            pc = starts[index]
+            region = index
+            n = mark = sent = ct = 0  # IL run, at region entry, flushed
+            while True:
+                while True:  # up to the next control transfer
+                    ins = code[pc]
+                    pc += 1
+                    n += 1
+                    op = ins[0]
+                    if op == _OP_BIN:
+                        a = ins[3]
+                        b = ins[4]
+                        r[ins[1]] = ins[2](
+                            r[a] if type(a) is int else a[0],
+                            r[b] if type(b) is int else b[0],
+                        )
+                    elif op == _OP_LOAD4:
+                        a = ins[2]
+                        address = r[a] if type(a) is int else a[0]
+                        if address < 16 or address + 4 > len(mem):
+                            raise VMTrap(f"load4 from bad address {address}")
+                        r[ins[1]] = _UNPACK4(mem, address)[0]
+                    elif op == _OP_CJUMP:
+                        a = ins[1]
+                        ct += 1
+                        if r[a] if type(a) is int else a[0]:
+                            arms[pc - 1] |= 1
+                            if ins[4] is not None:
+                                branch_counts[ins[4]][0] += 1
+                            pc = ins[2]
+                        else:
+                            arms[pc - 1] |= 2
+                            if ins[4] is not None:
+                                branch_counts[ins[4]][1] += 1
+                            pc = ins[3]
+                        break
+                    elif op == _OP_CONST:
+                        r[ins[1]] = ins[2]
+                    elif op == _OP_MOV:
+                        a = ins[2]
+                        r[ins[1]] = r[a] if type(a) is int else a[0]
+                    elif op == _OP_STORE4:
+                        a = ins[1]
+                        address = r[a] if type(a) is int else a[0]
+                        b = ins[2]
+                        value = r[b] if type(b) is int else b[0]
+                        if address < 16 or address + 4 > len(mem):
+                            raise VMTrap(f"store4 to bad address {address}")
+                        _PACK4(mem, address, value & 0xFFFFFFFF)
+                    elif op == _OP_LOAD1:
+                        a = ins[2]
+                        address = r[a] if type(a) is int else a[0]
+                        if address < 16 or address >= len(mem):
+                            raise VMTrap(f"load1 from bad address {address}")
+                        r[ins[1]] = (mem[address] ^ 0x80) - 0x80
+                    elif op == _OP_STORE1:
+                        a = ins[1]
+                        address = r[a] if type(a) is int else a[0]
+                        b = ins[2]
+                        value = r[b] if type(b) is int else b[0]
+                        if address < 16 or address >= len(mem):
+                            raise VMTrap(f"store1 to bad address {address}")
+                        mem[address] = value & 0xFF
+                    elif op == _OP_FRAME:
+                        r[ins[1]] = fp + ins[2]
+                    elif op == _OP_JUMP:
+                        ct += 1
+                        pc = ins[1]
+                        break
+                    elif op == _OP_UN:
+                        a = ins[3]
+                        r[ins[1]] = ins[2](r[a] if type(a) is int else a[0])
+                    else:
+                        # A call, return or switch: flush the counts.
+                        st[0] += n - sent
+                        st[4] += n - sent
+                        sent = n
+                        st[1] += ct
+                        ct = 0
+                        heat[region] += n - mark
+                        mark = n
+                        if op == _OP_CALLB:
+                            name = ins[5]
+                            if ins[2] is None:
+                                raise VMTrap(
+                                    f"call to unavailable external {name!r}"
+                                )
+                            st[2] += 1
+                            site = ins[4]
+                            site_counts[site] = site_counts.get(site, 0) + 1
+                            func_counts[name] = func_counts.get(name, 0) + 1
+                            result = ins[2](machine, *[
+                                r[a] if type(a) is int else a[0]
+                                for a in ins[3]
+                            ])
+                            st[3] += 1
+                            if ins[1] >= 0:
+                                r[ins[1]] = 0 if result is None else result
+                            continue
+                        if op == _OP_RET:
+                            a = ins[1]
+                            if a is None:
+                                return (0,)
+                            return (r[a] if type(a) is int else a[0],)
+                        if op == _OP_SWITCH:
+                            a = ins[1]
+                            st[1] += 1
+                            pc = ins[2].get(
+                                r[a] if type(a) is int else a[0], ins[3]
+                            )
+                            break
+                        dst = ins[1]
+                        fp2 = fp + frame_size
+                        if op == _OP_ICALL:
+                            a = ins[2]
+                            t = icall(
+                                r[a] if type(a) is int else a[0],
+                                [r[x] if type(x) is int else x[0]
+                                 for x in ins[3]],
+                                ins[4], fp2, d,
+                            )
+                        else:  # _OP_CALLU
+                            name = ins[2]
+                            callee = shells[name]
+                            st[2] += 1
+                            site = ins[4]
+                            site_counts[site] = site_counts.get(site, 0) + 1
+                            func_counts[name] = func_counts.get(name, 0) + 1
+                            nr = [0] * callee.nregs
+                            for k, a in enumerate(ins[3]):
+                                nr[k] = r[a] if type(a) is int else a[0]
+                            t = enter(callee, nr, fp2, d)
+                        if len(t) != 1:
+                            return (t[0], t[1], dst, continuation(pc), fp2)
+                        if dst >= 0:
+                            r[dst] = t[0]
+                        break
+                # Control moved to the block at ``pc``.
+                block = gate[pc]
+                if block is None:
+                    continue
+                if block.__class__ is int:  # a region entry
+                    heat[region] += n - mark
+                    mark = n
+                    region = block
+                    if heat[block] < threshold:
+                        if st[0] + n - sent > fuel:
+                            raise VMTrap(
+                                "fuel exhausted after %d instructions"
+                                % (st[0] + n - sent)
+                            )
+                        continue
+                    block = MK(block)
+                heat[region] += n - mark
+                st[0] += n - sent
+                st[4] += n - sent
+                st[1] += ct
+                return block
+
+        def continuation(pc):
+            """The callable resuming a deep call at ``pc``."""
+            k = bisect.bisect_left(starts, pc)
+            return BT[k] or MK(k)
+
+        return stub
 
     def drive(request, regs, fp, d):
         """Explicit-stack trampoline for calls past `_DEPTH_LIMIT`.
@@ -1385,27 +1708,35 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
             )
         new_regs = [0] * callee.nregs
         new_regs[: len(values)] = values
+        return enter(callee, new_regs, fp2, d)
+
+    def enter(callee, regs, fp2, d):
+        """Call user function ``callee`` from IL depth ``d`` on register
+        file ``regs`` and frame ``fp2``, the call already counted.
+
+        Returns a 1-tuple holding its return value, with the return
+        counted, or, past `_DEPTH_LIMIT`, ``(callee, regs)``, from which
+        the calling block builds the trampoline request.
+        """
         if d >= _DEPTH_LIMIT:
-            return (callee, new_regs)
+            return (callee, regs)
         if fp2 + callee.frame_size > stack_limit:
             raise VMTrap(
-                f"control stack overflow calling {name} (depth {d + 1})"
+                f"control stack overflow calling {callee.name}"
+                f" (depth {d + 1})"
             )
-        block = callee.entry
-        if block is None:
-            block = materialize(callee)
-        result = block(new_regs, fp2, d + 1)
+        result = (callee.entry or materialize(callee))(regs, fp2, d + 1)
         while result.__class__ is not tuple:
-            result = result(new_regs, fp2, d + 1)
+            result = result(regs, fp2, d + 1)
         if len(result) != 1:
-            result = drive(result, new_regs, fp2, d + 1)
+            result = drive(result, regs, fp2, d + 1)
         st[3] += 1
         return result
 
     environment = {
         "st": st,
-        "mem": machine._mem,
-        "fuel": machine._fuel,
+        "mem": mem,
+        "fuel": fuel,
         "site_counts": site_counts,
         "func_counts": func_counts,
         "branch_counts": counters.branch_counts,
@@ -1460,6 +1791,15 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
         counters.ct += st[1]
         counters.calls += st[2]
         counters.returns += st[3]
+        if metrics is not None:
+            metrics.inc("vm.tier0.instructions", st[4])
+        # Closures, stubs and shells refer to one another and to the
+        # machine's memory. Breaking those cycles here frees the memory
+        # with the machine instead of at the next full collection.
+        for table in tables:
+            table.clear()
+        shells.clear()
+        env = None
         if machine._collect_branches:
             for key in [k for k, v in branch_counts.items() if v == [0, 0]]:
                 del branch_counts[key]

@@ -8,6 +8,7 @@ and per-branch dictionaries — on every successful run, and a trap in
 the same situations on aborted runs.
 """
 
+import math
 import sys
 import threading
 from collections import OrderedDict
@@ -21,7 +22,7 @@ from repro.profiler.profile import RunSpec, run_once
 from repro.vm import fast
 from repro.vm.machine import ENGINES, Machine
 from repro.vm.os import VirtualOS
-from repro.workloads.suite import benchmark_by_name
+from repro.workloads.suite import benchmark_by_name, benchmark_suite
 
 from helpers import c_main
 
@@ -45,16 +46,47 @@ def _run_engine(module, engine, *, stdin=b"", files=None, argv=None, **kwargs):
     return Machine(module, os, engine=engine, **kwargs).run()
 
 
+def _assert_same_run(reference, fast, label=None):
+    assert fast.exit_code == reference.exit_code, label
+    assert bytes(fast.os.stdout) == bytes(reference.os.stdout), label
+    assert bytes(fast.os.stderr) == bytes(reference.os.stderr), label
+    assert fast.os.written_files == reference.os.written_files, label
+    assert _counter_state(fast.counters) == _counter_state(
+        reference.counters
+    ), label
+
+
 def assert_engines_agree(source, **run_kwargs):
     module = compile_program(source)
     reference = _run_engine(module, "counting", **run_kwargs)
-    fast = _run_engine(module, "fast", **run_kwargs)
-    assert fast.exit_code == reference.exit_code
-    assert bytes(fast.os.stdout) == bytes(reference.os.stdout)
-    assert bytes(fast.os.stderr) == bytes(reference.os.stderr)
-    assert fast.os.written_files == reference.os.written_files
-    assert _counter_state(fast.counters) == _counter_state(reference.counters)
+    _assert_same_run(reference, _run_engine(module, "fast", **run_kwargs))
     return reference
+
+
+#: The tier-up thresholds the equivalence, trap and link-knob tests run
+#: the fast engine at: 0 compiles every block control enters on first
+#: entry, 1 compiles a block once tier-0 has run it, and infinity
+#: leaves all of it to tier-0.
+THRESHOLDS = (0, 1, fast._TIER_UP_IL, math.inf)
+
+
+class _Thresholds:
+    """Iterating yields each of `THRESHOLDS` with the fast tier set to
+    it, from an empty process-wide factory cache."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
+    def __iter__(self):
+        for threshold in THRESHOLDS:
+            self.monkeypatch.setattr(fast, "_TIER_UP_IL", threshold)
+            self.monkeypatch.setattr(fast, "_FACTORY_CACHE", OrderedDict())
+            yield threshold
+
+
+@pytest.fixture
+def thresholds(monkeypatch):
+    return _Thresholds(monkeypatch)
 
 
 class TestEngineSelection:
@@ -81,41 +113,44 @@ class TestEngineSelection:
 
 
 class TestEngineEquivalence:
-    def test_straight_line_output_and_counters(self):
-        assert_engines_agree(c_main("print_int(strlen(\"abcd\")); putchar(10);"))
+    def test_straight_line_output_and_counters(self, thresholds):
+        source = c_main("print_int(strlen(\"abcd\")); putchar(10);")
+        for _ in thresholds:
+            assert_engines_agree(source)
 
-    def test_loops_and_branch_profile(self):
+    def test_loops_and_branch_profile(self, thresholds):
         source = c_main(
             "int i; int odd = 0;"
             " for (i = 0; i < 50; i++) if (i % 2) odd++;"
             " print_int(odd);"
         )
-        reference = assert_engines_agree(source)
+        for _ in thresholds:
+            reference = assert_engines_agree(source)
         assert reference.counters.branch_counts  # mode actually profiled
 
-    def test_recursion(self):
+    def test_recursion(self, thresholds):
         source = c_main(
             "print_int(fib(15));",
             prelude="int fib(int n) { if (n < 2) return n;"
             " return fib(n - 1) + fib(n - 2); }",
         )
-        assert_engines_agree(source)
+        for _ in thresholds:
+            assert_engines_agree(source)
 
-    def test_deep_recursion_past_python_depth_limit(self):
+    def test_deep_recursion_past_python_depth_limit(self, thresholds):
         # 2000 frames exceeds the fast tier's direct-call depth budget
         # (_DEPTH_LIMIT), forcing it through the explicit trampoline;
         # counters must still match the interpreter exactly.
-        from repro.vm.fast import _DEPTH_LIMIT
-
-        depth = 2 * _DEPTH_LIMIT + 100
+        depth = 2 * fast._DEPTH_LIMIT + 100
         source = c_main(
             f"print_int(down({depth}));",
             prelude="int down(int n) { if (n == 0) return 0;"
             " return down(n - 1) + 1; }",
         )
-        assert_engines_agree(source)
+        for _ in thresholds:
+            assert_engines_agree(source)
 
-    def test_function_pointers_and_files(self):
+    def test_function_pointers_and_files(self, thresholds):
         source = c_main(
             'int (*emit)(int c, int fd) = fputc;'
             ' int fd = open("out.txt", O_WRITE);'
@@ -123,9 +158,10 @@ class TestEngineEquivalence:
             ' int rd = open("in.txt", O_READ);'
             " print_int(fgetc(rd)); close(rd);"
         )
-        assert_engines_agree(source, files={"in.txt": b"Z"})
+        for _ in thresholds:
+            assert_engines_agree(source, files={"in.txt": b"Z"})
 
-    def test_stdin_and_argv(self):
+    def test_stdin_and_argv(self, thresholds):
         source = """
         #include <sys.h>
         int main(int argc, char **argv) {
@@ -136,41 +172,51 @@ class TestEngineEquivalence:
             return 0;
         }
         """
-        assert_engines_agree(source, stdin=b"stream", argv=["alpha"])
+        for _ in thresholds:
+            assert_engines_agree(source, stdin=b"stream", argv=["alpha"])
 
-    def test_exit_mid_program(self):
-        assert_engines_agree(c_main("putchar('a'); exit(7); putchar('b');"))
+    def test_exit_mid_program(self, thresholds):
+        source = c_main("putchar('a'); exit(7); putchar('b');")
+        for _ in thresholds:
+            assert_engines_agree(source)
 
-    def test_suite_benchmarks_identical(self):
-        from repro.workloads.suite import benchmark_suite
+    def test_suite_benchmarks_identical(self, thresholds):
+        # Every small input of every suite program, on its original
+        # module and on the module the inliner expands from its profile.
+        from repro.inliner.manager import inline_module
+        from repro.profiler.profile import profile_module
 
+        cases = []
         for benchmark in benchmark_suite():
             module = benchmark.compile()
-            for spec in benchmark.make_runs("small"):
-                reference = run_once(
-                    module, spec, collect_branches=True, engine="counting"
-                )
+            specs = benchmark.make_runs("small")
+            inlined = inline_module(module, profile_module(module, specs)).module
+            for kind, candidate in (("original", module), ("inlined", inlined)):
+                for spec in specs:
+                    reference = run_once(
+                        candidate, spec, collect_branches=True,
+                        engine="counting",
+                    )
+                    label = f"{benchmark.name}/{kind}/{spec.label}"
+                    cases.append((label, candidate, spec, reference))
+        for threshold in thresholds:
+            for label, module, spec, reference in cases:
                 fast = run_once(
                     module, spec, collect_branches=True, engine="fast"
                 )
-                label = f"{benchmark.name}/{spec.label}"
-                assert fast.exit_code == reference.exit_code, label
-                assert bytes(fast.os.stdout) == bytes(reference.os.stdout), label
-                assert fast.os.written_files == reference.os.written_files, label
-                assert _counter_state(fast.counters) == _counter_state(
-                    reference.counters
-                ), label
+                _assert_same_run(reference, fast, f"{label} at {threshold}")
 
-    def test_fuzz_corpus_replays_identically(self):
+    def test_fuzz_corpus_replays_identically(self, thresholds):
         from repro.verify import replay_fuzz_corpus
 
-        reports = replay_fuzz_corpus(8, seed=0)
-        assert reports, "corpus generated no runnable programs"
-        assert all(report.ok for report in reports), [
-            report.summary() for report in reports if not report.ok
-        ]
+        for _ in thresholds:
+            reports = replay_fuzz_corpus(8, seed=0)
+            assert reports, "corpus generated no runnable programs"
+            assert all(report.ok for report in reports), [
+                report.summary() for report in reports if not report.ok
+            ]
 
-    def test_inlined_modules_agree(self):
+    def test_inlined_modules_agree(self, thresholds):
         # The fast tier must stay sound on post-expansion shapes too
         # (spliced bodies, renamed temporaries, copied call sites).
         from repro.inliner.manager import inline_module
@@ -192,13 +238,14 @@ class TestEngineEquivalence:
         reference = run_once(
             result.module, RunSpec(), collect_branches=True, engine="counting"
         )
-        fast = run_once(
-            result.module, RunSpec(), collect_branches=True, engine="fast"
-        )
-        assert fast.stdout == reference.stdout
-        assert _counter_state(fast.counters) == _counter_state(
-            reference.counters
-        )
+        for _ in thresholds:
+            fast = run_once(
+                result.module, RunSpec(), collect_branches=True, engine="fast"
+            )
+            assert fast.stdout == reference.stdout
+            assert _counter_state(fast.counters) == _counter_state(
+                reference.counters
+            )
 
     def test_oracle_reports_a_counters_only_difference(self, monkeypatch):
         # Identical outputs are not enough: a fast tier that miscounts
@@ -226,31 +273,40 @@ class TestEngineEquivalence:
 
 
 class TestFastTrapParity:
-    def _both_trap(self, source, match, **kwargs):
-        module = compile_program(source)
-        for engine in ENGINES:
+    def _both_trap(self, thresholds, source, match, link_libc=True, **kwargs):
+        """Both engines trap on ``source``, the fast one at every
+        tier-up threshold."""
+        module = compile_program(source, link_libc=link_libc)
+        with pytest.raises(VMTrap, match=match):
+            _run_engine(module, "counting", **kwargs)
+        for _ in thresholds:
             with pytest.raises(VMTrap, match=match):
-                _run_engine(module, engine, **kwargs)
+                _run_engine(module, "fast", **kwargs)
 
-    def test_fuel_exhaustion(self):
-        self._both_trap(c_main("while (1) ;"), "fuel", fuel=10_000)
-
-    def test_control_stack_overflow(self):
-        # Non-tail recursion with a real frame: the local array keeps
-        # the frontend from looping the self-call and makes each frame
-        # consume control-stack bytes, so sp actually overflows.
+    def test_fuel_exhaustion(self, thresholds):
         self._both_trap(
-            c_main(
-                "print_int(spin(0));",
-                prelude="int spin(int n) { int pad[32]; pad[0] = n;"
-                " return spin(n + 1) + pad[0]; }",
-            ),
-            "stack overflow",
-            stack_size=1 << 16,
+            thresholds, c_main("while (1) ;"), "fuel", fuel=10_000
         )
 
-    def test_icall_arity_mismatch(self):
+    def test_control_stack_overflow(self, thresholds):
+        # Non-tail recursion with a real frame: the local array keeps
+        # the frontend from looping the self-call and makes each frame
+        # consume control-stack bytes, so sp actually overflows. The
+        # smaller stack overflows at a direct call, below _DEPTH_LIMIT;
+        # the larger one just past it, in the trampoline.
+        source = c_main(
+            "print_int(spin(0));",
+            prelude="int spin(int n) { int pad[32]; pad[0] = n;"
+            " return spin(n + 1) + pad[0]; }",
+        )
+        for stack_size in (1 << 15, 1 << 16):
+            self._both_trap(
+                thresholds, source, "stack overflow", stack_size=stack_size
+            )
+
+    def test_icall_arity_mismatch(self, thresholds):
         self._both_trap(
+            thresholds,
             """
             #include <sys.h>
             int two(int a, int b) { return a + b; }
@@ -262,37 +318,39 @@ class TestFastTrapParity:
             "args",
         )
 
-    def test_icall_bad_pointer(self):
+    def test_icall_bad_pointer(self, thresholds):
         self._both_trap(
+            thresholds,
             c_main("int (*p)(int v) = (int (*)(int v))12345; p(1);"),
             "bad pointer",
         )
 
-    def test_unavailable_external(self):
-        module = compile_program(
+    def test_unavailable_external(self, thresholds):
+        self._both_trap(
+            thresholds,
             "int mystery(int x);\nint main(void) { return mystery(1); }",
+            "unavailable external",
             link_libc=False,
         )
-        for engine in ENGINES:
-            with pytest.raises(VMTrap, match="unavailable external"):
-                Machine(module, VirtualOS(), engine=engine).run()
 
-    def test_out_of_range_store(self):
+    def test_out_of_range_store(self, thresholds):
         self._both_trap(
-            c_main("int *p = (int *)99999999; *p = 1;"), "bad address"
+            thresholds,
+            c_main("int *p = (int *)99999999; *p = 1;"),
+            "bad address",
         )
 
-    def test_heap_exhaustion(self):
-        module = compile_program(c_main("while (1) malloc(1 << 16);"))
-        for engine in ENGINES:
-            with pytest.raises(VMTrap, match="out of heap"):
-                Machine(
-                    module, VirtualOS(), engine=engine, heap_limit=1 << 20
-                ).run()
+    def test_heap_exhaustion(self, thresholds):
+        self._both_trap(
+            thresholds,
+            c_main("while (1) malloc(1 << 16);"),
+            "out of heap",
+            heap_limit=1 << 20,
+        )
 
 
 class TestLinkKnobs:
-    def test_stack_size_change_never_runs_stale_code(self):
+    def test_stack_size_change_never_runs_stale_code(self, thresholds):
         # Globals are placed after the stack region, so linked code
         # bakes in addresses that move with stack_size. Either order of
         # two fast runs must match the interpreter.
@@ -304,21 +362,25 @@ class TestLinkKnobs:
                 prelude="int a = 17; int b = 10;",
             )
         )
-        for sizes in ((1 << 16, 1 << 20), (1 << 18, 1 << 17)):
-            for stack_size in sizes:
-                reference = _run_engine(
-                    module, "counting", stack_size=stack_size
-                )
-                result = _run_engine(module, "fast", stack_size=stack_size)
-                assert reference.stdout == "17 10 170"
-                assert result.stdout == reference.stdout, stack_size
-                assert _counter_state(result.counters) == _counter_state(
-                    reference.counters
-                ), stack_size
+        for threshold in thresholds:
+            for sizes in ((1 << 16, 1 << 20), (1 << 18, 1 << 17)):
+                for stack_size in sizes:
+                    reference = _run_engine(
+                        module, "counting", stack_size=stack_size
+                    )
+                    result = _run_engine(
+                        module, "fast", stack_size=stack_size
+                    )
+                    label = (threshold, stack_size)
+                    assert reference.stdout == "17 10 170"
+                    assert result.stdout == reference.stdout, label
+                    assert _counter_state(result.counters) == _counter_state(
+                        reference.counters
+                    ), label
 
 
 @pytest.fixture
-def generated(monkeypatch):
+def recorded(monkeypatch):
     """(function, block, source) of every closure the fast tier generates
     from here on, starting from an empty process-wide factory cache."""
     sources = []
@@ -334,6 +396,15 @@ def generated(monkeypatch):
     return sources
 
 
+@pytest.fixture
+def generated(recorded, monkeypatch):
+    """`recorded`, with the tier-up threshold pinned to 0: every block
+    control enters is compiled on first entry, with no tier-0 and so no
+    side exits."""
+    monkeypatch.setattr(fast, "_TIER_UP_IL", 0)
+    return recorded
+
+
 def _diamonds(count: int) -> str:
     """``count`` if/else statements in a row: tail duplication doubles
     the code of a loop body per diamond, so it outgrows one closure."""
@@ -347,16 +418,28 @@ class TestSpillRule:
     """A closure exit spills only the registers live where control
     resumes. Each program sets a value before one kind of exit and reads
     it after control re-enters generated code, and must match the
-    interpreter exactly."""
+    interpreter exactly at every threshold. At threshold 0, where every
+    block it enters is compiled, its function must leave its entry
+    closure."""
 
-    def _agree_across_closures(self, generated, source, function="main"):
-        assert_engines_agree(source)
-        blocks = {index for name, index, _ in generated if name == function}
-        assert len(blocks) > 1, f"{function} never left its entry closure"
+    def _agree_across_closures(
+        self, recorded, thresholds, source, function="main"
+    ):
+        for threshold in thresholds:
+            recorded.clear()
+            assert_engines_agree(source)
+            if threshold == 0:
+                blocks = {
+                    index for name, index, _ in recorded if name == function
+                }
+                assert len(blocks) > 1, (
+                    f"{function} never left its entry closure"
+                )
 
-    def test_budget_bounce_out_of_a_branchy_loop(self, generated):
+    def test_budget_bounce_out_of_a_branchy_loop(self, recorded, thresholds):
         self._agree_across_closures(
-            generated,
+            recorded,
+            thresholds,
             c_main(
                 "int i; int a = 1; int b = 2; int c = 0; int seen = 0;"
                 " for (i = 0; i < 60; i++) {"
@@ -368,11 +451,12 @@ class TestSpillRule:
             ),
         )
 
-    def test_switch_inside_a_loop(self, generated):
+    def test_switch_inside_a_loop(self, recorded, thresholds):
         # `v` is live only at case 1 and `w` only at the default: the
         # spill must cover the union of every arm and the default.
         self._agree_across_closures(
-            generated,
+            recorded,
+            thresholds,
             c_main(
                 "int i; int acc = 0; int last = 7; int k = 3; int v; int w;"
                 " for (i = 0; i < 40; i++) {"
@@ -387,12 +471,13 @@ class TestSpillRule:
             ),
         )
 
-    def test_call_past_the_depth_limit(self, generated):
+    def test_call_past_the_depth_limit(self, recorded, thresholds):
         # `s` is set (in a loop, so the closure has a back-edge) before
         # the recursive call and read in its continuation.
         depth = 2 * fast._DEPTH_LIMIT + 100
         self._agree_across_closures(
-            generated,
+            recorded,
+            thresholds,
             c_main(
                 f"print_int(down({depth}));",
                 prelude="int down(int n) { int k = 0; int s = n;"
@@ -403,10 +488,11 @@ class TestSpillRule:
             function="down",
         )
 
-    def test_indirect_call_past_the_depth_limit(self, generated):
+    def test_indirect_call_past_the_depth_limit(self, recorded, thresholds):
         depth = 2 * fast._DEPTH_LIMIT + 100
         self._agree_across_closures(
-            generated,
+            recorded,
+            thresholds,
             c_main(
                 f"print_int(down({depth}));",
                 prelude="int down(int n) { int (*self)(int v) = down;"
@@ -416,11 +502,12 @@ class TestSpillRule:
             function="down",
         )
 
-    def test_local_read_before_any_assignment(self, generated):
+    def test_local_read_before_any_assignment(self, recorded, thresholds):
         # `x` holds its initial 0 on the first iteration and is carried
         # around the loop through budget bounces afterwards.
         self._agree_across_closures(
-            generated,
+            recorded,
+            thresholds,
             c_main(
                 "int i; int x; int a = 5; int b = 9; int s = 0;"
                 " for (i = 0; i < 30; i++) { s = s + x; "
@@ -429,6 +516,136 @@ class TestSpillRule:
                 " print_int(s);"
             ),
         )
+
+
+class TestTierUp:
+    def test_infinity_generates_nothing_and_counts_exactly(
+        self, recorded, monkeypatch
+    ):
+        from repro.verify import diff_engines_benchmark
+
+        monkeypatch.setattr(fast, "_TIER_UP_IL", math.inf)
+        obs = Observability.create()
+        for name in ("wc", "cmp", "tee"):
+            report = diff_engines_benchmark(benchmark_by_name(name), obs=obs)
+            assert report.ok, report.summary()
+        counters = obs.metrics.counters
+        assert not recorded
+        assert not [name for name in counters if name.startswith("vm.codegen")]
+        assert obs.metrics.histogram("vm.codegen_seconds") is None
+        # Only the fast runs count tier-0 IL, and tier-0 ran all of them.
+        assert 2 * counters["vm.tier0.instructions"] == counters[
+            "vm.instructions_retired"
+        ]
+
+    def test_a_second_machine_tiers_up_what_the_first_heated(
+        self, recorded, monkeypatch
+    ):
+        # One run interprets about 700 IL in the loop: under the
+        # threshold alone, over it once a second machine adds its own.
+        monkeypatch.setattr(fast, "_TIER_UP_IL", 1000)
+        loop = "int i; int s = 0; for (i = 0; i < 100; i++) s = s + (i ^ {});"
+        source = c_main(loop.format(5) + " print_int(s);")
+        assert_engines_agree(source)
+        assert not recorded
+        assert_engines_agree(source)
+        assert [name for name, _, _ in recorded] == ["main"]
+        recorded.clear()
+        assert_engines_agree(c_main(loop.format(6) + " print_int(s);"))
+        assert not recorded
+
+    def test_a_side_exit_is_taken_and_its_target_tiers_up(
+        self, recorded, monkeypatch
+    ):
+        # The loop tiers up while `i < 200` has only gone one way, so
+        # its closure leaves the other arm as a side exit. The arm is
+        # taken from then on, and its block tiers up in turn.
+        monkeypatch.setattr(fast, "_TIER_UP_IL", 100)
+        assert_engines_agree(
+            c_main(
+                "int i; int a = 0; int b = 0;"
+                " for (i = 0; i < 400; i++) {"
+                " if (i < 200) a = a + i; else b = b + i * 3; }"
+                " print_int(a); putchar(' '); print_int(b);"
+            )
+        )
+        (loop, loop_source), *later = [
+            (index, source) for name, index, source in recorded
+            if name == "main"
+        ]
+        assert any(
+            f"return BT[{index}] or MK({index})" in loop_source
+            for index, _ in later
+        ), "no later closure is the target of a side exit"
+
+    def test_threads_sharing_heat_and_arms_count_exactly(self, monkeypatch):
+        # Machines in several threads add to one module's heat and arms
+        # without a lock. A lost update may only delay a tier-up or
+        # turn a taken arm into a side exit; every count stays exact.
+        monkeypatch.setattr(fast, "_TIER_UP_IL", 50)
+        monkeypatch.setattr(fast, "_FACTORY_CACHE", OrderedDict())
+        benchmark = benchmark_by_name("cmp")
+        module = benchmark.compile()
+        specs = benchmark.make_runs("small")
+        expected = [
+            _counter_state(run_once(module, spec).counters) for spec in specs
+        ]
+        results = {}
+
+        def work(worker):
+            results[worker] = [
+                _counter_state(run_once(module, spec, engine="fast").counters)
+                for spec in specs * 3
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(worker,))
+                for worker in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {worker: expected * 3 for worker in range(4)}
+
+    def test_a_deep_continuation_tiers_up_while_frames_wait(
+        self, monkeypatch
+    ):
+        # Past _DEPTH_LIMIT each frame waits on the trampoline holding
+        # its continuation's stub; the continuation heats up as frames
+        # return, and one of those stubs tiers it up.
+        monkeypatch.setattr(fast, "_TIER_UP_IL", 200)
+        monkeypatch.setattr(fast, "_FACTORY_CACHE", OrderedDict())
+        generations = []
+        generate = fast._ClosureCodegen.generate
+
+        def tracking_generate(codegen):
+            frame, callers = sys._getframe(), set()
+            while frame is not None:
+                callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            generations.append((codegen.name, codegen.index, "drive" in callers))
+            return generate(codegen)
+
+        monkeypatch.setattr(fast._ClosureCodegen, "generate", tracking_generate)
+        assert_engines_agree(
+            c_main(
+                f"print_int(down({2 * fast._DEPTH_LIMIT + 100}));",
+                prelude="int down(int n) { int s; if (n == 0) return 0;"
+                " s = down(n - 1); return (s * 3 + n) & 65535; }",
+            )
+        )
+        assert ("down", 0, False) in generations
+        assert any(
+            name == "down" and index > 0 and in_drive
+            for name, index, in_drive in generations
+        ), generations
 
 
 def _run_small_inputs(names, obs=None):
@@ -475,6 +692,14 @@ class TestCodegenOnDemand:
         assert any(index for _, index in blocks)
         assert blocks <= entered
 
+    def test_threshold_zero_generates_todays_code(self, generated):
+        # Every closure and line the tier generated before it had a
+        # tier-0: at threshold 0 nothing is interpreted, so nothing is
+        # measured and no arm becomes a side exit.
+        _run_small_inputs(["wc", "cmp", "tee"])
+        assert len(generated) == 16
+        assert sum(source.count("\n") + 1 for _, _, source in generated) == 10_103
+
     def test_generated_lines_stay_under_ceiling(self, generated):
         # Tail duplication multiplies generated code, and a timing gate
         # cannot see a blow-up through CI noise; this count can. The
@@ -483,7 +708,7 @@ class TestCodegenOnDemand:
         lines = sum(source.count("\n") + 1 for _, _, source in generated)
         assert lines <= 11_113
 
-    def test_codegen_metrics(self, generated):
+    def test_codegen_metrics(self, generated, monkeypatch):
         obs = Observability.create()
         _run_small_inputs(["tee"], obs=obs)
         counters = obs.metrics.counters
@@ -492,6 +717,7 @@ class TestCodegenOnDemand:
             1 for _, index, _ in generated if index == 0
         )
         assert counters["vm.codegen.functions"] < len(generated)
+        assert counters["vm.tier0.instructions"] == 0
         assert counters["vm.codegen.lines"] == sum(
             source.count("\n") + 1 for _, _, source in generated
         )
@@ -505,6 +731,15 @@ class TestCodegenOnDemand:
         )
         assert again.metrics.histogram("vm.codegen_seconds") is None
         assert again.metrics.counters["vm.runs"] > 0
+        # At infinity nothing tiers up: tier-0 retires every instruction.
+        monkeypatch.setattr(fast, "_TIER_UP_IL", math.inf)
+        monkeypatch.setattr(fast, "_FACTORY_CACHE", OrderedDict())
+        cold = Observability.create()
+        _run_small_inputs(["tee"], obs=cold)
+        counters = cold.metrics.counters
+        assert counters["vm.tier0.instructions"] == counters[
+            "vm.instructions_retired"
+        ] > 0
 
     def test_threads_racing_to_generate_run_correct_code(
         self, generated, monkeypatch

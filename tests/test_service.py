@@ -3,6 +3,7 @@ health/stats introspection, trace propagation, and the slow log."""
 
 import json
 import os
+import signal
 import socket
 import threading
 import time
@@ -374,6 +375,25 @@ class TestProcessBackend:
         store = os.path.join(cache_dir, f"v{CACHE_FORMAT}")
         sharded = [name for _root, _dirs, files in os.walk(store) for name in files]
         assert sharded, "process workers populated the sharded store"
+
+    def test_a_killed_worker_is_replaced(self, tmp_path):
+        socket_path = str(tmp_path / "kill.sock")
+        obs = Observability.create()
+        handle = serve_in_thread(socket_path, jobs=1, executor="process", obs=obs)
+        try:
+            with ServiceClient(socket_path) as client:
+                assert client.profile(PROGRAM)["exit_code"] == 0
+                (worker,) = handle.service._pool._processes
+                os.kill(worker, signal.SIGKILL)
+                result = client.profile(ECHO, stdin="again\n")
+                assert result["exit_code"] == 0
+                assert result["stdout"] == "again\n"
+                health = client.health()
+            assert health["ready"] is True
+            assert health["pool_restarts"] == 1
+            assert obs.metrics.counters["service.pool_restarts"] == 1
+        finally:
+            handle.stop()
 
 
 class TestHealthOp:
