@@ -67,13 +67,6 @@ from repro.pipeline.parallel import jobs_argument
 from repro.profiler.profile import RunSpec, profile_module, run_once
 
 
-def _run_spec(args: argparse.Namespace) -> RunSpec:
-    return RunSpec(
-        stdin=(args.stdin or "").encode(),
-        argv=list(args.arg or []),
-    )
-
-
 def _make_obs(args: argparse.Namespace) -> Observability | None:
     """A live observability context when an obs flag asks for one."""
     if (
@@ -200,7 +193,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.il.verifier import verify_module
 
         verify_module(module)
-    result = run_once(module, _run_spec(args), obs=obs, engine=args.engine)
+    spec = RunSpec.from_text(args.stdin, args.arg)
+    result = run_once(module, spec, obs=obs, engine=args.engine)
     sys.stdout.write(result.stdout)
     counters = result.counters
     print(
@@ -218,7 +212,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as handle:
         source = handle.read()
     module = compile_program(source, args.file)
-    profile = profile_module(module, [_run_spec(args)], check_exit=False)
+    spec = RunSpec.from_text(args.stdin, args.arg)
+    profile = profile_module(module, [spec], check_exit=False)
     text = dump_profile(profile, module)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -238,7 +233,7 @@ def _cmd_inline(args: argparse.Namespace) -> int:
         from repro.opt import optimize_module
 
         optimize_module(module, obs=obs, pass_spec=args.passes)
-    spec = _run_spec(args)
+    spec = RunSpec.from_text(args.stdin, args.arg)
     if args.profile_file:
         from repro.profiler.serialize import load_profile
 
@@ -281,7 +276,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     if args.dot:
         # Run a full profile + selection so every arc carries the
         # selector's reason code, then color the DOT output by it.
-        profile = profile_module(module, [_run_spec(args)], check_exit=False)
+        spec = RunSpec.from_text(args.stdin, args.arg)
+        profile = profile_module(module, [spec], check_exit=False)
         result = inline_module(
             module,
             profile,
@@ -305,7 +301,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         return 0
     profile = None
     if args.profile:
-        profile = profile_module(module, [_run_spec(args)], check_exit=False)
+        spec = RunSpec.from_text(args.stdin, args.arg)
+        profile = profile_module(module, [spec], check_exit=False)
     graph = build_call_graph(module, profile, refine_pointers=args.refine)
     print(to_dot(graph, include_synthetic=args.synthetic, min_weight=args.min_weight))
     return 0

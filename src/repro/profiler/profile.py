@@ -12,6 +12,17 @@ from repro.vm.machine import Machine, RunResult
 from repro.vm.os import VirtualOS
 
 
+def _latin1(text: str, name: str) -> bytes:
+    try:
+        return text.encode("latin-1")
+    except UnicodeEncodeError as error:
+        bad = text[error.start]
+        raise ValueError(
+            f"{name} holds {bad!r} (U+{ord(bad):04X}); the VM's text is"
+            " latin-1, one byte per character up to U+00FF"
+        ) from None
+
+
 @dataclass
 class RunSpec:
     """One profiling input: stdin bytes, a file system, and argv."""
@@ -21,6 +32,21 @@ class RunSpec:
     argv: list[str] = field(default_factory=list)
     #: Free-form tag, used in experiment logs.
     label: str = ""
+
+    @classmethod
+    def from_text(cls, stdin: str | None = None, argv=None) -> "RunSpec":
+        """The run of a text ``stdin`` and ``argv`` (the CLI's and the
+        service's inputs).
+
+        The VM's bytes are latin-1 text: it decodes stdout, argv and file
+        paths one byte per character, so stdin is encoded the same way.
+        A character above U+00FF has no such byte and raises
+        :class:`ValueError` naming the parameter that holds it.
+        """
+        argv = list(argv or [])
+        for arg in argv:
+            _latin1(arg, "argv")
+        return cls(stdin=_latin1(stdin or "", "stdin"), argv=argv)
 
     def make_os(self) -> VirtualOS:
         return VirtualOS(stdin=self.stdin, files=dict(self.files), argv=list(self.argv))

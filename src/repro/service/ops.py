@@ -40,15 +40,6 @@ def request_key(op: str, params: dict | None) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _run_spec(params: dict):
-    from repro.profiler.profile import RunSpec
-
-    return RunSpec(
-        stdin=(params.get("stdin") or "").encode(),
-        argv=list(params.get("argv") or []),
-    )
-
-
 def _compiled(params: dict, obs: Observability, session=None):
     """Compile (and optionally pre-optimize) the request's source."""
     source = params.get("source")
@@ -112,10 +103,11 @@ def op_compile(params: dict, obs: Observability, session=None) -> dict:
 
 def op_profile(params: dict, obs: Observability, session=None) -> dict:
     """Compile and execute once; report outputs and dynamic counts."""
-    from repro.profiler.profile import run_once
+    from repro.profiler.profile import RunSpec, run_once
 
+    spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
     module = _compiled(params, obs, session)
-    run = run_once(module, _run_spec(params), obs=obs, engine=_engine(params))
+    run = run_once(module, spec, obs=obs, engine=_engine(params))
     result = {"exit_code": run.exit_code, "stdout": run.stdout}
     result.update(run.counters.to_summary())
     return result
@@ -124,10 +116,10 @@ def op_profile(params: dict, obs: Observability, session=None) -> dict:
 def op_inline(params: dict, obs: Observability, session=None) -> dict:
     """The full profile -> inline -> re-profile loop for one input."""
     from repro.inliner.manager import inline_module
-    from repro.profiler.profile import profile_module
+    from repro.profiler.profile import RunSpec, profile_module
 
+    spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
     module = _compiled(params, obs, session)
-    spec = _run_spec(params)
     engine = _engine(params)
     profile = profile_module(
         module, [spec], check_exit=False, obs=obs, engine=engine
@@ -160,10 +152,10 @@ def op_check(params: dict, obs: Observability, session=None) -> dict:
     """
     from repro.experiments.pipeline import compare_outputs
     from repro.inliner.manager import inline_module
-    from repro.profiler.profile import profile_module
+    from repro.profiler.profile import RunSpec, profile_module
 
+    spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
     module = _compiled(params, obs, session)
-    spec = _run_spec(params)
     engine = _engine(params)
     profile = profile_module(
         module, [spec], check_exit=False, obs=obs, engine=engine

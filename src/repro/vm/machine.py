@@ -17,19 +17,29 @@ Function pointers are encoded as negative integers (``-1 - index`` into
 the function table), so they survive 32-bit store/load round trips and
 can never collide with data addresses.
 
-Two execution engines share this link step: the counting interpreter
-below (``engine="counting"``, the reference) and the fast tier in
-:mod:`repro.vm.fast` (``engine="fast"``), which interprets each region
-until compiling it to Python closures pays and produces the exact same
-:class:`~repro.vm.counters.Counters` on every successful run. In the
-runs README "Execution engines" names, a cold ``tables all --scale
-small`` took 2.93 s on the fast tier and 3.37 s here, and warm, over
-the full-scale inputs, the fast tier retired 4.9 times as many IL
-instructions per CPU second.
+Two execution engines share this link step. The counting interpreter
+below (``engine="counting"``, the reference) runs a predecoded block
+form of the linked code (`_block_form`), built on its first run and
+memoised with the link result: each function's basic blocks, with
+jump targets renamed to block indices and every operand a register
+index (immediates sit in a constant pool after the registers). It
+counts IL instructions, checks fuel and feeds the instruction-cache
+tracer once per block entry; `Machine._execute` states the contract.
+The fast tier in :mod:`repro.vm.fast` (``engine="fast"``) interprets
+each region until compiling it to Python closures pays, and produces
+the exact same :class:`~repro.vm.counters.Counters` on every
+successful run.
+
+In the runs README "Execution engines" names (2-vCPU x86-64
+container), a cold ``tables all --scale small`` took 3.03 s here and
+3.10 s on the fast tier. Warm, over the full-scale inputs, the fast
+tier retired 3.1 times as many IL instructions per CPU second as this
+engine.
 """
 
 from __future__ import annotations
 
+import struct
 import weakref
 from dataclasses import dataclass
 
@@ -62,6 +72,19 @@ _OP_SWITCH = 15
 _NULL_GUARD = 16
 _INT_MASK = 0xFFFFFFFF
 _INT_SIGN = 0x80000000
+
+# Memory access at a byte address. Each raises ``struct.error`` past
+# the end of memory, which `Machine._execute` maps to the VM's trap.
+_load4 = struct.Struct("<i").unpack_from
+_load1 = struct.Struct("<b").unpack_from
+_store4 = struct.Struct("<I").pack_into
+_store1 = struct.Struct("<B").pack_into
+
+#: The trap wording and address field of each memory opcode.
+_BAD_ACCESS = {
+    _OP_LOAD4: ("load4 from", 2), _OP_LOAD1: ("load1 from", 2),
+    _OP_STORE4: ("store4 to", 1), _OP_STORE1: ("store1 to", 1),
+}
 
 #: Recognized execution engines (see the module docstring).
 ENGINES = ("counting", "fast")
@@ -97,17 +120,19 @@ def _c_mod(a: int, b: int) -> int:
     return _wrap(a - _c_div(a, b) * b)
 
 
+#: Each lambda is one expression: ``((v + 2**31) & 0xFFFFFFFF) - 2**31``
+#: is `_wrap` written out, saving a nested call per executed ``BIN``.
 _BINOPS = {
-    "+": lambda a, b: _wrap(a + b),
-    "-": lambda a, b: _wrap(a - b),
-    "*": lambda a, b: _wrap(a * b),
+    "+": lambda a, b: ((a + b + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    "-": lambda a, b: ((a - b + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    "*": lambda a, b: ((a * b + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
     "/": _c_div,
     "%": _c_mod,
-    "<<": lambda a, b: _wrap(a << (b & 31)),
-    ">>": lambda a, b: _wrap(a >> (b & 31)),
-    "&": lambda a, b: _wrap(a & b),
-    "|": lambda a, b: _wrap(a | b),
-    "^": lambda a, b: _wrap(a ^ b),
+    "<<": lambda a, b: (((a << (b & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    ">>": lambda a, b: (((a >> (b & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    "&": lambda a, b: (((a & b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    "|": lambda a, b: (((a | b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
+    "^": lambda a, b: (((a ^ b) + 0x80000000) & 0xFFFFFFFF) - 0x80000000,
     "<": lambda a, b: 1 if a < b else 0,
     ">": lambda a, b: 1 if a > b else 0,
     "<=": lambda a, b: 1 if a <= b else 0,
@@ -147,16 +172,122 @@ class _Linked:
 
     ``stamp`` revalidates the entry against in-place module edits.
     ``fingerprint`` is the fast tier's structural cache key for exactly
-    these ``functions``, filled in on first use; keeping it here gives
-    it the same key and stamp as the code it describes.
+    these ``functions``, and ``blocks`` the counting engine's
+    `_block_form` of them; each is filled in on first use, so keeping
+    it here gives it the same key and stamp as the code it describes.
     """
 
-    __slots__ = ("stamp", "functions", "fingerprint")
+    __slots__ = ("stamp", "functions", "fingerprint", "blocks")
 
     def __init__(self, stamp: tuple, functions: dict):
         self.stamp = stamp
         self.functions = functions
         self.fingerprint: tuple | None = None
+        self.blocks: dict | None = None
+
+
+class _BlockFunction:
+    """One linked function in the counting engine's block form.
+
+    ``blocks[k]`` is ``(length, instructions)`` for basic block ``k``,
+    which starts at linked pc ``starts[k]``. Jump targets name blocks,
+    a direct call names the callee's ``_BlockFunction``, and every
+    operand is a register index: immediates live in a constant pool
+    after the ``nregs`` registers, so a frame starts as ``template[:]``.
+    """
+
+    __slots__ = (
+        "name", "nparams", "frame_size", "linked", "starts", "blocks", "template",
+    )
+
+    def __init__(self, compiled: _CompiledFunction):
+        self.name = compiled.name
+        self.nparams = compiled.nparams
+        self.frame_size = compiled.frame_size
+        #: The linked function; its ``base`` places the blocks in code
+        #: space for the instruction-cache tracer.
+        self.linked = compiled
+        self.starts: list[int] = []
+        self.blocks: list[tuple[int, tuple]] = []
+        self.template: list[int] = []
+
+
+#: Linked fields holding an operand: a register index, or an immediate
+#: boxed in a 1-tuple. Calls also take their argument tuple (field 3).
+_OPERAND_FIELDS = {
+    _OP_MOV: (2,), _OP_BIN: (3, 4), _OP_UN: (3,), _OP_LOAD4: (2,),
+    _OP_LOAD1: (2,), _OP_STORE4: (1, 2), _OP_STORE1: (1, 2),
+    _OP_ICALL: (2,), _OP_RET: (1,), _OP_CJUMP: (1,), _OP_SWITCH: (1,),
+}
+
+#: Opcodes after which a new basic block starts. Every call ends its
+#: block, builtins included, so ``exit()`` is always a block's last
+#: instruction and a block entered always runs to its end unless an
+#: instruction in it traps.
+_BLOCK_ENDS = {
+    _OP_JUMP, _OP_CJUMP, _OP_SWITCH, _OP_RET, _OP_CALLU, _OP_CALLB, _OP_ICALL,
+}
+
+
+def _block_form(compiled: dict) -> dict:
+    """The `_BlockFunction` of every function in ``compiled``."""
+    functions = {
+        name: _BlockFunction(function) for name, function in compiled.items()
+    }
+    for function in functions.values():
+        code = function.linked.code
+        nregs = function.linked.nregs
+        leaders = {0}
+        for pc, ins in enumerate(code):
+            op = ins[0]
+            if op in _BLOCK_ENDS:
+                leaders.add(pc + 1)
+            if op == _OP_JUMP:
+                leaders.add(ins[1])
+            elif op == _OP_CJUMP:
+                leaders.update(ins[2:4])
+            elif op == _OP_SWITCH:
+                leaders.update(ins[2].values())
+                leaders.add(ins[3])
+        starts = sorted(pc for pc in leaders if pc < len(code))
+        block_of = {pc: k for k, pc in enumerate(starts)}
+        pool: dict[int, int] = {}
+
+        def operand(value):
+            if type(value) is tuple:
+                return pool.setdefault(value[0], nregs + len(pool))
+            return value
+
+        translated = []
+        for ins in code:
+            op = ins[0]
+            fields = list(ins)
+            for field in _OPERAND_FIELDS.get(op, ()):
+                fields[field] = operand(ins[field])
+            if op in (_OP_CALLU, _OP_CALLB, _OP_ICALL):
+                fields[3] = tuple(operand(arg) for arg in ins[3])
+            if op == _OP_CALLU:
+                fields[2] = functions[ins[2]]
+            elif op == _OP_RET and ins[1] is None:
+                fields[1] = operand((0,))
+            elif op == _OP_JUMP:
+                fields[1] = block_of[ins[1]]
+            elif op == _OP_CJUMP:
+                fields[2] = block_of[ins[2]]
+                fields[3] = block_of[ins[3]]
+            elif op == _OP_SWITCH:
+                fields[2] = {
+                    value: block_of[target] for value, target in ins[2].items()
+                }
+                fields[3] = block_of[ins[3]]
+            translated.append(tuple(fields))
+        function.starts = starts
+        function.blocks = [
+            (end - start, tuple(translated[start:end]))
+            for start, end in zip(starts, [*starts[1:], len(code)])
+        ]
+        function.template = [0] * nregs + list(pool)
+    return functions
 
 
 @dataclass
@@ -185,10 +316,12 @@ class Machine:
     ``engine`` selects how the linked code is executed: ``"counting"``
     (default) is the reference interpreter below; ``"fast"`` is the
     closure-compiled tier in :mod:`repro.vm.fast`, which produces
-    identical counters and outputs on every successful run. The fast
-    tier has no per-instruction dispatch point, so it cannot drive the
-    instruction-cache tracer — combining ``engine="fast"`` with
-    ``icache`` is rejected at construction.
+    identical counters and outputs on every successful run. Neither
+    engine has a per-instruction point to feed the instruction-cache
+    tracer from: the reference feeds it a block's addresses where
+    control enters the block, and the fast tier's closures, which fuse
+    many blocks, have no such entry point, so combining
+    ``engine="fast"`` with ``icache`` is rejected at construction.
     """
 
     def __init__(
@@ -226,8 +359,9 @@ class Machine:
         #: Optional repro.observability MetricsRegistry; dynamic counts
         #: are reported into it once per run (never from the hot loop).
         self._metrics = metrics
-        #: Optional repro.icache.InstructionCache fed one access per
-        #: executed instruction (slows execution; off by default).
+        #: Optional repro.icache.InstructionCache fed the address of
+        #: every executed instruction, a block at a time (slows
+        #: execution; off by default).
         self.icache = icache
         #: "sequential" packs functions in module order; "scattered"
         #: shuffles them with random gaps, modelling a linker that
@@ -578,11 +712,33 @@ class Machine:
         return [len(pointers), table]
 
     def _execute(self, entry: _CompiledFunction, args: list[int]) -> int:
+        """Run ``entry`` to its return in the block form; the reference.
+
+        Control enters a basic block, then runs every instruction in it
+        (`_BLOCK_ENDS` says where blocks end). The work that is fixed
+        per block happens once, at entry:
+
+        - ``counters.il`` grows by the block's length;
+        - fuel: a block that would take ``il`` past the machine's fuel
+          raises :class:`~repro.errors.VMTrap` ("fuel exhausted after N
+          instructions") before it runs, with ``N`` and ``il`` the
+          instructions that actually ran;
+        - the instruction-cache tracer, if any, is fed the block's
+          addresses in order.
+
+        Control transfers, calls and returns are counted as they run.
+        A run that returns or calls ``exit()`` therefore counts every
+        channel, and feeds the tracer every address, exactly as one
+        instruction at a time would. A trap in mid-block uncounts the
+        block's instructions after the raising one, so ``il`` still
+        counts exactly what ran, the raising instruction included.
+        """
         mem = self._mem
-        os = self.os
         counters = self.counters
         fuel = self._fuel
-        compiled = self._compiled
+        functions = self._linked.blocks
+        if functions is None:
+            functions = self._linked.blocks = _block_form(self._compiled)
         function_table = self._function_table
         stack_limit = self._stack_limit
         site_counts = counters.site_counts
@@ -595,169 +751,95 @@ class Machine:
         n_calls = 0
         n_rets = 0
 
-        current = entry
-        code = entry.code
-        regs = [0] * entry.nregs
+        current = functions[entry.name]
+        blocks = current.blocks
+        regs = current.template[:]
         regs[: len(args)] = args
-        pc = 0
+        k = 0
         fp = self._sp
         sp = fp + entry.frame_size
         if sp > stack_limit:
             raise VMTrap("control stack overflow at entry")
         func_counts[entry.name] = func_counts.get(entry.name, 0) + 1
         call_stack: list[tuple] = []
+        length = 0
+        block = ()
+        ins = None
 
         try:
             while True:
-                ins = code[pc]
-                if icache is not None:
-                    icache.access(current.base + 4 * pc)
-                pc += 1
-                n_il += 1
+                length, block = blocks[k]
+                n_il += length
                 if n_il > fuel:
+                    n_il -= length
+                    ins = None  # no instruction of this block ran
                     raise VMTrap(f"fuel exhausted after {n_il} instructions")
-                op = ins[0]
-
-                if op == _OP_BIN:
-                    a = ins[3]
-                    b = ins[4]
-                    regs[ins[1]] = ins[2](
-                        regs[a] if type(a) is int else a[0],
-                        regs[b] if type(b) is int else b[0],
-                    )
-                elif op == _OP_LOAD4:
-                    a = ins[2]
-                    address = regs[a] if type(a) is int else a[0]
-                    if address < _NULL_GUARD or address + 4 > len(mem):
-                        raise VMTrap(f"load4 from bad address {address}")
-                    regs[ins[1]] = int.from_bytes(
-                        mem[address : address + 4], "little", signed=True
-                    )
-                elif op == _OP_CJUMP:
-                    a = ins[1]
-                    value = regs[a] if type(a) is int else a[0]
-                    if value:
-                        pc = ins[2]
-                        taken = 0
-                    else:
-                        pc = ins[3]
-                        taken = 1
-                    n_ct += 1
-                    key = ins[4]
-                    if key is not None:
-                        pair = branch_counts.setdefault(key, [0, 0])
-                        pair[taken] += 1
-                elif op == _OP_CONST:
-                    regs[ins[1]] = ins[2]
-                elif op == _OP_MOV:
-                    a = ins[2]
-                    regs[ins[1]] = regs[a] if type(a) is int else a[0]
-                elif op == _OP_STORE4:
-                    a = ins[1]
-                    address = regs[a] if type(a) is int else a[0]
-                    b = ins[2]
-                    value = regs[b] if type(b) is int else b[0]
-                    if address < _NULL_GUARD or address + 4 > len(mem):
-                        raise VMTrap(f"store4 to bad address {address}")
-                    mem[address : address + 4] = (value & _INT_MASK).to_bytes(
-                        4, "little"
-                    )
-                elif op == _OP_LOAD1:
-                    a = ins[2]
-                    address = regs[a] if type(a) is int else a[0]
-                    if address < _NULL_GUARD or address >= len(mem):
-                        raise VMTrap(f"load1 from bad address {address}")
-                    byte = mem[address]
-                    regs[ins[1]] = (byte ^ 0x80) - 0x80
-                elif op == _OP_STORE1:
-                    a = ins[1]
-                    address = regs[a] if type(a) is int else a[0]
-                    b = ins[2]
-                    value = regs[b] if type(b) is int else b[0]
-                    if address < _NULL_GUARD or address >= len(mem):
-                        raise VMTrap(f"store1 to bad address {address}")
-                    mem[address] = value & 0xFF
-                elif op == _OP_FRAME:
-                    regs[ins[1]] = fp + ins[2]
-                elif op == _OP_JUMP:
-                    pc = ins[1]
-                    n_ct += 1
-                elif op == _OP_CALLU:
-                    callee = compiled[ins[2]]
-                    n_calls += 1
-                    site = ins[4]
-                    site_counts[site] = site_counts.get(site, 0) + 1
-                    func_counts[callee.name] = func_counts.get(callee.name, 0) + 1
-                    new_regs = [0] * callee.nregs
-                    arg_ops = ins[3]
-                    for index, a in enumerate(arg_ops):
-                        new_regs[index] = regs[a] if type(a) is int else a[0]
-                    call_stack.append((current, code, regs, pc, fp, ins[1]))
-                    current = callee
-                    code = callee.code
-                    regs = new_regs
-                    pc = 0
-                    fp = sp
-                    sp = fp + callee.frame_size
-                    if sp > stack_limit:
-                        raise VMTrap(
-                            f"control stack overflow calling {callee.name}"
-                            f" (depth {len(call_stack)})"
-                        )
-                elif op == _OP_CALLB:
-                    impl = ins[2]
-                    name = ins[5]
-                    if impl is None:
-                        raise VMTrap(f"call to unavailable external {name!r}")
-                    n_calls += 1
-                    site = ins[4]
-                    site_counts[site] = site_counts.get(site, 0) + 1
-                    func_counts[name] = func_counts.get(name, 0) + 1
-                    values = [
-                        regs[a] if type(a) is int else a[0] for a in ins[3]
-                    ]
-                    result = impl(self, *values)
-                    n_rets += 1
-                    if ins[1] >= 0:
-                        regs[ins[1]] = result if result is not None else 0
-                elif op == _OP_ICALL:
-                    a = ins[2]
-                    pointer = regs[a] if type(a) is int else a[0]
-                    if pointer >= 0:
-                        raise VMTrap(f"indirect call through bad pointer {pointer}")
-                    index = -1 - pointer
-                    if index >= len(function_table):
-                        raise VMTrap(f"indirect call through bad pointer {pointer}")
-                    kind, name = function_table[index]
-                    n_calls += 1
-                    site = ins[4]
-                    site_counts[site] = site_counts.get(site, 0) + 1
-                    func_counts[name] = func_counts.get(name, 0) + 1
-                    values = [
-                        regs[x] if type(x) is int else x[0] for x in ins[3]
-                    ]
-                    if kind == "b":
-                        entry_builtin = BUILTINS.get(name)
-                        if entry_builtin is None:
-                            raise VMTrap(f"indirect call to unavailable {name!r}")
-                        result = entry_builtin[1](self, *values)
+                if icache is not None:
+                    start = current.linked.base + 4 * current.starts[k]
+                    for address in range(start, start + 4 * length, 4):
+                        icache.access(address)
+                k += 1  # the fall-through block; transfers overwrite it
+                for ins in block:
+                    op = ins[0]
+                    if op == _OP_BIN:
+                        regs[ins[1]] = ins[2](regs[ins[3]], regs[ins[4]])
+                    elif op == _OP_CJUMP:
+                        n_ct += 1
+                        if regs[ins[1]]:
+                            k = ins[2]
+                            taken = 0
+                        else:
+                            k = ins[3]
+                            taken = 1
+                        key = ins[4]
+                        if key is not None:
+                            pair = branch_counts.setdefault(key, [0, 0])
+                            pair[taken] += 1
+                    elif op == _OP_CONST:
+                        regs[ins[1]] = ins[2]
+                    elif op == _OP_MOV:
+                        regs[ins[1]] = regs[ins[2]]
+                    elif op == _OP_JUMP:
+                        k = ins[1]
+                        n_ct += 1
+                    elif op == _OP_LOAD4:
+                        address = regs[ins[2]]
+                        if address < _NULL_GUARD:
+                            raise VMTrap(f"load4 from bad address {address}")
+                        regs[ins[1]] = _load4(mem, address)[0]
+                    elif op == _OP_LOAD1:
+                        address = regs[ins[2]]
+                        if address < _NULL_GUARD:
+                            raise VMTrap(f"load1 from bad address {address}")
+                        regs[ins[1]] = _load1(mem, address)[0]
+                    elif op == _OP_RET:
+                        value = regs[ins[1]]
+                        if not call_stack:
+                            # The entry frame's return has no matching
+                            # call instruction, so it does not count as a
+                            # dynamic return (the paper assumes calls ==
+                            # returns).
+                            return value
                         n_rets += 1
-                        if ins[1] >= 0:
-                            regs[ins[1]] = result if result is not None else 0
-                    else:
-                        callee = compiled[name]
-                        if len(values) != callee.nparams:
-                            raise VMTrap(
-                                f"indirect call to {name} with {len(values)} args,"
-                                f" expected {callee.nparams}"
-                            )
-                        new_regs = [0] * callee.nregs
-                        new_regs[: len(values)] = values
-                        call_stack.append((current, code, regs, pc, fp, ins[1]))
+                        sp = fp
+                        current, blocks, regs, k, fp, dst = call_stack.pop()
+                        if dst >= 0:
+                            regs[dst] = value
+                    elif op == _OP_CALLU:
+                        callee = ins[2]
+                        name = callee.name
+                        n_calls += 1
+                        site = ins[4]
+                        site_counts[site] = site_counts.get(site, 0) + 1
+                        func_counts[name] = func_counts.get(name, 0) + 1
+                        new_regs = callee.template[:]
+                        for index, a in enumerate(ins[3]):
+                            new_regs[index] = regs[a]
+                        call_stack.append((current, blocks, regs, k, fp, ins[1]))
                         current = callee
-                        code = callee.code
+                        blocks = callee.blocks
                         regs = new_regs
-                        pc = 0
+                        k = 0
                         fp = sp
                         sp = fp + callee.frame_size
                         if sp > stack_limit:
@@ -765,31 +847,95 @@ class Machine:
                                 f"control stack overflow calling {name}"
                                 f" (depth {len(call_stack)})"
                             )
-                elif op == _OP_RET:
-                    a = ins[1]
-                    value = 0
-                    if a is not None:
-                        value = regs[a] if type(a) is int else a[0]
-                    if not call_stack:
-                        # The entry frame's return has no matching call
-                        # instruction, so it does not count as a dynamic
-                        # return (the paper assumes calls == returns).
-                        return value
-                    n_rets += 1
-                    sp = fp
-                    current, code, regs, pc, fp, dst = call_stack.pop()
-                    if dst >= 0:
-                        regs[dst] = value
-                elif op == _OP_UN:
-                    a = ins[3]
-                    regs[ins[1]] = ins[2](regs[a] if type(a) is int else a[0])
-                elif op == _OP_SWITCH:
-                    a = ins[1]
-                    value = regs[a] if type(a) is int else a[0]
-                    pc = ins[2].get(value, ins[3])
-                    n_ct += 1
-                else:  # pragma: no cover
-                    raise VMTrap(f"unknown compiled opcode {op}")
+                    elif op == _OP_STORE4:
+                        address = regs[ins[1]]
+                        if address < _NULL_GUARD:
+                            raise VMTrap(f"store4 to bad address {address}")
+                        _store4(mem, address, regs[ins[2]] & _INT_MASK)
+                    elif op == _OP_UN:
+                        regs[ins[1]] = ins[2](regs[ins[3]])
+                    elif op == _OP_STORE1:
+                        address = regs[ins[1]]
+                        if address < _NULL_GUARD:
+                            raise VMTrap(f"store1 to bad address {address}")
+                        _store1(mem, address, regs[ins[2]] & 0xFF)
+                    elif op == _OP_CALLB:
+                        impl = ins[2]
+                        name = ins[5]
+                        if impl is None:
+                            raise VMTrap(f"call to unavailable external {name!r}")
+                        n_calls += 1
+                        site = ins[4]
+                        site_counts[site] = site_counts.get(site, 0) + 1
+                        func_counts[name] = func_counts.get(name, 0) + 1
+                        result = impl(self, *[regs[a] for a in ins[3]])
+                        n_rets += 1
+                        if ins[1] >= 0:
+                            regs[ins[1]] = result if result is not None else 0
+                    elif op == _OP_FRAME:
+                        regs[ins[1]] = fp + ins[2]
+                    elif op == _OP_ICALL:
+                        pointer = regs[ins[2]]
+                        if pointer >= 0:
+                            raise VMTrap(f"indirect call through bad pointer {pointer}")
+                        index = -1 - pointer
+                        if index >= len(function_table):
+                            raise VMTrap(f"indirect call through bad pointer {pointer}")
+                        kind, name = function_table[index]
+                        n_calls += 1
+                        site = ins[4]
+                        site_counts[site] = site_counts.get(site, 0) + 1
+                        func_counts[name] = func_counts.get(name, 0) + 1
+                        values = [regs[a] for a in ins[3]]
+                        if kind == "b":
+                            entry_builtin = BUILTINS.get(name)
+                            if entry_builtin is None:
+                                raise VMTrap(f"indirect call to unavailable {name!r}")
+                            result = entry_builtin[1](self, *values)
+                            n_rets += 1
+                            if ins[1] >= 0:
+                                regs[ins[1]] = result if result is not None else 0
+                        else:
+                            callee = functions[name]
+                            if len(values) != callee.nparams:
+                                raise VMTrap(
+                                    f"indirect call to {name} with {len(values)} args,"
+                                    f" expected {callee.nparams}"
+                                )
+                            new_regs = callee.template[:]
+                            new_regs[: len(values)] = values
+                            call_stack.append(
+                                (current, blocks, regs, k, fp, ins[1])
+                            )
+                            current = callee
+                            blocks = callee.blocks
+                            regs = new_regs
+                            k = 0
+                            fp = sp
+                            sp = fp + callee.frame_size
+                            if sp > stack_limit:
+                                raise VMTrap(
+                                    f"control stack overflow calling {name}"
+                                    f" (depth {len(call_stack)})"
+                                )
+                    elif op == _OP_SWITCH:
+                        k = ins[2].get(regs[ins[1]], ins[3])
+                        n_ct += 1
+                    else:  # pragma: no cover
+                        raise VMTrap(f"unknown compiled opcode {op}")
+        except (VMTrap, struct.error) as error:
+            # Uncount the instructions after the raising one: they never
+            # ran. Control transfers and calls end their blocks, so only
+            # an instruction that traps in mid-block leaves any.
+            for index, done in enumerate(block):
+                if done is ins:
+                    n_il -= length - 1 - index
+                    break
+            if isinstance(error, struct.error):
+                # A load or store past the end of memory.
+                where, field = _BAD_ACCESS[ins[0]]
+                raise VMTrap(f"{where} bad address {regs[ins[field]]}") from None
+            raise
         finally:
             counters.il += n_il
             counters.ct += n_ct

@@ -47,6 +47,14 @@ class TestRunCommand:
         cli_main(["run", str(path), "--stdin", "ping"])
         assert "ping" in capsys.readouterr().out
 
+    def test_stdin_flag_round_trips_latin1(self, tmp_path, capsys):
+        from repro.workloads.suite import benchmark_by_name
+
+        path = tmp_path / "tee.c"
+        path.write_text(benchmark_by_name("tee").source)
+        assert cli_main(["run", str(path), "--stdin", "café\n"]) == 0
+        assert capsys.readouterr().out == "café\n"
+
     def test_argv_flags(self, tmp_path, capsys):
         path = tmp_path / "args.c"
         path.write_text(

@@ -63,6 +63,27 @@ def assert_engines_agree(source, **run_kwargs):
     return reference
 
 
+#: ``(il, ct, calls, returns)`` of each suite program summed over its
+#: small inputs, ``(original, inlined)``, under the counting engine:
+#: literals taken from the interpreter that counted one instruction at
+#: a time, so a change to the link step both engines share cannot move
+#: them unseen.
+SUITE_COUNTS = {
+    "cccp": ((415951, 98979, 16792, 16792), (424890, 112677, 3094, 3094)),
+    "cmp": ((40236, 10355, 5981, 5981), (40236, 13287, 3049, 3049)),
+    "compress": ((397790, 54115, 16810, 16810), (410363, 69467, 1458, 1458)),
+    "eqn": ((281575, 58068, 13249, 13249), (288167, 66423, 4894, 4894)),
+    "espresso": ((283488, 57068, 11327, 11327), (302400, 67118, 1277, 1277)),
+    "grep": ((465157, 98051, 20941, 20941), (486525, 117384, 1608, 1608)),
+    "lex": ((648089, 177240, 46780, 46780), (678792, 205418, 18602, 18602)),
+    "make": ((144683, 30983, 3833, 3833), (148497, 33988, 828, 828)),
+    "tar": ((68412, 8274, 8901, 8901), (68412, 11352, 5823, 5823)),
+    "tee": ((50535, 10337, 6052, 6052), (50535, 10337, 6052, 6052)),
+    "wc": ((75834, 30038, 3359, 3359), (75834, 30038, 3359, 3359)),
+    "yacc": ((566634, 108518, 20694, 20694), (580356, 126126, 3086, 3086)),
+}
+
+
 #: The tier-up thresholds the equivalence, trap and link-knob tests run
 #: the fast engine at: 0 compiles every block control enters on first
 #: entry, 1 compiles a block once tier-0 has run it, and infinity
@@ -183,15 +204,19 @@ class TestEngineEquivalence:
     def test_suite_benchmarks_identical(self, thresholds):
         # Every small input of every suite program, on its original
         # module and on the module the inliner expands from its profile.
+        # The reference's totals must also equal `SUITE_COUNTS`.
         from repro.inliner.manager import inline_module
         from repro.profiler.profile import profile_module
 
         cases = []
+        totals = {}
         for benchmark in benchmark_suite():
             module = benchmark.compile()
             specs = benchmark.make_runs("small")
             inlined = inline_module(module, profile_module(module, specs)).module
+            row = []
             for kind, candidate in (("original", module), ("inlined", inlined)):
+                total = [0, 0, 0, 0]
                 for spec in specs:
                     reference = run_once(
                         candidate, spec, collect_branches=True,
@@ -199,6 +224,15 @@ class TestEngineEquivalence:
                     )
                     label = f"{benchmark.name}/{kind}/{spec.label}"
                     cases.append((label, candidate, spec, reference))
+                    counters = reference.counters
+                    for index, value in enumerate((
+                        counters.il, counters.ct, counters.calls,
+                        counters.returns,
+                    )):
+                        total[index] += value
+                row.append(tuple(total))
+            totals[benchmark.name] = tuple(row)
+        assert totals == SUITE_COUNTS
         for threshold in thresholds:
             for label, module, spec, reference in cases:
                 fast = run_once(

@@ -38,6 +38,20 @@ class TestRunSpec:
     def test_label_free_form(self):
         assert RunSpec(label="hello").label == "hello"
 
+    def test_from_text_is_latin1(self):
+        spec = RunSpec.from_text("café\n", ["ÿ"])
+        assert spec.stdin == b"caf\xe9\n"
+        assert spec.argv == ["ÿ"]
+        assert RunSpec.from_text(None, None) == RunSpec()
+
+    @pytest.mark.parametrize(
+        "stdin, argv, name",
+        [("€", None, "stdin"), ("ok", ["fine", "x€"], "argv")],
+    )
+    def test_from_text_names_the_parameter_past_latin1(self, stdin, argv, name):
+        with pytest.raises(ValueError, match=rf"^{name} holds '€' \(U\+20AC\)"):
+            RunSpec.from_text(stdin, argv)
+
 
 class TestProfileModule:
     def test_requires_inputs(self):

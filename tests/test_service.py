@@ -172,6 +172,32 @@ class TestServiceRoundTrip:
             assert client.stats()["counters"]["service.requests.failed"] == 1
 
 
+class TestTextInputs:
+    """stdin and argv travel as latin-1, the VM's own text encoding."""
+
+    def test_latin1_stdin_round_trips(self):
+        from repro.workloads.suite import benchmark_by_name
+
+        for name, stdout in (("tee", "café\n"), ("wc", "1 1 5\n")):
+            params = {
+                "source": benchmark_by_name(name).source, "stdin": "café\n",
+            }
+            assert execute("profile", params)["stdout"] == stdout
+
+    @pytest.mark.parametrize(
+        "extra, name", [({"stdin": "€"}, "stdin"), ({"argv": ["€"]}, "argv")]
+    )
+    def test_beyond_latin1_is_one_error_envelope(self, service, extra, name):
+        socket_path, _obs, _handle = service
+        with ServiceClient(socket_path) as client:
+            reply = client.request(
+                "profile", {"source": ECHO, **extra}, raw=True
+            )
+            assert reply["ok"] is False
+            assert reply["error"].startswith(f"ValueError: {name} holds '€'")
+            assert client.ping() == "pong"
+
+
 class TestMalformedRequests:
     """Every request line gets an envelope, and the server keeps
     answering afterwards."""

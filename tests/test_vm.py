@@ -167,6 +167,149 @@ class TestMemory:
         with pytest.raises(VMTrap, match="fuel"):
             Machine(module, VirtualOS(), fuel=10_000).run()
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("int *p = (int *)99999999; print_int(*p);",
+             "load4 from bad address 99999999"),
+            ("char *p = (char *)99999999; print_int(*p);",
+             "load1 from bad address 99999999"),
+            ("int *p = (int *)99999999; *p = 1;",
+             "store4 to bad address 99999999"),
+            ("char *p = (char *)99999999; *p = 1;",
+             "store1 to bad address 99999999"),
+            ("int *p = (int *)12; print_int(*p);", "load4 from bad address 12"),
+            ("char *p = (char *)-3; *p = 1;", "store1 to bad address -3"),
+        ],
+    )
+    def test_bad_access_trap_messages(self, body, message):
+        with pytest.raises(VMTrap) as trap:
+            run_c(c_main(body))
+        assert str(trap.value) == message
+
+
+class _Recorder:
+    """An instruction-cache stand-in that keeps every address fed to it."""
+
+    def __init__(self):
+        self.addresses: list[int] = []
+
+    def access(self, address: int) -> None:
+        self.addresses.append(address)
+
+
+class TestBlockGranularity:
+    """The reference counts once per basic block. Each pinned count and
+    address here was taken from the interpreter that counted one
+    instruction at a time, with `compile_program` and ``fuel=10_000``."""
+
+    @staticmethod
+    def _trapped(source: str) -> tuple[str, Counters]:
+        machine = Machine(compile_program(source), fuel=10_000)
+        with pytest.raises(VMTrap) as trap:
+            machine.run()
+        return str(trap.value), machine.counters
+
+    def test_trap_mid_block_counts_what_ran(self):
+        message, counters = self._trapped(
+            c_main("int a = 3; int *p = (int *)99999999; a = a * 7; *p = a;")
+        )
+        assert message == "store4 to bad address 99999999"
+        assert counters.il == 7
+
+    def test_trap_in_callee(self):
+        message, counters = self._trapped(
+            c_main(
+                "int i; int s = 0; for (i = 0; i < 10; i++) s += f(i);"
+                " print_int(s);",
+                prelude="int f(int x) { int y = x - 5; return 100 / y; }",
+            )
+        )
+        assert message == "integer division by zero"
+        assert (counters.il, counters.ct, counters.calls, counters.returns) == (
+            75, 11, 6, 5,
+        )
+
+    def test_exit_mid_stack_and_mid_block(self):
+        result = run_c(
+            c_main(
+                "int i; for (i = 0; i < 10; i++) if (i == 2) g(i + 1);",
+                prelude="int g(int x) { print_int(x); exit(0); return x; }",
+            ),
+            fuel=10_000,
+        )
+        assert (result.exit_code, result.stdout) == (0, "3")
+        counters = result.counters
+        assert (counters.il, counters.ct, counters.calls, counters.returns) == (
+            26, 8, 3, 1,
+        )
+
+    _SUM_TO_30 = c_main(
+        "int i; int s = 0; for (i = 0; i < 30; i++) s += i; print_int(s);"
+    )
+
+    def test_fuel_allows_exactly_the_instructions_it_names(self):
+        needed = run_c(self._SUM_TO_30).counters.il
+        assert run_c(self._SUM_TO_30, fuel=needed).stdout == "435"
+        machine = Machine(compile_program(self._SUM_TO_30), fuel=needed - 1)
+        with pytest.raises(VMTrap) as trap:
+            machine.run()
+        assert str(trap.value) == (
+            f"fuel exhausted after {machine.counters.il} instructions"
+        )
+
+    def test_fuel_trap_counts_only_what_ran(self):
+        # The trap fires before the block that would pass the fuel, so
+        # none of that block's instructions is counted.
+        needed = run_c(self._SUM_TO_30).counters.il
+        machine = Machine(compile_program(self._SUM_TO_30), fuel=needed - 1)
+        with pytest.raises(VMTrap, match="fuel exhausted"):
+            machine.run()
+        assert machine.counters.il < needed
+
+    @pytest.mark.parametrize(
+        "layout, digest",
+        [
+            ("sequential",
+             "d28a4d22fdb6e01026d772a5d24a0cdb97958f7632ff600fda71b16c1f9267ca"),
+            ("scattered",
+             "eb8ae5527a74ea9f0c8ffa6f0348ea641048b3c932fb414711520f352bc2f021"),
+        ],
+    )
+    def test_icache_sees_every_address_in_order(self, layout, digest):
+        import hashlib
+
+        from repro.workloads.suite import benchmark_by_name
+
+        benchmark = benchmark_by_name("cmp")
+        spec = benchmark.make_runs("small")[0]
+        recorder = _Recorder()
+        Machine(
+            benchmark.compile(), spec.make_os(), icache=recorder,
+            code_layout=layout,
+        ).run()
+        assert len(recorder.addresses) == 13_409
+        assert hashlib.sha256(
+            repr(recorder.addresses).encode()
+        ).hexdigest() == digest
+
+    def test_icache_stops_at_exit_mid_block(self):
+        # twice: 3 instructions at 0; main at 16: call twice, mov,
+        # call putchar, sub, call exit, then three that never run.
+        source = (
+            "#include <sys.h>\n"
+            "int twice(int x) { return x + x; }\n"
+            "int main(void) { int y = twice(33); putchar(y);"
+            " exit(y - 63); y = y * 2; return y; }\n"
+        )
+        recorder = _Recorder()
+        result = Machine(
+            compile_program(source, link_libc=False), icache=recorder
+        ).run()
+        assert (result.exit_code, result.stdout) == (3, "B")
+        assert recorder.addresses == [16, 0, 4, 20, 24, 28, 32]
+        assert result.counters.il == 7
+
 
 class TestArgv:
     def test_argc_argv(self):
