@@ -16,14 +16,11 @@ Subcommands::
     impact-inline report BASELINE [CURRENT] [--format table|markdown]
         Compare two bench records; non-zero exit on exact-metric
         regressions (wall time gated only with --fail-on-time).
-    impact-inline check [--benchmarks ...] [--fuzz N] [--seed S] [--engines]
+    impact-inline check [--benchmarks ...] [--fuzz N] [--seed S]
         Differential-correctness harness: run original and inlined
         modules of each benchmark in lockstep and (optionally) fuzz
         random programs through the full pipeline. Exit 1 on any
-        divergence or broken invariant. With ``--engines``, instead
-        diff the counting interpreter against the fast tier on every
-        benchmark (exit code, stdout, written files, and the full
-        counter dictionaries must be identical).
+        divergence or broken invariant.
     impact-inline serve [--socket PATH] [--jobs N] [--executor ...]
         Long-running compilation service on a local Unix socket:
         batches and deduplicates concurrent compile/profile/inline/
@@ -43,14 +40,10 @@ histograms), and ``--summary`` (metrics summary table on stderr); see
 README "Observability". ``tables`` and ``bench`` share the run flags
 of :func:`add_run_flags` — ``--scale``, ``--benchmarks``, ``--jobs N``
 (parallel suite execution), ``--executor``, ``--cache-dir [DIR]``
-(content-addressed compile/profile cache), ``--passes SPEC`` (custom
-pre-optimization pipeline) and ``--engine``; see README "Pipeline
+(content-addressed compile/profile cache) and ``--passes SPEC``
+(custom pre-optimization pipeline); see README "Pipeline
 architecture". ``bench``/``report`` are the performance-tracking loop;
 see README "Performance tracking".
-``run``, ``inline``, ``tables``, ``bench``, ``check``, ``serve``, and
-``call`` accept ``--engine counting|fast`` to pick the VM execution
-engine; both engines produce identical outputs and counters (README
-"Execution engines").
 """
 
 from __future__ import annotations
@@ -95,19 +88,6 @@ def _export_obs(args: argparse.Namespace, obs: Observability | None) -> None:
         print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
     if getattr(args, "summary", False):
         print(render_metrics_summary(obs.metrics), file=sys.stderr)
-
-
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        default="counting",
-        choices=["counting", "fast"],
-        help="VM execution engine: 'counting' is the reference"
-        " interpreter; 'fast' interprets each block until 5,000 IL have"
-        " run from it, then compiles it to Python closures, and produces"
-        " the exact same counters (README 'Execution engines' has the"
-        " measured speeds and which engine to pick)",
-    )
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -181,7 +161,6 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help="pre-optimization pass spec, e.g. 'fold,copyprop,cse,jumpopt,dce'",
     )
-    _add_engine_flag(parser)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -194,7 +173,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         verify_module(module)
     spec = RunSpec.from_text(args.stdin, args.arg)
-    result = run_once(module, spec, obs=obs, engine=args.engine)
+    result = run_once(module, spec, obs=obs)
     sys.stdout.write(result.stdout)
     counters = result.counters
     print(
@@ -240,9 +219,7 @@ def _cmd_inline(args: argparse.Namespace) -> int:
         with open(args.profile_file, encoding="utf-8") as handle:
             profile = load_profile(handle.read(), module)
     else:
-        profile = profile_module(
-            module, [spec], check_exit=False, obs=obs, engine=args.engine
-        )
+        profile = profile_module(module, [spec], check_exit=False, obs=obs)
     params = InlineParameters(
         weight_threshold=args.threshold,
         size_limit_factor=args.growth,
@@ -251,9 +228,7 @@ def _cmd_inline(args: argparse.Namespace) -> int:
     if obs is not None and obs.tracer.enabled:
         for decision in result.decisions:
             obs.tracer.record(decision.to_record())
-    after = profile_module(
-        result.module, [spec], check_exit=False, obs=obs, engine=args.engine
-    )
+    after = profile_module(result.module, [spec], check_exit=False, obs=obs)
     before_calls = profile.avg_calls
     decrease = 1.0 - after.avg_calls / before_calls if before_calls else 0.0
     print(f"expanded call sites : {len(result.records)}")
@@ -318,7 +293,6 @@ def _run_config(args: argparse.Namespace, **options):
         names=args.benchmarks,
         jobs=args.jobs,
         executor=args.executor,
-        engine=args.engine,
         pass_spec=args.passes,
         **options,
     )
@@ -440,43 +414,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         size_limit_factor=args.growth,
     )
     failed = False
-    if args.engines:
-        # Engine-equivalence mode: run every benchmark under both the
-        # counting interpreter and the fast tier, diffing exit code,
-        # stdout, written files, and the full counter dictionaries.
-        from repro.verify import diff_engines_suite, replay_fuzz_corpus
-
-        reports = diff_engines_suite(
-            names=args.benchmarks, scale=args.scale, obs=obs
-        )
-        for report in reports:
-            print(report.summary())
-            failed = failed or not report.ok
-        if args.fuzz:
-            replays = replay_fuzz_corpus(args.fuzz, seed=args.seed, obs=obs)
-            bad = [report for report in replays if not report.ok]
-            status = "ok" if not bad else "FAIL"
-            print(
-                f"fuzz replay: {status} ({len(replays)} programs from"
-                f" seed {args.seed}, {len(bad)} divergent)"
-            )
-            for report in bad:
-                print("  " + report.summary().replace("\n", "\n  "))
-            failed = failed or bool(bad)
-        _export_obs(args, obs)
-        return 1 if failed else 0
     reports = verify_suite(
-        names=args.benchmarks,
-        scale=args.scale,
-        params=params,
-        obs=obs,
-        engine=args.engine,
+        names=args.benchmarks, scale=args.scale, params=params, obs=obs
     )
     for report in reports:
         print(report.summary())
         failed = failed or not report.ok
     if args.fuzz:
-        fuzz = run_fuzz(args.fuzz, seed=args.seed, obs=obs, engine=args.engine)
+        fuzz = run_fuzz(args.fuzz, seed=args.seed, obs=obs)
         status = "ok" if fuzz.ok else "FAIL"
         print(
             f"fuzz: {status} ({fuzz.count} programs from seed {fuzz.seed},"
@@ -510,7 +455,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         slow_log=args.slow_log,
         slow_threshold=args.slow_threshold,
-        engine=args.engine,
     )
 
     async def main() -> None:
@@ -561,8 +505,6 @@ def _cmd_call(args: argparse.Namespace) -> int:
         if args.op in ("inline", "check"):
             params["threshold"] = args.threshold
             params["growth"] = args.growth
-        if args.engine != "counting" and args.op != "compile":
-            params["engine"] = args.engine
         if args.dump and args.op == "compile":
             params["dump"] = True
     with ServiceClient(args.socket) as client:
@@ -636,7 +578,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="re-verify IL well-formedness before executing",
     )
-    _add_engine_flag(run_parser)
     _add_obs_flags(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
@@ -665,7 +606,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="re-verify IL well-formedness after every inline phase",
     )
-    _add_engine_flag(inline_parser)
     _add_obs_flags(inline_parser)
     inline_parser.set_defaults(func=_cmd_inline)
 
@@ -784,15 +724,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     check_parser.add_argument("--threshold", type=float, default=10.0)
     check_parser.add_argument("--growth", type=float, default=1.25)
-    check_parser.add_argument(
-        "--engines",
-        action="store_true",
-        help="engine-equivalence mode: run each benchmark under both"
-        " the counting interpreter and the fast tier and diff exit"
-        " code, stdout, written files, and every counter channel"
-        " (--fuzz N replays the fuzz corpus under both engines too)",
-    )
-    _add_engine_flag(check_parser)
     _add_obs_flags(check_parser)
     check_parser.set_defaults(func=_cmd_check)
 
@@ -852,7 +783,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help="slow-request threshold for --slow-log (default: 1.0)",
     )
-    _add_engine_flag(serve_parser)
     _add_obs_flags(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
 
@@ -884,7 +814,6 @@ def main(argv: list[str] | None = None) -> int:
     call_parser.add_argument("--threshold", type=float, default=10.0)
     call_parser.add_argument("--growth", type=float, default=1.25)
     call_parser.add_argument("--dump", action="store_true")
-    _add_engine_flag(call_parser)
     call_parser.set_defaults(func=_cmd_call)
 
     report_parser = sub.add_parser(

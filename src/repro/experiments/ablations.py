@@ -6,7 +6,7 @@ C — code-growth limit (§2.3.1's program-size cap),
 D — linearization order (paper's weight heuristic vs. hybrid).
 
 Every sweep takes a :class:`~repro.experiments.pipeline.RunConfig`
-(benchmarks, scale, engine, pre-optimization passes, ``check``, and
+(benchmarks, scale, pre-optimization passes, ``check``, and
 the worker pool) and fans out over the selected benchmarks via
 :func:`~repro.pipeline.parallel.parallel_map`; the measurement tasks
 are module-level functions parameterized with :func:`functools.partial`
@@ -47,7 +47,7 @@ def _prepare(benchmark, config):
     module = benchmark.compile()
     optimize_module(module, pass_spec=config.pass_spec)
     specs = benchmark.make_runs(config.scale)
-    profile = profile_module(module, specs, engine=config.engine)
+    profile = profile_module(module, specs)
     return module, specs, profile
 
 
@@ -82,7 +82,7 @@ def _measure(
     module, inlined_module, specs, profile, config
 ) -> tuple[float, float]:
     before = profile.avg_calls
-    after_profile = profile_module(inlined_module, specs, engine=config.engine)
+    after_profile = profile_module(inlined_module, specs)
     after = after_profile.avg_calls
     decrease = max(0.0, 1.0 - after / before) if before else 0.0
     original = module.total_code_size()
@@ -222,13 +222,13 @@ def heldout_input_check(config: RunConfig) -> list[AblationPoint]:
                 continue
             train = specs[0::2]
             test = specs[1::2]
-            profile = profile_module(module, train, engine=config.engine)
+            profile = profile_module(module, train)
             inlined = InlineExpander(
                 module, profile, check=config.check
             ).run().module
             evaluate = train if subset == "train-inputs" else test
-            base = profile_module(module, evaluate, engine=config.engine)
-            after = profile_module(inlined, evaluate, engine=config.engine)
+            base = profile_module(module, evaluate)
+            after = profile_module(inlined, evaluate)
             decs.append(
                 max(0.0, 1.0 - after.avg_calls / base.avg_calls)
                 if base.avg_calls

@@ -48,10 +48,10 @@ class RunConfig:
 
     ``names`` restricts the run to those benchmarks, kept in suite
     order; ``jobs > 1`` runs them on a ``"thread"`` or ``"process"``
-    ``executor`` pool; ``engine`` is the VM tier of every execution;
-    ``pass_spec`` selects the pre-optimization pipeline (``None``: the
-    full five-pass set); ``check`` re-verifies IL well-formedness after
-    every inline phase; ``params`` are the inliner's knobs.
+    ``executor`` pool; ``pass_spec`` selects the pre-optimization
+    pipeline (``None``: the full five-pass set); ``check`` re-verifies
+    IL well-formedness after every inline phase; ``params`` are the
+    inliner's knobs.
     Construction raises :class:`ValueError` on ``jobs < 1``, an unknown
     executor, or any unknown benchmark name.
     """
@@ -60,7 +60,6 @@ class RunConfig:
     names: tuple[str, ...] | None = None
     jobs: int = 1
     executor: str = "thread"
-    engine: str = "counting"
     pass_spec: str | None = None
     check: bool = False
     params: InlineParameters = InlineParameters()
@@ -81,7 +80,6 @@ class RunConfig:
             "jobs": self.jobs,
             "executor": self.executor,
             "pass_spec": self.pass_spec,
-            "engine": self.engine,
             "threshold": self.params.weight_threshold,
             "size_limit_factor": self.params.size_limit_factor,
         }
@@ -201,13 +199,10 @@ def run_benchmark(
         with tracer.span("benchmark.profile", name=benchmark.name):
             if session is not None:
                 profile = session.profile(
-                    module, specs, scale=scale, params=params, obs=obs,
-                    engine=config.engine,
+                    module, specs, scale=scale, params=params, obs=obs
                 )
             else:
-                profile = profile_module(
-                    module, specs, obs=obs, engine=config.engine
-                )
+                profile = profile_module(module, specs, obs=obs)
 
         with tracer.span("benchmark.inline", name=benchmark.name):
             expander = InlineExpander(
@@ -223,12 +218,10 @@ def run_benchmark(
             if session is not None:
                 post_profile = session.profile(
                     inline_result.module, specs, scale=scale, params=params,
-                    obs=obs, engine=config.engine,
+                    obs=obs,
                 )
             else:
-                post_profile = profile_module(
-                    inline_result.module, specs, obs=obs, engine=config.engine
-                )
+                post_profile = profile_module(inline_result.module, specs, obs=obs)
 
         with tracer.span(
             "benchmark.check_outputs", name=benchmark.name
@@ -237,7 +230,6 @@ def run_benchmark(
                 module,
                 inline_result.module,
                 specs,
-                engine=config.engine,
                 before=profile.observations,
                 after=post_profile.observations,
             )
@@ -282,7 +274,6 @@ def compare_outputs(
     module_a,
     module_b,
     specs: list[RunSpec],
-    engine: str = "counting",
     before: tuple[Observation, ...] | None = None,
     after: tuple[Observation, ...] | None = None,
 ) -> OutputComparison:
@@ -301,7 +292,6 @@ def compare_outputs(
         before = None
     if after is not None and len(after) != len(specs):
         after = None
-    run = functools.partial(run_once, engine=engine)
     comparison = OutputComparison(matches=True)
     for index, spec in enumerate(specs):
         seen_a = before[index] if before is not None else None
@@ -311,12 +301,14 @@ def compare_outputs(
             continue
         comparison.rerun += 1
         if seen_a is None:
-            seen_a = Observation.of(run(module_a, spec))
+            seen_a = Observation.of(run_once(module_a, spec))
         if seen_b is None:
-            seen_b = Observation.of(run(module_b, spec))
+            seen_b = Observation.of(run_once(module_b, spec))
         if seen_a == seen_b:
             continue
-        problems = run_differences(run(module_a, spec), run(module_b, spec))
+        problems = run_differences(
+            run_once(module_a, spec), run_once(module_b, spec)
+        )
         if problems:
             label = spec.label or f"input {index}"
             comparison.divergences.append(f"{label}: " + "; ".join(problems))

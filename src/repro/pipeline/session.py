@@ -439,15 +439,11 @@ class CompilationSession:
         scale: str = "",
         params=None,
         obs: Observability | None = None,
-        engine: str = "counting",
     ):
         """Cached :func:`~repro.profiler.profile.profile_module` call.
 
         The cached profile keeps its per-input output observations, so
         a warm pipeline checks outputs without executing either module.
-        ``engine`` is deliberately absent from the cache key: both VM
-        execution tiers produce identical counters and outputs, so a
-        profile cached under one engine is valid for the other.
         """
         obs = resolve(obs if obs is not None else self._obs)
         key = profile_cache_key(module, specs, scale, params)
@@ -455,7 +451,7 @@ class CompilationSession:
         if cached is None:
             from repro.profiler.profile import profile_module
 
-            cached = profile_module(module, specs, obs=obs, engine=engine)
+            cached = profile_module(module, specs, obs=obs)
             self._store(self._profiles, "profile", key, cached, obs)
         return _copy_profile(cached)
 

@@ -91,20 +91,13 @@ def _first_difference(a: bytes, b: bytes) -> int:
     )
 
 
-def run_differences(
-    a: RunResult,
-    b: RunResult,
-    counters: bool = False,
-    after: str = "after inlining",
-) -> list[str]:
+def run_differences(a: RunResult, b: RunResult) -> list[str]:
     """Every channel on which two runs of one input differ (empty: none).
 
-    Compares the exit code, stdout and stderr (first differing byte and
-    both lengths) and the written files (missing from ``b``, written
-    only by ``b`` — worded with ``after`` — or first differing byte).
-    With ``counters``, also every counter channel: ``il``, ``ct``,
-    ``calls``, ``returns`` and the per-site, per-function and
-    per-branch counts, naming up to five differing keys of each.
+    ``a`` is the original's run and ``b`` the inlined module's. Compares
+    the exit code, stdout and stderr (first differing byte and both
+    lengths) and the written files (missing after inlining, only written
+    after inlining, or first differing byte).
     """
     problems: list[str] = []
     if a.exit_code != b.exit_code:
@@ -122,35 +115,15 @@ def run_differences(
         parts: list[str] = []
         for path in sorted(set(files_a) | set(files_b)):
             if path not in files_b:
-                parts.append(f"{path} missing {after}")
+                parts.append(f"{path} missing after inlining")
             elif path not in files_a:
-                parts.append(f"{path} only written {after}")
+                parts.append(f"{path} only written after inlining")
             elif files_a[path] != files_b[path]:
                 parts.append(
                     f"{path} content differs at byte"
                     f" {_first_difference(files_a[path], files_b[path])}"
                 )
         problems.append("written files differ: " + ", ".join(parts))
-    if counters:
-        for channel in ("il", "ct", "calls", "returns"):
-            value_a = getattr(a.counters, channel)
-            value_b = getattr(b.counters, channel)
-            if value_a != value_b:
-                problems.append(f"{channel} {value_a} != {value_b}")
-        for channel in ("site_counts", "func_counts", "branch_counts"):
-            dict_a = getattr(a.counters, channel)
-            dict_b = getattr(b.counters, channel)
-            keys = sorted(
-                key
-                for key in set(dict_a) | set(dict_b)
-                if dict_a.get(key) != dict_b.get(key)
-            )
-            if keys:
-                more = f" (+{len(keys) - 5} more)" if len(keys) > 5 else ""
-                problems.append(
-                    f"{channel} differ at"
-                    f" {', '.join(str(key) for key in keys[:5])}{more}"
-                )
     return problems
 
 
@@ -214,7 +187,6 @@ def run_once(
     fuel: int = 2_000_000_000,
     collect_branches: bool = False,
     obs: Observability | None = None,
-    engine: str = "counting",
 ) -> RunResult:
     """Execute ``module`` once under ``spec`` and return the result."""
     obs = resolve(obs)
@@ -225,7 +197,6 @@ def run_once(
         fuel=fuel,
         collect_branches=collect_branches,
         metrics=obs.metrics if obs.metrics.enabled else None,
-        engine=engine,
     )
     return machine.run()
 
@@ -236,7 +207,6 @@ def profile_module(
     fuel: int = 2_000_000_000,
     check_exit: bool = True,
     obs: Observability | None = None,
-    engine: str = "counting",
 ) -> ProfileData:
     """Profile ``module`` over every input in ``specs``.
 
@@ -252,9 +222,7 @@ def profile_module(
         for index, spec in enumerate(specs):
             label = spec.label or f"run {index}"
             with obs.tracer.span("profile.run", label=label) as attrs:
-                result = run_once(
-                    module, spec, fuel=fuel, obs=obs, engine=engine
-                )
+                result = run_once(module, spec, fuel=fuel, obs=obs)
                 attrs["exit_code"] = result.exit_code
                 attrs["il"] = result.counters.il
                 attrs["calls"] = result.counters.calls

@@ -24,6 +24,13 @@ import json
 
 from repro.observability import Observability, resolve
 
+#: Fuel (IL instructions) of every VM run an operation makes, so a
+#: runaway program gets a fuel trap instead of holding a worker for
+#: the VM's default 2e9 IL (minutes of CPU). It is 34x the most IL any
+#: single full-scale suite input retires (espresso, 2,896,292 IL), or
+#: about 25 s of CPU on the block interpreter.
+REQUEST_FUEL = 100_000_000
+
 
 def request_key(op: str, params: dict | None) -> str:
     """The content-addressed identity of one request.
@@ -73,17 +80,13 @@ def _inline_params(params: dict):
     )
 
 
-def _engine(params: dict) -> str:
-    """Validated execution engine for the request (default counting)."""
-    from repro.vm.machine import ENGINES
+def _profile(module, spec, obs: Observability):
+    """Profile ``module`` over the one request input, under `REQUEST_FUEL`."""
+    from repro.profiler.profile import profile_module
 
-    engine = params.get("engine") or "counting"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"params['engine'] must be one of {', '.join(ENGINES)};"
-            f" got {engine!r}"
-        )
-    return engine
+    return profile_module(
+        module, [spec], fuel=REQUEST_FUEL, check_exit=False, obs=obs
+    )
 
 
 def op_compile(params: dict, obs: Observability, session=None) -> dict:
@@ -107,7 +110,7 @@ def op_profile(params: dict, obs: Observability, session=None) -> dict:
 
     spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
     module = _compiled(params, obs, session)
-    run = run_once(module, spec, obs=obs, engine=_engine(params))
+    run = run_once(module, spec, fuel=REQUEST_FUEL, obs=obs)
     result = {"exit_code": run.exit_code, "stdout": run.stdout}
     result.update(run.counters.to_summary())
     return result
@@ -116,18 +119,13 @@ def op_profile(params: dict, obs: Observability, session=None) -> dict:
 def op_inline(params: dict, obs: Observability, session=None) -> dict:
     """The full profile -> inline -> re-profile loop for one input."""
     from repro.inliner.manager import inline_module
-    from repro.profiler.profile import RunSpec, profile_module
+    from repro.profiler.profile import RunSpec
 
     spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
     module = _compiled(params, obs, session)
-    engine = _engine(params)
-    profile = profile_module(
-        module, [spec], check_exit=False, obs=obs, engine=engine
-    )
+    profile = _profile(module, spec, obs)
     outcome = inline_module(module, profile, _inline_params(params), obs=obs)
-    after = profile_module(
-        outcome.module, [spec], check_exit=False, obs=obs, engine=engine
-    )
+    after = _profile(outcome.module, spec, obs)
     before_calls = profile.avg_calls
     return {
         "expanded": len(outcome.records),
@@ -147,26 +145,23 @@ def op_inline(params: dict, obs: Observability, session=None) -> dict:
 def op_check(params: dict, obs: Observability, session=None) -> dict:
     """Inline, then check the inlined module's outputs against the original.
 
-    The original's side comes from the observation its profiling run
-    left, so only the inlined module executes a second time.
+    Each module runs once, under `REQUEST_FUEL`; the comparison reads
+    the observations those runs left.
     """
     from repro.experiments.pipeline import compare_outputs
     from repro.inliner.manager import inline_module
-    from repro.profiler.profile import RunSpec, profile_module
+    from repro.profiler.profile import RunSpec
 
     spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
     module = _compiled(params, obs, session)
-    engine = _engine(params)
-    profile = profile_module(
-        module, [spec], check_exit=False, obs=obs, engine=engine
-    )
+    profile = _profile(module, spec, obs)
     outcome = inline_module(module, profile, _inline_params(params), obs=obs)
     comparison = compare_outputs(
         module,
         outcome.module,
         [spec],
-        engine=engine,
         before=profile.observations,
+        after=_profile(outcome.module, spec, obs).observations,
     )
     return {
         "ok": comparison.matches,

@@ -102,21 +102,12 @@ class CompilationService:
         max_batch: int = 16,
         slow_log: str | None = None,
         slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
-        engine: str = "counting",
     ):
-        from repro.vm.machine import ENGINES
-
         validate_jobs(jobs)
         validate_executor(executor)
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {', '.join(ENGINES)}; got {engine!r}"
-            )
         self.socket_path = socket_path
         self.jobs = jobs
         self.executor = executor
-        #: Default execution engine for requests that do not name one.
-        self.engine = engine
         self.max_batch = max(1, max_batch)
         self.slow_log = slow_log
         self.slow_threshold = slow_threshold
@@ -266,7 +257,6 @@ class CompilationService:
             "uptime_seconds": self._uptime(),
             "jobs": self.jobs,
             "executor": self.executor,
-            "engine": self.engine,
             "draining": self._draining,
             "pool_restarts": self._pool_restarts,
         }
@@ -372,12 +362,6 @@ class CompilationService:
                 f"params must be a JSON object, got {type(params).__name__}",
                 request_id,
             )
-        # Ingress default: a server started with --engine fast runs
-        # engine-agnostic requests on the fast tier. Explicit per-request
-        # engines always win, and the injection happens before
-        # request_key so coalescing sees the resolved engine.
-        if self.engine != "counting" and "engine" not in params:
-            params = {**params, "engine": self.engine}
         # The server edge: adopt the client's trace context, or mint one
         # so even untraced clients get correlated telemetry + echo.
         trace = TraceContext.from_wire(request.get("trace")) or TraceContext.mint()
@@ -616,9 +600,9 @@ def serve_in_thread(
 
     Returns once the socket is accepting connections. The caller owns
     ``obs`` and may read it after :meth:`ServiceHandle.stop`. Extra
-    keyword arguments (``slow_log``, ``slow_threshold``, ``engine``)
-    pass through to the service. If the service cannot be built or
-    started, the original exception is raised here.
+    keyword arguments (``slow_log``, ``slow_threshold``) pass through
+    to the service. If the service cannot be built or started, the
+    original exception is raised here.
     """
     started = threading.Event()
     holder: dict = {}

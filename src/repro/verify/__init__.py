@@ -12,11 +12,6 @@ expansion?*:
   C subset and pushes them through compile → optimize → inline →
   optimize with a differential execution after every stage.
 
-A third oracle, :mod:`repro.verify.engines`, answers an orthogonal
-question — *is the fast execution tier observationally identical to
-the reference counting interpreter?* — by running the same module
-under both engines and diffing outputs and every counter channel.
-
 Both report findings as data (:class:`DifferentialReport` /
 :class:`FuzzReport`) rather than raising, so the CLI's ``check``
 subcommand and CI can print everything that went wrong in one run.
@@ -27,13 +22,6 @@ from repro.verify.differential import (
     verify_benchmark,
     verify_inlining,
     verify_suite,
-)
-from repro.verify.engines import (
-    EngineDiffReport,
-    diff_engines,
-    diff_engines_benchmark,
-    diff_engines_suite,
-    replay_fuzz_corpus,
 )
 from repro.verify.fuzz import (
     FUZZ_PARAMS,
@@ -46,16 +34,11 @@ from repro.verify.fuzz import (
 
 __all__ = [
     "DifferentialReport",
-    "EngineDiffReport",
     "FUZZ_PARAMS",
     "FuzzFailure",
     "FuzzReport",
     "check_program",
-    "diff_engines",
-    "diff_engines_benchmark",
-    "diff_engines_suite",
     "generate_program",
-    "replay_fuzz_corpus",
     "run_fuzz",
     "verify_benchmark",
     "verify_inlining",

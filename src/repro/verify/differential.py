@@ -83,7 +83,6 @@ def verify_inlining(
     name: str = "module",
     profile: ProfileData | None = None,
     obs: Observability | None = None,
-    engine: str = "counting",
 ) -> DifferentialReport:
     """Run the differential oracle on one compiled module.
 
@@ -96,9 +95,7 @@ def verify_inlining(
     describe a divergence. A supplied ``profile`` may stem from other
     inputs, so the original is then profiled over ``specs`` as well.
     Never raises on a divergence — everything the oracle finds lands in
-    the returned :class:`DifferentialReport`. All executions use
-    ``engine`` (both tiers produce identical counters, so the oracle's
-    verdict is engine-independent; ``fast`` just gets there sooner).
+    the returned :class:`DifferentialReport`.
     """
     from repro.experiments.pipeline import compare_outputs
 
@@ -108,9 +105,7 @@ def verify_inlining(
     with obs.tracer.span("verify.differential", name=name) as attrs:
         before = None
         if profile is None:
-            profile = before = profile_module(
-                module, specs, obs=obs, engine=engine
-            )
+            profile = before = profile_module(module, specs, obs=obs)
         result: InlineResult = inline_module(
             module, profile, params, seed=seed, check=True, obs=obs
         )
@@ -127,20 +122,15 @@ def verify_inlining(
         report.eliminated_floor = sum(
             site_counts.get(arc.site, 0) for arc in result.selection.selected
         )
-        after = profile_module(
-            result.module, specs, check_exit=False, obs=obs, engine=engine
-        )
+        after = profile_module(result.module, specs, check_exit=False, obs=obs)
         if before is None:
-            before = profile_module(
-                module, specs, check_exit=False, obs=obs, engine=engine
-            )
+            before = profile_module(module, specs, check_exit=False, obs=obs)
         report.calls_before = before.total.calls
         report.calls_after = after.total.calls
         report.divergences = compare_outputs(
             module,
             result.module,
             specs,
-            engine=engine,
             before=before.observations,
             after=after.observations,
         ).divergences
@@ -169,7 +159,6 @@ def verify_benchmark(
     params: InlineParameters | None = None,
     seed: int = 0,
     obs: Observability | None = None,
-    engine: str = "counting",
 ) -> DifferentialReport:
     """Compile and pre-optimize one suite benchmark, then run the oracle."""
     obs = resolve(obs)
@@ -182,7 +171,6 @@ def verify_benchmark(
         seed=seed,
         name=benchmark.name,
         obs=obs,
-        engine=engine,
     )
 
 
@@ -192,12 +180,9 @@ def verify_suite(
     params: InlineParameters | None = None,
     seed: int = 0,
     obs: Observability | None = None,
-    engine: str = "counting",
 ) -> list[DifferentialReport]:
     """Run the oracle over every suite benchmark (or a named subset)."""
     return [
-        verify_benchmark(
-            benchmark, scale, params, seed=seed, obs=obs, engine=engine
-        )
+        verify_benchmark(benchmark, scale, params, seed=seed, obs=obs)
         for benchmark in select_benchmarks(names)
     ]

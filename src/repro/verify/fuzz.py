@@ -11,12 +11,14 @@ Generated programs are deterministic for a given seed (``random.Random``
 only), always terminate (loops are counted, bounded, and strictly
 increasing), never divide by anything that can be zero (divisors are
 nonzero constants), and always produce output (``print_int`` of live
-results), so a silent miscompile cannot hide. Call structure is
-acyclic — each function calls only earlier-defined functions, directly
-or through a local function pointer — and ``main`` drives every root
-often enough to clear the inliner's weight threshold, so the inline
-stage actually exercises expansion rather than vacuously selecting
-nothing. Besides ``if``/``while`` and int arithmetic, programs use
+results), so a silent miscompile cannot hide. Statements also write
+computed values to stderr through ``note``, a callee small enough for
+the inliner to expand, so a dropped or reordered write shows up. Call
+structure is acyclic — each function calls only earlier-defined
+functions, directly or through a local function pointer — and ``main``
+drives every root often enough to clear the inliner's weight
+threshold, so the inline stage actually exercises expansion rather
+than vacuously selecting nothing. Besides ``if``/``while`` and int arithmetic, programs use
 ``switch`` with a ``default``, loads and stores through a global
 ``int`` array (indices masked into range), and half of them print their
 results from a callee that calls ``exit(0)`` with ``main``'s frame
@@ -45,6 +47,9 @@ FUZZ_PARAMS = InlineParameters(weight_threshold=4.0, size_limit_factor=3.0)
 #: Elements of the global array every program declares; a power of two,
 #: so ``index & (ARRAY_SIZE - 1)`` is always in range.
 ARRAY_SIZE = 8
+
+#: The stderr writer every program declares: one letter per value.
+NOTE = "void note(int v)\n{\n    eputc('a' + (v & 15));\n}"
 
 
 @dataclass
@@ -153,6 +158,8 @@ class _ProgramBuilder:
             self._switch(scope, lines, indent)
         elif kind < 0.16:
             lines.append(f"{indent}{self._element(scope)} = {self._expr(scope)};")
+        elif kind < 0.24:
+            lines.append(f"{indent}note({self._expr(scope)});")
         elif kind < 0.45:
             lines.append(f"{indent}{target} = {self._expr(scope)};")
         elif kind < 0.7:
@@ -283,6 +290,8 @@ class _ProgramBuilder:
             pieces.append(f"int {name} = {self.rng.randint(0, 9)};")
         pieces.append(f"int arr[{ARRAY_SIZE}];")
         pieces.append("")
+        pieces.append(NOTE)
+        pieces.append("")
         for index in range(self.rng.randint(2, 5)):
             pieces.append(self._function(index))
             pieces.append("")
@@ -305,7 +314,6 @@ def check_program(
     seed: int,
     params: InlineParameters | None = None,
     obs: Observability | None = None,
-    engine: str = "counting",
 ) -> tuple[list[FuzzFailure], DifferentialReport | None]:
     """Push one program through every stage, differentially.
 
@@ -314,7 +322,7 @@ def check_program(
     optimized module, optimize-after-inlining + re-verify + re-run.
     Every stage's :class:`~repro.profiler.profile.Observation` (exit
     code, stdout, stderr, written files) is compared against the
-    baseline's. All executions use ``engine``.
+    baseline's.
     """
     params = params or FUZZ_PARAMS
     obs = resolve(obs)
@@ -324,7 +332,7 @@ def check_program(
         return FuzzFailure(index, seed, stage, detail, source)
 
     def observe(candidate) -> Observation:
-        return Observation.of(run_once(candidate, spec, obs=obs, engine=engine))
+        return Observation.of(run_once(candidate, spec, obs=obs))
 
     try:
         module = compile_program(source, filename=f"fuzz{index}.c", obs=obs)
@@ -351,7 +359,6 @@ def check_program(
             seed=seed,
             name=f"fuzz-{index}",
             obs=obs,
-            engine=engine,
         )
     except ReproError as error:
         return [fail("inline", str(error))], None
@@ -364,7 +371,7 @@ def check_program(
     try:
         # Re-inline on a clone so the post-inline optimizer has a module
         # to mutate (the oracle keeps its own result internal).
-        profile = profile_module(inlined, [spec], obs=obs, engine=engine)
+        profile = profile_module(inlined, [spec], obs=obs)
         result = inline_module(
             inlined, profile, params, seed=seed, check=True, obs=obs
         )
@@ -385,7 +392,6 @@ def run_fuzz(
     seed: int = 0,
     params: InlineParameters | None = None,
     obs: Observability | None = None,
-    engine: str = "counting",
 ) -> FuzzReport:
     """Run a fuzzing campaign of ``count`` programs from ``seed``."""
     obs = resolve(obs)
@@ -395,7 +401,7 @@ def run_fuzz(
             program_seed = seed + index
             source = generate_program(program_seed)
             failures, differential = check_program(
-                source, index, program_seed, params, obs=obs, engine=engine
+                source, index, program_seed, params, obs=obs
             )
             report.failures.extend(failures)
             if differential is not None:

@@ -6,22 +6,17 @@ external ("system call") functions. While running it counts dynamic
 intermediate instructions, control transfers, and per-call-site
 invocation counts — the raw material of the paper's profiles.
 
-Two execution engines share the front-end and produce identical
-counters: the reference ``counting`` interpreter, and the opt-in
-``fast`` tier (:mod:`repro.vm.fast`) that compiles each function's
-basic blocks into Python closures. Select one with
-``Machine(..., engine="fast")``; :data:`~repro.vm.machine.ENGINES`
-lists the valid names.
+The interpreter (:mod:`repro.vm.machine`) runs each linked function as
+predecoded basic blocks and counts once per block entry.
 """
 
 from repro.vm.counters import Counters
-from repro.vm.machine import DEFAULT_HEAP_LIMIT, ENGINES, Machine, RunResult
+from repro.vm.machine import DEFAULT_HEAP_LIMIT, Machine, RunResult
 from repro.vm.os import VirtualOS
 
 __all__ = [
     "Counters",
     "DEFAULT_HEAP_LIMIT",
-    "ENGINES",
     "Machine",
     "RunResult",
     "VirtualOS",

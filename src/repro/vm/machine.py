@@ -17,24 +17,14 @@ Function pointers are encoded as negative integers (``-1 - index`` into
 the function table), so they survive 32-bit store/load round trips and
 can never collide with data addresses.
 
-Two execution engines share this link step. The counting interpreter
-below (``engine="counting"``, the reference) runs a predecoded block
-form of the linked code (`_block_form`), built on its first run and
-memoised with the link result: each function's basic blocks, with
-jump targets renamed to block indices and every operand a register
-index (immediates sit in a constant pool after the registers). It
-counts IL instructions, checks fuel and feeds the instruction-cache
-tracer once per block entry; `Machine._execute` states the contract.
-The fast tier in :mod:`repro.vm.fast` (``engine="fast"``) interprets
-each region until compiling it to Python closures pays, and produces
-the exact same :class:`~repro.vm.counters.Counters` on every
-successful run.
-
-In the runs README "Execution engines" names (2-vCPU x86-64
-container), a cold ``tables all --scale small`` took 3.03 s here and
-3.10 s on the fast tier. Warm, over the full-scale inputs, the fast
-tier retired 3.1 times as many IL instructions per CPU second as this
-engine.
+The interpreter runs a predecoded block form of the linked code
+(`_block_form`), built on its first run and memoised with the link
+result: each function's basic blocks, with jump targets renamed to
+block indices and every operand a register index (immediates sit in a
+constant pool after the registers). It counts IL instructions, checks
+fuel and feeds the instruction-cache tracer once per block entry;
+`Machine._execute` states the contract. README "The interpreter" has
+its measured speed.
 """
 
 from __future__ import annotations
@@ -86,8 +76,10 @@ _BAD_ACCESS = {
     _OP_STORE4: ("store4 to", 1), _OP_STORE1: ("store1 to", 1),
 }
 
-#: Recognized execution engines (see the module docstring).
-ENGINES = ("counting", "fast")
+#: Kept for ``bench/run.py::tables_engine``, its only reader, which
+#: picks the ``counting`` engine for every table workload when this
+#: names no other.
+ENGINES = ("counting",)
 
 #: Ceiling on bump-allocator growth (bytes). Fuel caps instruction
 #: counts but not allocation: a tight ``malloc`` loop can otherwise
@@ -171,23 +163,21 @@ class _Linked:
     """One memoised link result (a value of ``_COMPILED_MEMO``).
 
     ``stamp`` revalidates the entry against in-place module edits.
-    ``fingerprint`` is the fast tier's structural cache key for exactly
-    these ``functions``, and ``blocks`` the counting engine's
-    `_block_form` of them; each is filled in on first use, so keeping
-    it here gives it the same key and stamp as the code it describes.
+    ``blocks`` is the `_block_form` of ``functions``, filled in on first
+    use; keeping it here gives it the same key and stamp as the code it
+    describes.
     """
 
-    __slots__ = ("stamp", "functions", "fingerprint", "blocks")
+    __slots__ = ("stamp", "functions", "blocks")
 
     def __init__(self, stamp: tuple, functions: dict):
         self.stamp = stamp
         self.functions = functions
-        self.fingerprint: tuple | None = None
         self.blocks: dict | None = None
 
 
 class _BlockFunction:
-    """One linked function in the counting engine's block form.
+    """One linked function in the interpreter's block form.
 
     ``blocks[k]`` is ``(length, instructions)`` for basic block ``k``,
     which starts at linked pc ``starts[k]``. Jump targets name blocks,
@@ -310,18 +300,9 @@ class Machine:
     second call raises :class:`~repro.errors.ILError` — the first run
     mutates globals and the heap, so re-running would execute a
     different program and double-report into the metrics registry).
-    The compile step is reusable across runs via :func:`compile_module`
-    if many inputs must be executed against the same module.
-
-    ``engine`` selects how the linked code is executed: ``"counting"``
-    (default) is the reference interpreter below; ``"fast"`` is the
-    closure-compiled tier in :mod:`repro.vm.fast`, which produces
-    identical counters and outputs on every successful run. Neither
-    engine has a per-instruction point to feed the instruction-cache
-    tracer from: the reference feeds it a block's addresses where
-    control enters the block, and the fast tier's closures, which fuse
-    many blocks, have no such entry point, so combining
-    ``engine="fast"`` with ``icache`` is rejected at construction.
+    Machines built for one module with the same link knobs share its
+    compiled code and block form (``_COMPILED_MEMO``), so running many
+    inputs compiles it once.
     """
 
     def __init__(
@@ -336,21 +317,10 @@ class Machine:
         layout_seed: int = 0,
         function_order: list[str] | None = None,
         metrics=None,
-        engine: str = "counting",
         heap_limit: int = DEFAULT_HEAP_LIMIT,
     ):
-        if engine not in ENGINES:
-            raise ILError(
-                f"unknown engine {engine!r}, expected one of {ENGINES}"
-            )
-        if engine == "fast" and icache is not None:
-            raise ILError(
-                "engine='fast' cannot drive the instruction-cache tracer;"
-                " use engine='counting' for icache simulation"
-            )
         self.module = module
         self.os = os if os is not None else VirtualOS()
-        self._engine = engine
         self._heap_limit = heap_limit
         self._ran = False
         self._stack_limit = _NULL_GUARD + stack_size
@@ -681,12 +651,7 @@ class Machine:
                 f" has {entry.nparams}"
             )
         try:
-            if self._engine == "fast":
-                from repro.vm.fast import run_fast
-
-                exit_code = run_fast(self, entry, args)
-            else:
-                exit_code = self._execute(entry, args)
+            exit_code = self._execute(entry, args)
         except ExitSignal as signal:
             exit_code = signal.code
         if self._metrics is not None:
@@ -712,7 +677,7 @@ class Machine:
         return [len(pointers), table]
 
     def _execute(self, entry: _CompiledFunction, args: list[int]) -> int:
-        """Run ``entry`` to its return in the block form; the reference.
+        """Run ``entry`` to its return in the block form.
 
         Control enters a basic block, then runs every instruction in it
         (`_BLOCK_ENDS` says where blocks end). The work that is fixed

@@ -107,8 +107,8 @@ class TestTablesAlias:
 
     @pytest.mark.parametrize(
         "extra",
-        [[], ["--jobs", "2"], ["--engine", "fast"]],
-        ids=["plain", "jobs", "engine"],
+        [[], ["--jobs", "2"]],
+        ids=["plain", "jobs"],
     )
     def test_both_names_print_the_same(self, extra, capsys):
         argv = [*self.ARGV, *extra]
@@ -159,11 +159,10 @@ class TestModeFlags:
             ["--benchmarks", "wc"],
             ["--jobs", "2"],
             ["--executor", "process"],
-            ["--engine", "fast"],
             ["--passes", "fold"],
             ["--check"],
         ],
-        ids=["benchmarks", "jobs", "executor", "engine", "passes", "check"],
+        ids=["benchmarks", "jobs", "executor", "passes", "check"],
     )
     def test_extensions_rejects_run_flags(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -197,7 +196,7 @@ class TestModeFlags:
 
 
 class TestDeletedSurface:
-    """The fleet-operations commands and flags are usage errors."""
+    """Deleted commands and flags are usage errors."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -206,8 +205,13 @@ class TestDeletedSurface:
             ["serve", "--prom-out", "F"],
             ["call", "metrics"],
             ["report", "R", "--format", "html"],
+            ["tables", "--engine", "counting"],
+            ["check", "--engines"],
         ],
-        ids=["top", "prom-out", "call-metrics", "report-html"],
+        ids=[
+            "top", "prom-out", "call-metrics", "report-html", "engine",
+            "engines",
+        ],
     )
     def test_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -279,6 +279,43 @@ class TestMalformedRequests:
             assert client.ping() == "pong"
 
 
+class TestRequestFuel:
+    """Every VM run an op makes is capped at ``ops.REQUEST_FUEL``."""
+
+    RUNAWAY = "int main(void) { while (1) ; }"
+
+    @pytest.mark.parametrize(
+        "op, runs", [("profile", 1), ("inline", 2), ("check", 2)]
+    )
+    def test_every_run_of_an_op_is_capped(self, op, runs, monkeypatch):
+        from repro.service.ops import REQUEST_FUEL
+        from repro.vm.machine import Machine
+
+        fuels = []
+        original_init = Machine.__init__
+
+        def spy(self, *args, **kwargs):
+            fuels.append(kwargs.get("fuel"))
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "__init__", spy)
+        execute(op, {"source": PROGRAM, "threshold": 1.0})
+        assert fuels == [REQUEST_FUEL] * runs
+
+    def test_a_runaway_request_gets_one_fuel_error(self, service, monkeypatch):
+        from repro.service import ops
+
+        monkeypatch.setattr(ops, "REQUEST_FUEL", 100_000)
+        socket_path, _obs, _handle = service
+        with ServiceClient(socket_path) as client:
+            reply = client.request("profile", {"source": self.RUNAWAY}, raw=True)
+            assert (reply["id"], reply["ok"]) == (1, False)
+            assert "fuel exhausted" in reply["error"]
+            # The next line is ping's reply, not a second envelope.
+            pong = client.request("ping", raw=True)
+            assert (pong["id"], pong["result"]) == (2, "pong")
+
+
 class TestDeduplication:
     def test_identical_concurrent_requests_coalesce(self, service):
         socket_path, obs, _handle = service
@@ -366,11 +403,8 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [
-            ({"engine": "bogus"}, "engine must be one of"),
-            ({"jobs": 0}, "jobs must be >= 1"),
-        ],
-        ids=["engine", "jobs"],
+        [({"jobs": 0}, "jobs must be >= 1")],
+        ids=["jobs"],
     )
     def test_serve_in_thread_raises_the_startup_error(
         self, tmp_path, kwargs, message

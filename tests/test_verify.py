@@ -25,7 +25,7 @@ from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.inliner.select import select_sites
 from repro.observability.audit import DecisionReason
-from repro.profiler.profile import RunSpec, profile_module
+from repro.profiler.profile import RunSpec, profile_module, run_once
 from repro.verify import (
     generate_program,
     run_fuzz,
@@ -487,6 +487,17 @@ class TestFuzz:
         source = generate_program(0)
         module = compile_program(source)
         verify_module(module)
+
+    def test_programs_write_stderr_from_an_inlined_callee(self):
+        # A dropped or reordered stderr write can only diverge when the
+        # programs write stderr from code the inliner expands.
+        module = compile_program(generate_program(2))
+        run = run_once(module, RunSpec())
+        assert run.os.stderr
+        result = inline_module(
+            module, profile_module(module, [RunSpec()]), LOW_THRESHOLD
+        )
+        assert "note" in {record.callee for record in result.records}
 
     def test_fuzz_corpus_replays_clean(self):
         # The regression corpus: 50 seeded programs through compile →

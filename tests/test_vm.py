@@ -1,10 +1,13 @@
 """Unit tests for the VM: counters, memory, traps, OS, builtins."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ILError, VMTrap
 from repro.compiler import compile_program
-from repro.profiler.profile import RunSpec, run_once
+from repro.profiler.profile import RunSpec, profile_module, run_once
 from repro.vm.counters import Counters
 from repro.vm.machine import Machine
 from repro.vm.os import VirtualOS
@@ -277,8 +280,6 @@ class TestBlockGranularity:
         ],
     )
     def test_icache_sees_every_address_in_order(self, layout, digest):
-        import hashlib
-
         from repro.workloads.suite import benchmark_by_name
 
         benchmark = benchmark_by_name("cmp")
@@ -309,6 +310,153 @@ class TestBlockGranularity:
         assert (result.exit_code, result.stdout) == (3, "B")
         assert recorder.addresses == [16, 0, 4, 20, 24, 28, 32]
         assert result.counters.il == 7
+
+
+#: Each program's ``(il, ct, calls, returns)`` summed over its small
+#: inputs: (original, inlined under the default parameters).
+SUITE_COUNTS = {
+    "cccp": ((415951, 98979, 16792, 16792), (424890, 112677, 3094, 3094)),
+    "cmp": ((40236, 10355, 5981, 5981), (40236, 13287, 3049, 3049)),
+    "compress": ((397790, 54115, 16810, 16810), (410363, 69467, 1458, 1458)),
+    "eqn": ((281575, 58068, 13249, 13249), (288167, 66423, 4894, 4894)),
+    "espresso": ((283488, 57068, 11327, 11327), (302400, 67118, 1277, 1277)),
+    "grep": ((465157, 98051, 20941, 20941), (486525, 117384, 1608, 1608)),
+    "lex": ((648089, 177240, 46780, 46780), (678792, 205418, 18602, 18602)),
+    "make": ((144683, 30983, 3833, 3833), (148497, 33988, 828, 828)),
+    "tar": ((68412, 8274, 8901, 8901), (68412, 11352, 5823, 5823)),
+    "tee": ((50535, 10337, 6052, 6052), (50535, 10337, 6052, 6052)),
+    "wc": ((75834, 30038, 3359, 3359), (75834, 30038, 3359, 3359)),
+    "yacc": ((566634, 108518, 20694, 20694), (580356, 126126, 3086, 3086)),
+}
+
+#: The `_counter_digest` of the same sums, taken with
+#: ``collect_branches=True``: (original, inlined).
+SUITE_DIGESTS = {
+    "cccp": (
+        "d8aee5272cdf98d2a02cea9be2d1a0716d0fad2e24e99a7d707131ec48422573",
+        "68814f8ffdeddcbb020fee976f9d7fff7f5b17de9161625f139b2e21e6aeeadc",
+    ),
+    "cmp": (
+        "589f453fb27119ef868b9e61768c717e664997f580248acb342f6a0ec354da4a",
+        "789651505540bf536d4f43298872c838a177b260f56e18db0df1f09623501573",
+    ),
+    "compress": (
+        "6bc02a4b6c5f2f7ab6b78c80a4eb9753c325b1a9b973d3a54730eb53fb549523",
+        "53e9c33f225df02873b6d2a3b20f2eba30133f9ecb266657897ba8ddddb481ce",
+    ),
+    "eqn": (
+        "c531e2436c11d89d7d1feecbf61a9377b0b8e9688cbfa5906aad42ef8859447b",
+        "9aecdfaef4fc61f9f958dfe656e762f94ac5094bb95aee4923344b1fa7a928b8",
+    ),
+    "espresso": (
+        "bee0c19ec80f62e30e513c7f48d63601b689157d841366e4be9a6aad257082c6",
+        "eb46d838878222af104cd6d4fcfdf76a58c0a80a560ebd52c13970221998f12c",
+    ),
+    "grep": (
+        "3a1bbba2fc012d5453b710e1469c010170c4cd2c952e8e5f11edecac02e03cc2",
+        "93ef23b94e73ea9f3fbbcec96f1e3a88c85ba465f6032e93eccba69f15b48f4d",
+    ),
+    "lex": (
+        "d334fcca896ccf0b760c8690c1051696b5f2637ea885a1b6d9a6c73fa5a270ac",
+        "00bd9d8aa6bd0758edd0e2f701c3c56d28ccfb46900fed7aad2fad1c742b4e90",
+    ),
+    "make": (
+        "eba532eb494bff7831d304ee25c9ce74100e3c596ace50b23b84a9535ee1737a",
+        "de4543dc076361b538ccc19a5d79e9ce4eb07e0e25bc7f1af19b923cd400f979",
+    ),
+    "tar": (
+        "3b78d86fdef3fc4da7a2727cd5a0863539a0d4cecd347f2b381a3ed3ae131d55",
+        "9579ee2b4ace40b68764b55b592e8e637fc19ff92a4fe76d2b1b5fb9ea47251d",
+    ),
+    "tee": (
+        "79bc1d507ecee4a6e307cd1daf1fd21f223382a52d362973aa3118ac9a8e9602",
+        "79bc1d507ecee4a6e307cd1daf1fd21f223382a52d362973aa3118ac9a8e9602",
+    ),
+    "wc": (
+        "9f7b5386073c7dbb56e79147ce7700e674df628cee6af09756a337b90090ad42",
+        "9f7b5386073c7dbb56e79147ce7700e674df628cee6af09756a337b90090ad42",
+    ),
+    "yacc": (
+        "77a800a73d154206b2bd0290108a053af935180dc4f8c9ba9a84b035c48a7aac",
+        "1498582c0085bf61225a22313a0738ad811e9afb5b90cfd7e0fcd20a7def6279",
+    ),
+}
+
+
+def _counter_state(counters: Counters) -> tuple:
+    """Every counter channel, with each dict as its sorted items."""
+    return (
+        counters.il, counters.ct, counters.calls, counters.returns,
+        sorted(counters.site_counts.items()),
+        sorted(counters.func_counts.items()),
+        sorted(counters.branch_counts.items()),
+    )
+
+
+def _counter_digest(counters: Counters) -> str:
+    """The sha256 of the whole counter state."""
+    state = json.dumps(_counter_state(counters)).encode()
+    return hashlib.sha256(state).hexdigest()
+
+
+class TestSuiteCounters:
+    """Every counter channel of every suite program, pinned. The values
+    were taken when a second, independently written engine produced
+    the same counters on every one of these runs."""
+
+    def test_suite_counters_are_pinned(self):
+        from repro.inliner.manager import inline_module
+        from repro.workloads.suite import benchmark_suite
+
+        counts = {}
+        digests = {}
+        for benchmark in benchmark_suite():
+            module = benchmark.compile()
+            specs = benchmark.make_runs("small")
+            inlined = inline_module(module, profile_module(module, specs)).module
+            totals = []
+            for candidate in (module, inlined):
+                total = Counters()
+                for spec in specs:
+                    total.merge(
+                        run_once(candidate, spec, collect_branches=True).counters
+                    )
+                totals.append(total)
+            counts[benchmark.name] = tuple(
+                (t.il, t.ct, t.calls, t.returns) for t in totals
+            )
+            digests[benchmark.name] = tuple(_counter_digest(t) for t in totals)
+        assert counts == SUITE_COUNTS
+        assert digests == SUITE_DIGESTS
+
+
+class TestLinkKnobs:
+    def test_stack_size_change_never_runs_stale_code(self):
+        # Globals are placed after the stack region, so linked code
+        # bakes in addresses that move with stack_size. Runs of one
+        # module at two stack sizes, in either order, must each match
+        # a freshly compiled module run at that size.
+        source = c_main(
+            "int i; int s = 0; for (i = 0; i < a; i++) s += b;"
+            " print_int(a); putchar(' '); print_int(b);"
+            " putchar(' '); print_int(s);",
+            prelude="int a = 17; int b = 10;",
+        )
+        module = compile_program(source)
+        for sizes in ((1 << 16, 1 << 20), (1 << 18, 1 << 17)):
+            for stack_size in sizes:
+                fresh = Machine(
+                    compile_program(source), stack_size=stack_size,
+                    collect_branches=True,
+                ).run()
+                result = Machine(
+                    module, stack_size=stack_size, collect_branches=True
+                ).run()
+                assert fresh.stdout == "17 10 170"
+                assert result.stdout == fresh.stdout, stack_size
+                assert _counter_state(result.counters) == _counter_state(
+                    fresh.counters
+                ), stack_size
 
 
 class TestArgv:
