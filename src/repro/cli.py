@@ -10,12 +10,8 @@ Subcommands::
     impact-inline tables [WHAT] [--scale small|full] [--benchmarks ...]
         Regenerate the paper's tables, the ablations or the extension
         experiments (python -m repro.experiments is another name).
-    impact-inline bench [--benchmarks ...] [--config NAME] [-o FILE]
-        Run the suite under full telemetry and write a schema-versioned
-        BENCH_<config>.json record (counts, phase times, cache rates).
-    impact-inline report BASELINE [CURRENT] [--format table|markdown]
-        Compare two bench records; non-zero exit on exact-metric
-        regressions (wall time gated only with --fail-on-time).
+    impact-inline report TRACE.jsonl
+        Print the text flamegraph of a ``--trace`` file's span tree.
     impact-inline check [--benchmarks ...] [--fuzz N] [--seed S]
         Differential-correctness harness: run original and inlined
         modules of each benchmark in lockstep and (optionally) fuzz
@@ -37,13 +33,13 @@ pass) and ``--trace FILE`` (structured
 JSONL trace: phase spans, events, inline-decision audit records),
 ``--metrics-out FILE`` (JSON snapshot of pipeline counters and
 histograms), and ``--summary`` (metrics summary table on stderr); see
-README "Observability". ``tables`` and ``bench`` share the run flags
-of :func:`add_run_flags` — ``--scale``, ``--benchmarks``, ``--jobs N``
+README "Observability". ``tables`` takes the run flags of
+:func:`add_run_flags` — ``--scale``, ``--benchmarks``, ``--jobs N``
 (parallel suite execution), ``--executor``, ``--cache-dir [DIR]``
 (content-addressed compile/profile cache) and ``--passes SPEC``
 (custom pre-optimization pipeline); see README "Pipeline
-architecture". ``bench``/``report`` are the performance-tracking loop;
-see README "Performance tracking".
+architecture". Speed is measured by ``bench/run.py``, not by this
+tool; see README "Measuring speed and counts".
 """
 
 from __future__ import annotations
@@ -111,7 +107,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """The suite-run flags ``tables`` and ``bench`` share.
+    """The suite-run flags of ``tables``.
 
     They describe one :class:`~repro.experiments.pipeline.RunConfig`
     (see :func:`_run_config`) plus the ``--cache-dir`` session.
@@ -374,37 +370,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.observability import record_suite
-
-    params = InlineParameters(
-        weight_threshold=args.threshold, size_limit_factor=args.growth
-    )
-    obs = Observability.create()
-    record = record_suite(
-        args.config,
-        _run_config(args, params=params),
-        obs=obs,
-        session=_session(args),
-    )
-    path = record.write(args.output)
-    if args.trace:
-        from repro.observability.export import write_trace
-
-        write_trace(obs.tracer, args.trace)
-        print(f"wrote trace to {args.trace}", file=sys.stderr)
-    total_il = sum(
-        data["counters"]["il"] for data in record.benchmarks.values()
-    )
-    print(
-        f"wrote {path}: {len(record.benchmarks)} benchmarks,"
-        f" {total_il} dynamic ILs, {record.wall_seconds:.2f}s wall,"
-        f" git {record.git_sha[:12]}",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.verify import run_fuzz, verify_suite
 
@@ -518,46 +483,13 @@ def _cmd_call(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.observability.bench import compare, load_record
-    from repro.observability.report import (
-        load_trace,
-        render_comparison_table,
-        render_flamegraph,
-        render_markdown_report,
-    )
+    from repro.observability.export import load_trace, render_flamegraph
 
-    baseline = load_record(args.baseline)
-    current = load_record(args.current) if args.current else baseline
-    comparison = compare(
-        baseline,
-        current,
-        epsilon=args.epsilon,
-        time_tolerance=args.time_tolerance,
-    )
-    flame = None
-    if args.flame:
-        flame = render_flamegraph(load_trace(args.flame))
-    if args.format == "markdown":
-        text = render_markdown_report(comparison, flame=flame)
-    else:
-        text = render_comparison_table(comparison, show_ok=args.show_ok)
-        if flame:
-            text += "\n\nflamegraph:\n" + flame
-        text += "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote report to {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    if not comparison.ok(fail_on_time=args.fail_on_time):
-        for delta in comparison.regressions + (
-            comparison.time_regressions if args.fail_on_time else []
-        ):
-            print(f"REGRESSION: {delta.describe()}", file=sys.stderr)
-        for name in comparison.missing_benchmarks:
-            print(f"REGRESSION: benchmark {name} missing", file=sys.stderr)
-        return 1
+    try:
+        records = load_trace(args.trace)
+    except (OSError, ValueError) as exc:  # ValueError: not a trace
+        args.parser.error(f"cannot read trace {args.trace}: {exc}")
+    print(render_flamegraph(records))
     return 0
 
 
@@ -668,34 +600,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_obs_flags(tables_parser)
     tables_parser.set_defaults(func=_cmd_tables, parser=tables_parser)
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="run the suite under telemetry and write a BENCH_<config>.json",
-    )
-    bench_parser.add_argument(
-        "--config",
-        default="suite",
-        metavar="NAME",
-        help="record name: the default output file is BENCH_<NAME>.json",
-    )
-    add_run_flags(bench_parser)
-    bench_parser.add_argument("--threshold", type=float, default=10.0)
-    bench_parser.add_argument("--growth", type=float, default=1.25)
-    bench_parser.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="record path (default: BENCH_<config>.json in the cwd)",
-    )
-    bench_parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="also write the run's JSONL trace (for report --flame)",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     check_parser = sub.add_parser(
         "check",
@@ -817,51 +721,10 @@ def main(argv: list[str] | None = None) -> int:
     call_parser.set_defaults(func=_cmd_call)
 
     report_parser = sub.add_parser(
-        "report",
-        help="compare bench records; exit non-zero on exact regressions",
+        "report", help="print the text flamegraph of a --trace file"
     )
-    report_parser.add_argument("baseline", help="baseline BENCH_*.json")
-    report_parser.add_argument(
-        "current",
-        nargs="?",
-        default=None,
-        help="current BENCH_*.json (default: the baseline itself)",
-    )
-    report_parser.add_argument(
-        "--epsilon",
-        type=float,
-        default=0.0,
-        help="relative slack for exact metrics (default 0)",
-    )
-    report_parser.add_argument(
-        "--time-tolerance",
-        type=float,
-        default=0.25,
-        help="relative slack for wall-clock metrics (default 0.25)",
-    )
-    report_parser.add_argument(
-        "--fail-on-time",
-        action="store_true",
-        help="let wall-time regressions fail the comparison too",
-    )
-    report_parser.add_argument(
-        "--format",
-        default="table",
-        choices=["table", "markdown"],
-    )
-    report_parser.add_argument(
-        "--show-ok",
-        action="store_true",
-        help="include unchanged metrics in the table output",
-    )
-    report_parser.add_argument(
-        "--flame",
-        default=None,
-        metavar="TRACE",
-        help="render a text flamegraph from a JSONL trace file",
-    )
-    report_parser.add_argument("-o", "--output", default=None, metavar="FILE")
-    report_parser.set_defaults(func=_cmd_report)
+    report_parser.add_argument("trace", help="a JSONL trace from --trace")
+    report_parser.set_defaults(func=_cmd_report, parser=report_parser)
 
     args = parser.parse_args(argv)
     return args.func(args)

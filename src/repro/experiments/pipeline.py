@@ -71,19 +71,6 @@ class RunConfig:
             object.__setattr__(self, "names", tuple(self.names))
         select_benchmarks(self.names)
 
-    def stamp(self, name: str) -> dict:
-        """The ``config`` of a bench record of this run, named ``name``."""
-        return {
-            "name": name,
-            "scale": self.scale,
-            "benchmarks": None if self.names is None else list(self.names),
-            "jobs": self.jobs,
-            "executor": self.executor,
-            "pass_spec": self.pass_spec,
-            "threshold": self.params.weight_threshold,
-            "size_limit_factor": self.params.size_limit_factor,
-        }
-
 
 @dataclass
 class BenchmarkResult:

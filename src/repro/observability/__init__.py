@@ -22,21 +22,7 @@ import logging
 import sys
 from dataclasses import dataclass
 
-from repro.observability.audit import (
-    DecisionReason,
-    InlineDecision,
-    summarize_decisions,
-)
-from repro.observability.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchComparison,
-    BenchRecord,
-    MetricDelta,
-    compare,
-    load_record,
-    record_from_results,
-    record_suite,
-)
+from repro.observability.audit import DecisionReason, InlineDecision
 from repro.observability.context import (
     TraceContext,
     new_request_id,
@@ -104,21 +90,13 @@ def enable_console_logging(
 
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchComparison",
-    "BenchRecord",
     "DecisionReason",
     "InlineDecision",
     "MAX_SAMPLES",
-    "MetricDelta",
     "MetricsRegistry",
     "TraceContext",
-    "compare",
-    "load_record",
     "new_request_id",
     "new_trace_id",
-    "record_from_results",
-    "record_suite",
     "NULL_OBS",
     "NullMetrics",
     "NullTracer",
@@ -127,5 +105,4 @@ __all__ = [
     "enable_console_logging",
     "get_logger",
     "resolve",
-    "summarize_decisions",
 ]

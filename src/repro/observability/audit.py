@@ -84,13 +84,3 @@ class InlineDecision:
             "cost": self.cost,
             "inputs": dict(self.inputs),
         }
-
-
-def summarize_decisions(
-    decisions: list[InlineDecision],
-) -> dict[str, int]:
-    """Reason-code histogram over a decision list."""
-    summary: dict[str, int] = {}
-    for decision in decisions:
-        summary[decision.reason.value] = summary.get(decision.reason.value, 0) + 1
-    return summary

@@ -6,6 +6,10 @@ Two render paths over one :class:`MetricsRegistry` snapshot:
   prints with ``--summary``;
 - :func:`write_metrics` — the JSON snapshot (``--metrics-out``).
 
+The trace (``--trace``) reads back with :func:`load_trace`, and
+:func:`render_flamegraph` turns its span tree into the text flamegraph
+``impact-inline report TRACE.jsonl`` prints.
+
 This module also owns the **slow-request/error log** schema: one JSON
 object per line, appended by the service for every request slower than
 its threshold and for every failed request (see
@@ -27,6 +31,71 @@ SLOW_LOG_SCHEMA_VERSION = 1
 def write_trace(tracer: Tracer, path: str) -> None:
     """Write the full trace as JSONL, one record per line."""
     tracer.write(path)
+
+
+def load_trace(path: str) -> list[dict]:
+    """Read a ``--trace`` JSONL file back into its record list.
+
+    Raises :class:`ValueError` naming the first line that is not a
+    trace record (a JSON object with a ``type``).
+    """
+    records = []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):
+                record = None
+            if not isinstance(record, dict) or "type" not in record:
+                raise ValueError(f"line {number} is not a trace record")
+            records.append(record)
+    return records
+
+
+def render_flamegraph(records: list[dict], width: int = 40) -> str:
+    """A text flamegraph from a trace's span tree.
+
+    Sibling spans with the same name are merged (seconds summed, counts
+    kept), children indent under their parents, and each line carries a
+    bar proportional to the root total, so the hot phase is visible at
+    a glance without any tooling.
+    """
+    spans = [r for r in records if r.get("type") == "span"]
+    if not spans:
+        return "flamegraph: (no spans in trace)"
+    children: dict[int | None, list[dict]] = {}
+    for span in spans:
+        children.setdefault(span.get("parent"), []).append(span)
+    total = sum(span["seconds"] for span in children.get(None, [])) or 1.0
+
+    lines: list[str] = []
+
+    def emit(parents: list[int | None], depth: int) -> None:
+        merged: dict[str, dict] = {}
+        for parent in parents:
+            for span in children.get(parent, []):
+                entry = merged.setdefault(
+                    span["name"], {"seconds": 0.0, "count": 0, "ids": []}
+                )
+                entry["seconds"] += span["seconds"]
+                entry["count"] += 1
+                entry["ids"].append(span["id"])
+        for name, entry in sorted(
+            merged.items(), key=lambda item: -item[1]["seconds"]
+        ):
+            bar = "#" * max(1, round(width * entry["seconds"] / total))
+            label = f"{'  ' * depth}{name}"
+            count = f" x{entry['count']}" if entry["count"] > 1 else ""
+            lines.append(
+                f"{label:<48} {entry['seconds']:>9.4f}s{count:<6} {bar}"
+            )
+            if depth < 16:
+                emit(entry["ids"], depth + 1)
+
+    emit([None], 0)
+    return "\n".join(lines)
 
 
 def write_metrics(metrics: MetricsRegistry, path: str) -> None:

@@ -16,7 +16,7 @@ reproduction:
   with per-worker observability merging.
 """
 
-from repro.pipeline.manager import PassManager, PassStats, pass_timings
+from repro.pipeline.manager import PassManager, PassStats
 from repro.pipeline.parallel import parallel_map
 from repro.pipeline.passes import (
     DEFAULT_OPT_SPEC,
@@ -47,7 +47,6 @@ __all__ = [
     "PassContext",
     "PassManager",
     "PassStats",
-    "pass_timings",
     "available_passes",
     "get_pass",
     "module_cache_key",

@@ -50,36 +50,6 @@ class PassStats:
         return sum(self.by_pass.values())
 
 
-def pass_timings(metrics) -> dict[str, dict]:
-    """Per-pass wall-time attribution in a stable, JSON-ready schema.
-
-    Reads the ``pipeline.pass.<name>.seconds`` histograms and
-    ``pipeline.pass.<name>.changes`` counters that :class:`PassManager`
-    reports into a live :class:`~repro.observability.MetricsRegistry`
-    and returns ``{pass_name: {"seconds", "invocations", "changes",
-    "p50", "p90", "p99"}}``. Consumers (bench records, performance
-    reports) rely on exactly these keys.
-    """
-    snapshot = metrics.snapshot()
-    timings: dict[str, dict] = {}
-    prefix, suffix = "pipeline.pass.", ".seconds"
-    for name, stats in snapshot["histograms"].items():
-        if not (name.startswith(prefix) and name.endswith(suffix)):
-            continue
-        pass_name = name[len(prefix) : -len(suffix)]
-        timings[pass_name] = {
-            "seconds": stats["total"],
-            "invocations": stats["count"],
-            "changes": snapshot["counters"].get(
-                f"{prefix}{pass_name}.changes", 0
-            ),
-            "p50": stats.get("p50", stats["mean"]),
-            "p90": stats.get("p90", stats["max"]),
-            "p99": stats.get("p99", stats["max"]),
-        }
-    return timings
-
-
 class PassManager:
     """Runs an ordered pass pipeline over functions or whole modules."""
 

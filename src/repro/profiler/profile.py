@@ -34,19 +34,39 @@ class RunSpec:
     label: str = ""
 
     @classmethod
-    def from_text(cls, stdin: str | None = None, argv=None) -> "RunSpec":
+    def from_text(
+        cls, stdin: str | None = None, argv: list[str] | None = None
+    ) -> "RunSpec":
         """The run of a text ``stdin`` and ``argv`` (the CLI's and the
-        service's inputs).
+        service's inputs); ``None`` stands for no input and no arguments.
 
-        The VM's bytes are latin-1 text: it decodes stdout, argv and file
+        ``stdin`` must be a string and ``argv`` a list of strings. The
+        VM's bytes are latin-1 text: it decodes stdout, argv and file
         paths one byte per character, so stdin is encoded the same way.
-        A character above U+00FF has no such byte and raises
-        :class:`ValueError` naming the parameter that holds it.
+        A value of the wrong type, or a character above U+00FF (which
+        has no such byte), raises :class:`ValueError` naming the
+        parameter that holds it.
         """
-        argv = list(argv or [])
-        for arg in argv:
+        if stdin is None:
+            stdin = ""
+        if not isinstance(stdin, str):
+            raise ValueError(
+                f"stdin must be a string, got {type(stdin).__name__}"
+            )
+        if argv is None:
+            argv = []
+        if not isinstance(argv, list):
+            raise ValueError(
+                f"argv must be a list of strings, got {type(argv).__name__}"
+            )
+        for index, arg in enumerate(argv):
+            if not isinstance(arg, str):
+                raise ValueError(
+                    "argv must be a list of strings, but"
+                    f" argv[{index}] is {type(arg).__name__}"
+                )
             _latin1(arg, "argv")
-        return cls(stdin=_latin1(stdin or "", "stdin"), argv=argv)
+        return cls(stdin=_latin1(stdin, "stdin"), argv=list(argv))
 
     def make_os(self) -> VirtualOS:
         return VirtualOS(stdin=self.stdin, files=dict(self.files), argv=list(self.argv))

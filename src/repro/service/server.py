@@ -9,7 +9,8 @@ response object per line out, on a persistent connection::
     {"id": 1, "ok": true, "result": {...}, "coalesced": false,
      "seconds": 0.012, "trace_id": "9f2c...", "request_id": "03ab..."}
 
-A line that is not a JSON object, or whose ``params`` is not one, gets
+A line that is not a JSON object (bad JSON, bad UTF-8 or JSON nested
+too deeply to decode included), or whose ``params`` is not one, gets
 an ``ok: false`` reply whose error starts with ``bad request:``. So
 does a line longer than :data:`MAX_REQUEST_BYTES`, which also closes
 its connection.
@@ -350,6 +351,8 @@ class CompilationService:
             request = json.loads(line)
         except ValueError as exc:  # bad JSON or bad UTF-8
             return _bad_request(str(exc))
+        except RecursionError:  # a short line can nest past the stack
+            return _bad_request(_TOO_DEEP)
         if not isinstance(request, dict):
             return _bad_request(
                 f"expected a JSON object, got {type(request).__name__}"
@@ -383,7 +386,11 @@ class CompilationService:
             return reply({"ok": True, "result": "draining"})
         if self._draining:
             return reply({"ok": False, "error": "server is shutting down"})
-        envelope, coalesced = await self._submit(op, params, trace)
+        try:
+            key = request_key(op, params)
+        except RecursionError:  # decoded near the limit, too deep to encode
+            return reply(_bad_request(_TOO_DEEP))
+        envelope, coalesced = await self._submit(key, op, params, trace)
         response = dict(envelope)
         response["coalesced"] = coalesced
         return reply(response)
@@ -392,10 +399,9 @@ class CompilationService:
     # dedup + batching + execution
 
     async def _submit(
-        self, op: str, params: dict, trace: TraceContext
+        self, key: str, op: str, params: dict, trace: TraceContext
     ) -> tuple[dict, bool]:
         """Coalesce onto in-flight work or queue a new computation."""
-        key = request_key(op, params)
         if self._obs.metrics.enabled:
             self._obs.metrics.inc("service.requests")
         existing = self._inflight.get(key)
@@ -580,6 +586,9 @@ class ServiceHandle:
         )
         future.result(timeout=timeout)
         self._thread.join(timeout=timeout)
+
+
+_TOO_DEEP = "JSON nested too deeply"
 
 
 def _bad_request(reason: str, request_id=None) -> dict:

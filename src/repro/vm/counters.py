@@ -43,7 +43,7 @@ class Counters:
             mine[1] += pair[1]
 
     def to_summary(self) -> dict[str, int]:
-        """The four scalar totals as a JSON-ready dict (bench records)."""
+        """The four scalar totals as a JSON-ready dict (service replies)."""
         return {
             "il": self.il,
             "ct": self.ct,

@@ -207,10 +207,13 @@ class TestDeletedSurface:
             ["report", "R", "--format", "html"],
             ["tables", "--engine", "counting"],
             ["check", "--engines"],
+            ["bench"],
+            ["report", "A.json", "B.json"],
+            ["report", "T", "--flame", "T"],
         ],
         ids=[
             "top", "prom-out", "call-metrics", "report-html", "engine",
-            "engines",
+            "engines", "bench", "report-compare", "report-flame",
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -218,6 +221,36 @@ class TestDeletedSurface:
             cli_main(argv)
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+class TestReportCommand:
+    def test_prints_the_flamegraph_of_a_tables_trace(self, tmp_path, capsys):
+        trace = str(tmp_path / "trace.jsonl")
+        args = ["tables", "table4", "--benchmarks", "wc", "--trace", trace]
+        assert cli_main(args) == 0
+        capsys.readouterr()
+        assert cli_main(["report", trace]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("suite")
+        assert any(line.startswith("  benchmark ") for line in lines)
+
+    @pytest.mark.parametrize(
+        "content", ['{"counters": {}}\n', "plain text\n", None],
+        ids=["json", "text", "missing"],
+    )
+    def test_non_trace_is_a_usage_error_naming_the_file(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "metrics.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["report", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"cannot read trace {path}: " in err
+        assert "Traceback" not in err
 
 
 class TestGraphCommand:

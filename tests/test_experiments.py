@@ -65,6 +65,111 @@ class TestPipeline:
         assert sum(mix.values()) == pytest.approx(1.0)
 
 
+#: ``run_suite(RunConfig())`` per program: the ``(il, ct, calls,
+#: returns)`` totals over its small inputs before and after inlining,
+#: ``(original_size, final_size)`` and the number of expansions.
+SUITE_RUN_COUNTS = {
+    "cccp": (
+        (391147, 98496, 16792, 16792),
+        (400434, 112224, 3064, 3064),
+        (1045, 1305),
+        11,
+    ),
+    "cmp": (
+        (38700, 10355, 5981, 5981),
+        (38700, 13287, 3049, 3049),
+        (704, 712),
+        2,
+    ),
+    "compress": (
+        (375993, 54115, 16810, 16810),
+        (388566, 69467, 1458, 1458),
+        (732, 908),
+        7,
+    ),
+    "eqn": (
+        (268130, 57969, 13249, 13249),
+        (274970, 66572, 4646, 4646),
+        (908, 1134),
+        11,
+    ),
+    "espresso": (
+        (254127, 57023, 11327, 11327),
+        (273119, 67153, 1197, 1197),
+        (1013, 1263),
+        9,
+    ),
+    "grep": (
+        (457211, 97982, 20941, 20941),
+        (478579, 117315, 1608, 1608),
+        (896, 1108),
+        6,
+    ),
+    "lex": (
+        (632903, 177137, 46780, 46780),
+        (665429, 207138, 16779, 16779),
+        (959, 1196),
+        8,
+    ),
+    "make": (
+        (134354, 30960, 3833, 3833),
+        (138168, 33965, 828, 828),
+        (1042, 1295),
+        8,
+    ),
+    "tar": (
+        (61990, 8274, 8901, 8901),
+        (61990, 11352, 5823, 5823),
+        (845, 937),
+        8,
+    ),
+    "tee": (
+        (44469, 10337, 6052, 6052),
+        (44469, 10337, 6052, 6052),
+        (629, 629),
+        0,
+    ),
+    "wc": (
+        (70611, 30038, 3359, 3359),
+        (70611, 30038, 3359, 3359),
+        (627, 627),
+        0,
+    ),
+    "yacc": (
+        (523986, 106081, 20694, 20694),
+        (537760, 123901, 2874, 2874),
+        (1224, 1530),
+        13,
+    ),
+}
+
+
+def _scalars(counters) -> tuple[int, int, int, int]:
+    return (counters.il, counters.ct, counters.calls, counters.returns)
+
+
+class TestSuiteRunCounts:
+    """The exact counts behind the tables, for the whole suite."""
+
+    def test_run_suite_counts_are_pinned(self):
+        counts = {
+            result.name: (
+                _scalars(result.profile.total),
+                _scalars(result.post_profile.total),
+                (result.inline.original_size, result.inline.final_size),
+                len(result.inline.records),
+            )
+            for result in run_suite(RunConfig())
+        }
+        assert counts == SUITE_RUN_COUNTS
+        # The sums are bench/run.py's gen_il, gen_calls and gen_code_size.
+        post = [entry[1] for entry in counts.values()]
+        assert sum(il for il, _, _, _ in post) == 3_372_795
+        assert sum(calls for _, _, calls, _ in post) == 50_737
+        assert sum(entry[2][1] for entry in counts.values()) == 12_644
+        assert sum(entry[3] for entry in counts.values()) == 83
+
+
 class TestSingleExecution:
     """Each (module, input) pair runs once: the output check compares
     the observations its profiling runs took."""

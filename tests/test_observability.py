@@ -27,12 +27,13 @@ from repro.observability import (
     TraceContext,
     Tracer,
     resolve,
-    summarize_decisions,
 )
 from repro.observability.context import new_trace_id, valid_id
 from repro.observability.export import (
     SLOW_LOG_SCHEMA_VERSION,
     append_jsonl,
+    load_trace,
+    render_flamegraph,
     render_metrics_summary,
     slow_request_record,
 )
@@ -284,9 +285,9 @@ class TestInlineAuditLog:
 
     def test_max_expansions(self, audit_module_and_profile):
         _, result = self._decisions(audit_module_and_profile, max_expansions=0)
-        summary = summarize_decisions(result.decisions)
-        assert summary.get("ACCEPTED", 0) == 0
-        assert summary["MAX_EXPANSIONS"] >= 1
+        reasons = [decision.reason for decision in result.decisions]
+        assert DecisionReason.ACCEPTED not in reasons
+        assert DecisionReason.MAX_EXPANSIONS in reasons
 
     def test_self_recursive_reason_in_cost_model(self, audit_module_and_profile):
         from repro.callgraph.build import build_call_graph
@@ -540,6 +541,46 @@ int main(void) {
         assert all(d["benchmark"] == "tee" for d in decisions)
         snapshot = json.loads(metrics.read_text())
         assert snapshot["counters"]["pipeline.benchmarks"] == 1
+
+
+class TestFlamegraph:
+    def test_renders_span_tree(self, tmp_path):
+        obs = Observability.create()
+        with obs.tracer.span("suite"):
+            with obs.tracer.span("benchmark"):
+                with obs.tracer.span("benchmark.compile"):
+                    pass
+            with obs.tracer.span("benchmark"):
+                pass
+        path = tmp_path / "trace.jsonl"
+        obs.tracer.write(str(path))
+        flame = render_flamegraph(load_trace(str(path)))
+        lines = flame.splitlines()
+        assert lines[0].startswith("suite")
+        assert any(line.startswith("  benchmark") for line in lines)
+        assert any("x2" in line for line in lines if "benchmark " in line)
+        assert any("benchmark.compile" in line for line in lines)
+
+    def test_empty_trace(self):
+        assert "no spans" in render_flamegraph([])
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('{"type": "span"}\n[1, 2]\n', 2),
+            ('{"a": 1}\n', 1),
+            ("{\n", 1),
+            ("[" * 100_000 + "\n", 1),
+        ],
+        ids=["not-an-object", "no-type", "bad-json", "too-deep"],
+    )
+    def test_load_trace_names_the_first_non_record_line(
+        self, tmp_path, text, line
+    ):
+        path = tmp_path / "not-a-trace.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^line {line} is not a trace"):
+            load_trace(str(path))
 
 
 class TestCompileWithAnalysisObservability:

@@ -40,6 +40,9 @@ class TestParallelDeterminism:
             assert threaded.code_increase == serial.code_increase
             assert threaded.call_decrease == serial.call_decrease
             assert threaded.runs == serial.runs
+            assert threaded.profile.total == serial.profile.total
+            assert threaded.post_profile.total == serial.post_profile.total
+            assert threaded.inline.final_size == serial.inline.final_size
         assert all_tables(parallel) == all_tables(serial_results)
 
     def test_jobs_exceeding_benchmarks(self, serial_results):

@@ -52,6 +52,30 @@ class TestRunSpec:
         with pytest.raises(ValueError, match=rf"^{name} holds '€' \(U\+20AC\)"):
             RunSpec.from_text(stdin, argv)
 
+    def test_from_text_rejects_a_string_argv(self):
+        # A string would otherwise be split into one argument per character.
+        with pytest.raises(
+            ValueError, match=r"^argv must be a list of strings, got str$"
+        ):
+            RunSpec.from_text(None, "hello")
+
+    @pytest.mark.parametrize(
+        "stdin, argv, message",
+        [
+            (7, None, r"^stdin must be a string, got int$"),
+            (b"x", None, r"^stdin must be a string, got bytes$"),
+            (["x"], None, r"^stdin must be a string, got list$"),
+            (None, {"a": 1}, r"^argv must be a list of strings, got dict$"),
+            ("ok", ["a", 3], r"^argv must be a list of strings, but argv\[1\] is int$"),
+            ("ok", [None], r"^argv must be a list of strings, but argv\[0\] is NoneType$"),
+        ],
+    )
+    def test_from_text_names_the_parameter_of_the_wrong_type(
+        self, stdin, argv, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            RunSpec.from_text(stdin, argv)
+
 
 class TestProfileModule:
     def test_requires_inputs(self):

@@ -8,7 +8,9 @@ import socket
 import threading
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.observability import Observability, TraceContext
 from repro.observability.context import valid_id
@@ -197,6 +199,18 @@ class TestTextInputs:
             assert reply["error"].startswith(f"ValueError: {name} holds '€'")
             assert client.ping() == "pong"
 
+    def test_string_argv_is_one_error_envelope(self, service):
+        socket_path, _obs, _handle = service
+        with ServiceClient(socket_path) as client:
+            reply = client.request(
+                "profile", {"source": ECHO, "argv": "hello"}, raw=True
+            )
+            assert reply["ok"] is False
+            assert reply["error"] == (
+                "ValueError: argv must be a list of strings, got str"
+            )
+            assert client.ping() == "pong"
+
 
 class TestMalformedRequests:
     """Every request line gets an envelope, and the server keeps
@@ -239,6 +253,39 @@ class TestMalformedRequests:
             assert reply["error"].startswith("bad request: ")
             assert client.ping() == "pong"
 
+    def test_deeply_nested_json_is_a_bad_request(self, service):
+        # 100,000 bytes nest past the JSON decoder's recursion limit.
+        socket_path, _obs, _handle = service
+        with ServiceClient(socket_path) as client:
+            reply = self._send_line(client, b"[" * 100_000)
+            assert reply == {
+                "id": None,
+                "ok": False,
+                "error": "bad request: JSON nested too deeply",
+            }
+            # The next line is ping's reply (id 1), not a second envelope.
+            pong = client.request("ping", raw=True)
+            assert (pong["id"], pong["result"]) == (1, "pong")
+
+    def test_every_depth_near_the_decoder_limit_gets_one_envelope(
+        self, service
+    ):
+        # Params that decode can still be too deep to encode again for
+        # the request key, a few frames further down the stack.
+        socket_path, _obs, _handle = service
+        with ServiceClient(socket_path) as client:
+            for depth in range(900, 1001, 4):
+                nested = b"[" * depth + b"]" * depth
+                reply = self._send_line(
+                    client, b'{"op": "compile", "params": {"x": ' + nested + b"}}"
+                )
+                assert reply["ok"] is False, depth
+                assert reply["error"].startswith(
+                    ("bad request: ", "ValueError: ")
+                ), reply
+            pong = client.request("ping", raw=True)
+            assert (pong["id"], pong["result"]) == (1, "pong")
+
     def test_metrics_is_not_an_op(self, service):
         socket_path, _obs, _handle = service
         with ServiceClient(socket_path) as client:
@@ -277,6 +324,79 @@ class TestMalformedRequests:
         )
         with ServiceClient(socket_path) as client:
             assert client.ping() == "pong"
+
+
+#: Any JSON value, nested a few levels.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+#: Request objects with any field set to any JSON value; ``op`` and the
+#: ``params`` keys are often real ones, so the ops' own checks run too.
+REQUESTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "op": st.sampled_from(
+            ["compile", "profile", "inline", "check", "ping", "health", "stats"]
+        )
+        | JSON_VALUES,
+        "params": st.dictionaries(
+            st.sampled_from(
+                ["source", "filename", "stdin", "argv", "passes",
+                 "threshold", "growth", "dump"]
+            ),
+            st.sampled_from([PROGRAM, ECHO]) | JSON_VALUES,
+            max_size=4,
+        )
+        | JSON_VALUES,
+        "id": JSON_VALUES,
+        "trace": JSON_VALUES,
+    },
+)
+
+#: Newline-free request lines: raw bytes, any JSON value, any request.
+LINES = st.one_of(
+    st.binary(max_size=64).map(lambda raw: raw.replace(b"\n", b"")),
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    REQUESTS.map(lambda request: json.dumps(request).encode()),
+).filter(lambda line: b"shutdown" not in line)
+
+
+@pytest.fixture(scope="class")
+def fuzz_service(tmp_path_factory):
+    """One thread-executor service for every example of the property."""
+    socket_path = str(tmp_path_factory.mktemp("fuzz") / "svc.sock")
+    handle = serve_in_thread(socket_path, jobs=2, executor="thread")
+    yield socket_path
+    handle.stop()
+
+
+class TestProtocolFuzz:
+    """Whatever the line, the server answers it with exactly one
+    envelope and keeps answering on the same connection."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(line=LINES)
+    def test_one_envelope_per_line_then_ping(self, fuzz_service, line):
+        with ServiceClient(fuzz_service) as client:
+            reply = TestMalformedRequests._send_line(client, line)
+            assert isinstance(reply, dict), reply
+            assert isinstance(reply.get("ok"), bool), reply
+            if not reply["ok"]:
+                assert isinstance(reply.get("error"), str), reply
+            pong = client.request("ping", raw=True)
+            assert (pong["id"], pong["result"]) == (1, "pong"), line
 
 
 class TestRequestFuel:
