@@ -22,7 +22,8 @@ from repro.inliner.manager import InlineExpander, InlineResult, inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability
 from repro.opt import optimize_function, optimize_module
-from repro.pipeline import CompilationSession, PassManager, parse_pass_spec
+from repro.opt.pipeline import parse_pass_spec
+from repro.pipeline import CompilationSession
 from repro.profiler.profile import (
     ProfileData,
     RunSpec,
@@ -41,7 +42,6 @@ __all__ = [
     "InlineResult",
     "Machine",
     "Observability",
-    "PassManager",
     "ProfileData",
     "RunResult",
     "RunSpec",

@@ -28,8 +28,8 @@ Subcommands::
         source file, or ping|health|stats|shutdown the server.
 
 ``run``, ``inline``, and ``tables`` accept ``--check`` (re-verify IL
-well-formedness — for ``inline`` and ``tables`` after every pipeline
-pass) and ``--trace FILE`` (structured
+well-formedness — for ``inline`` and ``tables`` after every inline
+phase) and ``--trace FILE`` (structured
 JSONL trace: phase spans, events, inline-decision audit records),
 ``--metrics-out FILE`` (JSON snapshot of pipeline counters and
 histograms), and ``--summary`` (metrics summary table on stderr); see
@@ -37,9 +37,12 @@ README "Observability". ``tables`` takes the run flags of
 :func:`add_run_flags` — ``--scale``, ``--benchmarks``, ``--jobs N``
 (parallel suite execution), ``--executor``, ``--cache-dir [DIR]``
 (content-addressed compile/profile cache) and ``--passes SPEC``
-(custom pre-optimization pipeline); see README "Pipeline
-architecture". Speed is measured by ``bench/run.py``, not by this
-tool; see README "Measuring speed and counts".
+(custom pre-optimization pipeline, ``''`` for none); see README
+"Pipeline architecture". A ``--passes`` spec that
+:func:`~repro.opt.pipeline.parse_pass_spec` rejects is a usage error
+(exit 2) on every command that takes the flag. Speed is measured by
+``bench/run.py``, not by this tool; see README "Measuring speed and
+counts".
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from repro.il.printer import format_module
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, enable_console_logging
+from repro.opt.pipeline import parse_pass_spec
 from repro.pipeline.parallel import jobs_argument
 from repro.profiler.profile import RunSpec, profile_module, run_once
 
@@ -106,6 +110,16 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _pass_spec_argument(spec: str) -> str:
+    """Argparse ``type=`` for ``--passes``: the spec as given, once it
+    parses."""
+    try:
+        parse_pass_spec(spec)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return spec
+
+
 def add_run_flags(parser: argparse.ArgumentParser) -> None:
     """The suite-run flags of ``tables``.
 
@@ -153,9 +167,11 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--passes",
+        type=_pass_spec_argument,
         default=None,
         metavar="SPEC",
-        help="pre-optimization pass spec, e.g. 'fold,copyprop,cse,jumpopt,dce'",
+        help="pre-optimization pass spec, e.g. 'fold,copyprop,cse,jumpopt,dce'"
+        " ('' for none; default: all five)",
     )
 
 
@@ -527,6 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     inline_parser.add_argument("--growth", type=float, default=1.25)
     inline_parser.add_argument(
         "--passes",
+        type=_pass_spec_argument,
         default=None,
         metavar="SPEC",
         help="optimization pass spec to run before profiling,"
@@ -714,7 +731,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     call_parser.add_argument("--stdin", default="")
     call_parser.add_argument("--arg", action="append")
-    call_parser.add_argument("--passes", default=None, metavar="SPEC")
+    call_parser.add_argument(
+        "--passes", type=_pass_spec_argument, default=None, metavar="SPEC"
+    )
     call_parser.add_argument("--threshold", type=float, default=10.0)
     call_parser.add_argument("--growth", type=float, default=1.25)
     call_parser.add_argument("--dump", action="store_true")

@@ -26,6 +26,7 @@ from repro.inliner.manager import InlineExpander, InlineResult
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, resolve
 from repro.opt import optimize_module
+from repro.opt.pipeline import parse_pass_spec
 from repro.pipeline.parallel import parallel_map, validate_executor, validate_jobs
 from repro.pipeline.session import CompilationSession
 from repro.profiler.profile import (
@@ -49,11 +50,12 @@ class RunConfig:
     ``names`` restricts the run to those benchmarks, kept in suite
     order; ``jobs > 1`` runs them on a ``"thread"`` or ``"process"``
     ``executor`` pool; ``pass_spec`` selects the pre-optimization
-    pipeline (``None``: the full five-pass set); ``check`` re-verifies
-    IL well-formedness after every inline phase; ``params`` are the
-    inliner's knobs.
+    pipeline (``None``: the full five-pass set; ``""``: none), kept as
+    given; ``check`` re-verifies IL well-formedness after every inline
+    phase; ``params`` are the inliner's knobs.
     Construction raises :class:`ValueError` on ``jobs < 1``, an unknown
-    executor, or any unknown benchmark name.
+    executor, a pass spec :func:`~repro.opt.pipeline.parse_pass_spec`
+    rejects, or any unknown benchmark name.
     """
 
     scale: str = "small"
@@ -67,6 +69,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         validate_jobs(self.jobs)
         validate_executor(self.executor)
+        parse_pass_spec(self.pass_spec)
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
         select_benchmarks(self.names)

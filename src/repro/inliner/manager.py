@@ -1,33 +1,42 @@
 """The inline expansion driver (§3).
 
-Ties the phases together, on a *copy* of the input module:
+Runs the six phases in order on a *copy* of the input module:
 
 1. profile-weighted call graph construction,
-2. linearization (sort functions by execution count),
-3. expansion-site selection via the cost function,
-4. physical expansion in linear order (each function's expansions are
+2. call-site classification,
+3. linearization (sort functions by execution count),
+4. expansion-site selection via the cost function,
+5. physical expansion in linear order (each function's expansions are
    finished before any function later in the sequence starts, so the
    most recent definition of every callee can be cached — our in-memory
    modules make the paper's write-back definition cache implicit),
-5. optional conservative unreachable-function elimination.
+6. conservative unreachable-function elimination.
+
+Each phase runs inside its ``inline.<phase>`` trace span and, with
+live metrics, is reported as a ``pipeline.pass.<phase>`` like an
+optimizer pass (:func:`~repro.opt.pipeline.report_pass`).
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
-from repro.callgraph.graph import CallGraph
-from repro.errors import InlineError
+from repro.callgraph.graph import ArcStatus, CallGraph
+from repro.callgraph.reachability import eliminate_unreachable
+from repro.errors import ILError, InlineError
 from repro.il.module import ILModule
 from repro.il.verifier import verify_module
 from repro.inliner.classify import ClassifiedSites
-from repro.inliner.expand import ExpansionRecord
+from repro.inliner.expand import ExpansionRecord, expand_call_site
+from repro.inliner.linearize import linearize
 from repro.inliner.params import InlineParameters
-from repro.inliner.select import SelectionResult
+from repro.inliner.select import SelectionResult, select_sites
 from repro.observability import Observability, resolve
 from repro.observability.audit import InlineDecision
-from repro.pipeline.manager import PassManager
-from repro.pipeline.passes import PassContext, get_pass
+from repro.opt.pipeline import report_pass
 from repro.profiler.profile import ProfileData
 
 
@@ -67,7 +76,12 @@ class InlineResult:
 
 
 class InlineExpander:
-    """Runs the complete §3 pipeline on a copy of the module."""
+    """Runs the complete §3 pipeline on a copy of the module.
+
+    With ``check``, the module's IL is re-verified after every phase
+    and a broken invariant raises an :class:`~repro.errors.ILError`
+    naming the phase; the finished module is verified either way.
+    """
 
     def __init__(
         self,
@@ -75,8 +89,6 @@ class InlineExpander:
         profile: ProfileData,
         params: InlineParameters | None = None,
         seed: int = 0,
-        remove_unreachable: bool = True,
-        verify: bool = True,
         linearize_method: str = "hybrid",
         check: bool = False,
         obs: Observability | None = None,
@@ -85,50 +97,57 @@ class InlineExpander:
         self._profile = profile
         self._params = params or InlineParameters()
         self._seed = seed
-        self._remove_unreachable = remove_unreachable
-        self._verify = verify
         self._check = check
         self._linearize_method = linearize_method
         self._obs = resolve(obs)
 
-    #: The §3 phase order, resolved through the global pass registry.
-    PHASES = ("callgraph", "classify", "linearize", "select", "expand")
-
     def run(self) -> InlineResult:
+        # Looked up per run, so a wrapper installed on their modules
+        # (the traced bench's) sees the inliner's calls too.
+        from repro.callgraph.build import build_call_graph
+        from repro.inliner.classify import classify_sites
+
         obs = self._obs
-        tracer = obs.tracer
+        profile, params, seed = self._profile, self._params, self._seed
+        method = self._linearize_method
         module = self._input.clone()
         original_size = module.total_code_size()
 
-        phases = list(self.PHASES)
-        if self._remove_unreachable:
-            phases.append("cleanup")
-        manager = PassManager(
-            [get_pass(name) for name in phases], fixpoint=False
-        )
-        ctx = PassContext(
-            module=module,
-            profile=self._profile,
-            params=self._params,
-            seed=self._seed,
-            linearize_method=self._linearize_method,
-            check=self._check,
-            obs=obs,
-        )
-        manager.run_module(module, ctx)
-        graph = ctx.state["graph"]
-        classified = ctx.state["classified"]
-        sequence = ctx.state["sequence"]
-        selection = ctx.state["selection"]
-        records: list[ExpansionRecord] = ctx.state.get("records", [])
-        removed: list[str] = ctx.state.get("removed", [])
-        pre_cleanup_size = ctx.state.get(
-            "pre_cleanup_size", module.total_code_size()
-        )
+        with self._phase("callgraph", module):
+            graph = build_call_graph(module, profile, obs=obs)
+        with self._phase("classify", module):
+            classified = classify_sites(module, graph, profile, params)
+        with self._phase("linearize", module, method=method):
+            sequence = linearize(module, profile, seed, method)
+        with self._phase("select", module) as phase:
+            selection = select_sites(
+                module, graph, profile, sequence, params, seed=seed, obs=obs
+            )
+            phase.changes = len(selection.selected)
+        with self._phase("expand", module, result="expansions") as phase:
+            # Physical expansion follows the linear sequence: every
+            # selected arc whose caller is the current function is
+            # expanded, so each callee is final before anyone inlines it
+            # (minimal expansions, §2.7).
+            by_caller: dict[str, list] = {}
+            for arc in selection.selected:
+                by_caller.setdefault(arc.caller, []).append(arc)
+            records: list[ExpansionRecord] = []
+            for name in sequence:
+                for arc in by_caller.get(name, ()):
+                    records.append(expand_call_site(module, arc.caller, arc.site))
+                    arc.status = ArcStatus.EXPANDED
+            # The size before cleanup removes unreachable bodies is the
+            # number the selection's projected_size must reproduce.
+            pre_cleanup_size = module.total_code_size()
+            phase.changes = len(records)
+        with self._phase("cleanup", module, result="removed_functions") as phase:
+            removed = eliminate_unreachable(module, build_call_graph(module))
+            phase.changes = len(removed)
+
         self._reconcile(selection, records, original_size, pre_cleanup_size, obs)
-        if self._verify:
-            with tracer.span("inline.verify"):
-                verify_module(module)
+        with obs.tracer.span("inline.verify"):
+            verify_module(module)
         if obs.enabled:
             obs.metrics.inc("inliner.expansions_performed", len(records))
             obs.metrics.inc("inliner.functions_removed", len(removed))
@@ -150,6 +169,41 @@ class InlineExpander:
             final_size=module.total_code_size(),
             pre_cleanup_size=pre_cleanup_size,
         )
+
+    @contextmanager
+    def _phase(
+        self, name: str, module: ILModule, result: str | None = None, **attrs
+    ):
+        """Run the ``with`` body as §3 phase ``name``.
+
+        The body runs inside the ``inline.<name>`` span opened with
+        ``attrs`` and sets the yielded object's ``changes``; when
+        ``result`` is given, that count is also the span attribute of
+        that name. With ``check``, the module is re-verified after the
+        phase, so a transformation bug is pinned to the phase that
+        introduced it rather than surfacing later.
+        """
+        obs = self._obs
+        metered = obs.metrics.enabled
+        phase = SimpleNamespace(changes=0)
+        with obs.tracer.span(f"inline.{name}", **attrs) as span:
+            start = time.perf_counter() if metered else 0.0
+            yield phase
+            if metered:
+                report_pass(obs.metrics, name, start, phase.changes)
+            if result:
+                span[result] = phase.changes
+        if not self._check:
+            return
+        with obs.tracer.span("verify.after_pass", pass_name=name):
+            try:
+                verify_module(module)
+            except ILError as error:
+                raise ILError(
+                    f"IL verification failed after pass {name!r}: {error}"
+                ) from error
+        if metered:
+            obs.metrics.inc("verify.pass_checks")
 
     @staticmethod
     def _reconcile(

@@ -55,6 +55,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 from repro.observability import Observability, resolve
+from repro.opt.pipeline import DEFAULT_OPT_SPEC, parse_pass_spec
 
 #: Bump when the pickled artifact layout changes; old entries become
 #: invisible (a different subdirectory), not errors. Format 2 profiles
@@ -79,7 +80,12 @@ def module_cache_key(
     pass_spec: str | None = None,
     entry: str = "main",
 ) -> str:
-    """The content-addressed key of a compiled (and pre-optimized) module."""
+    """The content-addressed key of a compiled (and pre-optimized) module.
+
+    The pass spec is keyed in canonical form, so an alias and the name
+    it stands for share an entry; ``None`` and ``""`` (no
+    pre-optimization) key alike.
+    """
     return _digest(
         {
             "format": CACHE_FORMAT,
@@ -87,7 +93,7 @@ def module_cache_key(
             "source": source,
             "defines": sorted((defines or {}).items()),
             "link_libc": link_libc,
-            "pass_spec": pass_spec or "",
+            "pass_spec": ",".join(parse_pass_spec(pass_spec or "")),
             "entry": entry,
         }
     )
@@ -391,9 +397,9 @@ class CompilationSession:
         """Compile (and pre-optimize, when ``pass_spec`` is set) once.
 
         Returns a clone of the cached module, so the caller owns it.
-        An empty-string ``pass_spec`` means "no pre-optimization";
-        any other spec is run through the
-        :class:`~repro.pipeline.manager.PassManager` to fixpoint.
+        ``None`` or an empty ``pass_spec`` means "no pre-optimization";
+        any other spec is run through
+        :func:`~repro.opt.pipeline.optimize_module` to fixpoint.
         """
         obs = resolve(obs if obs is not None else self._obs)
         key = module_cache_key(source, defines, link_libc, pass_spec, entry)
@@ -423,8 +429,6 @@ class CompilationSession:
     ):
         """Cached compile of one suite benchmark, pre-optimized by
         ``pass_spec`` (default: the full pass set)."""
-        from repro.pipeline.passes import DEFAULT_OPT_SPEC
-
         return self.compiled_module(
             benchmark.source,
             filename=f"{benchmark.name}.c",

@@ -23,6 +23,7 @@ import hashlib
 import json
 
 from repro.observability import Observability, resolve
+from repro.opt.pipeline import parse_pass_spec
 
 #: Fuel (IL instructions) of every VM run an operation makes, so a
 #: runaway program gets a fuel trap instead of holding a worker for
@@ -53,12 +54,19 @@ def _compiled(params: dict, obs: Observability, session=None):
     if not isinstance(source, str) or not source:
         raise ValueError("params['source'] must be a non-empty string")
     filename = params.get("filename") or "<service>"
-    pass_spec = params.get("passes") or None
+    pass_spec = params.get("passes")
+    if pass_spec is None:
+        pass_spec = ""
+    if not isinstance(pass_spec, str):
+        raise ValueError(
+            f"passes must be a string, got {type(pass_spec).__name__}"
+        )
+    parse_pass_spec(pass_spec)  # a bad spec fails before any compile
     if session is not None:
         return session.compiled_module(
             source,
             filename=filename,
-            pass_spec=pass_spec or "",
+            pass_spec=pass_spec,
             obs=obs,
         )
     from repro.compiler import compile_program

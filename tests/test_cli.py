@@ -302,6 +302,20 @@ class TestSummaryFlag:
         assert "pipeline.benchmarks" in captured.err
 
 
+class TestPassesValidation:
+    """A pass spec that does not parse is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["table4", "ablations", "inline"])
+    def test_bad_spec_is_a_usage_error(self, command, c_file, capsys):
+        argv = ["inline", c_file] if command == "inline" else ["tables", command]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([*argv, "--passes", "bogus"])
+        assert excinfo.value.code == 2
+        assert (
+            "argument --passes: unknown pass 'bogus'" in capsys.readouterr().err
+        )
+
+
 class TestJobsValidation:
     @pytest.mark.parametrize("value", ["0", "-3", "nope"])
     def test_tables_rejects_bad_jobs(self, value, capsys):

@@ -169,6 +169,19 @@ class TestSuiteRunCounts:
         assert sum(entry[2][1] for entry in counts.values()) == 12_644
         assert sum(entry[3] for entry in counts.values()) == 83
 
+    def test_empty_pass_spec_skips_pre_optimization_on_both_paths(self):
+        config = RunConfig(names=("wc",), pass_spec="")
+        (uncached,) = run_suite(config)
+        (cached,) = run_suite(config, session=CompilationSession())
+        for before, after in (
+            (uncached.profile.total, cached.profile.total),
+            (uncached.post_profile.total, cached.post_profile.total),
+        ):
+            assert _scalars(before) == _scalars(after)
+        assert all_tables([uncached]) == all_tables([cached])
+        # Without pre-optimization wc runs more IL than the pinned run.
+        assert uncached.profile.total.il > SUITE_RUN_COUNTS["wc"][0][0]
+
 
 class TestSingleExecution:
     """Each (module, input) pair runs once: the output check compares

@@ -156,6 +156,13 @@ class TestValidation:
         ):
             RunConfig(names=["wc", "nonesuch"])
 
+    def test_run_config_rejects_bad_pass_specs(self):
+        with pytest.raises(ValueError, match="unknown pass 'bogus'"):
+            RunConfig(pass_spec="bogus")
+        with pytest.raises(ValueError, match="empty pass spec"):
+            RunConfig(pass_spec=" , ")
+        assert RunConfig(pass_spec="").pass_spec == ""
+
     def test_run_config_names_are_frozen(self):
         config = RunConfig(names=["wc", "tee"])
         assert config.names == ("wc", "tee")

@@ -138,6 +138,13 @@ class TestOps:
         with pytest.raises(ValueError, match="source"):
             execute("compile", {})
 
+    @pytest.mark.parametrize("passes, kind", [(5, "int"), (["fold"], "list")])
+    def test_non_string_passes_raises(self, passes, kind):
+        with pytest.raises(
+            ValueError, match=f"^passes must be a string, got {kind}$"
+        ):
+            execute("compile", {"source": PROGRAM, "passes": passes})
+
 
 class TestServiceRoundTrip:
     def test_ping(self, service):
