@@ -219,11 +219,7 @@ def _cmd_inline(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as handle:
         source = handle.read()
     obs = _make_obs(args)
-    module = compile_program(source, args.file, obs=obs)
-    if args.passes:
-        from repro.opt import optimize_module
-
-        optimize_module(module, obs=obs, pass_spec=args.passes)
+    module = compile_program(source, args.file, obs=obs, pass_spec=args.passes)
     spec = RunSpec.from_text(args.stdin, args.arg)
     if args.profile_file:
         from repro.profiler.serialize import load_profile

@@ -26,11 +26,10 @@ from repro.baselines import (
     loop_inline,
     size_threshold_inline,
 )
-from repro.experiments.pipeline import RunConfig
+from repro.experiments.pipeline import RunConfig, pre_opt_spec
 from repro.experiments.report import pct, render_table
 from repro.inliner.manager import InlineExpander
 from repro.inliner.params import InlineParameters
-from repro.opt import optimize_module
 from repro.pipeline.parallel import parallel_map
 from repro.profiler.profile import profile_module
 from repro.workloads.suite import benchmark_by_name, select_benchmarks
@@ -44,8 +43,7 @@ class AblationPoint:
 
 
 def _prepare(benchmark, config):
-    module = benchmark.compile()
-    optimize_module(module, pass_spec=config.pass_spec)
+    module = benchmark.compile(pass_spec=pre_opt_spec(config))
     specs = benchmark.make_runs(config.scale)
     profile = profile_module(module, specs)
     return module, specs, profile
@@ -215,8 +213,7 @@ def heldout_input_check(config: RunConfig) -> list[AblationPoint]:
     for subset in ("train-inputs", "held-out-inputs"):
         incs, decs = [], []
         for benchmark in select_benchmarks(config.names):
-            module = benchmark.compile()
-            optimize_module(module, pass_spec=config.pass_spec)
+            module = benchmark.compile(pass_spec=pre_opt_spec(config))
             specs = benchmark.make_runs(config.scale)
             if len(specs) < 2:
                 continue

@@ -25,8 +25,9 @@ from repro.inliner.classify import ClassifiedSites, SiteClass, classify_sites
 from repro.inliner.manager import InlineExpander, InlineResult
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, resolve
-from repro.opt import optimize_module
-from repro.opt.pipeline import parse_pass_spec
+# Nothing here calls it any more; bench/layers.py times this name.
+from repro.opt import optimize_module  # noqa: F401
+from repro.opt.pipeline import DEFAULT_OPT_SPEC, parse_pass_spec
 from repro.pipeline.parallel import parallel_map, validate_executor, validate_jobs
 from repro.pipeline.session import CompilationSession
 from repro.profiler.profile import (
@@ -73,6 +74,12 @@ class RunConfig:
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
         select_benchmarks(self.names)
+
+
+def pre_opt_spec(config: RunConfig) -> str:
+    """The pass spec a run pre-optimizes with: ``config.pass_spec``, or
+    the default pipeline when that is ``None``."""
+    return DEFAULT_OPT_SPEC if config.pass_spec is None else config.pass_spec
 
 
 @dataclass
@@ -182,9 +189,7 @@ def run_benchmark(
                 )
         else:
             with tracer.span("benchmark.compile", name=benchmark.name):
-                module = benchmark.compile(obs=obs)
-            with tracer.span("benchmark.pre_optimize", name=benchmark.name):
-                optimize_module(module, obs=obs, pass_spec=config.pass_spec)
+                module = benchmark.compile(obs=obs, pass_spec=pre_opt_spec(config))
         specs = benchmark.make_runs(scale)
         with tracer.span("benchmark.profile", name=benchmark.name):
             if session is not None:

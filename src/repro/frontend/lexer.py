@@ -37,11 +37,18 @@ class Lexer:
 
     >>> [t.spelling for t in Lexer("a + 1").tokens()[:-1]]
     ['a', '+', '1']
+
+    ``lines``, when given, holds the source line of each line of
+    ``text`` (the preprocessor's :meth:`expand` map); tokens carry that
+    line instead of their line in ``text``.
     """
 
-    def __init__(self, text: str, filename: str = "<input>"):
+    def __init__(
+        self, text: str, filename: str = "<input>", lines: list[int] | None = None
+    ):
         self._text = text
         self._filename = filename
+        self._lines = lines
         self._pos = 0
         self._line = 1
         self._col = 1
@@ -59,7 +66,8 @@ class Lexer:
     # scanning helpers
 
     def _location(self) -> SourceLocation:
-        return SourceLocation(self._filename, self._line, self._col)
+        line = self._lines[self._line - 1] if self._lines else self._line
+        return SourceLocation(self._filename, line, self._col)
 
     def _peek(self, offset: int = 0) -> str:
         index = self._pos + offset
@@ -234,6 +242,8 @@ class Lexer:
         raise LexError(f"stray character {self._peek()!r}", location)
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+def tokenize(
+    text: str, filename: str = "<input>", lines: list[int] | None = None
+) -> list[Token]:
     """Convenience wrapper: lex ``text`` into a token list ending in EOF."""
-    return Lexer(text, filename).tokens()
+    return Lexer(text, filename, lines).tokens()

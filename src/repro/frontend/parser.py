@@ -74,10 +74,13 @@ class _Declarator:
 class Parser:
     """Parses one preprocessed source buffer into a TranslationUnit."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(
+        self, tokens: list[Token], structs: dict[str, StructType] | None = None
+    ):
         self._tokens = tokens
         self._pos = 0
-        self._structs: dict[str, StructType] = {}
+        #: Struct tags in scope; ``structs`` seeds those of an earlier unit.
+        self._structs: dict[str, StructType] = dict(structs or {})
         #: Names that have been declared as functions, used only to give
         #: better diagnostics; resolution happens in semantic analysis.
         self._unit = ast.TranslationUnit()
@@ -721,14 +724,21 @@ class Parser:
 
 
 def parse_translation_unit(
-    text: str, filename: str = "<input>", obs=None
+    text: str,
+    filename: str = "<input>",
+    obs=None,
+    lines: list[int] | None = None,
+    structs: dict[str, StructType] | None = None,
 ) -> ast.TranslationUnit:
     """Lex and parse preprocessed C-subset source text.
 
     ``obs`` is an optional :class:`repro.observability.Observability`;
-    when given, the token count is reported into its metrics.
+    when given, the token count is reported into its metrics. ``lines``
+    maps each line of ``text`` to its source line (see
+    :meth:`~repro.frontend.preprocessor.Preprocessor.expand`), and
+    ``structs`` are struct tags an earlier unit declared.
     """
-    tokens = tokenize(text, filename)
+    tokens = tokenize(text, filename, lines)
     if obs is not None and obs.metrics.enabled:
         obs.metrics.inc("frontend.tokens_lexed", len(tokens))
-    return Parser(tokens).parse()
+    return Parser(tokens, structs).parse()

@@ -12,9 +12,12 @@ Supports the directives the workload programs need:
   and parentheses,
 - backslash line continuation and comment stripping inside directives.
 
-Output is plain C text; the original line structure of included files is
-flattened, which is acceptable because diagnostics carry the top-level
-file name.
+Output is plain C text with one line per active source line; directive
+lines and the lines of inactive conditional branches produce none, so
+its line numbers are not the source's. :meth:`Preprocessor.expand`
+therefore also returns, for every output line, the line of the
+top-level file it came from (an included header's lines take their
+``#include`` line), which the lexer stamps on each token.
 """
 
 from __future__ import annotations
@@ -95,13 +98,28 @@ class Preprocessor:
 
     def process(self, text: str, filename: str = "<input>") -> str:
         """Return the fully expanded text of ``text``."""
-        output: list[str] = []
+        return self.expand(text, filename)[0]
+
+    def expand(self, text: str, filename: str = "<input>") -> tuple[str, list[int]]:
+        """The expanded text of ``text`` and, for each of its lines, the
+        line of ``text`` it came from."""
+        output: list[tuple[int, str]] = []
         self._process_buffer(text, filename, output, include_depth=0)
-        return "\n".join(output) + "\n"
+        # The empty line after the final newline maps to the source's last.
+        origins = [origin for origin, _ in output]
+        origins.append(text.count("\n") + 1)
+        return "\n".join(line for _, line in output) + "\n", origins
 
     def _process_buffer(
-        self, text: str, filename: str, output: list[str], include_depth: int
+        self,
+        text: str,
+        filename: str,
+        output: list[tuple[int, str]],
+        include_depth: int,
+        origin: int = 0,
     ) -> None:
+        """Append ``(top-level line, expanded line)`` pairs to ``output``;
+        ``origin`` is the ``#include`` line of a nested buffer."""
         if include_depth > 16:
             raise PreprocessorError(f"#include nesting too deep in {filename}")
         lines = self._physical_lines(text)
@@ -119,9 +137,12 @@ class Preprocessor:
                     cond_stack,
                     active,
                     include_depth,
+                    origin or line_number,
                 )
             elif active:
-                output.append(self._expand_line(line, location))
+                output.append(
+                    (origin or line_number, self._expand_line(line, location))
+                )
         if cond_stack:
             raise PreprocessorError(f"unterminated conditional in {filename}")
 
@@ -150,10 +171,11 @@ class Preprocessor:
         self,
         body: str,
         location: SourceLocation,
-        output: list[str],
+        output: list[tuple[int, str]],
         cond_stack: list[list[bool]],
         active: bool,
         include_depth: int,
+        origin: int,
     ) -> None:
         body = _strip_comments(body).strip()
         if not body:
@@ -197,7 +219,7 @@ class Preprocessor:
             ident = rest.split()[0] if rest else ""
             self.macros.pop(ident, None)
         elif name == "include":
-            self._include(rest, location, output, include_depth)
+            self._include(rest, location, output, include_depth, origin)
         elif name == "pragma" or name == "error" and not active:
             return
         elif name == "error":
@@ -226,7 +248,12 @@ class Preprocessor:
             self.macros[name] = Macro(name, after.strip())
 
     def _include(
-        self, rest: str, location: SourceLocation, output: list[str], include_depth: int
+        self,
+        rest: str,
+        location: SourceLocation,
+        output: list[tuple[int, str]],
+        include_depth: int,
+        origin: int,
     ) -> None:
         rest = rest.strip()
         if rest.startswith('"') and rest.endswith('"') and len(rest) >= 2:
@@ -237,7 +264,9 @@ class Preprocessor:
             raise PreprocessorError(f"malformed #include {rest!r}", location)
         if header not in self._headers:
             raise PreprocessorError(f"header {header!r} not found", location)
-        self._process_buffer(self._headers[header], header, output, include_depth + 1)
+        self._process_buffer(
+            self._headers[header], header, output, include_depth + 1, origin
+        )
 
     # ------------------------------------------------------------------
     # macro expansion

@@ -9,9 +9,10 @@ callee set of the ``###`` call-through-pointer node (§2.5).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
-from repro.errors import SemanticError
+from repro.errors import SemanticError, SourceLocation
 from repro.frontend import ast
 from repro.frontend.symbols import FunctionSymbol, Scope, VarSymbol
 from repro.frontend.typesys import (
@@ -19,6 +20,7 @@ from repro.frontend.typesys import (
     INT,
     ArrayType,
     CType,
+    FunctionSignature,
     FunctionType,
     PointerType,
     StructType,
@@ -64,9 +66,17 @@ class AnalyzedUnit:
 
 
 class Analyzer:
-    """Walks a TranslationUnit, checking and annotating it in place."""
+    """Walks a TranslationUnit, checking and annotating it in place.
 
-    def __init__(self, unit: ast.TranslationUnit):
+    ``libc`` is the analysis of a unit that comes first in the same
+    program: this unit then sees copies of its global symbols (so
+    marking them does not touch ``libc``) exactly as if the two units
+    were one, of which only this one is analyzed.
+    """
+
+    def __init__(
+        self, unit: ast.TranslationUnit, libc: AnalyzedUnit | None = None
+    ):
         self._unit = unit
         self._globals = Scope()
         self._scope = self._globals
@@ -75,11 +85,28 @@ class Analyzer:
         self._loop_depth = 0
         self._switch_depth = 0
         self._next_local_uid = 0
+        if libc is not None:
+            for table, symbols in (
+                (self._result.functions, libc.functions),
+                (self._result.globals, libc.globals),
+            ):
+                for name, symbol in symbols.items():
+                    table[name] = copy.copy(symbol)
+                    self._globals.declare(table[name])
 
     # ------------------------------------------------------------------
 
     def analyze(self) -> AnalyzedUnit:
+        # Symbols seeded from libc keep libc's declaration, which came
+        # first; a function libc defines must still take as many
+        # parameters as this unit's prototype says (checked in libc's order).
+        for name, symbol in self._result.functions.items():
+            prototype = self._unit.declared_only.get(name)
+            if prototype is not None and symbol.defined:
+                self._check_parameter_count(symbol, prototype, symbol.location)
         for name, signature in self._unit.declared_only.items():
+            if name in self._result.functions:
+                continue
             symbol = FunctionSymbol(signature, defined=False)
             self._globals.declare(symbol)
             self._result.functions[name] = symbol
@@ -105,20 +132,23 @@ class Analyzer:
     def _check_signature_match(
         symbol: FunctionSymbol, function: ast.FunctionDef
     ) -> None:
-        declared = symbol.signature.type
-        defined = function.signature.type if function.signature else None
-        if defined is None:
+        if function.signature is None:
             return
         if symbol.defined:
             raise SemanticError(
                 f"redefinition of function {function.name!r}", function.location
             )
-        if len(declared.param_types) != len(defined.param_types):
-            raise SemanticError(
-                f"conflicting parameter counts for {function.name!r}",
-                function.location,
-            )
+        Analyzer._check_parameter_count(symbol, function.signature, function.location)
         symbol.signature = function.signature  # prefer the definition's names
+
+    @staticmethod
+    def _check_parameter_count(
+        symbol: FunctionSymbol, other: FunctionSignature, location: SourceLocation
+    ) -> None:
+        if len(symbol.signature.type.param_types) != len(other.type.param_types):
+            raise SemanticError(
+                f"conflicting parameter counts for {symbol.name!r}", location
+            )
 
     def _declare_global(self, decl: ast.GlobalVar) -> None:
         assert decl.var_type is not None
@@ -597,6 +627,9 @@ class Analyzer:
         raise SemanticError("expression is not an lvalue", expr.location)
 
 
-def analyze(unit: ast.TranslationUnit) -> AnalyzedUnit:
-    """Run semantic analysis over ``unit``, annotating it in place."""
-    return Analyzer(unit).analyze()
+def analyze(
+    unit: ast.TranslationUnit, libc: AnalyzedUnit | None = None
+) -> AnalyzedUnit:
+    """Run semantic analysis over ``unit``, annotating it in place;
+    ``libc`` is the analysis of a unit linked in front of it."""
+    return Analyzer(unit, libc).analyze()

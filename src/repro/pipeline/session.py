@@ -398,15 +398,16 @@ class CompilationSession:
 
         Returns a clone of the cached module, so the caller owns it.
         ``None`` or an empty ``pass_spec`` means "no pre-optimization";
-        any other spec is run through
-        :func:`~repro.opt.pipeline.optimize_module` to fixpoint.
+        any other spec is run to fixpoint by the one
+        :func:`~repro.compiler.compile_program` call that compiles the
+        module, whose libc part comes pre-optimized from the process's
+        libc prefix.
         """
         obs = resolve(obs if obs is not None else self._obs)
         key = module_cache_key(source, defines, link_libc, pass_spec, entry)
         cached = self._lookup(self._modules, "module", key, obs)
         if cached is None:
             from repro.compiler import compile_program
-            from repro.opt import optimize_module
 
             cached = compile_program(
                 source,
@@ -415,9 +416,8 @@ class CompilationSession:
                 link_libc=link_libc,
                 entry=entry,
                 obs=obs,
+                pass_spec=pass_spec,
             )
-            if pass_spec:
-                optimize_module(cached, obs=obs, pass_spec=pass_spec)
             self._store(self._modules, "module", key, cached, obs)
         return cached.clone()
 

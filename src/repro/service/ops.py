@@ -37,10 +37,22 @@ def request_key(op: str, params: dict | None) -> str:
     """The content-addressed identity of one request.
 
     Two requests with the same key are the same computation; the server
-    coalesces them onto a single in-flight execution.
+    coalesces them onto a single in-flight execution. A ``passes`` spec
+    is keyed in canonical form, absent as ``""`` (both mean no
+    pre-optimization), so every spelling of one pipeline shares a key;
+    a spec that does not parse is keyed as sent and fails when run.
     """
+    params = dict(params or {})
+    passes = params.get("passes")
+    if passes is None:
+        passes = ""
+    if isinstance(passes, str):
+        try:
+            params["passes"] = ",".join(parse_pass_spec(passes))
+        except ValueError:
+            pass
     payload = json.dumps(
-        {"op": op, "params": params or {}},
+        {"op": op, "params": params},
         sort_keys=True,
         separators=(",", ":"),
         default=str,
@@ -61,7 +73,6 @@ def _compiled(params: dict, obs: Observability, session=None):
         raise ValueError(
             f"passes must be a string, got {type(pass_spec).__name__}"
         )
-    parse_pass_spec(pass_spec)  # a bad spec fails before any compile
     if session is not None:
         return session.compiled_module(
             source,
@@ -71,12 +82,7 @@ def _compiled(params: dict, obs: Observability, session=None):
         )
     from repro.compiler import compile_program
 
-    module = compile_program(source, filename, obs=obs)
-    if pass_spec:
-        from repro.opt import optimize_module
-
-        optimize_module(module, obs=obs, pass_spec=pass_spec)
-    return module
+    return compile_program(source, filename, obs=obs, pass_spec=pass_spec)
 
 
 def _inline_params(params: dict):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.inliner.manager import InlineResult, inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, resolve
-from repro.opt import optimize_module
+from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.profiler.profile import ProfileData, RunSpec, profile_module
 from repro.workloads.suite import Benchmark, select_benchmarks
 
@@ -162,8 +162,7 @@ def verify_benchmark(
 ) -> DifferentialReport:
     """Compile and pre-optimize one suite benchmark, then run the oracle."""
     obs = resolve(obs)
-    module = benchmark.compile(obs=obs)
-    optimize_module(module, obs=obs)
+    module = benchmark.compile(obs=obs, pass_spec=DEFAULT_OPT_SPEC)
     return verify_inlining(
         module,
         benchmark.make_runs(scale),

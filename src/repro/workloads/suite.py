@@ -56,9 +56,17 @@ class Benchmark:
     def make_runs(self, scale: str = "small") -> list[RunSpec]:
         return self.runs_factory(scale)
 
-    def compile(self, link_libc: bool = True, obs=None) -> ILModule:
+    def compile(
+        self, link_libc: bool = True, obs=None, pass_spec: str | None = None
+    ) -> ILModule:
+        """Compile the program, pre-optimized by ``pass_spec`` (``None``:
+        not at all)."""
         return compile_program(
-            self.source, filename=f"{self.name}.c", link_libc=link_libc, obs=obs
+            self.source,
+            filename=f"{self.name}.c",
+            link_libc=link_libc,
+            obs=obs,
+            pass_spec=pass_spec,
         )
 
 

@@ -163,3 +163,13 @@ class TestLocations:
         with pytest.raises(LexError) as info:
             tokenize("\n\n  @")
         assert info.value.location.line == 3
+
+
+class TestLineMap:
+    def test_tokens_take_the_mapped_line_and_keep_their_column(self):
+        tokens = tokenize("a\n  b", "f.c", lines=[5, 9])
+        assert [(t.location.line, t.location.column) for t in tokens[:2]] == [
+            (5, 1),
+            (9, 3),
+        ]
+        assert str(tokens[1].location) == "f.c:9:3"

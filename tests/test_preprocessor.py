@@ -193,3 +193,19 @@ class TestMisc:
         preprocessor.process("#define A 1\n#define B(x) x")
         assert "A" in preprocessor.macros
         assert preprocessor.macros["B"].is_function_like
+
+
+class TestLineOrigins:
+    def test_each_output_line_names_its_top_level_line(self):
+        headers = {"h.h": "int h1;\n#ifdef X\nint no;\n#endif\nint h2;\n"}
+        text = '#include "h.h"\n#define N 1\nint a = N;\n\nint b;\n'
+        out, lines = Preprocessor(headers).expand(text, "t.c")
+        assert out.split("\n") == ["int h1;", "int h2;", "", "int a = 1;", "", "int b;", "", ""]
+        # The header's lines take the #include line; the last is the
+        # empty line after the final newline.
+        assert lines == [1, 1, 1, 3, 4, 5, 6, 6]
+
+    def test_continued_lines_take_their_first_line(self):
+        out, lines = Preprocessor().expand("int a \\\n = 1;\nint b;")
+        assert out.split("\n")[:2] == ["int a  = 1;", "int b;"]
+        assert lines == [1, 3, 3]

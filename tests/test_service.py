@@ -85,6 +85,36 @@ class TestRequestKey:
         assert request_key("check", {"source": PROGRAM}) != base
         assert request_key("inline", {"source": PROGRAM, "threshold": 1}) != base
 
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            ({"passes": "fold"}, {"passes": "constant-fold"}),
+            ({}, {"passes": ""}),
+            ({}, {"passes": None}),
+            ({"passes": "fold, dce"}, {"passes": "fold,dce"}),
+        ],
+        ids=["alias", "absent", "null", "blanks"],
+    )
+    def test_one_pipeline_spelled_two_ways_shares_a_key(self, one, other):
+        assert request_key("inline", {"source": PROGRAM, **one}) == request_key(
+            "inline", {"source": PROGRAM, **other}
+        )
+
+    def test_different_pipelines_keep_different_keys(self):
+        keys = {
+            request_key("inline", {"source": PROGRAM, "passes": passes})
+            for passes in ("fold", "dce", "fold,dce", "dce,fold", "")
+        }
+        assert len(keys) == 5
+
+    @pytest.mark.parametrize("passes", ["bogus", " , ", 3, ["fold"]])
+    def test_a_spec_that_does_not_parse_is_keyed_as_sent(self, passes):
+        # ... and still gets its ValueError envelope when it runs.
+        base = request_key("compile", {"source": PROGRAM})
+        assert request_key("compile", {"source": PROGRAM, "passes": passes}) != base
+        with pytest.raises(ValueError):
+            execute("compile", {"source": PROGRAM, "passes": passes})
+
 
 class TestOps:
     def test_compile_reports_sizes(self):
