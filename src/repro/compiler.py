@@ -66,22 +66,23 @@ def compile_to_analysis(
 
     With ``link_libc`` (the default) the C-subset libc source is
     prepended as part of the same translation unit, so its functions
-    have visible bodies. Without it, libc calls resolve against header
-    prototypes only and become external functions.
+    have visible bodies; diagnostics in libc, or in a header libc
+    includes, name ``<libc>``. Without it, libc calls resolve against
+    header prototypes only and become external functions.
     """
     obs = resolve(obs)
     preprocessor = Preprocessor(_all_headers(headers), defines)
     with obs.tracer.span("frontend.preprocess"):
         pieces = []
         if link_libc:
-            pieces.append(preprocessor.expand(LIBC_SOURCE, "<libc>"))
-        pieces.append(preprocessor.expand(source, filename))
+            pieces.append(("<libc>", *preprocessor.expand(LIBC_SOURCE, "<libc>")))
+        pieces.append((filename, *preprocessor.expand(source, filename)))
     with obs.tracer.span("frontend.parse"):
         unit = parse_translation_unit(
-            "\n".join(text for text, _ in pieces),
+            "\n".join(text for _, text, _ in pieces),
             filename,
             obs=obs,
-            lines=[line for _, lines in pieces for line in lines],
+            lines=[(file, line) for file, _, lines in pieces for line in lines],
         )
     with obs.tracer.span("frontend.analyze"):
         return analyze(unit)

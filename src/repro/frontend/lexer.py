@@ -40,11 +40,16 @@ class Lexer:
 
     ``lines``, when given, holds the source line of each line of
     ``text`` (the preprocessor's :meth:`expand` map); tokens carry that
-    line instead of their line in ``text``.
+    line instead of their line in ``text``. An entry may instead be a
+    ``(file, line)`` pair, for a line from another file than
+    ``filename``.
     """
 
     def __init__(
-        self, text: str, filename: str = "<input>", lines: list[int] | None = None
+        self,
+        text: str,
+        filename: str = "<input>",
+        lines: list[int | tuple[str, int]] | None = None,
     ):
         self._text = text
         self._filename = filename
@@ -67,6 +72,8 @@ class Lexer:
 
     def _location(self) -> SourceLocation:
         line = self._lines[self._line - 1] if self._lines else self._line
+        if isinstance(line, tuple):
+            return SourceLocation(*line, self._col)
         return SourceLocation(self._filename, line, self._col)
 
     def _peek(self, offset: int = 0) -> str:
@@ -243,7 +250,9 @@ class Lexer:
 
 
 def tokenize(
-    text: str, filename: str = "<input>", lines: list[int] | None = None
+    text: str,
+    filename: str = "<input>",
+    lines: list[int | tuple[str, int]] | None = None,
 ) -> list[Token]:
     """Convenience wrapper: lex ``text`` into a token list ending in EOF."""
     return Lexer(text, filename, lines).tokens()

@@ -727,7 +727,7 @@ def parse_translation_unit(
     text: str,
     filename: str = "<input>",
     obs=None,
-    lines: list[int] | None = None,
+    lines: list[int | tuple[str, int]] | None = None,
     structs: dict[str, StructType] | None = None,
 ) -> ast.TranslationUnit:
     """Lex and parse preprocessed C-subset source text.
@@ -735,7 +735,8 @@ def parse_translation_unit(
     ``obs`` is an optional :class:`repro.observability.Observability`;
     when given, the token count is reported into its metrics. ``lines``
     maps each line of ``text`` to its source line (see
-    :meth:`~repro.frontend.preprocessor.Preprocessor.expand`), and
+    :meth:`~repro.frontend.preprocessor.Preprocessor.expand`) or to a
+    ``(file, line)`` pair (see :class:`~repro.frontend.lexer.Lexer`), and
     ``structs`` are struct tags an earlier unit declared.
     """
     tokens = tokenize(text, filename, lines)

@@ -32,8 +32,9 @@ from repro.opt.jump_opt import optimize_jumps
 
 def _verify(function: ILFunction) -> int:
     # Function-local, so it splices into any pipeline; module-wide
-    # verification (call targets, site-id uniqueness) runs under
-    # --check and inside InlineExpander.
+    # verification (call targets, site-id uniqueness) runs after
+    # lowering, once after each inline run, and after each inline phase
+    # under --check.
     verify_function_local(function)
     return 0
 

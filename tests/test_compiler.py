@@ -416,6 +416,28 @@ class TestErrorLines:
                 compile_one(source, "p.c")
             assert str(caught.value).startswith("p.c:3:13: ")
 
+    def test_mistakes_in_libc_name_libc(self):
+        # libc does not compile alone under this header, so the program
+        # and libc are compiled as one unit; libc's line 1 includes it.
+        headers = {"sys.h": SYS_HEADER + "int bad(void) { return ; }"}
+        for compile_one in (compile_program, compile_with_analysis):
+            with pytest.raises(SemanticError) as caught:
+                compile_one("int main(void) { return 0; }", "p.c", headers=headers)
+            assert str(caught.value) == (
+                "<libc>:1:17: non-void function 'bad' returns no value"
+            )
+
+    def test_mistakes_in_the_program_keep_its_file_in_one_unit(self):
+        # Redefining a builtin with another type forces the one unit.
+        source = (
+            "int write_stdout(char *b, char n) { return 0; }\n"
+            "int main(void) {\n    return y;\n}\n"
+        )
+        for compile_one in (compile_program, compile_with_analysis):
+            with pytest.raises(SemanticError) as caught:
+                compile_one(source, "p.c")
+            assert str(caught.value) == "p.c:3:12: use of undeclared identifier 'y'"
+
     def test_header_lines_take_the_include_line(self):
         source = "#include \"bad.h\"\nint main(void) { return 0; }\n"
         headers = {"bad.h": "#define X 1\n\nint f(void) { return ; }\n"}

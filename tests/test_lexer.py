@@ -173,3 +173,7 @@ class TestLineMap:
             (9, 3),
         ]
         assert str(tokens[1].location) == "f.c:9:3"
+
+    def test_a_pair_names_the_file_of_its_line(self):
+        tokens = tokenize("a\n  b", "f.c", lines=[("<libc>", 5), ("f.c", 2)])
+        assert [str(t.location) for t in tokens[:2]] == ["<libc>:5:1", "f.c:2:3"]

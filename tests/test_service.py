@@ -406,11 +406,15 @@ LINES = st.one_of(
 ).filter(lambda line: b"shutdown" not in line)
 
 
-@pytest.fixture(scope="class")
-def fuzz_service(tmp_path_factory):
-    """One thread-executor service for every example of the property."""
+@pytest.fixture(
+    scope="class", params=[("thread", 2), ("process", 1)], ids=["thread", "process"]
+)
+def fuzz_service(request, tmp_path_factory):
+    """One service for every example of the property: two pool threads,
+    or one pool process, so requests that reach it cross pickling."""
+    executor, jobs = request.param
     socket_path = str(tmp_path_factory.mktemp("fuzz") / "svc.sock")
-    handle = serve_in_thread(socket_path, jobs=2, executor="thread")
+    handle = serve_in_thread(socket_path, jobs=jobs, executor=executor)
     yield socket_path
     handle.stop()
 

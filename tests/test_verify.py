@@ -8,6 +8,11 @@ differential oracle, and a seeded fuzz corpus replay.
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import random
+import re
+
 import pytest
 
 from repro.callgraph.build import build_call_graph
@@ -17,7 +22,11 @@ from repro.errors import ILError, InlineError
 from repro.il.function import ILFunction
 from repro.il.instructions import Instr, Opcode
 from repro.il.module import ILModule
-from repro.il.verifier import verify_function, verify_module
+from repro.il.verifier import (
+    verify_function,
+    verify_function_local,
+    verify_module,
+)
 from repro.inliner.cost import INFINITY, make_cost_model
 from repro.inliner.expand import expand_call_site
 from repro.inliner.linearize import linearize
@@ -25,6 +34,8 @@ from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.inliner.select import select_sites
 from repro.observability.audit import DecisionReason
+from repro.opt import optimize_module
+from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.profiler.profile import RunSpec, profile_module, run_once
 from repro.verify import (
     generate_program,
@@ -34,7 +45,7 @@ from repro.verify import (
     verify_suite,
 )
 from repro.vm.machine import Machine
-from repro.workloads.suite import benchmark_by_name
+from repro.workloads.suite import benchmark_by_name, benchmark_suite
 
 LOW_THRESHOLD = InlineParameters(weight_threshold=4.0, size_limit_factor=3.0)
 
@@ -361,6 +372,241 @@ class TestHardenedVerifier:
 
     def test_post_inline_output_passes(self):
         verify_module(inlined(NESTED).module)
+
+
+#: One sha256 over the outcome of every mutation in the verdict corpus,
+#: recorded when the def-before-use dataflow ran over sets of register
+#: names: for a function mutation, what ``verify_function_local`` and
+#: ``verify_function`` say; for a module mutation, what
+#: ``verify_module`` says ("ok", or the ``ILError`` message).
+VERDICT_DIGEST = "03c551535b352233fcd4db4c15e75cb1d66a0b2e845ff3e554a03af8770c67ce"
+
+#: Every message the verifier raises, one pattern each.
+VERIFIER_MESSAGES = (
+    r"duplicate label '[^']*' in .+",
+    r".+: jump to unknown label '[^']*'",
+    r".+: valueless return in a value-returning function",
+    r".+: value returned from a void function",
+    r".+: frame slot '[^']*' has size -?\d+",
+    r".+: frame slot '[^']*' has no offset \(layout_frame never ran\)",
+    r".+: frame slot '[^']*' at offset \d+ violates alignment \d+",
+    r".+: frame slot '[^']*' at offset \d+ overlaps the previous slot"
+    r" \(ends at \d+\)",
+    r".+: frame slots end at \d+ but frame_size is -?\d+",
+    r".+: register '[^']*' read before written \(never assigned anywhere\)",
+    r".+: register '[^']*' read before written",
+    r".+: function may fall off the end",
+    r".+: FRAME references unknown slot '[^']*'",
+    r".+: GADDR references unknown global '[^']*'",
+    r".+: FADDR references unknown function '[^']*'",
+    r".+: call to unknown function '[^']*'",
+    r".+: call to \S+ with \d+ args, expected \d+",
+    r".+: call without a site id",
+    r".+: indirect call without a site id",
+    r"duplicate call-site id -?\d+ \(in .+\)",
+    r"entry function '[^']*' is not defined",
+    r"address-taken function '[^']*' does not exist",
+)
+
+#: The mutation kinds, applied in turn; the last four change what only
+#: ``verify_module`` checks.
+MUTATIONS = (
+    "delete", "duplicate", "swap", "dst", "source", "label", "label2",
+    "ret", "arg", "callee", "global", "slot", "faddr", "frame",
+    "call_site", "icall_site", "entry", "address_taken",
+)
+
+
+def _applies(kind: str, instr: Instr) -> bool:
+    """Whether mutation ``kind`` can change ``instr``."""
+    op = instr.op
+    if kind in ("delete", "duplicate", "swap"):
+        return True
+    if kind == "dst":
+        return instr.dst is not None
+    if kind == "source":
+        return bool(instr.source_regs())
+    if kind == "label":
+        return bool(instr.labels_used())
+    if kind == "label2":
+        return op is Opcode.CJUMP and instr.label2 is not None
+    if kind == "arg":
+        return op in (Opcode.CALL, Opcode.ICALL) and bool(instr.args)
+    return op is {
+        "ret": Opcode.RET,
+        "callee": Opcode.CALL,
+        "global": Opcode.GADDR,
+        "slot": Opcode.FRAME,
+        "faddr": Opcode.FADDR,
+        "call_site": Opcode.CALL,
+        "icall_site": Opcode.ICALL,
+    }.get(kind)
+
+
+def _candidates(modules: list[ILModule]) -> dict[str, list[tuple]]:
+    """Per kind, every (module index, function name, instruction index)
+    it can change; the index is ``None`` for a whole-function or
+    whole-module kind."""
+    found: dict[str, list[tuple]] = {kind: [] for kind in MUTATIONS}
+    for m, module in enumerate(modules):
+        found["entry"].append((m, None, None))
+        found["address_taken"].append((m, None, None))
+        for function in module.functions.values():
+            if function.slots:
+                found["frame"].append((m, function.name, None))
+            for index, instr in enumerate(function.body):
+                for kind in MUTATIONS:
+                    if _applies(kind, instr):
+                        found[kind].append((m, function.name, index))
+    return found
+
+
+def _mutate(rng: random.Random, kind: str, module: ILModule, function, index):
+    """Apply one ``kind`` mutation to a view of ``module``.
+
+    Returns the view and the mutated clone of ``function`` (``None``
+    for a mutation of the module itself). ``module`` is left as it was.
+    """
+    view = copy.copy(module)
+    view.functions = dict(module.functions)
+    view.address_taken = set(module.address_taken)
+    if kind == "entry":
+        del view.functions[view.entry]
+        return view, None
+    if kind == "address_taken":
+        view.address_taken.add(
+            rng.choice(["no_such_fn", rng.choice(sorted(module.functions))])
+        )
+        return view, None
+    clone = function.clone()
+    view.functions[clone.name] = clone
+    body = clone.body
+    instr = body[index] if index is not None else None
+    registers = sorted(
+        set(clone.params) | {i.dst for i in body if i.dst is not None}
+    ) or ["ghost"]
+    if kind == "delete":
+        del body[index]
+    elif kind == "duplicate":
+        body.insert(index + 1, instr.copy())
+    elif kind == "swap":
+        other = rng.randrange(len(body))
+        body[index], body[other] = body[other], body[index]
+    elif kind == "dst":
+        instr.dst = rng.choice(["ghost", rng.choice(registers)])
+    elif kind == "source":
+        fields = [f for f in ("a", "b") if isinstance(getattr(instr, f), str)]
+        fields += [k for k, arg in enumerate(instr.args) if isinstance(arg, str)]
+        field = rng.choice(fields)
+        new = rng.choice(["ghost", rng.choice(registers)])
+        if isinstance(field, int):
+            instr.args[field] = new
+        else:
+            setattr(instr, field, new)
+    elif kind == "label":
+        fields = [f for f in ("label", "label2") if getattr(instr, f) is not None]
+        setattr(instr, rng.choice(fields), "no_such_label")
+    elif kind == "label2":
+        instr.label2 = None
+    elif kind == "ret":
+        instr.a = rng.choice([0, rng.choice(registers)]) if instr.a is None else None
+    elif kind == "arg":
+        del instr.args[rng.randrange(len(instr.args))]
+    elif kind == "callee":
+        instr.name = rng.choice(
+            ["no_such_fn", rng.choice(sorted(module.functions)),
+             rng.choice(sorted(module.externals))]
+        )
+    elif kind == "global":
+        instr.name = rng.choice(["no_such_global", rng.choice(sorted(module.globals))])
+    elif kind == "slot":
+        instr.name = rng.choice(["no_such_slot", rng.choice(sorted(clone.slots))])
+    elif kind == "faddr":
+        instr.name = rng.choice(["no_such_fn", rng.choice(sorted(module.functions))])
+    elif kind == "frame":
+        slots = list(clone.slots.values())
+        slot = rng.choice(slots)
+        change = rng.randrange(6)
+        if change == 0:
+            slot.size = rng.choice([0, -4])
+        elif change == 1:
+            slot.offset = -1
+        elif change == 2:
+            slot.offset += rng.choice([1, 2, 4])
+        elif change == 3:
+            slot.align, slot.offset = 4, slot.offset + 2
+        elif change == 4:
+            slot.offset = rng.choice(slots).offset
+        else:
+            clone.frame_size -= rng.choice([1, 4, clone.frame_size])
+    elif kind in ("call_site", "icall_site"):
+        sites = sorted(i.site for _, i in module.call_sites())
+        instr.site = rng.choice([-1, rng.choice(sites)])
+        return view, None
+    return view, clone
+
+
+def _outcome(check, *args) -> str:
+    try:
+        check(*args)
+    except ILError as error:
+        return str(error)
+    return "ok"
+
+
+@pytest.fixture(scope="module")
+def verdict_inputs() -> list[ILModule]:
+    """The twelve programs lowered and pre-optimized, then wc, cmp and
+    tee inlined over their small-scale profiles."""
+    modules = []
+    for benchmark in benchmark_suite():
+        lowered = benchmark.compile()
+        optimized = lowered.clone()
+        optimize_module(optimized, pass_spec=DEFAULT_OPT_SPEC)
+        modules += [lowered, optimized]
+    for name in ("wc", "cmp", "tee"):
+        benchmark = benchmark_by_name(name)
+        module = benchmark.compile(pass_spec=DEFAULT_OPT_SPEC)
+        profile = profile_module(module, benchmark.make_runs("small"))
+        modules.append(inline_module(module, profile).module)
+    return modules
+
+
+class TestVerdictCorpus:
+    """Seeded single mutations of real IL: every verdict and message
+    the verifier gives them is pinned."""
+
+    COUNT = 2160
+
+    def test_verdicts_are_pinned(self, verdict_inputs):
+        rng = random.Random(20261018)
+        candidates = _candidates(verdict_inputs)
+        digest = hashlib.sha256()
+        messages = []
+        for number in range(self.COUNT):
+            kind = MUTATIONS[number % len(MUTATIONS)]
+            m, name, index = rng.choice(candidates[kind])
+            module = verdict_inputs[m]
+            function = module.functions.get(name)
+            view, clone = _mutate(rng, kind, module, function, index)
+            if clone is None:
+                outcomes = [_outcome(verify_module, view)]
+            else:
+                outcomes = [
+                    _outcome(verify_function_local, clone),
+                    _outcome(verify_function, view, clone),
+                ]
+            for outcome in outcomes:
+                digest.update(f"{number} {kind}: {outcome}\n".encode())
+                if outcome != "ok":
+                    messages.append(outcome)
+        matched = set()
+        for message in messages:
+            kinds = [p for p in VERIFIER_MESSAGES if re.fullmatch(p, message)]
+            assert len(kinds) == 1, message
+            matched.update(kinds)
+        assert [p for p in VERIFIER_MESSAGES if p not in matched] == []
+        assert digest.hexdigest() == VERDICT_DIGEST
 
 
 class TestDifferentialOracle:
