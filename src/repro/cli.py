@@ -19,8 +19,8 @@ Subcommands::
         divergence or broken invariant.
     impact-inline serve [--socket PATH] [--jobs N] [--executor ...]
         Long-running compilation service on a local Unix socket:
-        batches and deduplicates concurrent compile/profile/inline/
-        check requests onto a worker pool; SIGINT/SIGTERM drain
+        deduplicates concurrent compile/profile/inline/check requests
+        and runs them on a worker pool; SIGINT/SIGTERM drain
         gracefully. ``--slow-log FILE`` appends a JSONL record for
         every slow/failed request. See README "Service mode".
     impact-inline call OP [FILE.c] [--socket PATH] ...
@@ -429,7 +429,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         executor=args.executor,
         cache_dir=args.cache_dir,
         obs=obs,
-        max_batch=args.max_batch,
         slow_log=args.slow_log,
         slow_threshold=args.slow_threshold,
     )
@@ -677,13 +676,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="content-addressed compile/profile cache shared by all"
         " workers (default DIR: .repro-cache)",
-    )
-    serve_parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=16,
-        metavar="N",
-        help="max requests dispatched to the pool in one wave",
     )
     serve_parser.add_argument(
         "--slow-log",

@@ -108,7 +108,7 @@ class Preprocessor:
         # The empty line after the final newline maps to the source's last.
         origins = [origin for origin, _ in output]
         origins.append(text.count("\n") + 1)
-        return "\n".join(line for _, line in output) + "\n", origins
+        return "".join(f"{line}\n" for _, line in output), origins
 
     def _process_buffer(
         self,

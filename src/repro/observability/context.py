@@ -5,11 +5,11 @@ request end-to-end:
 
 - ``trace_id`` — minted once, at the client (or at the server edge when
   a client sends none), and carried unchanged through every hop: the
-  NDJSON request envelope, the server's dispatch queue, the worker
-  pool, and back in the response. Every span/event a request produces
-  — client send, server dispatch, worker compile/inline, response —
-  carries it, so ``grep <trace_id> trace.jsonl`` reconstructs the
-  request across process boundaries.
+  NDJSON request envelope, the server, the worker pool, and back in
+  the response. Every span/event a request produces — client send,
+  server dispatch, worker compile/inline, response — carries it, so
+  ``grep <trace_id> trace.jsonl`` reconstructs the request across
+  process boundaries.
 - ``request_id`` — distinguishes individual requests that share a
   computation. When identical in-flight requests coalesce, each keeps
   its own (trace_id, request_id) and the primary computation records

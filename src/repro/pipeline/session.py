@@ -23,10 +23,8 @@ directory grows unbounded, and process-safe by construction:
 - writes go to a temp file and land via atomic ``os.replace``, so a
   killed writer can never leave a truncated entry under the final name;
 - a store-wide advisory lock (``fcntl.flock`` on ``.lock`` where
-  available) serializes writers and eviction, so two processes storing
-  the same key never interleave;
-- eviction (``disk_max_entries``) removes oldest-first under the same
-  lock and tolerates entries already removed by a sibling process.
+  available) serializes writers, so two processes storing the same key
+  never interleave.
 
 The store stays corruption-tolerant by design: an unreadable,
 truncated, or wrong-format entry is silently a miss — never an error —
@@ -200,14 +198,12 @@ class CompilationSession:
         self,
         cache_dir: str | None = None,
         max_entries: int = 256,
-        disk_max_entries: int | None = None,
         obs: Observability | None = None,
     ):
         self._modules: OrderedDict[str, Any] = OrderedDict()
         self._profiles: OrderedDict[str, Any] = OrderedDict()
         self.cache_dir = cache_dir
         self.max_entries = max_entries
-        self.disk_max_entries = disk_max_entries
         self._obs = resolve(obs)
         self._lock = threading.Lock()
         self._dir = (
@@ -226,7 +222,6 @@ class CompilationSession:
         return {
             "cache_dir": self.cache_dir,
             "max_entries": self.max_entries,
-            "disk_max_entries": self.disk_max_entries,
         }
 
     @classmethod
@@ -276,17 +271,13 @@ class CompilationSession:
         """Sharded entry path: ``v<FORMAT>/<kind>/<first-2-hex>/<key>.pkl``."""
         return os.path.join(self._dir, kind, key[:2], f"{key}.pkl")
 
-    def _legacy_disk_path(self, kind: str, key: str) -> str:
-        """The pre-sharding flat layout, still honored on reads."""
-        return os.path.join(self._dir, f"{kind}-{key}.pkl")
-
     @contextmanager
     def _store_lock(self):
         """Store-wide advisory write lock (no-op where flock is missing).
 
         Readers never take it — atomic rename means a read sees either
         the old entry, the new entry, or nothing, all of which are
-        valid. Writers and eviction serialize on it across processes.
+        valid. Writers serialize on it across processes.
         """
         if fcntl is None or self.cache_dir is None:
             yield
@@ -299,30 +290,20 @@ class CompilationSession:
             finally:
                 fcntl.flock(handle, fcntl.LOCK_UN)
 
-    def _read_payload(self, path: str, kind: str) -> Any:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        if (
-            isinstance(payload, dict)
-            and payload.get("format") == CACHE_FORMAT
-            and payload.get("kind") == kind
-        ):
-            return payload["value"]
-        return None
-
     def _disk_load(self, kind: str, key: str) -> Any:
         if self._dir is None:
             return None
-        for path in (
-            self._disk_path(kind, key),
-            self._legacy_disk_path(kind, key),
-        ):
-            try:
-                value = self._read_payload(path, kind)
-            except Exception:
-                continue
-            if value is not None:
-                return value
+        try:
+            with open(self._disk_path(kind, key), "rb") as handle:
+                payload = pickle.load(handle)
+            if (
+                isinstance(payload, dict)
+                and payload.get("format") == CACHE_FORMAT
+                and payload.get("kind") == kind
+            ):
+                return payload["value"]
+        except Exception:
+            pass
         return None
 
     def _disk_store(self, kind: str, key: str, value: Any) -> None:
@@ -339,47 +320,9 @@ class CompilationSession:
                         handle,
                     )
                 os.replace(tmp, path)
-                if self.disk_max_entries is not None:
-                    self._disk_evict_locked()
         except Exception:
             # A cache that cannot be written is a slow cache, not a bug.
             return
-
-    def _disk_entries(self) -> list[str]:
-        """Every entry file in the store (sharded and legacy layouts)."""
-        entries: list[str] = []
-        for root, _dirs, files in os.walk(self._dir):
-            for name in files:
-                if name.endswith(".pkl"):
-                    entries.append(os.path.join(root, name))
-        return entries
-
-    def _disk_evict_locked(self, obs: Observability | None = None) -> int:
-        """Drop oldest entries beyond ``disk_max_entries`` (lock held).
-
-        Safe against sibling processes: an entry that vanished between
-        listing and unlinking was simply evicted by someone else.
-        """
-        obs = resolve(obs if obs is not None else self._obs)
-        entries = self._disk_entries()
-        excess = len(entries) - (self.disk_max_entries or 0)
-        if excess <= 0:
-            return 0
-        def mtime(path: str) -> float:
-            try:
-                return os.stat(path).st_mtime
-            except OSError:
-                return 0.0
-        evicted = 0
-        for path in sorted(entries, key=mtime)[:excess]:
-            try:
-                os.unlink(path)
-                evicted += 1
-            except OSError:
-                pass
-        if evicted and obs.metrics.enabled:
-            obs.metrics.inc("pipeline.cache.disk_evictions", evicted)
-        return evicted
 
     # ------------------------------------------------------------------
     # artifacts

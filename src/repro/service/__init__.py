@@ -9,11 +9,11 @@ long-running service that absorbs concurrent traffic:
   pool, the CLI, and tests (so a service round-trip is comparable
   byte-for-byte with a direct call);
 - :mod:`repro.service.server` — :class:`CompilationService`, an asyncio
-  server on a local Unix socket: request batching, in-flight
-  deduplication (identical concurrent requests coalesce onto one
-  computation), a thread- or process-pool execution backend, per-request
-  trace/metrics absorbed into the server's observability, and graceful
-  shutdown that drains in-flight work;
+  server on a local Unix socket: in-flight deduplication (identical
+  concurrent requests coalesce onto one computation), a thread- or
+  process-pool execution backend, per-request trace/metrics absorbed
+  into the server's observability, and graceful shutdown that drains
+  in-flight work;
 - :mod:`repro.service.client` — a blocking :class:`ServiceClient`, an
   async :func:`arequest`, and :func:`run_concurrent` for firing many
   requests at once.

@@ -19,9 +19,9 @@ Request flow:
 
 - **trace context** — every request carries a
   :class:`~repro.observability.context.TraceContext`, minted at the
-  client or (when absent) at the server edge. The context rides the
-  dispatch queue into the worker pool, is bound onto the worker's
-  tracer (so worker spans carry it at emit time), and is echoed on the
+  client or (when absent) at the server edge. The context goes with
+  the request into the worker pool, is bound onto the worker's tracer
+  (so worker spans carry it at emit time), and is echoed on the
   response, so ``grep <trace_id>`` over the trace JSONL reconstructs
   the request end-to-end across processes. Coalesced requests keep
   their own ids; the primary computation's completion event records
@@ -30,11 +30,8 @@ Request flow:
   :func:`~repro.service.ops.request_key`. A request whose key matches
   one already in flight does not compute anything: it awaits the same
   future and is counted in ``service.requests.coalesced``.
-- **batching** — new work lands on a queue; a dispatcher drains
-  whatever has accumulated (up to ``max_batch``) and submits the batch
-  to the worker pool in one wave (``service.batches`` /
-  ``service.batch_size``).
-- **execution** — the pool is the pluggable executor tier:
+- **execution** — each new computation goes straight to the pool, the
+  pluggable executor tier:
   ``executor="thread"`` shares one in-memory
   :class:`~repro.pipeline.session.CompilationSession`;
   ``executor="process"`` gives true CPU parallelism, with workers
@@ -50,7 +47,7 @@ Request flow:
 - **introspection** — ``health`` reports liveness/readiness (pool up,
   socket accepting, cache dir writable); ``stats`` returns the metrics
   snapshot plus a ``service`` section read from the server's state:
-  uptime, request totals, queue and pool state, per-op latency
+  uptime, request totals, in-flight and pool state, per-op latency
   percentiles, and cache rates.
 - **graceful shutdown** — ``shutdown()`` (or the ``shutdown`` admin
   op, or SIGINT/SIGTERM under ``impact-inline serve``) stops accepting
@@ -76,6 +73,7 @@ from repro.observability import Observability, resolve
 from repro.observability.context import TraceContext
 from repro.observability.export import append_jsonl, slow_request_record
 from repro.pipeline.parallel import validate_executor, validate_jobs
+from repro.pipeline.session import CompilationSession
 from repro.service.ops import OPS, pool_execute, request_key
 
 #: Default Unix socket path (cwd-relative, like ``.repro-cache``).
@@ -100,7 +98,6 @@ class CompilationService:
         executor: str = "thread",
         cache_dir: str | None = None,
         obs: Observability | None = None,
-        max_batch: int = 16,
         slow_log: str | None = None,
         slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
     ):
@@ -109,27 +106,22 @@ class CompilationService:
         self.socket_path = socket_path
         self.jobs = jobs
         self.executor = executor
-        self.max_batch = max(1, max_batch)
         self.slow_log = slow_log
         self.slow_threshold = slow_threshold
         self._cache_dir = cache_dir
         self._session_spec = (
-            {"cache_dir": cache_dir, "max_entries": 256, "disk_max_entries": None}
-            if cache_dir
-            else None
+            CompilationSession(cache_dir=cache_dir).spec() if cache_dir else None
         )
         self._obs = resolve(obs)
         self._pool = None
         #: How many broken process pools were replaced (see `_in_pool`).
         self._pool_restarts = 0
         self._server: asyncio.AbstractServer | None = None
-        self._queue: asyncio.Queue | None = None
-        self._dispatcher: asyncio.Task | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         #: key -> every trace_id attached to that in-flight computation
         #: (the primary request's id first, coalesced joiners after).
         self._inflight_traces: dict[str, list[str]] = {}
-        self._batch_tasks: set[asyncio.Task] = set()
+        self._tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._request_seq = 0
         self._active_responses = 0
@@ -143,16 +135,14 @@ class CompilationService:
     # lifecycle
 
     async def start(self) -> None:
-        """Bind the socket, start the pool and the dispatch loop."""
+        """Bind the socket and start the pool."""
         if self._server is not None:
             raise RuntimeError("service already started")
         self._pool = self._new_pool()
-        self._queue = asyncio.Queue()
         self._idle = asyncio.Event()
         self._idle.set()
         self._stopped = asyncio.Event()
         self._started_unix = time.time()
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)  # a stale socket from a dead server
         self._server = await asyncio.start_unix_server(
@@ -203,7 +193,7 @@ class CompilationService:
             self._server.close()
             await self._server.wait_closed()
         # Every accepted request either coalesced onto an in-flight
-        # future or was queued; draining means letting all of them
+        # future or started one; draining means letting all of them
         # finish *and* flush their responses.
         while self._inflight or self._active_responses:
             if self._inflight:
@@ -213,9 +203,7 @@ class CompilationService:
             if self._active_responses:
                 self._idle.clear()
                 await self._idle.wait()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-        for task in list(self._batch_tasks):
+        for task in list(self._tasks):
             await asyncio.gather(task, return_exceptions=True)
         for writer in list(self._writers):
             writer.close()
@@ -264,7 +252,7 @@ class CompilationService:
 
     def _stats_result(self) -> dict:
         """The metrics snapshot enriched with a ``service`` section:
-        uptime, request totals, queue/pool state, per-op latency
+        uptime, request totals, in-flight/pool state, per-op latency
         percentiles, and cache rates."""
         snapshot = self._obs.metrics.snapshot()
         counters = snapshot["counters"]
@@ -287,7 +275,6 @@ class CompilationService:
                 "failed": counters.get("service.requests.failed", 0),
                 "coalesced": counters.get("service.requests.coalesced", 0),
             },
-            "queue_depth": self._queue.qsize() if self._queue else 0,
             "inflight": len(self._inflight),
             "pool": {
                 "jobs": self.jobs,
@@ -396,12 +383,12 @@ class CompilationService:
         return reply(response)
 
     # ------------------------------------------------------------------
-    # dedup + batching + execution
+    # dedup + execution
 
     async def _submit(
         self, key: str, op: str, params: dict, trace: TraceContext
     ) -> tuple[dict, bool]:
-        """Coalesce onto in-flight work or queue a new computation."""
+        """Coalesce onto in-flight work or start a new computation."""
         if self._obs.metrics.enabled:
             self._obs.metrics.inc("service.requests")
         existing = self._inflight.get(key)
@@ -422,32 +409,10 @@ class CompilationService:
         future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         self._inflight_traces[key] = [trace.trace_id]
-        await self._queue.put((key, op, params, future, trace))
+        task = asyncio.create_task(self._run_one(key, op, params, future, trace))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
         return await asyncio.shield(future), False
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            batch = [await self._queue.get()]
-            while len(batch) < self.max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            if self._obs.metrics.enabled:
-                self._obs.metrics.inc("service.batches")
-                self._obs.metrics.observe("service.batch_size", len(batch))
-            # One task per entry, all submitted to the pool in one
-            # wave; batches overlap, so a slow batch never blocks the
-            # dispatcher.
-            task = asyncio.create_task(self._run_batch(batch))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
-
-    async def _run_batch(self, batch) -> None:
-        await asyncio.gather(
-            *(self._run_one(*entry) for entry in batch),
-            return_exceptions=True,
-        )
 
     def _log_slow(self, record: dict) -> None:
         if self.slow_log:
@@ -601,7 +566,6 @@ def serve_in_thread(
     executor: str = "thread",
     cache_dir: str | None = None,
     obs: Observability | None = None,
-    max_batch: int = 16,
     timeout: float = 30.0,
     **service_kwargs,
 ) -> ServiceHandle:
@@ -625,7 +589,6 @@ def serve_in_thread(
                     executor=executor,
                     cache_dir=cache_dir,
                     obs=obs,
-                    max_batch=max_batch,
                     **service_kwargs,
                 )
                 await service.start()

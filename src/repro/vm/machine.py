@@ -1,9 +1,8 @@
 """The IL interpreter.
 
-The machine links an :class:`~repro.il.module.ILModule` into a compact
-executable form (dense register indices, resolved labels and global
-addresses) and interprets it with an explicit control stack, counting
-the dynamic quantities the paper's profiler needs.
+The machine links an :class:`~repro.il.module.ILModule` into the form
+it executes and interprets that with an explicit control stack,
+counting the dynamic quantities the paper's profiler needs.
 
 Memory model: one flat byte-addressable space.
 
@@ -17,14 +16,16 @@ Function pointers are encoded as negative integers (``-1 - index`` into
 the function table), so they survive 32-bit store/load round trips and
 can never collide with data addresses.
 
-The interpreter runs a predecoded block form of the linked code
-(`_block_form`), built on its first run and memoised with the link
-result: each function's basic blocks, with jump targets renamed to
-block indices and every operand a register index (immediates sit in a
-constant pool after the registers). It counts IL instructions, checks
-fuel and feeds the instruction-cache tracer once per block entry;
-`Machine._execute` states the contract. README "The interpreter" has
-its measured speed.
+Linking translates each IL function once (`Machine._translate`) into
+basic blocks: jumps name block indices, a direct call names the
+callee's `_Function`, globals, function pointers and builtins are
+resolved, and every operand is a register index (each distinct
+immediate has a slot of its own, preset when a frame starts). The
+result, laid out in simulated code space, is memoised per module and
+link knobs (``_COMPILED_MEMO``). The interpreter counts IL
+instructions, checks fuel and feeds the instruction-cache tracer once
+per block entry; `Machine._execute` states the contract. README "The
+interpreter" has its measured speed.
 """
 
 from __future__ import annotations
@@ -87,12 +88,11 @@ ENGINES = ("counting",)
 #: benchmark and fuzz program by a wide margin.
 DEFAULT_HEAP_LIMIT = 256 * 1024 * 1024
 
-#: Per-module cache of compiled (link-stage) code. Compilation is pure
-#: in the module plus the link knobs captured in the key, so machines
-#: built against the same module share one compiled form instead of
-#: recompiling every function per construction. ``base`` is the only
-#: field mutated after compilation and is a pure function of the same
-#: key, so re-linking a shared entry rewrites identical values.
+#: Per-module cache of linked code: module -> {link key: (stamp,
+#: functions)}. Linking is pure in the module plus the link knobs
+#: captured in the key (the code layout included), so machines built
+#: against the same module share one translated, laid-out form, and
+#: nothing in it changes after it is built.
 _COMPILED_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -142,142 +142,36 @@ _UNOPS = {
 }
 
 
-class _CompiledFunction:
-    __slots__ = (
-        "name", "code", "nregs", "nparams", "frame_size", "returns_value", "base",
-    )
-
-    def __init__(self, name: str, nparams: int, frame_size: int, returns_value: bool):
-        self.name = name
-        self.code: list[tuple] = []
-        self.nregs = nparams
-        self.nparams = nparams
-        self.frame_size = frame_size
-        self.returns_value = returns_value
-        #: Simulated code address of instruction 0 (set by the linker;
-        #: used by the optional instruction-cache tracer).
-        self.base = 0
-
-
-class _Linked:
-    """One memoised link result (a value of ``_COMPILED_MEMO``).
-
-    ``stamp`` revalidates the entry against in-place module edits.
-    ``blocks`` is the `_block_form` of ``functions``, filled in on first
-    use; keeping it here gives it the same key and stamp as the code it
-    describes.
-    """
-
-    __slots__ = ("stamp", "functions", "blocks")
-
-    def __init__(self, stamp: tuple, functions: dict):
-        self.stamp = stamp
-        self.functions = functions
-        self.blocks: dict | None = None
-
-
-class _BlockFunction:
-    """One linked function in the interpreter's block form.
+class _Function:
+    """One linked function, in the form `Machine._execute` runs.
 
     ``blocks[k]`` is ``(length, instructions)`` for basic block ``k``,
-    which starts at linked pc ``starts[k]``. Jump targets name blocks,
-    a direct call names the callee's ``_BlockFunction``, and every
-    operand is a register index: immediates live in a constant pool
-    after the ``nregs`` registers, so a frame starts as ``template[:]``.
+    whose first instruction sits at simulated code address
+    ``addresses[k]`` (for the instruction-cache tracer). Jump targets
+    name blocks, a direct call names the callee's ``_Function``, and
+    every operand is a register index: each distinct immediate has a
+    slot of its own, preset in ``template``, so a frame starts as
+    ``template[:]``.
     """
 
-    __slots__ = (
-        "name", "nparams", "frame_size", "linked", "starts", "blocks", "template",
-    )
+    __slots__ = ("name", "nparams", "frame_size", "blocks", "template", "addresses")
 
-    def __init__(self, compiled: _CompiledFunction):
-        self.name = compiled.name
-        self.nparams = compiled.nparams
-        self.frame_size = compiled.frame_size
-        #: The linked function; its ``base`` places the blocks in code
-        #: space for the instruction-cache tracer.
-        self.linked = compiled
-        self.starts: list[int] = []
+    def __init__(self, function):
+        self.name = function.name
+        self.nparams = len(function.params)
+        self.frame_size = function.layout_frame()
         self.blocks: list[tuple[int, tuple]] = []
         self.template: list[int] = []
+        self.addresses: list[int] = []
 
 
-#: Linked fields holding an operand: a register index, or an immediate
-#: boxed in a 1-tuple. Calls also take their argument tuple (field 3).
-_OPERAND_FIELDS = {
-    _OP_MOV: (2,), _OP_BIN: (3, 4), _OP_UN: (3,), _OP_LOAD4: (2,),
-    _OP_LOAD1: (2,), _OP_STORE4: (1, 2), _OP_STORE1: (1, 2),
-    _OP_ICALL: (2,), _OP_RET: (1,), _OP_CJUMP: (1,), _OP_SWITCH: (1,),
-}
-
-#: Opcodes after which a new basic block starts. Every call ends its
+#: IL opcodes after which a new basic block starts. Every call ends its
 #: block, builtins included, so ``exit()`` is always a block's last
 #: instruction and a block entered always runs to its end unless an
 #: instruction in it traps.
 _BLOCK_ENDS = {
-    _OP_JUMP, _OP_CJUMP, _OP_SWITCH, _OP_RET, _OP_CALLU, _OP_CALLB, _OP_ICALL,
+    Opcode.JUMP, Opcode.CJUMP, Opcode.SWITCH, Opcode.RET, Opcode.CALL, Opcode.ICALL,
 }
-
-
-def _block_form(compiled: dict) -> dict:
-    """The `_BlockFunction` of every function in ``compiled``."""
-    functions = {
-        name: _BlockFunction(function) for name, function in compiled.items()
-    }
-    for function in functions.values():
-        code = function.linked.code
-        nregs = function.linked.nregs
-        leaders = {0}
-        for pc, ins in enumerate(code):
-            op = ins[0]
-            if op in _BLOCK_ENDS:
-                leaders.add(pc + 1)
-            if op == _OP_JUMP:
-                leaders.add(ins[1])
-            elif op == _OP_CJUMP:
-                leaders.update(ins[2:4])
-            elif op == _OP_SWITCH:
-                leaders.update(ins[2].values())
-                leaders.add(ins[3])
-        starts = sorted(pc for pc in leaders if pc < len(code))
-        block_of = {pc: k for k, pc in enumerate(starts)}
-        pool: dict[int, int] = {}
-
-        def operand(value):
-            if type(value) is tuple:
-                return pool.setdefault(value[0], nregs + len(pool))
-            return value
-
-        translated = []
-        for ins in code:
-            op = ins[0]
-            fields = list(ins)
-            for field in _OPERAND_FIELDS.get(op, ()):
-                fields[field] = operand(ins[field])
-            if op in (_OP_CALLU, _OP_CALLB, _OP_ICALL):
-                fields[3] = tuple(operand(arg) for arg in ins[3])
-            if op == _OP_CALLU:
-                fields[2] = functions[ins[2]]
-            elif op == _OP_RET and ins[1] is None:
-                fields[1] = operand((0,))
-            elif op == _OP_JUMP:
-                fields[1] = block_of[ins[1]]
-            elif op == _OP_CJUMP:
-                fields[2] = block_of[ins[2]]
-                fields[3] = block_of[ins[3]]
-            elif op == _OP_SWITCH:
-                fields[2] = {
-                    value: block_of[target] for value, target in ins[2].items()
-                }
-                fields[3] = block_of[ins[3]]
-            translated.append(tuple(fields))
-        function.starts = starts
-        function.blocks = [
-            (end - start, tuple(translated[start:end]))
-            for start, end in zip(starts, [*starts[1:], len(code)])
-        ]
-        function.template = [0] * nregs + list(pool)
-    return functions
 
 
 @dataclass
@@ -301,8 +195,8 @@ class Machine:
     mutates globals and the heap, so re-running would execute a
     different program and double-report into the metrics registry).
     Machines built for one module with the same link knobs share its
-    compiled code and block form (``_COMPILED_MEMO``), so running many
-    inputs compiles it once.
+    linked code (``_COMPILED_MEMO``), so running many inputs translates
+    it once.
     """
 
     def __init__(
@@ -346,7 +240,7 @@ class Machine:
         self._global_addresses: dict[str, int] = {}
         self._function_table: list[tuple] = []
         self._function_ids: dict[str, int] = {}
-        self._compiled: dict[str, _CompiledFunction] = {}
+        self._functions: dict[str, _Function] = {}
         self._link()
 
     # ------------------------------------------------------------------
@@ -389,32 +283,33 @@ class Machine:
             (name, id(fn), id(fn.body), len(fn.body))
             for name, fn in module.functions.items()
         )
-        cached = None
-        try:
-            cached = _COMPILED_MEMO.setdefault(module, {})
-        except TypeError:  # un-weakref-able module stand-in (tests)
-            pass
-        linked = cached.get(compile_key) if cached is not None else None
-        if linked is None or linked.stamp != stamp:
-            linked = _Linked(stamp, {
-                name: self._compile_function(function)
-                for name, function in module.functions.items()
-            })
-            if cached is not None:
-                cached[compile_key] = linked
-        self._linked = linked
-        self._compiled = linked.functions
+        entries = _COMPILED_MEMO.setdefault(module, {})
+        entry = entries.get(compile_key)
+        if entry is None or entry[0] != stamp:
+            entry = entries[compile_key] = (stamp, self._translate_module())
+        self._functions = entry[1]
+
+    def _translate_module(self) -> dict[str, _Function]:
+        """Every function of the module, translated and laid out."""
+        module = self.module
+        functions = {
+            name: _Function(function) for name, function in module.functions.items()
+        }
+        starts = {
+            name: self._translate(function, functions)
+            for name, function in module.functions.items()
+        }
         # Lay functions out in a simulated code space for the
         # instruction-cache tracer (4 bytes per IL instruction,
         # line-aligned starts).
-        ordered = list(self._compiled.values())
+        ordered = list(functions.values())
         gaps = [0] * len(ordered)
         if self._function_order is not None:
             # Explicit placement (e.g. profile-guided affinity order);
             # names missing from the order keep their relative position
             # at the end.
             position = {name: i for i, name in enumerate(self._function_order)}
-            ordered.sort(key=lambda c: position.get(c.name, len(position)))
+            ordered.sort(key=lambda f: position.get(f.name, len(position)))
         elif self._code_layout == "scattered":
             import random
 
@@ -424,11 +319,12 @@ class Machine:
         elif self._code_layout != "sequential":
             raise ILError(f"unknown code layout {self._code_layout!r}")
         code_address = 0
-        for compiled, gap in zip(ordered, gaps):
+        for function, gap in zip(ordered, gaps):
             code_address += gap
-            compiled.base = code_address
-            code_address += 4 * len(compiled.code)
+            function.addresses = [code_address + 4 * pc for pc in starts[function.name]]
+            code_address += 4 * sum(length for length, _ in function.blocks)
             code_address = (code_address + 15) // 16 * 16
+        return functions
 
     def _init_global(self, data) -> None:
         base = self._global_addresses[data.name]
@@ -455,60 +351,71 @@ class Machine:
             raise ILError(f"unknown function {name!r} used as a pointer")
         return -1 - self._function_ids[name]
 
-    def _compile_function(self, function) -> _CompiledFunction:
-        compiled = _CompiledFunction(
-            function.name,
-            len(function.params),
-            function.layout_frame(),
-            function.returns_value,
-        )
-        regmap: dict[str, int] = {name: i for i, name in enumerate(function.params)}
+    def _translate(self, function, functions: dict[str, _Function]) -> list[int]:
+        """Fill in ``functions[function.name]`` from ``function``'s body;
+        return the pc (labels not counted) where each block starts."""
+        # Leaders: pc 0, the instruction after each block end and every
+        # jump target. A label that nothing jumps to starts no block.
+        label_at: dict[str, int] = {}
+        leaders = {0}
+        targets: list[str] = []
+        pc = 0
+        for instr in function.body:
+            op = instr.op
+            if op is Opcode.LABEL:
+                label_at[instr.label] = pc
+                continue
+            pc += 1
+            if op in _BLOCK_ENDS:
+                leaders.add(pc)
+                if op is Opcode.JUMP:
+                    targets.append(instr.label)
+                elif op is Opcode.CJUMP:
+                    targets += (instr.label, instr.label2)
+                elif op is Opcode.SWITCH:
+                    targets += [label for _, label in instr.cases]
+                    targets.append(instr.label2)
+        leaders.update(label_at[label] for label in targets if label in label_at)
+        starts = sorted(leader for leader in leaders if leader < pc)
+        block_at = {leader: k for k, leader in enumerate(starts)}
 
-        def reg(name: str) -> int:
-            index = regmap.get(name)
+        def block(label: str) -> int:
+            return block_at[label_at[label]]
+
+        # Registers and immediates share one index space, parameters
+        # first; ``template`` presets each immediate's slot.
+        slots: dict = {name: i for i, name in enumerate(function.params)}
+
+        def operand(value) -> int:
+            index = slots.get(value)
             if index is None:
-                index = len(regmap)
-                regmap[name] = index
+                index = slots[value] = len(slots)
             return index
 
-        def operand(value):
-            if isinstance(value, str):
-                return reg(value)
-            return (value,)  # immediate, boxed to distinguish from indices
-
-        # First pass: label -> compiled index (labels are dropped).
-        label_at: dict[str, int] = {}
-        compiled_index = 0
-        for instr in function.body:
-            if instr.op is Opcode.LABEL:
-                label_at[instr.label] = compiled_index
-            else:
-                compiled_index += 1
-
-        code = compiled.code
+        code = []
         for il_index, instr in enumerate(function.body):
             op = instr.op
             if op is Opcode.LABEL:
                 continue
             if op is Opcode.CONST:
-                code.append((_OP_CONST, reg(instr.dst), instr.a))
+                code.append((_OP_CONST, operand(instr.dst), instr.a))
             elif op is Opcode.MOV:
-                code.append((_OP_MOV, reg(instr.dst), operand(instr.a)))
+                code.append((_OP_MOV, operand(instr.dst), operand(instr.a)))
             elif op is Opcode.BIN:
                 fn = _BINOPS.get(instr.op2)
                 if fn is None:
                     raise ILError(f"unknown binary operator {instr.op2!r}")
                 code.append(
-                    (_OP_BIN, reg(instr.dst), fn, operand(instr.a), operand(instr.b))
+                    (_OP_BIN, operand(instr.dst), fn, operand(instr.a), operand(instr.b))
                 )
             elif op is Opcode.UN:
                 fn = _UNOPS.get(instr.op2)
                 if fn is None:
                     raise ILError(f"unknown unary operator {instr.op2!r}")
-                code.append((_OP_UN, reg(instr.dst), fn, operand(instr.a)))
+                code.append((_OP_UN, operand(instr.dst), fn, operand(instr.a)))
             elif op is Opcode.LOAD:
                 kind = _OP_LOAD4 if instr.size == 4 else _OP_LOAD1
-                code.append((kind, reg(instr.dst), operand(instr.a)))
+                code.append((kind, operand(instr.dst), operand(instr.a)))
             elif op is Opcode.STORE:
                 kind = _OP_STORE4 if instr.size == 4 else _OP_STORE1
                 code.append((kind, operand(instr.a), operand(instr.b)))
@@ -518,16 +425,18 @@ class Machine:
                     raise ILError(
                         f"{function.name}: unknown frame slot {instr.name!r}"
                     )
-                code.append((_OP_FRAME, reg(instr.dst), slot.offset))
+                code.append((_OP_FRAME, operand(instr.dst), slot.offset))
             elif op is Opcode.GADDR:
                 address = self._global_addresses.get(instr.name)
                 if address is None:
                     raise ILError(f"unknown global {instr.name!r}")
-                code.append((_OP_CONST, reg(instr.dst), address))
+                code.append((_OP_CONST, operand(instr.dst), address))
             elif op is Opcode.FADDR:
-                code.append((_OP_CONST, reg(instr.dst), self._function_pointer(instr.name)))
+                code.append(
+                    (_OP_CONST, operand(instr.dst), self._function_pointer(instr.name))
+                )
             elif op is Opcode.CALL:
-                dst = reg(instr.dst) if instr.dst is not None else -1
+                dst = operand(instr.dst) if instr.dst is not None else -1
                 args = tuple(operand(a) for a in instr.args)
                 if instr.name in self.module.functions:
                     callee = self.module.functions[instr.name]
@@ -541,7 +450,9 @@ class Machine:
                             f" {instr.site} passes {len(args)} args,"
                             f" expected {len(callee.params)}"
                         )
-                    code.append((_OP_CALLU, dst, instr.name, args, instr.site))
+                    code.append(
+                        (_OP_CALLU, dst, functions[instr.name], args, instr.site)
+                    )
                 else:
                     entry = BUILTINS.get(instr.name)
                     impl = None
@@ -556,33 +467,36 @@ class Machine:
                         (_OP_CALLB, dst, impl, args, instr.site, instr.name)
                     )
             elif op is Opcode.ICALL:
-                dst = reg(instr.dst) if instr.dst is not None else -1
+                dst = operand(instr.dst) if instr.dst is not None else -1
                 args = tuple(operand(a) for a in instr.args)
                 code.append((_OP_ICALL, dst, operand(instr.a), args, instr.site))
             elif op is Opcode.RET:
-                code.append((_OP_RET, operand(instr.a) if instr.a is not None else None))
+                code.append((_OP_RET, operand(instr.a if instr.a is not None else 0)))
             elif op is Opcode.JUMP:
-                code.append((_OP_JUMP, label_at[instr.label]))
+                code.append((_OP_JUMP, block(instr.label)))
             elif op is Opcode.CJUMP:
                 key = (function.name, il_index) if self._collect_branches else None
                 code.append(
                     (
                         _OP_CJUMP,
                         operand(instr.a),
-                        label_at[instr.label],
-                        label_at[instr.label2],
+                        block(instr.label),
+                        block(instr.label2),
                         key,
                     )
                 )
             elif op is Opcode.SWITCH:
-                table = {value: label_at[label] for value, label in instr.cases}
-                code.append(
-                    (_OP_SWITCH, operand(instr.a), table, label_at[instr.label2])
-                )
+                table = {value: block(label) for value, label in instr.cases}
+                code.append((_OP_SWITCH, operand(instr.a), table, block(instr.label2)))
             else:  # pragma: no cover
                 raise ILError(f"cannot compile opcode {op}")
-        compiled.nregs = len(regmap)
-        return compiled
+        target = functions[function.name]
+        target.blocks = [
+            (end - start, tuple(code[start:end]))
+            for start, end in zip(starts, [*starts[1:], pc])
+        ]
+        target.template = [0 if type(key) is str else key for key in slots]
+        return starts
 
     # ------------------------------------------------------------------
     # services used by builtins
@@ -639,7 +553,7 @@ class Machine:
                 " build a new Machine to execute again"
             )
         self._ran = True
-        entry = self._compiled.get(self.module.entry)
+        entry = self._functions.get(self.module.entry)
         if entry is None:
             raise ILError(f"entry function {self.module.entry!r} not found")
         args: list[int] = []
@@ -676,7 +590,7 @@ class Machine:
             self.write_bytes(table + 4 * index, pointer.to_bytes(4, "little"))
         return [len(pointers), table]
 
-    def _execute(self, entry: _CompiledFunction, args: list[int]) -> int:
+    def _execute(self, entry: _Function, args: list[int]) -> int:
         """Run ``entry`` to its return in the block form.
 
         Control enters a basic block, then runs every instruction in it
@@ -701,9 +615,7 @@ class Machine:
         mem = self._mem
         counters = self.counters
         fuel = self._fuel
-        functions = self._linked.blocks
-        if functions is None:
-            functions = self._linked.blocks = _block_form(self._compiled)
+        functions = self._functions
         function_table = self._function_table
         stack_limit = self._stack_limit
         site_counts = counters.site_counts
@@ -716,7 +628,7 @@ class Machine:
         n_calls = 0
         n_rets = 0
 
-        current = functions[entry.name]
+        current = entry
         blocks = current.blocks
         regs = current.template[:]
         regs[: len(args)] = args
@@ -740,7 +652,7 @@ class Machine:
                     ins = None  # no instruction of this block ran
                     raise VMTrap(f"fuel exhausted after {n_il} instructions")
                 if icache is not None:
-                    start = current.linked.base + 4 * current.starts[k]
+                    start = current.addresses[k]
                     for address in range(start, start + 4 * length, 4):
                         icache.access(address)
                 k += 1  # the fall-through block; transfers overwrite it

@@ -2,7 +2,7 @@
 a ReproError, no matter the input."""
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.errors import ReproError
 from repro.frontend.lexer import tokenize
@@ -60,6 +60,7 @@ class TestNoCrashes:
 
     @_SETTINGS
     @given(_TOKENS)
+    @example("#define int")  # directives only: no line left to lex
     def test_full_compile_total_on_token_soup(self, text):
         try:
             compile_program(text, link_libc=False)

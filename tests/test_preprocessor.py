@@ -209,3 +209,7 @@ class TestLineOrigins:
         out, lines = Preprocessor().expand("int a \\\n = 1;\nint b;")
         assert out.split("\n")[:2] == ["int a  = 1;", "int b;"]
         assert lines == [1, 3, 3]
+
+    def test_directives_only_leave_one_line(self):
+        out, lines = Preprocessor().expand("#define N 1\n#define M 2")
+        assert (out, lines) == ("", [2])

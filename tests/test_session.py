@@ -190,56 +190,13 @@ class TestShardedLayout:
         assert entry.parent.name == entry.stem[:2]
         assert entry.parent.parent.name == "module"
 
-    def test_legacy_flat_entries_still_readable(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        CompilationSession(cache_dir=cache_dir).compiled_module(SOURCE)
-        store = tmp_path / "cache" / STORE
-        (entry,) = store.rglob("*.pkl")
-        # Demote the entry to the pre-sharding flat layout.
-        kind = entry.parent.parent.name
-        entry.rename(store / f"{kind}-{entry.name}")
-        entry.parent.rmdir()
-
-        obs = Observability.create()
-        session = CompilationSession(cache_dir=cache_dir, obs=obs)
-        module = session.compiled_module(SOURCE)
-        assert _cache_counters(obs).get("disk_hits") == 1
-        assert Machine(module).run().exit_code == 0
-
     def test_spec_round_trip(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        session = CompilationSession(
-            cache_dir=cache_dir, max_entries=7, disk_max_entries=40
-        )
+        session = CompilationSession(cache_dir=cache_dir, max_entries=7)
         clone = CompilationSession.from_spec(session.spec())
         assert clone.cache_dir == cache_dir
         assert clone.max_entries == 7
-        assert clone.disk_max_entries == 40
         assert CompilationSession.from_spec(None) is None
-
-
-class TestDiskEviction:
-    def test_oldest_entry_evicted_beyond_limit(self, tmp_path):
-        obs = Observability.create()
-        session = CompilationSession(
-            cache_dir=str(tmp_path / "cache"), disk_max_entries=1, obs=obs
-        )
-        session.compiled_module(SOURCE)
-        os.utime(
-            next((tmp_path / "cache" / STORE).rglob("*.pkl")), times=(1, 1)
-        )
-        session.compiled_module(OTHER_SOURCE)
-        entries = list((tmp_path / "cache" / STORE).rglob("*.pkl"))
-        assert len(entries) == 1
-        assert _cache_counters(obs)["disk_evictions"] == 1
-        # The survivor is the newer entry: OTHER_SOURCE is a disk hit
-        # for a fresh session, SOURCE a miss.
-        fresh_obs = Observability.create()
-        fresh = CompilationSession(
-            cache_dir=str(tmp_path / "cache"), obs=fresh_obs
-        )
-        fresh.compiled_module(OTHER_SOURCE)
-        assert _cache_counters(fresh_obs).get("disk_hits") == 1
 
 
 def _hammer_cache(args):

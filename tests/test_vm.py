@@ -284,10 +284,16 @@ class TestBlockGranularity:
 
         benchmark = benchmark_by_name("cmp")
         spec = benchmark.make_runs("small")[0]
+        module = benchmark.compile()
+        # The same module laid out the other way first: each layout
+        # keeps its own addresses.
+        other = "scattered" if layout == "sequential" else "sequential"
+        Machine(
+            module, spec.make_os(), icache=_Recorder(), code_layout=other
+        ).run()
         recorder = _Recorder()
         Machine(
-            benchmark.compile(), spec.make_os(), icache=recorder,
-            code_layout=layout,
+            module, spec.make_os(), icache=recorder, code_layout=layout
         ).run()
         assert len(recorder.addresses) == 13_409
         assert hashlib.sha256(
@@ -457,6 +463,21 @@ class TestLinkKnobs:
                 assert _counter_state(result.counters) == _counter_state(
                     fresh.counters
                 ), stack_size
+
+    def test_in_place_body_edits_never_run_stale_code(self):
+        from repro.il.instructions import Opcode
+
+        module = compile_program(c_main("print_int(7);"))
+        assert Machine(module).run().stdout == "7"
+        main = module.functions["main"]
+        main.body = compile_program(c_main("print_int(42);")).functions["main"].body
+        assert Machine(module).run().stdout == "42"
+        (call,) = [
+            index for index, instr in enumerate(main.body)
+            if instr.op is Opcode.CALL and instr.name == "print_int"
+        ]
+        del main.body[call]
+        assert Machine(module).run().stdout == ""
 
 
 class TestArgv:
