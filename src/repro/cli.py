@@ -17,10 +17,10 @@ Subcommands::
         modules of each benchmark in lockstep and (optionally) fuzz
         random programs through the full pipeline. Exit 1 on any
         divergence or broken invariant.
-    impact-inline serve [--socket PATH] [--jobs N] [--executor ...]
+    impact-inline serve [--socket PATH] [--jobs N] [--cache-dir [DIR]]
         Long-running compilation service on a local Unix socket:
         deduplicates concurrent compile/profile/inline/check requests
-        and runs them on a worker pool; SIGINT/SIGTERM drain
+        and runs them on N worker processes; SIGINT/SIGTERM drain
         gracefully. ``--slow-log FILE`` appends a JSONL record for
         every slow/failed request. See README "Service mode".
     impact-inline call OP [FILE.c] [--socket PATH] ...
@@ -35,7 +35,7 @@ JSONL trace: phase spans, events, inline-decision audit records),
 histograms), and ``--summary`` (metrics summary table on stderr); see
 README "Observability". ``tables`` takes the run flags of
 :func:`add_run_flags` — ``--scale``, ``--benchmarks``, ``--jobs N``
-(parallel suite execution), ``--executor``, ``--cache-dir [DIR]``
+(the suite on N worker processes), ``--cache-dir [DIR]``
 (content-addressed compile/profile cache) and ``--passes SPEC``
 (custom pre-optimization pipeline, ``''`` for none); see README
 "Pipeline architecture". A ``--passes`` spec that
@@ -143,18 +143,9 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
         type=jobs_argument,
         default=1,
         metavar="N",
-        help="run benchmarks on N workers (deterministic order; must be"
+        help="run benchmarks on N worker processes, which share only"
+        " the --cache-dir store (output stays byte-identical; must be"
         " >= 1, 1 = serial)",
-    )
-    parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool for --jobs: 'thread' starts instantly and"
-        " shares the in-memory cache but CPU-bound work serializes on"
-        " the GIL; 'process' runs compile/profile/inline work truly in"
-        " parallel (output stays byte-identical) at the cost of"
-        " per-worker startup and artifact pickling",
     )
     parser.add_argument(
         "--cache-dir",
@@ -300,7 +291,6 @@ def _run_config(args: argparse.Namespace, **options):
         scale=args.scale,
         names=args.benchmarks,
         jobs=args.jobs,
-        executor=args.executor,
         pass_spec=args.passes,
         **options,
     )
@@ -426,7 +416,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = CompilationService(
         args.socket,
         jobs=args.jobs,
-        executor=args.executor,
         cache_dir=args.cache_dir,
         obs=obs,
         slow_log=args.slow_log,
@@ -446,8 +435,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 # this platform; the admin 'shutdown' op still drains.
                 break
         print(
-            f"serving on {args.socket} ({args.jobs} {args.executor}"
-            f" worker{'s' if args.jobs != 1 else ''});"
+            f"serving on {args.socket} ({args.jobs} worker"
+            f" process{'es' if args.jobs != 1 else ''});"
             " send SIGINT/SIGTERM or an admin 'shutdown' to drain",
             file=sys.stderr,
         )
@@ -658,15 +647,12 @@ def main(argv: list[str] | None = None) -> int:
         type=jobs_argument,
         default=1,
         metavar="N",
-        help="worker pool size (>= 1)",
+        help="number of worker processes (>= 1)",
     )
+    # Kept for bench/run.py::Server, its only user, which starts the
+    # server with `--executor process`. Every pool is a process pool.
     serve_parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool backend: 'thread' shares one in-memory cache"
-        " but serializes CPU work on the GIL; 'process' compiles truly"
-        " in parallel, sharing the cache through its on-disk store",
+        "--executor", choices=["process"], help=argparse.SUPPRESS
     )
     serve_parser.add_argument(
         "--cache-dir",

@@ -7,11 +7,10 @@ D — linearization order (paper's weight heuristic vs. hybrid).
 
 Every sweep takes a :class:`~repro.experiments.pipeline.RunConfig`
 (benchmarks, scale, pre-optimization passes, ``check``, and
-the worker pool) and fans out over the selected benchmarks via
+``jobs``) and fans out over the selected benchmarks via
 :func:`~repro.pipeline.parallel.parallel_map`; the measurement tasks
 are module-level functions parameterized with :func:`functools.partial`
-so they run unchanged on either the thread or the process executor
-(``executor="process"`` requires picklable tasks).
+so they pickle for the worker processes ``jobs > 1`` runs them on.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ def _prepare_suite(config):
         [benchmark.name for benchmark in select_benchmarks(config.names)],
         config.jobs,
         worker_label="ablation-prepare",
-        executor=config.executor,
     )
 
 
@@ -72,7 +70,6 @@ def _measure_all(prepared, one, config):
         prepared,
         config.jobs,
         worker_label="ablation-measure",
-        executor=config.executor,
     )
 
 

@@ -28,8 +28,8 @@ from repro.observability import Observability, resolve
 # Nothing here calls it any more; bench/layers.py times this name.
 from repro.opt import optimize_module  # noqa: F401
 from repro.opt.pipeline import DEFAULT_OPT_SPEC, parse_pass_spec
-from repro.pipeline.parallel import parallel_map, validate_executor, validate_jobs
-from repro.pipeline.session import CompilationSession
+from repro.pipeline.parallel import parallel_map, validate_jobs
+from repro.pipeline.session import CompilationSession, open_session
 from repro.profiler.profile import (
     Observation,
     ProfileData,
@@ -49,27 +49,25 @@ class RunConfig:
     """The options of one suite run, checked once and passed whole.
 
     ``names`` restricts the run to those benchmarks, kept in suite
-    order; ``jobs > 1`` runs them on a ``"thread"`` or ``"process"``
-    ``executor`` pool; ``pass_spec`` selects the pre-optimization
-    pipeline (``None``: the full five-pass set; ``""``: none), kept as
-    given; ``check`` re-verifies IL well-formedness after every inline
-    phase; ``params`` are the inliner's knobs.
-    Construction raises :class:`ValueError` on ``jobs < 1``, an unknown
-    executor, a pass spec :func:`~repro.opt.pipeline.parse_pass_spec`
-    rejects, or any unknown benchmark name.
+    order; ``jobs > 1`` runs them on that many worker processes;
+    ``pass_spec`` selects the pre-optimization pipeline (``None``: the
+    full five-pass set; ``""``: none), kept as given; ``check``
+    re-verifies IL well-formedness after every inline phase; ``params``
+    are the inliner's knobs.
+    Construction raises :class:`ValueError` on ``jobs < 1``, a pass
+    spec :func:`~repro.opt.pipeline.parse_pass_spec` rejects, or any
+    unknown benchmark name.
     """
 
     scale: str = "small"
     names: tuple[str, ...] | None = None
     jobs: int = 1
-    executor: str = "thread"
     pass_spec: str | None = None
     check: bool = False
     params: InlineParameters = InlineParameters()
 
     def __post_init__(self) -> None:
         validate_jobs(self.jobs)
-        validate_executor(self.executor)
         parse_pass_spec(self.pass_spec)
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
@@ -164,8 +162,8 @@ def run_benchmark(
     With a :class:`~repro.pipeline.session.CompilationSession`, the
     compile (including pre-optimization) and both profiling stages are
     served content-addressed from its cache when possible; without one
-    every stage runs from scratch. ``config.names`` and the pool
-    options are the suite's business and are ignored here.
+    every stage runs from scratch. ``config.names`` and ``config.jobs``
+    are the suite's business and are ignored here.
     """
     scale, params = config.scale, config.params
     obs = resolve(obs)
@@ -193,9 +191,7 @@ def run_benchmark(
         specs = benchmark.make_runs(scale)
         with tracer.span("benchmark.profile", name=benchmark.name):
             if session is not None:
-                profile = session.profile(
-                    module, specs, scale=scale, params=params, obs=obs
-                )
+                profile = session.profile(module, specs, obs=obs)
             else:
                 profile = profile_module(module, specs, obs=obs)
 
@@ -212,8 +208,7 @@ def run_benchmark(
         with tracer.span("benchmark.post_profile", name=benchmark.name):
             if session is not None:
                 post_profile = session.profile(
-                    inline_result.module, specs, scale=scale, params=params,
-                    obs=obs,
+                    inline_result.module, specs, obs=obs
                 )
             else:
                 post_profile = profile_module(inline_result.module, specs, obs=obs)
@@ -311,38 +306,21 @@ def compare_outputs(
     return comparison
 
 
-#: Per-process registry of sessions opened from a spec, so one worker
-#: process reuses its in-memory cache across the tasks it executes
-#: (the disk store is shared between processes regardless).
-_WORKER_SESSIONS: dict[tuple, CompilationSession] = {}
-
-
-def _session_from_spec(spec: dict | None) -> CompilationSession | None:
-    if spec is None:
-        return None
-    key = tuple(sorted(spec.items()))
-    session = _WORKER_SESSIONS.get(key)
-    if session is None:
-        session = CompilationSession.from_spec(spec)
-        _WORKER_SESSIONS[key] = session
-    return session
-
-
 def _benchmark_task(
     name: str,
     obs: Observability,
     *,
     config: RunConfig,
-    session: CompilationSession | dict | None,
+    session: CompilationSession | str | None,
 ) -> BenchmarkResult:
     """One suite item, addressed by benchmark name so it pickles.
 
-    ``session`` is the live session when the task runs in this process
-    and the session's spec in a process worker, which re-opens the
-    shared disk store from it.
+    ``session`` is the live session on the serial path, and the
+    session's cache directory on a worker process, which opens it once
+    (:func:`~repro.pipeline.session.open_session`).
     """
-    if isinstance(session, dict):
-        session = _session_from_spec(session)
+    if isinstance(session, str):
+        session = open_session(session)
     _LOG.info("[%s] running ...", name)
     return run_benchmark(benchmark_by_name(name), config, obs=obs, session=session)
 
@@ -355,35 +333,32 @@ def run_suite(
 ) -> list[BenchmarkResult]:
     """Run the pipeline for every benchmark ``config`` selects.
 
-    Results keep suite order. With ``config.jobs > 1`` the benchmarks
-    run on a worker pool and per-worker trace/metric records are merged
-    into the parent ``obs``; ``jobs=1`` is the plain serial loop. The
-    ``"thread"`` executor shares the live ``session`` in memory but
-    serializes CPU work on the GIL; ``"process"`` gives true CPU
-    parallelism — workers share the session's *disk* store (each
-    process re-opens it from :meth:`CompilationSession.spec`) and
-    return their results and telemetry by pickling. A shared
-    ``session`` serves compiles and profiles from its
-    content-addressed cache either way.
+    Results keep suite order. ``jobs=1`` (or one benchmark) is the
+    plain serial loop, served from the live ``session``. Otherwise the
+    benchmarks run on worker processes, which return their results and
+    telemetry by pickling; per-worker trace/metric records are merged
+    into the parent ``obs``. The workers share the session's *disk*
+    store: each process opens ``session.cache_dir`` once, and a session
+    without one is not passed to them.
 
     Progress goes through the ``repro.experiments`` logger; callers
     that want it on stderr call
     :func:`~repro.observability.enable_console_logging`.
     """
     obs = resolve(obs)
-    if session is not None and config.jobs > 1 and config.executor == "process":
-        # The live session holds locks and caches that cannot cross
-        # the process boundary.
-        session = session.spec()
+    names = [benchmark.name for benchmark in select_benchmarks(config.names)]
+    if session is not None and config.jobs > 1 and len(names) > 1:
+        # The items run on worker processes, which the live session (a
+        # lock, in-memory tables) cannot reach: they get its directory.
+        session = session.cache_dir
     task = functools.partial(_benchmark_task, config=config, session=session)
     with obs.tracer.span("suite", scale=config.scale) as attrs:
         results = parallel_map(
             task,
-            [benchmark.name for benchmark in select_benchmarks(config.names)],
+            names,
             config.jobs,
             obs=obs,
             worker_label="suite",
-            executor=config.executor,
         )
         attrs["benchmarks"] = len(results)
     return results

@@ -2,9 +2,11 @@
 
 - :mod:`repro.pipeline.session` — the :class:`CompilationSession`
   content-addressed artifact cache (compiled modules, profiles) with an
-  optional on-disk store;
-- :mod:`repro.pipeline.parallel` — deterministic thread-pool fan-out
-  with per-worker observability merging.
+  optional on-disk store, which a worker process opens once by its
+  directory (``open_session``);
+- :mod:`repro.pipeline.parallel` — deterministic process-pool fan-out
+  with per-worker observability merging, through ``worker_task``, the
+  worker entry the compilation service shares.
 
 The optimizer's fixpoint loop and its pass-spec parser live in
 :mod:`repro.opt.pipeline`; the §3 inliner phases run in order in

@@ -1,44 +1,36 @@
 """Deterministic parallel fan-out for suite and ablation runs.
 
-:func:`parallel_map` runs one task per item on a pluggable executor and
-returns results in item order, so ``jobs=N`` output is indistinguishable
-from serial output. Two backends:
+:func:`parallel_map` runs one task per item and returns results in item
+order, so ``jobs=N`` output is indistinguishable from serial output.
+``jobs=1`` (or a single item) is a plain loop over the parent context,
+byte-identical to the historical serial code path. Otherwise the
+items run on a ``ProcessPoolExecutor``: compile, profile and inline
+work is CPU-bound, and in Python only worker processes run it in
+parallel. The task callable, its items and its results must
+therefore pickle.
 
-- ``executor="thread"`` (default) — a ``ThreadPoolExecutor``. Cheap to
-  start and shares in-memory state (e.g. a live
-  :class:`~repro.pipeline.session.CompilationSession`), but CPU-bound
-  work serializes on the GIL.
-- ``executor="process"`` — a ``ProcessPoolExecutor``. True parallelism
-  for CPU-heavy compile/profile/inline work; the task callable and its
-  items must be picklable, and each worker returns its serialized
-  result together with its observability child.
-
-Each worker records into its own forked
-:class:`~repro.observability.Observability`; children are absorbed into
-the parent **in item order, as soon as that item (and every earlier
-item) finishes** — so traces and metrics stay whole and deterministic
-while no more than the in-flight window of children is held in memory.
-Each absorbed record is tagged with its worker's label, and the parent
-tracer's bound correlation context (``trace_id`` etc., see
-:mod:`repro.observability.context`) is re-bound on every child so
-worker records carry it at emit time on either backend.
-
-``jobs=1`` short-circuits to a plain loop over the parent context,
-byte-identical to the historical serial code path.
+Every task in a worker process runs through :func:`worker_task`, the
+one worker entry of both pools (the compilation service submits each
+request through it too). It records into a fresh
+:class:`~repro.observability.Observability` child, re-bound with the
+parent tracer's correlation context (``trace_id`` etc., see
+:mod:`repro.observability.context`) so worker records carry it at
+emit time, and returns the child with the result. Children are
+absorbed into the parent **in item order, as soon as that item (and
+every earlier item) finishes**, each tagged with its worker's label:
+traces and metrics stay whole and deterministic while no more than the
+in-flight window of children is held in memory.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from repro.observability import Observability, resolve
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: The executor backends :func:`parallel_map` accepts.
-EXECUTORS = ("thread", "process")
 
 
 def validate_jobs(jobs: int) -> int:
@@ -63,24 +55,14 @@ def jobs_argument(value: str) -> int:
     return jobs
 
 
-def validate_executor(executor: str) -> str:
-    """Reject an unknown executor backend with a clear error."""
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from"
-            f" {', '.join(EXECUTORS)}"
-        )
-    return executor
-
-
-def _process_task(fn, item, want_obs: bool, context: dict | None = None):
-    """Run one task in a worker process, capturing its observability.
+def worker_task(fn, item, want_obs: bool, context: dict | None = None):
+    """Run ``fn(item, obs)`` in a worker process, capturing its observability.
 
     Module-level so it pickles; the child context rides back to the
     parent in the return value (tracers and metrics are plain data).
-    ``context`` is the parent tracer's bound correlation context
-    (e.g. ``trace_id``), re-bound here so worker records carry it at
-    emit time even across the process boundary.
+    ``context`` is the parent's correlation context (e.g.
+    ``trace_id``), bound here so worker records carry it at emit time
+    even across the process boundary.
     """
     child = Observability.create() if want_obs else None
     if child is not None and context:
@@ -95,53 +77,28 @@ def parallel_map(
     jobs: int = 1,
     obs: Observability | None = None,
     worker_label: str = "worker",
-    executor: str = "thread",
 ) -> list[R]:
     """Map ``fn(item, obs)`` over ``items``, preserving item order.
 
-    With ``executor="process"``, ``fn`` and every item (and result)
-    must be picklable — use module-level functions or
-    :func:`functools.partial` over module-level functions.
+    With ``jobs > 1``, ``fn`` and every item (and result) must pickle:
+    use module-level functions or :func:`functools.partial` over them.
+    The pool never starts more workers than there are items.
     """
     validate_jobs(jobs)
-    validate_executor(executor)
     parent = resolve(obs)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item, parent) for item in items]
     results: list[R] = []
     bound = parent.tracer.bound_context()
-    if executor == "process":
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_process_task, fn, item, parent.enabled, bound)
-                for item in items
-            ]
-            for index, future in enumerate(futures):
-                result, child = future.result()
-                results.append(result)
-                if child is not None:
-                    parent.absorb(child, worker=f"{worker_label}-{index}")
-                futures[index] = None  # release the child promptly
-        return results
-    children: list[Observability | None] = [
-        Observability.create() if parent.enabled else None for _ in items
-    ]
-    if bound:
-        for child in children:
-            if child is not None:
-                child.tracer.bind(**bound)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         futures = [
-            pool.submit(fn, item, resolve(child))
-            for item, child in zip(items, children)
+            pool.submit(worker_task, fn, item, parent.enabled, bound)
+            for item in items
         ]
-        # Absorb each worker context as soon as its item (and every
-        # earlier item) has finished: deterministic item order without
-        # holding every child's full trace until the end of the run.
         for index, future in enumerate(futures):
-            results.append(future.result())
-            child = children[index]
+            result, child = future.result()
+            results.append(result)
             if child is not None:
                 parent.absorb(child, worker=f"{worker_label}-{index}")
-                children[index] = None
+            futures[index] = None  # release the child promptly
     return results

@@ -7,15 +7,17 @@ experiment pipeline:
   pre-optimization pass spec, entry) — the cached module already has the
   pass pipeline applied, and lookups return a :meth:`~repro.il.module.
   ILModule.clone` so callers can mutate freely;
-- **profiles**, keyed over (module content, input specs, scale,
-  :class:`~repro.inliner.params.InlineParameters`) — the module content
-  key covers every instruction (including call-site ids), so a profile
-  (and the output observations it carries) is only ever replayed
-  against the exact code it was measured on.
+- **profiles**, keyed over (module content, input specs) — what
+  :func:`~repro.profiler.profile.profile_module` reads. The module
+  content key covers every instruction (including call-site ids), so a
+  profile (and the output observations it carries) is only ever
+  replayed against the exact code it was measured on.
 
 An optional on-disk store (``.repro-cache/`` by convention) makes the
 cache survive across processes — and is **shared between concurrent
-processes** (the process-pool executor, service workers). The store is
+processes** (``tables --jobs N`` and service workers). A worker process
+reaches the session as its cache directory and opens it once through
+:func:`open_session`. The store is
 versioned under ``v<FORMAT>/``, sharded as
 ``v<FORMAT>/<kind>/<first-two-hex-chars>/<key>.pkl`` so no single
 directory grows unbounded, and process-safe by construction:
@@ -157,26 +159,18 @@ def _spec_fingerprint(spec) -> dict:
     }
 
 
-def profile_cache_key(
-    module,
-    specs,
-    scale: str = "",
-    params=None,
-) -> str:
-    """The content-addressed key of a profile over an input set."""
-    params_payload = None
-    if params is not None:
-        params_payload = {
-            slot: getattr(params, slot) for slot in params.__slots__
-        }
+def profile_cache_key(module, specs) -> str:
+    """The content-addressed key of a profile over an input set.
+
+    The specs fingerprint every input, so the scale that chose them
+    and the inliner's knobs are not part of the key.
+    """
     return _digest(
         {
             "format": CACHE_FORMAT,
             "kind": "profile",
             "module": module_content_key(module),
             "specs": [_spec_fingerprint(spec) for spec in specs],
-            "scale": scale,
-            "params": params_payload,
         }
     )
 
@@ -209,27 +203,6 @@ class CompilationSession:
         self._dir = (
             os.path.join(cache_dir, f"v{CACHE_FORMAT}") if cache_dir else None
         )
-
-    # ------------------------------------------------------------------
-    # spec: the picklable recipe for an equivalent session
-    #
-    # A live session is not picklable (locks, live caches), so parallel
-    # process workers and service workers receive a spec instead and
-    # open their own session over the same shared disk store.
-
-    def spec(self) -> dict:
-        """A picklable description re-creating an equivalent session."""
-        return {
-            "cache_dir": self.cache_dir,
-            "max_entries": self.max_entries,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict | None) -> "CompilationSession | None":
-        """Open a session from :meth:`spec` output (``None`` passes through)."""
-        if spec is None:
-            return None
-        return cls(**spec)
 
     # ------------------------------------------------------------------
     # generic keyed store
@@ -379,21 +352,14 @@ class CompilationSession:
             obs=obs,
         )
 
-    def profile(
-        self,
-        module,
-        specs,
-        scale: str = "",
-        params=None,
-        obs: Observability | None = None,
-    ):
+    def profile(self, module, specs, obs: Observability | None = None):
         """Cached :func:`~repro.profiler.profile.profile_module` call.
 
         The cached profile keeps its per-input output observations, so
         a warm pipeline checks outputs without executing either module.
         """
         obs = resolve(obs if obs is not None else self._obs)
-        key = profile_cache_key(module, specs, scale, params)
+        key = profile_cache_key(module, specs)
         cached = self._lookup(self._profiles, "profile", key, obs)
         if cached is None:
             from repro.profiler.profile import profile_module
@@ -422,3 +388,25 @@ class CompilationSession:
                             os.rmdir(os.path.join(root, name))
                         except OSError:
                             pass
+
+
+#: The sessions this process opened by cache directory (see
+#: :func:`open_session`).
+_OPEN_SESSIONS: dict[str, CompilationSession] = {}
+
+
+def open_session(cache_dir: str | None) -> CompilationSession | None:
+    """This process's session over ``cache_dir`` (``None``: no session).
+
+    A live session cannot cross a process boundary (it holds a lock and
+    its in-memory tables), so pool workers receive the cache directory
+    instead. Each process opens the directory once and keeps the
+    session, so its in-memory tables serve every later task it runs;
+    the disk store is shared between processes regardless.
+    """
+    if cache_dir is None:
+        return None
+    session = _OPEN_SESSIONS.get(cache_dir)
+    if session is None:
+        session = _OPEN_SESSIONS[cache_dir] = CompilationSession(cache_dir)
+    return session

@@ -6,14 +6,14 @@ long-running service that absorbs concurrent traffic:
 - :mod:`repro.service.ops` — the four service operations (``compile``,
   ``profile``, ``inline``, ``check``) as plain picklable functions over
   JSON-shaped request params, shared verbatim by the server's worker
-  pool, the CLI, and tests (so a service round-trip is comparable
+  processes, the CLI, and tests (so a service round-trip is comparable
   byte-for-byte with a direct call);
 - :mod:`repro.service.server` — :class:`CompilationService`, an asyncio
   server on a local Unix socket: in-flight deduplication (identical
-  concurrent requests coalesce onto one computation), a thread- or
-  process-pool execution backend, per-request trace/metrics absorbed
-  into the server's observability, and graceful shutdown that drains
-  in-flight work;
+  concurrent requests coalesce onto one computation), a pool of worker
+  processes that is replaced when a worker dies, per-request
+  trace/metrics absorbed into the server's observability, and graceful
+  shutdown that drains in-flight work;
 - :mod:`repro.service.client` — a blocking :class:`ServiceClient`, an
   async :func:`arequest`, and :func:`run_concurrent` for firing many
   requests at once.

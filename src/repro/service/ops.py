@@ -2,14 +2,13 @@
 
 Each operation is a module-level function taking a JSON-shaped params
 dict and returning a JSON-serializable result dict, so the same code
-runs identically in three places:
+runs identically in two places:
 
 - directly (tests, the batch CLI path) via :func:`execute`;
-- on the server's thread pool (sharing a live
-  :class:`~repro.pipeline.session.CompilationSession`);
-- on the server's process pool via :func:`pool_execute`, which pickles
-  only the params and a session *spec* and ships the result plus the
-  worker's observability child back to the parent.
+- on the server's worker processes via :func:`run_request`, which the
+  server submits through :func:`~repro.pipeline.parallel.worker_task`:
+  only the params and the cache directory are pickled, and the result
+  comes back with the worker's observability child.
 
 Deterministic inputs produce deterministic result dicts, which is what
 makes the service path byte-comparable with direct calls and lets the
@@ -24,6 +23,7 @@ import json
 
 from repro.observability import Observability, resolve
 from repro.opt.pipeline import parse_pass_spec
+from repro.pipeline.session import open_session
 
 #: Fuel (IL instructions) of every VM run an operation makes, so a
 #: runaway program gets a fuel trap instead of holding a worker for
@@ -210,37 +210,16 @@ def execute(
     return handler(params or {}, resolve(obs), session)
 
 
-def pool_execute(
-    op: str,
-    params: dict | None,
-    session_spec: dict | None,
-    want_obs: bool,
-    trace: dict | None = None,
-):
-    """The worker-pool entry point (picklable for process pools).
+def run_request(
+    params: dict | None, obs: Observability, *, op: str, cache_dir: str | None
+) -> dict:
+    """One request on a pool worker: :func:`execute` over the worker
+    process's session for ``cache_dir``
+    (:func:`~repro.pipeline.session.open_session`).
 
-    Returns ``(result, child_obs)``; the server absorbs the child into
-    its parent observability so per-request telemetry lands in one
-    trace. Process workers re-open the shared disk cache from
-    ``session_spec`` (see :meth:`CompilationSession.spec`).
-
-    ``trace`` is the request's wire-form
-    :class:`~repro.observability.context.TraceContext`; when present it
-    is bound onto the worker's tracer, so every span and event the
-    worker emits — across the process boundary — carries the request's
-    ``trace_id``/``request_id`` at emit time, not just after the server
-    stamps the absorbed records.
+    The server binds ``op`` and ``cache_dir`` with
+    :func:`functools.partial` and submits it through
+    :func:`~repro.pipeline.parallel.worker_task`, which supplies
+    ``obs``.
     """
-    from repro.experiments.pipeline import _session_from_spec
-
-    child = Observability.create() if want_obs else None
-    if child is not None and trace:
-        from repro.observability.context import TraceContext
-
-        context = TraceContext.from_wire(trace)
-        if context is not None:
-            child.tracer.bind(**context.attrs())
-    result = execute(
-        op, params, obs=resolve(child), session=_session_from_spec(session_spec)
-    )
-    return result, child
+    return execute(op, params, obs=obs, session=open_session(cache_dir))

@@ -20,8 +20,8 @@ Request flow:
 - **trace context** — every request carries a
   :class:`~repro.observability.context.TraceContext`, minted at the
   client or (when absent) at the server edge. The context goes with
-  the request into the worker pool, is bound onto the worker's tracer
-  (so worker spans carry it at emit time), and is echoed on the
+  the request into the worker process, is bound onto the worker's
+  tracer (so worker spans carry it at emit time), and is echoed on the
   response, so ``grep <trace_id>`` over the trace JSONL reconstructs
   the request end-to-end across processes. Coalesced requests keep
   their own ids; the primary computation's completion event records
@@ -30,12 +30,13 @@ Request flow:
   :func:`~repro.service.ops.request_key`. A request whose key matches
   one already in flight does not compute anything: it awaits the same
   future and is counted in ``service.requests.coalesced``.
-- **execution** — each new computation goes straight to the pool, the
-  pluggable executor tier:
-  ``executor="thread"`` shares one in-memory
-  :class:`~repro.pipeline.session.CompilationSession`;
-  ``executor="process"`` gives true CPU parallelism, with workers
-  sharing the session's sharded on-disk store.
+- **execution** — each new computation goes straight to a
+  ``ProcessPoolExecutor`` of ``jobs`` worker processes, through
+  :func:`~repro.pipeline.parallel.worker_task` (the worker entry
+  ``tables --jobs`` uses) running :func:`~repro.service.ops.run_request`.
+  Each worker opens the ``cache_dir`` session once; the workers share
+  its sharded on-disk store. A worker that dies takes only its pool
+  with it: the server replaces the pool and retries (``_in_pool``).
 - **telemetry** — every computed request runs under its own
   observability child, absorbed into the server's parent context
   (tagged ``worker="request-<n>"`` plus the request's trace ids), and
@@ -64,17 +65,17 @@ import asyncio
 import functools
 import json
 import os
+import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.observability import Observability, resolve
 from repro.observability.context import TraceContext
 from repro.observability.export import append_jsonl, slow_request_record
-from repro.pipeline.parallel import validate_executor, validate_jobs
-from repro.pipeline.session import CompilationSession
-from repro.service.ops import OPS, pool_execute, request_key
+from repro.pipeline.parallel import validate_jobs, worker_task
+from repro.service.ops import OPS, request_key, run_request
 
 #: Default Unix socket path (cwd-relative, like ``.repro-cache``).
 DEFAULT_SOCKET = ".repro-service.sock"
@@ -95,23 +96,17 @@ class CompilationService:
         self,
         socket_path: str = DEFAULT_SOCKET,
         jobs: int = 1,
-        executor: str = "thread",
         cache_dir: str | None = None,
         obs: Observability | None = None,
         slow_log: str | None = None,
         slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
     ):
         validate_jobs(jobs)
-        validate_executor(executor)
         self.socket_path = socket_path
         self.jobs = jobs
-        self.executor = executor
         self.slow_log = slow_log
         self.slow_threshold = slow_threshold
         self._cache_dir = cache_dir
-        self._session_spec = (
-            CompilationSession(cache_dir=cache_dir).spec() if cache_dir else None
-        )
         self._obs = resolve(obs)
         self._pool = None
         #: How many broken process pools were replaced (see `_in_pool`).
@@ -149,11 +144,8 @@ class CompilationService:
             self._handle_client, path=self.socket_path, limit=MAX_REQUEST_BYTES
         )
 
-    def _new_pool(self):
-        pool_cls = (
-            ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-        )
-        return pool_cls(max_workers=self.jobs)
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.jobs)
 
     async def _in_pool(self, call):
         """Run ``call`` on the pool, surviving one dead worker.
@@ -245,7 +237,6 @@ class CompilationService:
             "checks": checks,
             "uptime_seconds": self._uptime(),
             "jobs": self.jobs,
-            "executor": self.executor,
             "draining": self._draining,
             "pool_restarts": self._pool_restarts,
         }
@@ -276,11 +267,7 @@ class CompilationService:
                 "coalesced": counters.get("service.requests.coalesced", 0),
             },
             "inflight": len(self._inflight),
-            "pool": {
-                "jobs": self.jobs,
-                "executor": self.executor,
-                "busy": self._pool_busy,
-            },
+            "pool": {"jobs": self.jobs, "busy": self._pool_busy},
             "ops": ops,
             "cache": {
                 "hits": hits,
@@ -375,6 +362,8 @@ class CompilationService:
             return reply({"ok": False, "error": "server is shutting down"})
         try:
             key = request_key(op, params)
+            # The pool pickles params a few frames deeper still.
+            pickle.dumps(params)
         except RecursionError:  # decoded near the limit, too deep to encode
             return reply(_bad_request(_TOO_DEEP))
         envelope, coalesced = await self._submit(key, op, params, trace)
@@ -444,12 +433,11 @@ class CompilationService:
         try:
             result, child = await self._in_pool(
                 functools.partial(
-                    pool_execute,
-                    op,
+                    worker_task,
+                    functools.partial(run_request, op=op, cache_dir=self._cache_dir),
                     params,
-                    self._session_spec,
                     self._obs.enabled,
-                    trace.to_wire(),
+                    trace.attrs(),
                 ),
             )
             seconds = time.perf_counter() - start
@@ -563,7 +551,6 @@ def _bad_request(reason: str, request_id=None) -> dict:
 def serve_in_thread(
     socket_path: str,
     jobs: int = 1,
-    executor: str = "thread",
     cache_dir: str | None = None,
     obs: Observability | None = None,
     timeout: float = 30.0,
@@ -586,7 +573,6 @@ def serve_in_thread(
                 service = CompilationService(
                     socket_path,
                     jobs=jobs,
-                    executor=executor,
                     cache_dir=cache_dir,
                     obs=obs,
                     **service_kwargs,

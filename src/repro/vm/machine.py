@@ -278,10 +278,15 @@ class Machine:
         # The stamp revalidates cache hits: transforms in this codebase
         # clone modules before mutating, but in-place edits would
         # otherwise serve stale code. Rebinding ``body`` or splicing it
-        # changes an id or a length here.
-        stamp = tuple(
-            (name, id(fn), id(fn.body), len(fn.body))
-            for name, fn in module.functions.items()
+        # changes an id or a length here; editing ``globals`` or the
+        # function set moves an address GADDR or FADDR bakes in.
+        stamp = (
+            tuple(self._global_addresses.items()),
+            tuple(self._function_table),
+            tuple(
+                (name, id(fn), id(fn.body), len(fn.body))
+                for name, fn in module.functions.items()
+            ),
         )
         entries = _COMPILED_MEMO.setdefault(module, {})
         entry = entries.get(compile_key)
@@ -380,7 +385,13 @@ class Machine:
         block_at = {leader: k for k, leader in enumerate(starts)}
 
         def block(label: str) -> int:
-            return block_at[label_at[label]]
+            index = block_at.get(label_at.get(label))
+            if index is None:
+                raise ILError(
+                    f"{function.name}: jump to {label!r}, which labels"
+                    " no instruction"
+                )
+            return index
 
         # Registers and immediates share one index space, parameters
         # first; ``template`` presets each immediate's slot.

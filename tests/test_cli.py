@@ -158,11 +158,10 @@ class TestModeFlags:
         [
             ["--benchmarks", "wc"],
             ["--jobs", "2"],
-            ["--executor", "process"],
             ["--passes", "fold"],
             ["--check"],
         ],
-        ids=["benchmarks", "jobs", "executor", "passes", "check"],
+        ids=["benchmarks", "jobs", "passes", "check"],
     )
     def test_extensions_rejects_run_flags(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -210,10 +209,13 @@ class TestDeletedSurface:
             ["bench"],
             ["report", "A.json", "B.json"],
             ["report", "T", "--flame", "T"],
+            ["tables", "all", "--executor", "process"],
+            ["serve", "--executor", "thread"],
         ],
         ids=[
             "top", "prom-out", "call-metrics", "report-html", "engine",
             "engines", "bench", "report-compare", "report-flame",
+            "executor", "serve-thread",
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -329,17 +331,12 @@ class TestJobsValidation:
             cli_main(["serve", "--jobs", "0"])
         assert excinfo.value.code == 2
 
-    def test_tables_rejects_unknown_executor(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["tables", "--executor", "fiber"])
-        assert "invalid choice" in capsys.readouterr().err
-
     def test_jobs_help_documents_the_tradeoff(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["tables", "--help"])
-        text = capsys.readouterr().out
-        assert "GIL" in text
-        assert "process" in text
+        text = " ".join(capsys.readouterr().out.split())
+        assert "worker processes" in text
+        assert "--executor" not in text
 
 
 class TestServeAndCall:
@@ -376,6 +373,11 @@ class TestServeAndCall:
             capsys.readouterr()
             server.join(timeout=30)
         assert not server.is_alive()
+
+    def test_serve_hides_the_executor_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["serve", "--help"])
+        assert "--executor" not in capsys.readouterr().out
 
     def test_call_without_file_errors(self, tmp_path, capsys):
         code = cli_main(

@@ -4,9 +4,10 @@ import pytest
 
 from repro.experiments.pipeline import RunConfig, run_suite
 from repro.experiments.tables import all_tables, table4
+from repro.inliner.params import InlineParameters
 from repro.observability import Observability
 from repro.pipeline import CompilationSession, parallel_map
-from repro.pipeline.parallel import validate_executor, validate_jobs
+from repro.pipeline.parallel import validate_jobs
 
 # In suite (Table 1) order — run_suite returns results in suite order.
 NAMES = ["cmp", "tee", "wc"]
@@ -34,15 +35,15 @@ class TestParallelDeterminism:
     def test_jobs2_equals_jobs1(self, serial_results):
         parallel = run_suite(RunConfig(names=NAMES, jobs=2))
         assert [r.name for r in parallel] == [r.name for r in serial_results]
-        for serial, threaded in zip(serial_results, parallel):
-            assert threaded.outputs_match == serial.outputs_match
-            assert threaded.output_divergences == serial.output_divergences
-            assert threaded.code_increase == serial.code_increase
-            assert threaded.call_decrease == serial.call_decrease
-            assert threaded.runs == serial.runs
-            assert threaded.profile.total == serial.profile.total
-            assert threaded.post_profile.total == serial.post_profile.total
-            assert threaded.inline.final_size == serial.inline.final_size
+        for serial, worker in zip(serial_results, parallel):
+            assert worker.outputs_match == serial.outputs_match
+            assert worker.output_divergences == serial.output_divergences
+            assert worker.code_increase == serial.code_increase
+            assert worker.call_decrease == serial.call_decrease
+            assert worker.runs == serial.runs
+            assert worker.profile.total == serial.profile.total
+            assert worker.post_profile.total == serial.post_profile.total
+            assert worker.inline.final_size == serial.inline.final_size
         assert all_tables(parallel) == all_tables(serial_results)
 
     def test_jobs_exceeding_benchmarks(self, serial_results):
@@ -91,6 +92,24 @@ class TestSessionCaching:
         cached = run_suite(RunConfig(names=NAMES), session=session)
         assert all_tables(cached) == all_tables(serial_results)
 
+    def test_inliner_knobs_do_not_key_profiles(self):
+        session = CompilationSession()
+        run_suite(RunConfig(names=["wc"]), session=session)
+        obs = Observability.create()
+        # Nothing clears this threshold, so the inlined module is the
+        # original: both its profiles are the first run's.
+        knobs = InlineParameters(weight_threshold=1e12)
+        run_suite(RunConfig(names=["wc"], params=knobs), session=session, obs=obs)
+        assert obs.metrics.counters.get("profiler.runs", 0) == 0
+
+    def test_one_benchmark_on_jobs_2_fills_the_live_session(self):
+        # One item runs in this process, so no worker needs the session.
+        session = CompilationSession()
+        run_suite(RunConfig(names=["tee"], jobs=2), session=session)
+        obs = Observability.create()
+        run_suite(RunConfig(names=["tee"]), session=session, obs=obs)
+        assert obs.metrics.counters.get("profiler.runs", 0) == 0
+
     def test_parallel_and_cached_together(self, serial_results):
         session = CompilationSession()
         results = run_suite(RunConfig(names=NAMES, jobs=2), session=session)
@@ -98,30 +117,30 @@ class TestSessionCaching:
 
 
 class TestProcessExecutor:
-    def test_process_suite_equals_serial(self, serial_results):
-        parallel = run_suite(
-            RunConfig(names=NAMES, jobs=2, executor="process")
-        )
+    def test_process_suite_equals_serial(self, serial_results, tmp_path):
+        # The workers reach the session through its cache directory.
+        session = CompilationSession(cache_dir=str(tmp_path / "cache"))
+        parallel = run_suite(RunConfig(names=NAMES, jobs=2), session=session)
         assert [r.name for r in parallel] == NAMES
         assert all_tables(parallel) == all_tables(serial_results)
 
     def test_process_worker_observability_merged(self):
+        # A worker's records carry the parent's bound trace id from the
+        # moment they are emitted: run_benchmark mints no id of its own.
         obs = Observability.create()
-        run_suite(RunConfig(names=NAMES, jobs=2, executor="process"), obs=obs)
-        assert obs.metrics.counters["pipeline.benchmarks"] == len(NAMES)
+        obs.tracer.bind(trace_id="suite-trace")
+        run_suite(RunConfig(names=NAMES, jobs=2), obs=obs)
         benchmark_spans = [
             r
             for r in obs.tracer.records
             if r["type"] == "span" and r["name"] == "benchmark"
         ]
         assert {span["attrs"]["name"] for span in benchmark_spans} == set(NAMES)
-        assert all("worker" in span for span in benchmark_spans)
+        assert {span["trace_id"] for span in benchmark_spans} == {"suite-trace"}
 
     def test_process_workers_share_disk_store(self, tmp_path):
         session = CompilationSession(cache_dir=str(tmp_path / "cache"))
-        run_suite(
-            RunConfig(names=NAMES, jobs=2, executor="process"), session=session
-        )
+        run_suite(RunConfig(names=NAMES, jobs=2), session=session)
         warm_obs = Observability.create()
         run_suite(RunConfig(names=NAMES), session=session, obs=warm_obs)
         # The warm serial run reads artifacts the worker processes wrote.
@@ -142,12 +161,6 @@ class TestValidation:
             ValueError, match=r"jobs must be >= 1 \(1 = serial\), got 0"
         ):
             RunConfig(jobs=0)
-
-    def test_run_config_rejects_unknown_executor(self):
-        with pytest.raises(
-            ValueError, match="unknown executor 'fiber'; choose from thread, process"
-        ):
-            RunConfig(jobs=2, executor="fiber")
 
     def test_run_config_rejects_unknown_names(self):
         with pytest.raises(
@@ -170,33 +183,29 @@ class TestValidation:
         with pytest.raises(AttributeError):
             config.jobs = 2
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            validate_executor("fiber")
-
-    def test_parallel_map_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            parallel_map(lambda x, _obs: x, [1], jobs=2, executor="fiber")
-
 
 def _square_task(item, obs):
     obs.metrics.inc("tick")
     return item * item
 
 
+def _traced_task(item, obs):
+    obs.metrics.inc("total", item)
+    obs.tracer.event("item", value=item)
+    return item
+
+
 class TestParallelMap:
     def test_process_backend_with_picklable_task(self):
         obs = Observability.create()
         items = list(range(8))
-        result = parallel_map(
-            _square_task, items, jobs=2, obs=obs, executor="process"
-        )
+        result = parallel_map(_square_task, items, jobs=2, obs=obs)
         assert result == [x * x for x in items]
         assert obs.metrics.counters["tick"] == len(items)
 
     def test_order_preserved(self):
         items = list(range(20))
-        assert parallel_map(lambda x, _obs: x * x, items, jobs=4) == [
+        assert parallel_map(_square_task, items, jobs=4) == [
             x * x for x in items
         ]
 
@@ -208,11 +217,12 @@ class TestParallelMap:
         assert obs.metrics.counters["tick"] == 2
 
     def test_parallel_metrics_merge(self):
+        # Each child is absorbed in item order, tagged with its label.
         obs = Observability.create()
-        parallel_map(
-            lambda x, child: child.metrics.inc("tick"),
-            [1, 2, 3, 4],
-            jobs=2,
-            obs=obs,
-        )
-        assert obs.metrics.counters["tick"] == 4
+        items = [3, 1, 4, 1, 5]
+        parallel_map(_traced_task, items, jobs=2, obs=obs, worker_label="w")
+        assert obs.metrics.counters["total"] == sum(items)
+        events = [r for r in obs.tracer.records if r.get("name") == "item"]
+        assert [(event["attrs"]["value"], event["worker"]) for event in events] == [
+            (item, f"w-{index}") for index, item in enumerate(items)
+        ]

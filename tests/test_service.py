@@ -65,10 +65,10 @@ int main(void) {
 
 @pytest.fixture
 def service(tmp_path):
-    """A running service (thread pool, 2 workers) plus its parent obs."""
+    """A running service (two worker processes) plus its parent obs."""
     socket_path = str(tmp_path / "svc.sock")
     obs = Observability.create()
-    handle = serve_in_thread(socket_path, jobs=2, executor="thread", obs=obs)
+    handle = serve_in_thread(socket_path, jobs=2, obs=obs)
     yield socket_path, obs, handle
     if not handle.service._stopped.is_set():
         handle.stop()
@@ -308,7 +308,8 @@ class TestMalformedRequests:
         self, service
     ):
         # Params that decode can still be too deep to encode again for
-        # the request key, a few frames further down the stack.
+        # the request key, or to pickle for the pool, a few frames
+        # further down the stack.
         socket_path, _obs, _handle = service
         with ServiceClient(socket_path) as client:
             for depth in range(900, 1001, 4):
@@ -406,15 +407,12 @@ LINES = st.one_of(
 ).filter(lambda line: b"shutdown" not in line)
 
 
-@pytest.fixture(
-    scope="class", params=[("thread", 2), ("process", 1)], ids=["thread", "process"]
-)
+@pytest.fixture(scope="class", params=[1, 2], ids=["process", "two-processes"])
 def fuzz_service(request, tmp_path_factory):
-    """One service for every example of the property: two pool threads,
-    or one pool process, so requests that reach it cross pickling."""
-    executor, jobs = request.param
+    """One service for every example of the property, on one or two
+    worker processes: requests that reach the pool cross pickling."""
     socket_path = str(tmp_path_factory.mktemp("fuzz") / "svc.sock")
-    handle = serve_in_thread(socket_path, jobs=jobs, executor=executor)
+    handle = serve_in_thread(socket_path, jobs=request.param)
     yield socket_path
     handle.stop()
 
@@ -552,10 +550,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             CompilationService("x.sock", jobs=0)
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            CompilationService("x.sock", executor="fiber")
-
     @pytest.mark.parametrize(
         "kwargs, message",
         [({"jobs": 0}, "jobs must be >= 1")],
@@ -576,7 +570,7 @@ class TestProcessBackend:
         cache_dir = str(tmp_path / "cache")
         obs = Observability.create()
         handle = serve_in_thread(
-            socket_path, jobs=2, executor="process", cache_dir=cache_dir, obs=obs
+            socket_path, jobs=2, cache_dir=cache_dir, obs=obs
         )
         try:
             with ServiceClient(socket_path) as client:
@@ -594,7 +588,7 @@ class TestProcessBackend:
     def test_a_killed_worker_is_replaced(self, tmp_path):
         socket_path = str(tmp_path / "kill.sock")
         obs = Observability.create()
-        handle = serve_in_thread(socket_path, jobs=1, executor="process", obs=obs)
+        handle = serve_in_thread(socket_path, jobs=1, obs=obs)
         try:
             with ServiceClient(socket_path) as client:
                 assert client.profile(PROGRAM)["exit_code"] == 0
@@ -623,7 +617,6 @@ class TestHealthOp:
         assert health["checks"]["socket"] is True
         assert health["uptime_seconds"] >= 0
         assert health["jobs"] == 2
-        assert health["executor"] == "thread"
 
     def test_health_reports_cache_dir_writability(self, tmp_path):
         socket_path = str(tmp_path / "h.sock")
@@ -688,7 +681,6 @@ class TestEnrichedStats:
         assert section["requests"]["total"] >= 2
         assert section["requests"]["failed"] == 0
         assert section["pool"]["jobs"] == 2
-        assert section["pool"]["executor"] == "thread"
         ops = section["ops"]
         assert "compile" in ops
         for key in ("count", "mean", "p50", "p90", "p99"):
@@ -757,9 +749,7 @@ class TestTracePropagation:
     def test_trace_propagates_into_process_workers(self, tmp_path):
         socket_path = str(tmp_path / "t.sock")
         obs = Observability.create()
-        handle = serve_in_thread(
-            socket_path, jobs=2, executor="process", obs=obs
-        )
+        handle = serve_in_thread(socket_path, jobs=2, obs=obs)
         context = TraceContext.mint()
         try:
             with ServiceClient(socket_path) as client:

@@ -12,7 +12,7 @@ from repro.pipeline import (
     module_content_key,
     profile_cache_key,
 )
-from repro.pipeline.session import CACHE_FORMAT, _copy_profile
+from repro.pipeline.session import CACHE_FORMAT, _copy_profile, open_session
 from repro.profiler.profile import RunSpec, profile_module
 from repro.vm.machine import Machine
 
@@ -190,13 +190,15 @@ class TestShardedLayout:
         assert entry.parent.name == entry.stem[:2]
         assert entry.parent.parent.name == "module"
 
-    def test_spec_round_trip(self, tmp_path):
+
+class TestOpenSession:
+    def test_one_session_per_cache_dir(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        session = CompilationSession(cache_dir=cache_dir, max_entries=7)
-        clone = CompilationSession.from_spec(session.spec())
-        assert clone.cache_dir == cache_dir
-        assert clone.max_entries == 7
-        assert CompilationSession.from_spec(None) is None
+        session = open_session(cache_dir)
+        assert session.cache_dir == cache_dir
+        assert open_session(cache_dir) is session
+        assert open_session(str(tmp_path / "other")) is not session
+        assert open_session(None) is None
 
 
 def _hammer_cache(args):

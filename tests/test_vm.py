@@ -479,6 +479,18 @@ class TestLinkKnobs:
         del main.body[call]
         assert Machine(module).run().stdout == ""
 
+    def test_in_place_global_edits_never_run_stale_code(self):
+        from repro.il.module import GlobalData, InitItem
+
+        module = compile_program(c_main("print_int(a);", prelude="int a = 17;"))
+        assert Machine(module).run().stdout == "17"
+        # A global placed in front of `a` moves the address main's GADDR
+        # was linked with.
+        pad = GlobalData("pad", 16, 4, [InitItem(0, "int", 5, 4)])
+        module.globals = {"pad": pad, **module.globals}
+        assert Machine(module, stack_size=1 << 19).run().stdout == "17"
+        assert Machine(module).run().stdout == "17"
+
 
 class TestArgv:
     def test_argc_argv(self):
@@ -656,6 +668,20 @@ class TestSoundnessFixes:
             if instr.op is Opcode.CALL and instr.name == "one":
                 instr.args.append(7)
         with pytest.raises(ILError, match="expected 1"):
+            Machine(module)
+
+    def test_jump_to_a_missing_label_rejected_at_link(self):
+        from repro.il.instructions import Opcode
+
+        module = compile_program(
+            c_main("int i; for (i = 0; i < 3; i++) print_int(i);")
+        )
+        jumps = [
+            instr for instr in module.functions["main"].body
+            if instr.op is Opcode.JUMP
+        ]
+        jumps[-1].label = "nowhere"
+        with pytest.raises(ILError, match="main: jump to 'nowhere'"):
             Machine(module)
 
     def test_write_stdout_negative_length_reports_zero(self):
