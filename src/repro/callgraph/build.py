@@ -21,7 +21,7 @@ from repro.callgraph.graph import (
 )
 from repro.il.instructions import Opcode
 from repro.il.module import ILModule
-from repro.observability import Observability, resolve
+from repro.observability import current
 from repro.profiler.profile import ProfileData
 
 
@@ -29,7 +29,6 @@ def build_call_graph(
     module: ILModule,
     profile: ProfileData | None = None,
     refine_pointers: bool = False,
-    obs: Observability | None = None,
 ) -> CallGraph:
     """Build the weighted call graph of ``module``.
 
@@ -99,7 +98,7 @@ def build_call_graph(
         # A pointer call may also land in an external function.
         graph.add_synthetic_arc(POINTER_NODE, EXTERNAL_NODE)
 
-    obs = resolve(obs)
+    obs = current()
     if obs.enabled:
         kinds: dict[str, int] = {}
         for arc in graph.arcs.values():

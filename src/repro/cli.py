@@ -29,15 +29,19 @@ Subcommands::
 
 ``run``, ``inline``, and ``tables`` accept ``--check`` (re-verify IL
 well-formedness — for ``inline`` and ``tables`` after every inline
-phase) and ``--trace FILE`` (structured
+phase). ``run``, ``inline``, ``tables``, ``check`` and ``serve``
+accept ``--trace FILE`` (structured
 JSONL trace: phase spans, events, inline-decision audit records),
 ``--metrics-out FILE`` (JSON snapshot of pipeline counters and
-histograms), and ``--summary`` (metrics summary table on stderr); see
-README "Observability". ``tables`` takes the run flags of
+histograms), and ``--summary`` (metrics summary table on stderr):
+:func:`main` binds one observability context around the command when
+any is given and exports it afterwards; see README "Observability".
+``tables`` takes the run flags of
 :func:`add_run_flags` — ``--scale``, ``--benchmarks``, ``--jobs N``
 (the suite on N worker processes), ``--cache-dir [DIR]``
 (content-addressed compile/profile cache) and ``--passes SPEC``
-(custom pre-optimization pipeline, ``''`` for none); see README
+(pre-optimization pipeline, default all five passes, ``''`` for
+none); see README
 "Pipeline architecture". A ``--passes`` spec that
 :func:`~repro.opt.pipeline.parse_pass_spec` rejects is a usage error
 (exit 2) on every command that takes the flag. Speed is measured by
@@ -54,10 +58,18 @@ from repro.compiler import compile_program
 from repro.il.printer import format_module
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
-from repro.observability import Observability, enable_console_logging
-from repro.opt.pipeline import parse_pass_spec
+from repro.observability import (
+    NULL_OBS,
+    Observability,
+    current,
+    enable_console_logging,
+    observing,
+)
+from repro.opt.pipeline import DEFAULT_OPT_SPEC, parse_pass_spec
 from repro.pipeline.parallel import jobs_argument
+from repro.pipeline.session import DEFAULT_CACHE_DIR
 from repro.profiler.profile import RunSpec, profile_module, run_once
+from repro.service.ops import DEFAULT_SLOW_THRESHOLD, DEFAULT_SOCKET
 
 
 def _make_obs(args: argparse.Namespace) -> Observability | None:
@@ -110,6 +122,47 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
+    """The program input: ``--stdin TEXT`` and repeated ``--arg A``."""
+    parser.add_argument("--stdin", default="")
+    parser.add_argument("--arg", action="append")
+
+
+def _add_inline_flags(parser: argparse.ArgumentParser) -> None:
+    """``--threshold`` and ``--growth``, defaulting to
+    :class:`InlineParameters`' values."""
+    default = InlineParameters()
+    parser.add_argument("--threshold", type=float, default=default.weight_threshold)
+    parser.add_argument("--growth", type=float, default=default.size_limit_factor)
+
+
+def _inline_params(args: argparse.Namespace) -> InlineParameters:
+    """The :class:`InlineParameters` the :func:`_add_inline_flags` flags give."""
+    return InlineParameters(
+        weight_threshold=args.threshold, size_limit_factor=args.growth
+    )
+
+
+def _add_socket_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--socket",
+        default=DEFAULT_SOCKET,
+        metavar="PATH",
+        help=f"Unix socket path (default: {DEFAULT_SOCKET})",
+    )
+
+
+def _add_cache_dir_flag(parser: argparse.ArgumentParser, purpose: str) -> None:
+    parser.add_argument(
+        "--cache-dir",
+        nargs="?",
+        const=DEFAULT_CACHE_DIR,
+        default=None,
+        metavar="DIR",
+        help=f"{purpose} (default DIR: {DEFAULT_CACHE_DIR})",
+    )
+
+
 def _pass_spec_argument(spec: str) -> str:
     """Argparse ``type=`` for ``--passes``: the spec as given, once it
     parses."""
@@ -147,19 +200,14 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
         " the --cache-dir store (output stays byte-identical; must be"
         " >= 1, 1 = serial)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        nargs="?",
-        const=".repro-cache",
-        default=None,
-        metavar="DIR",
-        help="serve repeat compiles/profiles from a content-addressed"
-        " on-disk cache (default DIR: .repro-cache)",
+    _add_cache_dir_flag(
+        parser,
+        "serve repeat compiles/profiles from a content-addressed on-disk cache",
     )
     parser.add_argument(
         "--passes",
         type=_pass_spec_argument,
-        default=None,
+        default=DEFAULT_OPT_SPEC,
         metavar="SPEC",
         help="pre-optimization pass spec, e.g. 'fold,copyprop,cse,jumpopt,dce'"
         " ('' for none; default: all five)",
@@ -169,14 +217,13 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as handle:
         source = handle.read()
-    obs = _make_obs(args)
-    module = compile_program(source, args.file, obs=obs)
+    module = compile_program(source, args.file)
     if args.check:
         from repro.il.verifier import verify_module
 
         verify_module(module)
     spec = RunSpec.from_text(args.stdin, args.arg)
-    result = run_once(module, spec, obs=obs)
+    result = run_once(module, spec)
     sys.stdout.write(result.stdout)
     counters = result.counters
     print(
@@ -184,7 +231,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f" {counters.ct} CTs, {counters.calls} calls]",
         file=sys.stderr,
     )
-    _export_obs(args, obs)
     return result.exit_code
 
 
@@ -209,8 +255,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_inline(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as handle:
         source = handle.read()
-    obs = _make_obs(args)
-    module = compile_program(source, args.file, obs=obs, pass_spec=args.passes)
+    module = compile_program(source, args.file, pass_spec=args.passes)
     spec = RunSpec.from_text(args.stdin, args.arg)
     if args.profile_file:
         from repro.profiler.serialize import load_profile
@@ -218,16 +263,13 @@ def _cmd_inline(args: argparse.Namespace) -> int:
         with open(args.profile_file, encoding="utf-8") as handle:
             profile = load_profile(handle.read(), module)
     else:
-        profile = profile_module(module, [spec], check_exit=False, obs=obs)
-    params = InlineParameters(
-        weight_threshold=args.threshold,
-        size_limit_factor=args.growth,
-    )
-    result = inline_module(module, profile, params, check=args.check, obs=obs)
-    if obs is not None and obs.tracer.enabled:
+        profile = profile_module(module, [spec], check_exit=False)
+    result = inline_module(module, profile, _inline_params(args), check=args.check)
+    tracer = current().tracer
+    if tracer.enabled:
         for decision in result.decisions:
-            obs.tracer.record(decision.to_record())
-    after = profile_module(result.module, [spec], check_exit=False, obs=obs)
+            tracer.record(decision.to_record())
+    after = profile_module(result.module, [spec], check_exit=False)
     before_calls = profile.avg_calls
     decrease = 1.0 - after.avg_calls / before_calls if before_calls else 0.0
     print(f"expanded call sites : {len(result.records)}")
@@ -236,7 +278,6 @@ def _cmd_inline(args: argparse.Namespace) -> int:
     print(f"ILs per call after  : {after.avg_il / after.avg_calls if after.avg_calls else float('inf'):.0f}")
     if args.dump:
         print(format_module(result.module))
-    _export_obs(args, obs)
     return 0
 
 
@@ -252,14 +293,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         # selector's reason code, then color the DOT output by it.
         spec = RunSpec.from_text(args.stdin, args.arg)
         profile = profile_module(module, [spec], check_exit=False)
-        result = inline_module(
-            module,
-            profile,
-            InlineParameters(
-                weight_threshold=args.threshold,
-                size_limit_factor=args.growth,
-            ),
-        )
+        result = inline_module(module, profile, _inline_params(args))
         reasons = {
             decision.site: decision.reason.value
             for decision in result.decisions
@@ -365,30 +399,23 @@ def _cmd_tables(args: argparse.Namespace) -> int:
             print(render_ablations(config))
         return 0
     enable_console_logging()
-    obs = _make_obs(args)
-    results = pipeline.run_suite(config, obs=obs, session=_session(args))
+    results = pipeline.run_suite(config, session=_session(args))
     print(TABLES[args.what](results))
-    _export_obs(args, obs)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.verify import run_fuzz, verify_suite
 
-    obs = _make_obs(args)
-    params = InlineParameters(
-        weight_threshold=args.threshold,
-        size_limit_factor=args.growth,
-    )
     failed = False
     reports = verify_suite(
-        names=args.benchmarks, scale=args.scale, params=params, obs=obs
+        names=args.benchmarks, scale=args.scale, params=_inline_params(args)
     )
     for report in reports:
         print(report.summary())
         failed = failed or not report.ok
     if args.fuzz:
-        fuzz = run_fuzz(args.fuzz, seed=args.seed, obs=obs)
+        fuzz = run_fuzz(args.fuzz, seed=args.seed)
         status = "ok" if fuzz.ok else "FAIL"
         print(
             f"fuzz: {status} ({fuzz.count} programs from seed {fuzz.seed},"
@@ -402,7 +429,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             )
             print("    " + failure.source.replace("\n", "\n    "))
         failed = failed or not fuzz.ok
-    _export_obs(args, obs)
     return 1 if failed else 0
 
 
@@ -412,7 +438,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.server import CompilationService
 
-    obs = _make_obs(args) or Observability.create()
+    obs = current()
+    if not obs.enabled:  # the server keeps telemetry for its stats op
+        obs = Observability.create()
     service = CompilationService(
         args.socket,
         jobs=args.jobs,
@@ -443,7 +471,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await service.wait_stopped()
 
     asyncio.run(main())
-    _export_obs(args, obs)
     return 0
 
 
@@ -486,9 +513,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.observability.export import load_trace, render_flamegraph
 
     try:
-        records = load_trace(args.trace)
+        records = load_trace(args.trace_file)
     except (OSError, ValueError) as exc:  # ValueError: not a trace
-        args.parser.error(f"cannot read trace {args.trace}: {exc}")
+        args.parser.error(f"cannot read trace {args.trace_file}: {exc}")
     print(render_flamegraph(records))
     return 0
 
@@ -503,8 +530,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="compile and execute a C-subset file")
     run_parser.add_argument("file")
-    run_parser.add_argument("--stdin", default="")
-    run_parser.add_argument("--arg", action="append")
+    _add_input_flags(run_parser)
     run_parser.add_argument(
         "--check",
         action="store_true",
@@ -517,14 +543,12 @@ def main(argv: list[str] | None = None) -> int:
         "inline", help="profile, inline, and report the improvement"
     )
     inline_parser.add_argument("file")
-    inline_parser.add_argument("--stdin", default="")
-    inline_parser.add_argument("--arg", action="append")
+    _add_input_flags(inline_parser)
     inline_parser.add_argument(
         "--profile-file", default=None,
         help="use a saved profile instead of profiling on the spot",
     )
-    inline_parser.add_argument("--threshold", type=float, default=10.0)
-    inline_parser.add_argument("--growth", type=float, default=1.25)
+    _add_inline_flags(inline_parser)
     inline_parser.add_argument(
         "--passes",
         type=_pass_spec_argument,
@@ -546,8 +570,7 @@ def main(argv: list[str] | None = None) -> int:
         "profile", help="profile a program and emit the profile file"
     )
     profile_parser.add_argument("file")
-    profile_parser.add_argument("--stdin", default="")
-    profile_parser.add_argument("--arg", action="append")
+    _add_input_flags(profile_parser)
     profile_parser.add_argument("-o", "--output", default=None)
     profile_parser.set_defaults(func=_cmd_profile)
 
@@ -555,8 +578,7 @@ def main(argv: list[str] | None = None) -> int:
         "graph", help="dump the weighted call graph as Graphviz DOT"
     )
     graph_parser.add_argument("file")
-    graph_parser.add_argument("--stdin", default="")
-    graph_parser.add_argument("--arg", action="append")
+    _add_input_flags(graph_parser)
     graph_parser.add_argument(
         "--profile", action="store_true", help="weight nodes/arcs by a profiling run"
     )
@@ -574,8 +596,7 @@ def main(argv: list[str] | None = None) -> int:
         " inline-audit reason code (ACCEPTED green, BELOW_THRESHOLD"
         " gray, hazard rejections red)",
     )
-    graph_parser.add_argument("--threshold", type=float, default=10.0)
-    graph_parser.add_argument("--growth", type=float, default=1.25)
+    _add_inline_flags(graph_parser)
     graph_parser.set_defaults(func=_cmd_graph)
 
     tables_parser = sub.add_parser(
@@ -627,8 +648,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="S",
         help="base seed for the fuzz program generator",
     )
-    check_parser.add_argument("--threshold", type=float, default=10.0)
-    check_parser.add_argument("--growth", type=float, default=1.25)
+    _add_inline_flags(check_parser)
     _add_obs_flags(check_parser)
     check_parser.set_defaults(func=_cmd_check)
 
@@ -636,12 +656,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve",
         help="run the compilation service on a local Unix socket",
     )
-    serve_parser.add_argument(
-        "--socket",
-        default=".repro-service.sock",
-        metavar="PATH",
-        help="Unix socket path (default: .repro-service.sock)",
-    )
+    _add_socket_flag(serve_parser)
     serve_parser.add_argument(
         "--jobs",
         type=jobs_argument,
@@ -654,14 +669,8 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument(
         "--executor", choices=["process"], help=argparse.SUPPRESS
     )
-    serve_parser.add_argument(
-        "--cache-dir",
-        nargs="?",
-        const=".repro-cache",
-        default=None,
-        metavar="DIR",
-        help="content-addressed compile/profile cache shared by all"
-        " workers (default DIR: .repro-cache)",
+    _add_cache_dir_flag(
+        serve_parser, "content-addressed compile/profile cache shared by all workers"
     )
     serve_parser.add_argument(
         "--slow-log",
@@ -674,9 +683,10 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument(
         "--slow-threshold",
         type=float,
-        default=1.0,
+        default=DEFAULT_SLOW_THRESHOLD,
         metavar="SECONDS",
-        help="slow-request threshold for --slow-log (default: 1.0)",
+        help="slow-request threshold for --slow-log"
+        f" (default: {DEFAULT_SLOW_THRESHOLD})",
     )
     _add_obs_flags(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
@@ -698,29 +708,30 @@ def main(argv: list[str] | None = None) -> int:
         ],
     )
     call_parser.add_argument("file", nargs="?", default=None)
-    call_parser.add_argument(
-        "--socket",
-        default=".repro-service.sock",
-        metavar="PATH",
-    )
-    call_parser.add_argument("--stdin", default="")
-    call_parser.add_argument("--arg", action="append")
+    _add_socket_flag(call_parser)
+    _add_input_flags(call_parser)
     call_parser.add_argument(
         "--passes", type=_pass_spec_argument, default=None, metavar="SPEC"
     )
-    call_parser.add_argument("--threshold", type=float, default=10.0)
-    call_parser.add_argument("--growth", type=float, default=1.25)
+    _add_inline_flags(call_parser)
     call_parser.add_argument("--dump", action="store_true")
     call_parser.set_defaults(func=_cmd_call)
 
     report_parser = sub.add_parser(
         "report", help="print the text flamegraph of a --trace file"
     )
-    report_parser.add_argument("trace", help="a JSONL trace from --trace")
+    # Not dest "trace": main() exports the trace to args.trace.
+    report_parser.add_argument(
+        "trace_file", metavar="trace", help="a JSONL trace from --trace"
+    )
     report_parser.set_defaults(func=_cmd_report, parser=report_parser)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    obs = _make_obs(args)
+    with observing(obs or NULL_OBS):
+        status = args.func(args)
+    _export_obs(args, obs)
+    return status
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from repro.il.function import ILFunction
 from repro.il.lowering import lower_unit
 from repro.il.module import ILModule
 from repro.il.verifier import verify_module
-from repro.observability import Observability, resolve
+from repro.observability import current
 from repro.opt.pipeline import parse_pass_spec
 from repro.runtime import LIBC_SOURCE, standard_headers
 
@@ -60,7 +60,6 @@ def compile_to_analysis(
     headers: dict[str, str] | None = None,
     defines: dict[str, str] | None = None,
     link_libc: bool = True,
-    obs: Observability | None = None,
 ) -> AnalyzedUnit:
     """Preprocess, parse, and semantically analyze a program.
 
@@ -70,21 +69,20 @@ def compile_to_analysis(
     includes, name ``<libc>``. Without it, libc calls resolve against
     header prototypes only and become external functions.
     """
-    obs = resolve(obs)
+    tracer = current().tracer
     preprocessor = Preprocessor(_all_headers(headers), defines)
-    with obs.tracer.span("frontend.preprocess"):
+    with tracer.span("frontend.preprocess"):
         pieces = []
         if link_libc:
             pieces.append(("<libc>", *preprocessor.expand(LIBC_SOURCE, "<libc>")))
         pieces.append((filename, *preprocessor.expand(source, filename)))
-    with obs.tracer.span("frontend.parse"):
+    with tracer.span("frontend.parse"):
         unit = parse_translation_unit(
             "\n".join(text for _, text, _ in pieces),
             filename,
-            obs=obs,
             lines=[(file, line) for file, _, lines in pieces for line in lines],
         )
-    with obs.tracer.span("frontend.analyze"):
+    with tracer.span("frontend.analyze"):
         return analyze(unit)
 
 
@@ -134,21 +132,22 @@ def _put(table: dict, key, value) -> None:
 
 
 def _build_libc(
-    headers: dict[str, str] | None, defines: dict[str, str] | None, obs
+    headers: dict[str, str] | None, defines: dict[str, str] | None
 ) -> _Libc | None:
     """Compile libc alone; ``None`` when linking it on its own would not
     give the single unit's module: libc does not compile alone (a
     header or define broke it), or its functions intern strings, whose
     ``.strN`` numbers come after the program's globals' in one unit."""
+    tracer = current().tracer
     preprocessor = Preprocessor(_all_headers(headers), defines)
     try:
-        with obs.tracer.span("frontend.preprocess"):
+        with tracer.span("frontend.preprocess"):
             text, lines = preprocessor.expand(LIBC_SOURCE, "<libc>")
-        with obs.tracer.span("frontend.parse"):
-            unit = parse_translation_unit(text, "<libc>", obs=obs, lines=lines)
-        with obs.tracer.span("frontend.analyze"):
+        with tracer.span("frontend.parse"):
+            unit = parse_translation_unit(text, "<libc>", lines=lines)
+        with tracer.span("frontend.analyze"):
             analysis = analyze(unit)
-        with obs.tracer.span("frontend.lower"):
+        with tracer.span("frontend.lower"):
             module = lower_unit(analysis)
     except ReproError:
         return None
@@ -165,7 +164,6 @@ def _libc_prefix(
     headers: dict[str, str] | None,
     defines: dict[str, str] | None,
     passes: tuple[str, ...],
-    obs,
 ) -> tuple[_Libc, dict[str, ILFunction]] | None:
     """The libc prefix for ``headers`` and ``defines`` and its functions
     pre-optimized by ``passes`` (as lowered when there are none), each
@@ -177,15 +175,15 @@ def _libc_prefix(
         if libc is _UNBUILT or (
             libc is not None and passes and passes not in libc.optimized
         ):
-            with obs.tracer.span("frontend.libc"):
+            with current().tracer.span("frontend.libc"):
                 if libc is _UNBUILT:
-                    libc = _build_libc(headers, defines, obs)
+                    libc = _build_libc(headers, defines)
                     _put(_LIBC, key, libc)
                 if libc is not None and passes:
                     from repro.opt import optimize_module
 
                     optimized = libc.module.clone()
-                    optimize_module(optimized, obs=obs, pass_spec=",".join(passes))
+                    optimize_module(optimized, pass_spec=",".join(passes))
                     _put(libc.optimized, passes, optimized.functions)
         if libc is None:
             return None
@@ -210,21 +208,21 @@ def _analyze_on_libc(
     filename: str,
     headers: dict[str, str] | None,
     libc: _Libc,
-    obs: Observability,
 ) -> AnalyzedUnit | None:
     """Preprocess, parse and analyze ``source`` as the rest of a unit
     that libc begins; ``None`` when it must be compiled as one unit."""
+    tracer = current().tracer
     preprocessor = Preprocessor(_all_headers(headers))
     preprocessor.macros = dict(libc.macros)
-    with obs.tracer.span("frontend.preprocess"):
+    with tracer.span("frontend.preprocess"):
         text, lines = preprocessor.expand(source, filename)
-    with obs.tracer.span("frontend.parse"):
+    with tracer.span("frontend.parse"):
         unit = parse_translation_unit(
-            text, filename, obs=obs, lines=lines, structs=libc.symbols.unit.structs
+            text, filename, lines=lines, structs=libc.symbols.unit.structs
         )
     if _redefines_libc_prototype(unit, libc):
         return None
-    with obs.tracer.span("frontend.analyze"):
+    with tracer.span("frontend.analyze"):
         return analyze(unit, libc.symbols)
 
 
@@ -237,21 +235,22 @@ def _lower(
     entry: str,
     libc: ILModule | None,
     verify: bool,
-    obs: Observability,
 ) -> ILModule:
-    with obs.tracer.span("frontend.lower"):
+    tracer = current().tracer
+    with tracer.span("frontend.lower"):
         module = lower_unit(analysis, entry, libc)
     if verify:
-        with obs.tracer.span("frontend.verify"):
+        with tracer.span("frontend.verify"):
             verify_module(module)
     return module
 
 
-def _count(module: ILModule, obs: Observability) -> None:
-    if obs.metrics.enabled:
-        obs.metrics.inc("frontend.modules_compiled")
-        obs.metrics.inc("frontend.functions_lowered", len(module.functions))
-        obs.metrics.inc("frontend.il_instructions_emitted", module.total_code_size())
+def _count(module: ILModule) -> None:
+    metrics = current().metrics
+    if metrics.enabled:
+        metrics.inc("frontend.modules_compiled")
+        metrics.inc("frontend.functions_lowered", len(module.functions))
+        metrics.inc("frontend.il_instructions_emitted", module.total_code_size())
 
 
 def compile_program(
@@ -262,7 +261,6 @@ def compile_program(
     link_libc: bool = True,
     entry: str = "main",
     verify: bool = True,
-    obs: Observability | None = None,
     pass_spec: str | None = None,
 ) -> ILModule:
     """Compile C-subset source text into a verified, linked IL module.
@@ -280,28 +278,27 @@ def compile_program(
     optimized here: libc's are copies of the prefix's, pre-optimized
     once per canonical spec.
     """
-    obs = resolve(obs)
     passes = () if pass_spec is None else parse_pass_spec(pass_spec)
-    with obs.tracer.span("frontend.compile", file=filename):
-        prefix = _libc_prefix(headers, defines, passes, obs) if link_libc else None
+    with current().tracer.span("frontend.compile", file=filename):
+        prefix = _libc_prefix(headers, defines, passes) if link_libc else None
         libc, libc_functions = prefix or (None, {})
         analysis = None
         if libc is not None:
-            analysis = _analyze_on_libc(source, filename, headers, libc, obs)
+            analysis = _analyze_on_libc(source, filename, headers, libc)
         if analysis is None:  # compile libc and the program as one unit
             libc = None
             analysis = compile_to_analysis(
-                source, filename, headers, defines, link_libc, obs=obs
+                source, filename, headers, defines, link_libc
             )
         module = _lower(
-            analysis, entry, None if libc is None else libc.module, verify, obs
+            analysis, entry, None if libc is None else libc.module, verify
         )
-    _count(module, obs)
+    _count(module)
     if passes:
         from repro.opt import optimize_module
 
         if libc is None:
-            optimize_module(module, obs=obs, pass_spec=pass_spec)
+            optimize_module(module, pass_spec=pass_spec)
         else:
             own = ILModule(entry)
             own.functions = {
@@ -309,7 +306,7 @@ def compile_program(
                 for name, function in module.functions.items()
                 if name not in libc_functions
             }
-            optimize_module(own, obs=obs, pass_spec=pass_spec)
+            optimize_module(own, pass_spec=pass_spec)
             for name, function in libc_functions.items():
                 module.functions[name] = function.clone()
     return module
@@ -323,7 +320,6 @@ def compile_with_analysis(
     link_libc: bool = True,
     entry: str = "main",
     verify: bool = True,
-    obs: Observability | None = None,
 ) -> CompileResult:
     """Like :func:`compile_program` but also returns the analysis.
 
@@ -333,11 +329,8 @@ def compile_with_analysis(
     metrics, so tools using the analysis-returning form are just as
     visible to tracing.
     """
-    obs = resolve(obs)
-    with obs.tracer.span("frontend.compile", file=filename):
-        analysis = compile_to_analysis(
-            source, filename, headers, defines, link_libc, obs=obs
-        )
-        module = _lower(analysis, entry, None, verify, obs)
-    _count(module, obs)
+    with current().tracer.span("frontend.compile", file=filename):
+        analysis = compile_to_analysis(source, filename, headers, defines, link_libc)
+        module = _lower(analysis, entry, None, verify)
+    _count(module)
     return CompileResult(module, analysis)

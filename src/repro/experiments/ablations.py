@@ -25,7 +25,7 @@ from repro.baselines import (
     loop_inline,
     size_threshold_inline,
 )
-from repro.experiments.pipeline import RunConfig, pre_opt_spec
+from repro.experiments.pipeline import RunConfig
 from repro.experiments.report import pct, render_table
 from repro.inliner.manager import InlineExpander
 from repro.inliner.params import InlineParameters
@@ -42,13 +42,13 @@ class AblationPoint:
 
 
 def _prepare(benchmark, config):
-    module = benchmark.compile(pass_spec=pre_opt_spec(config))
+    module = benchmark.compile(pass_spec=config.pass_spec)
     specs = benchmark.make_runs(config.scale)
     profile = profile_module(module, specs)
     return module, specs, profile
 
 
-def _prepare_task(name, _obs, *, config):
+def _prepare_task(name, *, config):
     """Compile+pre-optimize+profile one benchmark, addressed by name."""
     return _prepare(benchmark_by_name(name), config)
 
@@ -85,7 +85,7 @@ def _measure(
     return increase, decrease
 
 
-def _expander_task(entry, _obs, *, config, **options):
+def _expander_task(entry, *, config, **options):
     """Inline one prepared benchmark with the paper's expander.
 
     ``options`` go to :class:`InlineExpander` (``params``,
@@ -153,7 +153,7 @@ def _size25_inline(module, params):
     return size_threshold_inline(module, 25, params)
 
 
-def _baseline_task(entry, _obs, *, config, label):
+def _baseline_task(entry, *, config, label):
     """Inline one prepared benchmark with the named baseline heuristic."""
     module, specs, profile = entry
     params = InlineParameters()
@@ -210,7 +210,7 @@ def heldout_input_check(config: RunConfig) -> list[AblationPoint]:
     for subset in ("train-inputs", "held-out-inputs"):
         incs, decs = [], []
         for benchmark in select_benchmarks(config.names):
-            module = benchmark.compile(pass_spec=pre_opt_spec(config))
+            module = benchmark.compile(pass_spec=config.pass_spec)
             specs = benchmark.make_runs(config.scale)
             if len(specs) < 2:
                 continue

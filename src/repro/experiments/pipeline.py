@@ -8,11 +8,12 @@ between the original and inlined binaries on every input. The check
 compares the :class:`~repro.profiler.profile.Observation` each profiled
 run left behind, so every (module, input) pair executes once.
 
-Every stage is instrumented: pass an
-:class:`~repro.observability.Observability` as ``obs`` to collect a
-structured trace (phase spans, inline-decision audit records) and a
-metrics snapshot. The default (``obs=None``) is a true no-op and leaves
-all outputs byte-identical.
+Every stage is instrumented: run it under
+``with observing(Observability.create()):`` (see
+:mod:`repro.observability`) to collect a structured trace (phase
+spans, inline-decision audit records) and a metrics snapshot. With
+nothing bound, observability is a no-op and leaves all outputs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.inliner.classify import ClassifiedSites, SiteClass, classify_sites
 from repro.inliner.manager import InlineExpander, InlineResult
 from repro.inliner.params import InlineParameters
-from repro.observability import Observability, resolve
+from repro.observability import current
 # Nothing here calls it any more; bench/layers.py times this name.
 from repro.opt import optimize_module  # noqa: F401
 from repro.opt.pipeline import DEFAULT_OPT_SPEC, parse_pass_spec
@@ -50,34 +51,30 @@ class RunConfig:
 
     ``names`` restricts the run to those benchmarks, kept in suite
     order; ``jobs > 1`` runs them on that many worker processes;
-    ``pass_spec`` selects the pre-optimization pipeline (``None``: the
-    full five-pass set; ``""``: none), kept as given; ``check``
-    re-verifies IL well-formedness after every inline phase; ``params``
-    are the inliner's knobs.
-    Construction raises :class:`ValueError` on ``jobs < 1``, a pass
-    spec :func:`~repro.opt.pipeline.parse_pass_spec` rejects, or any
-    unknown benchmark name.
+    ``pass_spec`` selects the pre-optimization pipeline (``""``: none),
+    kept as given; ``check`` re-verifies IL well-formedness after every
+    inline phase; ``params`` are the inliner's knobs.
+    Construction raises :class:`ValueError` on ``jobs < 1``, a
+    ``pass_spec`` of ``None`` or one
+    :func:`~repro.opt.pipeline.parse_pass_spec` rejects, or any unknown
+    benchmark name.
     """
 
     scale: str = "small"
     names: tuple[str, ...] | None = None
     jobs: int = 1
-    pass_spec: str | None = None
+    pass_spec: str = DEFAULT_OPT_SPEC
     check: bool = False
     params: InlineParameters = InlineParameters()
 
     def __post_init__(self) -> None:
         validate_jobs(self.jobs)
+        if self.pass_spec is None:
+            raise ValueError("pass_spec must be a string ('' for no passes), not None")
         parse_pass_spec(self.pass_spec)
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
         select_benchmarks(self.names)
-
-
-def pre_opt_spec(config: RunConfig) -> str:
-    """The pass spec a run pre-optimizes with: ``config.pass_spec``, or
-    the default pipeline when that is ``None``."""
-    return DEFAULT_OPT_SPEC if config.pass_spec is None else config.pass_spec
 
 
 @dataclass
@@ -154,7 +151,6 @@ def run_benchmark(
     benchmark: Benchmark,
     config: RunConfig,
     *,
-    obs: Observability | None = None,
     session: CompilationSession | None = None,
 ) -> BenchmarkResult:
     """Run the full experiment pipeline for one benchmark.
@@ -166,7 +162,7 @@ def run_benchmark(
     are the suite's business and are ignored here.
     """
     scale, params = config.scale, config.params
-    obs = resolve(obs)
+    obs = current()
     tracer = obs.tracer
     # Mint a per-benchmark trace id (unless the caller already bound
     # one, e.g. a service request): every span/event/decision this run
@@ -180,25 +176,24 @@ def run_benchmark(
     with tracer.context(**scoped), tracer.span(
         "benchmark", name=benchmark.name, scale=scale
     ) as attrs:
-        if session is not None:
-            with tracer.span("benchmark.compile", name=benchmark.name):
-                module = session.compile_benchmark(
-                    benchmark, pass_spec=config.pass_spec, obs=obs
+        with tracer.span("benchmark.compile", name=benchmark.name):
+            if session is not None:
+                module = session.compiled_module(
+                    benchmark.source,
+                    filename=f"{benchmark.name}.c",
+                    pass_spec=config.pass_spec,
                 )
-        else:
-            with tracer.span("benchmark.compile", name=benchmark.name):
-                module = benchmark.compile(obs=obs, pass_spec=pre_opt_spec(config))
+            else:
+                module = benchmark.compile(pass_spec=config.pass_spec)
         specs = benchmark.make_runs(scale)
         with tracer.span("benchmark.profile", name=benchmark.name):
             if session is not None:
-                profile = session.profile(module, specs, obs=obs)
+                profile = session.profile(module, specs)
             else:
-                profile = profile_module(module, specs, obs=obs)
+                profile = profile_module(module, specs)
 
         with tracer.span("benchmark.inline", name=benchmark.name):
-            expander = InlineExpander(
-                module, profile, params, check=config.check, obs=obs
-            )
+            expander = InlineExpander(module, profile, params, check=config.check)
             inline_result = expander.run()
         if tracer.enabled:
             for decision in inline_result.decisions:
@@ -207,11 +202,9 @@ def run_benchmark(
                 tracer.record(record)
         with tracer.span("benchmark.post_profile", name=benchmark.name):
             if session is not None:
-                post_profile = session.profile(
-                    inline_result.module, specs, obs=obs
-                )
+                post_profile = session.profile(inline_result.module, specs)
             else:
-                post_profile = profile_module(inline_result.module, specs, obs=obs)
+                post_profile = profile_module(inline_result.module, specs)
 
         with tracer.span(
             "benchmark.check_outputs", name=benchmark.name
@@ -234,7 +227,7 @@ def run_benchmark(
             _LOG.warning("[%s] output divergence: %s", benchmark.name, divergence)
 
         with tracer.span("benchmark.post_classify", name=benchmark.name):
-            post_graph = build_call_graph(inline_result.module, post_profile, obs=obs)
+            post_graph = build_call_graph(inline_result.module, post_profile)
             post_classified = classify_sites(
                 inline_result.module, post_graph, post_profile, params
             )
@@ -308,7 +301,6 @@ def compare_outputs(
 
 def _benchmark_task(
     name: str,
-    obs: Observability,
     *,
     config: RunConfig,
     session: CompilationSession | str | None,
@@ -322,13 +314,12 @@ def _benchmark_task(
     if isinstance(session, str):
         session = open_session(session)
     _LOG.info("[%s] running ...", name)
-    return run_benchmark(benchmark_by_name(name), config, obs=obs, session=session)
+    return run_benchmark(benchmark_by_name(name), config, session=session)
 
 
 def run_suite(
     config: RunConfig,
     *,
-    obs: Observability | None = None,
     session: CompilationSession | None = None,
 ) -> list[BenchmarkResult]:
     """Run the pipeline for every benchmark ``config`` selects.
@@ -337,7 +328,7 @@ def run_suite(
     plain serial loop, served from the live ``session``. Otherwise the
     benchmarks run on worker processes, which return their results and
     telemetry by pickling; per-worker trace/metric records are merged
-    into the parent ``obs``. The workers share the session's *disk*
+    into the current observability. The workers share the session's *disk*
     store: each process opens ``session.cache_dir`` once, and a session
     without one is not passed to them.
 
@@ -345,21 +336,14 @@ def run_suite(
     that want it on stderr call
     :func:`~repro.observability.enable_console_logging`.
     """
-    obs = resolve(obs)
     names = [benchmark.name for benchmark in select_benchmarks(config.names)]
     if session is not None and config.jobs > 1 and len(names) > 1:
         # The items run on worker processes, which the live session (a
         # lock, in-memory tables) cannot reach: they get its directory.
         session = session.cache_dir
     task = functools.partial(_benchmark_task, config=config, session=session)
-    with obs.tracer.span("suite", scale=config.scale) as attrs:
-        results = parallel_map(
-            task,
-            names,
-            config.jobs,
-            obs=obs,
-            worker_label="suite",
-        )
+    with current().tracer.span("suite", scale=config.scale) as attrs:
+        results = parallel_map(task, names, config.jobs, worker_label="suite")
         attrs["benchmarks"] = len(results)
     return results
 

@@ -32,6 +32,7 @@ from repro.frontend.typesys import (
     StructType,
     complete_struct,
 )
+from repro.observability import current
 
 #: Binary operator precedence, higher binds tighter.
 _BINARY_PRECEDENCE = {
@@ -726,20 +727,20 @@ class Parser:
 def parse_translation_unit(
     text: str,
     filename: str = "<input>",
-    obs=None,
     lines: list[int | tuple[str, int]] | None = None,
     structs: dict[str, StructType] | None = None,
 ) -> ast.TranslationUnit:
     """Lex and parse preprocessed C-subset source text.
 
-    ``obs`` is an optional :class:`repro.observability.Observability`;
-    when given, the token count is reported into its metrics. ``lines``
+    The token count is reported into the current observability's
+    metrics (:func:`repro.observability.current`). ``lines``
     maps each line of ``text`` to its source line (see
     :meth:`~repro.frontend.preprocessor.Preprocessor.expand`) or to a
     ``(file, line)`` pair (see :class:`~repro.frontend.lexer.Lexer`), and
     ``structs`` are struct tags an earlier unit declared.
     """
     tokens = tokenize(text, filename, lines)
-    if obs is not None and obs.metrics.enabled:
-        obs.metrics.inc("frontend.tokens_lexed", len(tokens))
+    metrics = current().metrics
+    if metrics.enabled:
+        metrics.inc("frontend.tokens_lexed", len(tokens))
     return Parser(tokens, structs).parse()

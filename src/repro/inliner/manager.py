@@ -34,7 +34,7 @@ from repro.inliner.expand import ExpansionRecord, expand_call_site
 from repro.inliner.linearize import linearize
 from repro.inliner.params import InlineParameters
 from repro.inliner.select import SelectionResult, select_sites
-from repro.observability import Observability, resolve
+from repro.observability import NULL_OBS, current, observing
 from repro.observability.audit import InlineDecision
 from repro.opt.pipeline import report_pass
 from repro.profiler.profile import ProfileData
@@ -91,7 +91,6 @@ class InlineExpander:
         seed: int = 0,
         linearize_method: str = "hybrid",
         check: bool = False,
-        obs: Observability | None = None,
     ):
         self._input = module
         self._profile = profile
@@ -99,7 +98,6 @@ class InlineExpander:
         self._seed = seed
         self._check = check
         self._linearize_method = linearize_method
-        self._obs = resolve(obs)
 
     def run(self) -> InlineResult:
         # Looked up per run, so a wrapper installed on their modules
@@ -107,21 +105,20 @@ class InlineExpander:
         from repro.callgraph.build import build_call_graph
         from repro.inliner.classify import classify_sites
 
-        obs = self._obs
         profile, params, seed = self._profile, self._params, self._seed
         method = self._linearize_method
         module = self._input.clone()
         original_size = module.total_code_size()
 
         with self._phase("callgraph", module):
-            graph = build_call_graph(module, profile, obs=obs)
+            graph = build_call_graph(module, profile)
         with self._phase("classify", module):
             classified = classify_sites(module, graph, profile, params)
         with self._phase("linearize", module, method=method):
             sequence = linearize(module, profile, seed, method)
         with self._phase("select", module) as phase:
             selection = select_sites(
-                module, graph, profile, sequence, params, seed=seed, obs=obs
+                module, graph, profile, sequence, params, seed=seed
             )
             phase.changes = len(selection.selected)
         with self._phase("expand", module, result="expansions") as phase:
@@ -142,10 +139,14 @@ class InlineExpander:
             pre_cleanup_size = module.total_code_size()
             phase.changes = len(records)
         with self._phase("cleanup", module, result="removed_functions") as phase:
-            removed = eliminate_unreachable(module, build_call_graph(module))
+            # Cleanup's graph goes unrecorded: recording it would count
+            # a second call-graph build per inlined module.
+            with observing(NULL_OBS):
+                removed = eliminate_unreachable(module, build_call_graph(module))
             phase.changes = len(removed)
 
-        self._reconcile(selection, records, original_size, pre_cleanup_size, obs)
+        self._reconcile(selection, records, original_size, pre_cleanup_size)
+        obs = current()
         with obs.tracer.span("inline.verify"):
             verify_module(module)
         if obs.enabled:
@@ -183,7 +184,7 @@ class InlineExpander:
         phase, so a transformation bug is pinned to the phase that
         introduced it rather than surfacing later.
         """
-        obs = self._obs
+        obs = current()
         metered = obs.metrics.enabled
         phase = SimpleNamespace(changes=0)
         with obs.tracer.span(f"inline.{name}", **attrs) as span:
@@ -211,7 +212,6 @@ class InlineExpander:
         records: list[ExpansionRecord],
         original_size: int,
         pre_cleanup_size: int,
-        obs: Observability,
     ) -> None:
         """Assert the cost model's bookkeeping matches physical reality.
 
@@ -236,6 +236,7 @@ class InlineExpander:
                 f" != measured post-expansion size {pre_cleanup_size}"
                 f" ({len(records)} expansions from size {original_size})"
             )
+        obs = current()
         if obs.enabled:
             obs.metrics.inc("inliner.reconciliations")
             obs.tracer.event(
@@ -253,15 +254,8 @@ def inline_module(
     seed: int = 0,
     linearize_method: str = "hybrid",
     check: bool = False,
-    obs: Observability | None = None,
 ) -> InlineResult:
     """One-call convenience wrapper around :class:`InlineExpander`."""
     return InlineExpander(
-        module,
-        profile,
-        params,
-        seed,
-        linearize_method=linearize_method,
-        check=check,
-        obs=obs,
+        module, profile, params, seed, linearize_method=linearize_method, check=check
     ).run()

@@ -22,7 +22,7 @@ from repro.il.module import ILModule
 from repro.inliner.cost import INFINITY, CostModel, make_cost_model
 from repro.inliner.linearize import order_index
 from repro.inliner.params import InlineParameters
-from repro.observability import Observability, resolve
+from repro.observability import current
 from repro.observability.audit import DecisionReason, InlineDecision
 from repro.profiler.profile import ProfileData
 
@@ -53,11 +53,9 @@ def select_sites(
     params: InlineParameters | None = None,
     cost_model: CostModel | None = None,
     seed: int = 0,
-    obs: Observability | None = None,
 ) -> SelectionResult:
     """Choose the arcs to expand, following the paper's §3.4."""
     params = params or InlineParameters()
-    obs = resolve(obs)
     model = cost_model or make_cost_model(module, graph, params)
     # Give the model the linear order so committed sizes replay exactly
     # as physical expansion will apply them (nested expansions included).
@@ -151,6 +149,7 @@ def select_sites(
     # order, so this projection equals the physical post-expansion code
     # size exactly; InlineExpander asserts the reconciliation.
     result.projected_size = model.program_size
+    obs = current()
     if obs.enabled:
         metrics = obs.metrics
         metrics.inc("inliner.arcs_considered", len(result.decisions))

@@ -10,16 +10,26 @@ Three cooperating pieces, all with zero-overhead no-op defaults:
   record per call-graph arc the selector considers, carrying the §2.3.3
   cost inputs and an accept/reject reason code.
 
-Every instrumented function takes an optional ``obs`` argument. Passing
-``None`` (the default) resolves to :data:`NULL_OBS`, whose tracer and
-metrics discard everything, so un-instrumented callers pay nothing and
-pipeline outputs are unchanged.
+Instrumented code records into :func:`current`, the
+:class:`Observability` bound in this context. Work binds one only
+where it starts: ``with observing(obs):`` around a call records every
+stage the call reaches. With nothing bound, :func:`current` is
+:data:`NULL_OBS`, whose tracer and metrics discard everything, so
+unobserved callers pay one context lookup per stage and pipeline
+outputs are unchanged.
+
+The binding is a :class:`contextvars.ContextVar`: a new thread starts
+with nothing bound, and a forked worker process starts with whatever
+the thread that forked it had bound, so every pool task binds its own
+(see :func:`repro.pipeline.parallel.worker_task`).
 """
 
 from __future__ import annotations
 
 import logging
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from repro.observability.audit import DecisionReason, InlineDecision
@@ -34,7 +44,7 @@ from repro.observability.tracer import NullTracer, Tracer
 
 @dataclass
 class Observability:
-    """A tracer/metrics pair handed through the pipeline as one unit."""
+    """A tracer/metrics pair, bound for a piece of work by :func:`observing`."""
 
     tracer: Tracer
     metrics: MetricsRegistry
@@ -58,13 +68,25 @@ class Observability:
         self.metrics.merge(child.metrics)
 
 
-#: The shared no-op context every instrumented function falls back to.
+#: The shared no-op context, current when nothing is bound.
 NULL_OBS = Observability(tracer=NullTracer(), metrics=NullMetrics())
 
+_CURRENT: ContextVar[Observability] = ContextVar("repro_obs", default=NULL_OBS)
 
-def resolve(obs: Observability | None) -> Observability:
-    """Map ``None`` to the shared no-op context."""
-    return obs if obs is not None else NULL_OBS
+
+def current() -> Observability:
+    """The :class:`Observability` bound in this context (else :data:`NULL_OBS`)."""
+    return _CURRENT.get()
+
+
+@contextmanager
+def observing(observability: Observability):
+    """Bind ``observability`` as :func:`current` for the ``with`` block."""
+    token = _CURRENT.set(observability)
+    try:
+        yield observability
+    finally:
+        _CURRENT.reset(token)
 
 
 def get_logger(name: str) -> logging.Logger:
@@ -102,7 +124,8 @@ __all__ = [
     "NullTracer",
     "Observability",
     "Tracer",
+    "current",
     "enable_console_logging",
     "get_logger",
-    "resolve",
+    "observing",
 ]

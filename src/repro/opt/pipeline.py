@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.il.function import ILFunction
 from repro.il.module import ILModule
 from repro.il.verifier import verify_function_local
-from repro.observability import NULL_OBS, resolve
+from repro.observability import NULL_OBS, current
 from repro.opt.constant_fold import fold_constants
 from repro.opt.copy_prop import propagate_copies
 from repro.opt.cse import eliminate_common_subexpressions
@@ -151,16 +151,16 @@ def optimize_function(
 
 
 def optimize_module(
-    module: ILModule, max_rounds: int = 8, obs=None, pass_spec: str | None = None
+    module: ILModule, max_rounds: int = 8, pass_spec: str | None = None
 ) -> OptimizationStats:
     """Optimize every function of the module in place.
 
-    ``obs`` is an optional :class:`repro.observability.Observability`;
-    when given, per-pass change counts and the phase's wall time are
-    reported into it. ``pass_spec`` selects a custom pipeline
-    (default: the full five-pass set; ``""``: none).
+    Per-pass change counts and the phase's wall time are reported into
+    the current observability (:func:`repro.observability.current`).
+    ``pass_spec`` selects a custom pipeline (default: the full
+    five-pass set; ``""``: none).
     """
-    obs = resolve(obs)
+    obs = current()
     names = parse_pass_spec(pass_spec)
     total = OptimizationStats()
     with obs.tracer.span("opt.module", functions=len(module.functions)) as attrs:

@@ -33,8 +33,10 @@ truncated, or wrong-format entry is silently a miss — never an error —
 so a stale or damaged cache directory can always be reused or simply
 deleted.
 
-Hit/miss/evict counts are reported as ``pipeline.cache.*`` metrics on
-the session's (or each call's) Observability.
+Hit/miss/evict counts are reported as ``pipeline.cache.*`` metrics
+into the observability current at each lookup
+(:func:`repro.observability.current`), so a pool worker's session
+counts into the task it serves.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ try:  # advisory locking is POSIX-only; elsewhere atomic rename suffices
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
-from repro.observability import Observability, resolve
-from repro.opt.pipeline import DEFAULT_OPT_SPEC, parse_pass_spec
+from repro.observability import current
+from repro.opt.pipeline import parse_pass_spec
 
 #: Bump when the pickled artifact layout changes; old entries become
 #: invisible (a different subdirectory), not errors. Format 2 profiles
@@ -188,17 +190,11 @@ class CompilationSession:
     found again by later sessions (and later processes).
     """
 
-    def __init__(
-        self,
-        cache_dir: str | None = None,
-        max_entries: int = 256,
-        obs: Observability | None = None,
-    ):
+    def __init__(self, cache_dir: str | None = None, max_entries: int = 256):
         self._modules: OrderedDict[str, Any] = OrderedDict()
         self._profiles: OrderedDict[str, Any] = OrderedDict()
         self.cache_dir = cache_dir
         self.max_entries = max_entries
-        self._obs = resolve(obs)
         self._lock = threading.Lock()
         self._dir = (
             os.path.join(cache_dir, f"v{CACHE_FORMAT}") if cache_dir else None
@@ -207,34 +203,35 @@ class CompilationSession:
     # ------------------------------------------------------------------
     # generic keyed store
 
-    def _count(self, obs: Observability, what: str) -> None:
-        obs.metrics.inc(f"pipeline.cache.{what}")
+    @staticmethod
+    def _count(what: str) -> None:
+        current().metrics.inc(f"pipeline.cache.{what}")
 
-    def _lookup(self, table: OrderedDict, kind: str, key: str, obs) -> Any:
+    def _lookup(self, table: OrderedDict, kind: str, key: str) -> Any:
         with self._lock:
             if key in table:
                 table.move_to_end(key)
-                self._count(obs, "hits")
+                self._count("hits")
                 return table[key]
         value = self._disk_load(kind, key)
         if value is not None:
-            self._count(obs, "hits")
-            self._count(obs, "disk_hits")
-            self._remember(table, key, value, obs)
+            self._count("hits")
+            self._count("disk_hits")
+            self._remember(table, key, value)
             return value
-        self._count(obs, "misses")
+        self._count("misses")
         return None
 
-    def _remember(self, table: OrderedDict, key: str, value: Any, obs) -> None:
+    def _remember(self, table: OrderedDict, key: str, value: Any) -> None:
         with self._lock:
             table[key] = value
             table.move_to_end(key)
             while len(table) > self.max_entries:
                 table.popitem(last=False)
-                self._count(obs, "evictions")
+                self._count("evictions")
 
-    def _store(self, table, kind: str, key: str, value: Any, obs) -> None:
-        self._remember(table, key, value, obs)
+    def _store(self, table, kind: str, key: str, value: Any) -> None:
+        self._remember(table, key, value)
         self._disk_store(kind, key, value)
 
     # ------------------------------------------------------------------
@@ -308,7 +305,6 @@ class CompilationSession:
         link_libc: bool = True,
         entry: str = "main",
         pass_spec: str | None = None,
-        obs: Observability | None = None,
     ):
         """Compile (and pre-optimize, when ``pass_spec`` is set) once.
 
@@ -319,9 +315,8 @@ class CompilationSession:
         module, whose libc part comes pre-optimized from the process's
         libc prefix.
         """
-        obs = resolve(obs if obs is not None else self._obs)
         key = module_cache_key(source, defines, link_libc, pass_spec, entry)
-        cached = self._lookup(self._modules, "module", key, obs)
+        cached = self._lookup(self._modules, "module", key)
         if cached is None:
             from repro.compiler import compile_program
 
@@ -331,41 +326,24 @@ class CompilationSession:
                 defines=defines,
                 link_libc=link_libc,
                 entry=entry,
-                obs=obs,
                 pass_spec=pass_spec,
             )
-            self._store(self._modules, "module", key, cached, obs)
+            self._store(self._modules, "module", key, cached)
         return cached.clone()
 
-    def compile_benchmark(
-        self,
-        benchmark,
-        pass_spec: str | None = None,
-        obs: Observability | None = None,
-    ):
-        """Cached compile of one suite benchmark, pre-optimized by
-        ``pass_spec`` (default: the full pass set)."""
-        return self.compiled_module(
-            benchmark.source,
-            filename=f"{benchmark.name}.c",
-            pass_spec=pass_spec if pass_spec is not None else DEFAULT_OPT_SPEC,
-            obs=obs,
-        )
-
-    def profile(self, module, specs, obs: Observability | None = None):
+    def profile(self, module, specs):
         """Cached :func:`~repro.profiler.profile.profile_module` call.
 
         The cached profile keeps its per-input output observations, so
         a warm pipeline checks outputs without executing either module.
         """
-        obs = resolve(obs if obs is not None else self._obs)
         key = profile_cache_key(module, specs)
-        cached = self._lookup(self._profiles, "profile", key, obs)
+        cached = self._lookup(self._profiles, "profile", key)
         if cached is None:
             from repro.profiler.profile import profile_module
 
-            cached = profile_module(module, specs, obs=obs)
-            self._store(self._profiles, "profile", key, cached, obs)
+            cached = profile_module(module, specs)
+            self._store(self._profiles, "profile", key, cached)
         return _copy_profile(cached)
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.il.module import ILModule
-from repro.observability import Observability, resolve
+from repro.observability import current
 from repro.vm.counters import Counters
 from repro.vm.machine import Machine, RunResult
 from repro.vm.os import VirtualOS
@@ -206,19 +206,10 @@ def run_once(
     spec: RunSpec | None = None,
     fuel: int = 2_000_000_000,
     collect_branches: bool = False,
-    obs: Observability | None = None,
 ) -> RunResult:
     """Execute ``module`` once under ``spec`` and return the result."""
-    obs = resolve(obs)
     os = spec.make_os() if spec is not None else VirtualOS()
-    machine = Machine(
-        module,
-        os,
-        fuel=fuel,
-        collect_branches=collect_branches,
-        metrics=obs.metrics if obs.metrics.enabled else None,
-    )
-    return machine.run()
+    return Machine(module, os, fuel=fuel, collect_branches=collect_branches).run()
 
 
 def profile_module(
@@ -226,7 +217,6 @@ def profile_module(
     specs: list[RunSpec],
     fuel: int = 2_000_000_000,
     check_exit: bool = True,
-    obs: Observability | None = None,
 ) -> ProfileData:
     """Profile ``module`` over every input in ``specs``.
 
@@ -235,14 +225,14 @@ def profile_module(
     """
     if not specs:
         raise ValueError("profiling requires at least one input")
-    obs = resolve(obs)
+    obs = current()
     total = Counters()
     observations: list[Observation] = []
     with obs.tracer.span("profile.module", runs=len(specs)):
         for index, spec in enumerate(specs):
             label = spec.label or f"run {index}"
             with obs.tracer.span("profile.run", label=label) as attrs:
-                result = run_once(module, spec, fuel=fuel, obs=obs)
+                result = run_once(module, spec, fuel=fuel)
                 attrs["exit_code"] = result.exit_code
                 attrs["il"] = result.counters.il
                 attrs["calls"] = result.counters.calls

@@ -30,19 +30,29 @@ The CLI front ends are ``impact-inline serve`` and ``impact-inline
 call``.
 """
 
-from repro.service.client import ServiceClient, ServiceError, arequest, run_concurrent
-from repro.service.ops import OPS, execute, request_key
-from repro.service.server import CompilationService, ServiceHandle, serve_in_thread
+import importlib
 
-__all__ = [
-    "OPS",
-    "CompilationService",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceHandle",
-    "arequest",
-    "execute",
-    "request_key",
-    "run_concurrent",
-    "serve_in_thread",
-]
+#: The submodule each public name comes from. They are imported on
+#: first use, so importing :mod:`repro.service.ops` alone (the CLI
+#: reads its defaults) does not import asyncio and ssl.
+_EXPORTS = {
+    "OPS": "ops",
+    "execute": "ops",
+    "request_key": "ops",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "arequest": "client",
+    "run_concurrent": "client",
+    "CompilationService": "server",
+    "ServiceHandle": "server",
+    "serve_in_thread": "server",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+__all__ = list(_EXPORTS)

@@ -10,6 +10,11 @@ runs identically in two places:
   only the params and the cache directory are pickled, and the result
   comes back with the worker's observability child.
 
+An operation records into the current observability
+(:func:`repro.observability.current`): whatever the caller bound
+around :func:`execute`, or the child ``worker_task`` binds for the
+request on a worker.
+
 Deterministic inputs produce deterministic result dicts, which is what
 makes the service path byte-comparable with direct calls and lets the
 server deduplicate identical in-flight requests by
@@ -21,9 +26,14 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.observability import Observability, resolve
 from repro.opt.pipeline import parse_pass_spec
 from repro.pipeline.session import open_session
+
+#: Default Unix socket path (cwd-relative, like ``.repro-cache``).
+DEFAULT_SOCKET = ".repro-service.sock"
+
+#: Default slow-request threshold (seconds).
+DEFAULT_SLOW_THRESHOLD = 1.0
 
 #: Fuel (IL instructions) of every VM run an operation makes, so a
 #: runaway program gets a fuel trap instead of holding a worker for
@@ -60,7 +70,7 @@ def request_key(op: str, params: dict | None) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _compiled(params: dict, obs: Observability, session=None):
+def _compiled(params: dict, session=None):
     """Compile (and optionally pre-optimize) the request's source."""
     source = params.get("source")
     if not isinstance(source, str) or not source:
@@ -74,38 +84,32 @@ def _compiled(params: dict, obs: Observability, session=None):
             f"passes must be a string, got {type(pass_spec).__name__}"
         )
     if session is not None:
-        return session.compiled_module(
-            source,
-            filename=filename,
-            pass_spec=pass_spec,
-            obs=obs,
-        )
+        return session.compiled_module(source, filename=filename, pass_spec=pass_spec)
     from repro.compiler import compile_program
 
-    return compile_program(source, filename, obs=obs, pass_spec=pass_spec)
+    return compile_program(source, filename, pass_spec=pass_spec)
 
 
 def _inline_params(params: dict):
     from repro.inliner.params import InlineParameters
 
+    default = InlineParameters()
     return InlineParameters(
-        weight_threshold=float(params.get("threshold", 10.0)),
-        size_limit_factor=float(params.get("growth", 1.25)),
+        weight_threshold=float(params.get("threshold", default.weight_threshold)),
+        size_limit_factor=float(params.get("growth", default.size_limit_factor)),
     )
 
 
-def _profile(module, spec, obs: Observability):
+def _profile(module, spec):
     """Profile ``module`` over the one request input, under `REQUEST_FUEL`."""
     from repro.profiler.profile import profile_module
 
-    return profile_module(
-        module, [spec], fuel=REQUEST_FUEL, check_exit=False, obs=obs
-    )
+    return profile_module(module, [spec], fuel=REQUEST_FUEL, check_exit=False)
 
 
-def op_compile(params: dict, obs: Observability, session=None) -> dict:
+def op_compile(params: dict, session=None) -> dict:
     """Compile the source; report sizes and (optionally) the IL text."""
-    module = _compiled(params, obs, session)
+    module = _compiled(params, session)
     result = {
         "code_size": module.total_code_size(),
         "functions": sorted(module.functions),
@@ -118,28 +122,28 @@ def op_compile(params: dict, obs: Observability, session=None) -> dict:
     return result
 
 
-def op_profile(params: dict, obs: Observability, session=None) -> dict:
+def op_profile(params: dict, session=None) -> dict:
     """Compile and execute once; report outputs and dynamic counts."""
     from repro.profiler.profile import RunSpec, run_once
 
     spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
-    module = _compiled(params, obs, session)
-    run = run_once(module, spec, fuel=REQUEST_FUEL, obs=obs)
+    module = _compiled(params, session)
+    run = run_once(module, spec, fuel=REQUEST_FUEL)
     result = {"exit_code": run.exit_code, "stdout": run.stdout}
     result.update(run.counters.to_summary())
     return result
 
 
-def op_inline(params: dict, obs: Observability, session=None) -> dict:
+def op_inline(params: dict, session=None) -> dict:
     """The full profile -> inline -> re-profile loop for one input."""
     from repro.inliner.manager import inline_module
     from repro.profiler.profile import RunSpec
 
     spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
-    module = _compiled(params, obs, session)
-    profile = _profile(module, spec, obs)
-    outcome = inline_module(module, profile, _inline_params(params), obs=obs)
-    after = _profile(outcome.module, spec, obs)
+    module = _compiled(params, session)
+    profile = _profile(module, spec)
+    outcome = inline_module(module, profile, _inline_params(params))
+    after = _profile(outcome.module, spec)
     before_calls = profile.avg_calls
     return {
         "expanded": len(outcome.records),
@@ -156,7 +160,7 @@ def op_inline(params: dict, obs: Observability, session=None) -> dict:
     }
 
 
-def op_check(params: dict, obs: Observability, session=None) -> dict:
+def op_check(params: dict, session=None) -> dict:
     """Inline, then check the inlined module's outputs against the original.
 
     Each module runs once, under `REQUEST_FUEL`; the comparison reads
@@ -167,15 +171,15 @@ def op_check(params: dict, obs: Observability, session=None) -> dict:
     from repro.profiler.profile import RunSpec
 
     spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
-    module = _compiled(params, obs, session)
-    profile = _profile(module, spec, obs)
-    outcome = inline_module(module, profile, _inline_params(params), obs=obs)
+    module = _compiled(params, session)
+    profile = _profile(module, spec)
+    outcome = inline_module(module, profile, _inline_params(params))
     comparison = compare_outputs(
         module,
         outcome.module,
         [spec],
         before=profile.observations,
-        after=_profile(outcome.module, spec, obs).observations,
+        after=_profile(outcome.module, spec).observations,
     )
     return {
         "ok": comparison.matches,
@@ -195,31 +199,24 @@ OPS = {
 }
 
 
-def execute(
-    op: str,
-    params: dict | None,
-    obs: Observability | None = None,
-    session=None,
-) -> dict:
+def execute(op: str, params: dict | None, session=None) -> dict:
     """Dispatch one operation; the direct (batch) execution path."""
     handler = OPS.get(op)
     if handler is None:
         raise ValueError(
             f"unknown operation {op!r}; choose from {', '.join(OPS)}"
         )
-    return handler(params or {}, resolve(obs), session)
+    return handler(params or {}, session)
 
 
-def run_request(
-    params: dict | None, obs: Observability, *, op: str, cache_dir: str | None
-) -> dict:
+def run_request(params: dict | None, *, op: str, cache_dir: str | None) -> dict:
     """One request on a pool worker: :func:`execute` over the worker
     process's session for ``cache_dir``
     (:func:`~repro.pipeline.session.open_session`).
 
     The server binds ``op`` and ``cache_dir`` with
     :func:`functools.partial` and submits it through
-    :func:`~repro.pipeline.parallel.worker_task`, which supplies
-    ``obs``.
+    :func:`~repro.pipeline.parallel.worker_task`, which binds the
+    request's observability child around it.
     """
-    return execute(op, params, obs=obs, session=open_session(cache_dir))
+    return execute(op, params, session=open_session(cache_dir))

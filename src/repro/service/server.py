@@ -71,17 +71,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.observability import Observability, resolve
+from repro.observability import NULL_OBS, Observability
 from repro.observability.context import TraceContext
 from repro.observability.export import append_jsonl, slow_request_record
 from repro.pipeline.parallel import validate_jobs, worker_task
-from repro.service.ops import OPS, request_key, run_request
-
-#: Default Unix socket path (cwd-relative, like ``.repro-cache``).
-DEFAULT_SOCKET = ".repro-service.sock"
-
-#: Default slow-request threshold (seconds).
-DEFAULT_SLOW_THRESHOLD = 1.0
+from repro.service.ops import (
+    DEFAULT_SLOW_THRESHOLD,
+    DEFAULT_SOCKET,
+    OPS,
+    request_key,
+    run_request,
+)
 
 #: Longest request line the server reads (the stream reader's limit).
 #: Fits a real C source plus its stdin with room for JSON escaping; a
@@ -90,7 +90,13 @@ MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
 class CompilationService:
-    """A local compile/profile/inline/check service over a Unix socket."""
+    """A local compile/profile/inline/check service over a Unix socket.
+
+    ``obs`` is the server's own telemetry (default: none), passed here
+    rather than read from :func:`repro.observability.current`: under
+    :func:`serve_in_thread` the event loop runs on a thread that starts
+    with nothing bound.
+    """
 
     def __init__(
         self,
@@ -107,7 +113,7 @@ class CompilationService:
         self.slow_log = slow_log
         self.slow_threshold = slow_threshold
         self._cache_dir = cache_dir
-        self._obs = resolve(obs)
+        self._obs = NULL_OBS if obs is None else obs
         self._pool = None
         #: How many broken process pools were replaced (see `_in_pool`).
         self._pool_restarts = 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.inliner.manager import InlineResult, inline_module
 from repro.inliner.params import InlineParameters
-from repro.observability import Observability, resolve
+from repro.observability import current
 from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.profiler.profile import ProfileData, RunSpec, profile_module
 from repro.workloads.suite import Benchmark, select_benchmarks
@@ -51,6 +51,8 @@ class DifferentialReport:
     eliminated_floor: int = 0
     projected_size: int = 0
     measured_size: int = 0
+    #: The inliner's result the oracle checked (``None`` until it ran).
+    inline: InlineResult | None = None
 
     @property
     def calls_eliminated(self) -> int:
@@ -82,7 +84,6 @@ def verify_inlining(
     seed: int = 0,
     name: str = "module",
     profile: ProfileData | None = None,
-    obs: Observability | None = None,
 ) -> DifferentialReport:
     """Run the differential oracle on one compiled module.
 
@@ -95,19 +96,20 @@ def verify_inlining(
     describe a divergence. A supplied ``profile`` may stem from other
     inputs, so the original is then profiled over ``specs`` as well.
     Never raises on a divergence — everything the oracle finds lands in
-    the returned :class:`DifferentialReport`.
+    the returned :class:`DifferentialReport`, which also carries the
+    inliner's result.
     """
     from repro.experiments.pipeline import compare_outputs
 
     params = params or InlineParameters()
-    obs = resolve(obs)
+    obs = current()
     report = DifferentialReport(name=name, runs=len(specs))
     with obs.tracer.span("verify.differential", name=name) as attrs:
         before = None
         if profile is None:
-            profile = before = profile_module(module, specs, obs=obs)
-        result: InlineResult = inline_module(
-            module, profile, params, seed=seed, check=True, obs=obs
+            profile = before = profile_module(module, specs)
+        result = report.inline = inline_module(
+            module, profile, params, seed=seed, check=True
         )
         report.expansions = len(result.records)
         report.projected_size = result.selection.projected_size
@@ -122,9 +124,9 @@ def verify_inlining(
         report.eliminated_floor = sum(
             site_counts.get(arc.site, 0) for arc in result.selection.selected
         )
-        after = profile_module(result.module, specs, check_exit=False, obs=obs)
+        after = profile_module(result.module, specs, check_exit=False)
         if before is None:
-            before = profile_module(module, specs, check_exit=False, obs=obs)
+            before = profile_module(module, specs, check_exit=False)
         report.calls_before = before.total.calls
         report.calls_after = after.total.calls
         report.divergences = compare_outputs(
@@ -158,18 +160,11 @@ def verify_benchmark(
     scale: str = "small",
     params: InlineParameters | None = None,
     seed: int = 0,
-    obs: Observability | None = None,
 ) -> DifferentialReport:
     """Compile and pre-optimize one suite benchmark, then run the oracle."""
-    obs = resolve(obs)
-    module = benchmark.compile(obs=obs, pass_spec=DEFAULT_OPT_SPEC)
+    module = benchmark.compile(pass_spec=DEFAULT_OPT_SPEC)
     return verify_inlining(
-        module,
-        benchmark.make_runs(scale),
-        params,
-        seed=seed,
-        name=benchmark.name,
-        obs=obs,
+        module, benchmark.make_runs(scale), params, seed=seed, name=benchmark.name
     )
 
 
@@ -178,10 +173,9 @@ def verify_suite(
     scale: str = "small",
     params: InlineParameters | None = None,
     seed: int = 0,
-    obs: Observability | None = None,
 ) -> list[DifferentialReport]:
     """Run the oracle over every suite benchmark (or a named subset)."""
     return [
-        verify_benchmark(benchmark, scale, params, seed=seed, obs=obs)
+        verify_benchmark(benchmark, scale, params, seed=seed)
         for benchmark in select_benchmarks(names)
     ]

@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 from repro.compiler import compile_program
 from repro.errors import ReproError
 from repro.il.verifier import verify_module
-from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
-from repro.observability import Observability, resolve
+from repro.observability import current
 from repro.opt import optimize_module
-from repro.profiler.profile import Observation, RunSpec, profile_module, run_once
+from repro.profiler.profile import Observation, RunSpec, run_once
 from repro.verify.differential import DifferentialReport, verify_inlining
 
 #: Inliner knobs the fuzz stage runs under: a low threshold and a
@@ -313,29 +312,27 @@ def check_program(
     index: int,
     seed: int,
     params: InlineParameters | None = None,
-    obs: Observability | None = None,
 ) -> tuple[list[FuzzFailure], DifferentialReport | None]:
     """Push one program through every stage, differentially.
 
     Stage order: compile (hardened verifier runs inside), baseline run,
     optimize + re-verify + re-run, differential inline oracle on the
-    optimized module, optimize-after-inlining + re-verify + re-run.
-    Every stage's :class:`~repro.profiler.profile.Observation` (exit
-    code, stdout, stderr, written files) is compared against the
-    baseline's.
+    optimized module, optimize-after-inlining (a clone of the oracle's
+    inlined module) + re-verify + re-run. Every stage's
+    :class:`~repro.profiler.profile.Observation` (exit code, stdout,
+    stderr, written files) is compared against the baseline's.
     """
     params = params or FUZZ_PARAMS
-    obs = resolve(obs)
     spec = RunSpec(label=f"fuzz-{index}")
 
     def fail(stage: str, detail: str) -> FuzzFailure:
         return FuzzFailure(index, seed, stage, detail, source)
 
     def observe(candidate) -> Observation:
-        return Observation.of(run_once(candidate, spec, obs=obs))
+        return Observation.of(run_once(candidate, spec))
 
     try:
-        module = compile_program(source, filename=f"fuzz{index}.c", obs=obs)
+        module = compile_program(source, filename=f"fuzz{index}.c")
     except ReproError as error:
         return [fail("compile", str(error))], None
     expected = observe(module)
@@ -344,7 +341,7 @@ def check_program(
 
     optimized = module.clone()
     try:
-        optimize_module(optimized, obs=obs)
+        optimize_module(optimized)
         verify_module(optimized)
     except ReproError as error:
         return [fail("optimize", str(error))], None
@@ -353,12 +350,7 @@ def check_program(
 
     try:
         report = verify_inlining(
-            optimized,
-            [spec],
-            params,
-            seed=seed,
-            name=f"fuzz-{index}",
-            obs=obs,
+            optimized, [spec], params, seed=seed, name=f"fuzz-{index}"
         )
     except ReproError as error:
         return [fail("inline", str(error))], None
@@ -367,20 +359,14 @@ def check_program(
         for problem in report.divergences + report.invariant_failures
     ]
 
-    inlined = optimized.clone()
+    inlined = report.inline.module.clone()
     try:
-        # Re-inline on a clone so the post-inline optimizer has a module
-        # to mutate (the oracle keeps its own result internal).
-        profile = profile_module(inlined, [spec], obs=obs)
-        result = inline_module(
-            inlined, profile, params, seed=seed, check=True, obs=obs
-        )
-        optimize_module(result.module, obs=obs)
-        verify_module(result.module)
+        optimize_module(inlined)
+        verify_module(inlined)
     except ReproError as error:
         failures.append(fail("optimize-after-inline", str(error)))
         return failures, report
-    if observe(result.module) != expected:
+    if observe(inlined) != expected:
         failures.append(
             fail("optimize-after-inline", "behavior diverged from baseline")
         )
@@ -391,17 +377,16 @@ def run_fuzz(
     count: int,
     seed: int = 0,
     params: InlineParameters | None = None,
-    obs: Observability | None = None,
 ) -> FuzzReport:
     """Run a fuzzing campaign of ``count`` programs from ``seed``."""
-    obs = resolve(obs)
+    obs = current()
     report = FuzzReport(count=count, seed=seed)
     with obs.tracer.span("verify.fuzz", count=count, seed=seed) as attrs:
         for index in range(count):
             program_seed = seed + index
             source = generate_program(program_seed)
             failures, differential = check_program(
-                source, index, program_seed, params, obs=obs
+                source, index, program_seed, params
             )
             report.failures.extend(failures)
             if differential is not None:

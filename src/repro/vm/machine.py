@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from repro.errors import ILError, VMTrap
 from repro.il.instructions import Opcode
 from repro.il.module import ILModule
+from repro.observability import current
 from repro.vm.builtins import BUILTINS, ExitSignal
 from repro.vm.counters import Counters
 from repro.vm.os import VirtualOS
@@ -210,7 +211,6 @@ class Machine:
         code_layout: str = "sequential",
         layout_seed: int = 0,
         function_order: list[str] | None = None,
-        metrics=None,
         heap_limit: int = DEFAULT_HEAP_LIMIT,
     ):
         self.module = module
@@ -220,9 +220,6 @@ class Machine:
         self._stack_limit = _NULL_GUARD + stack_size
         self._fuel = fuel
         self._collect_branches = collect_branches
-        #: Optional repro.observability MetricsRegistry; dynamic counts
-        #: are reported into it once per run (never from the hot loop).
-        self._metrics = metrics
         #: Optional repro.icache.InstructionCache fed the address of
         #: every executed instruction, a block at a time (slows
         #: execution; off by default).
@@ -579,8 +576,10 @@ class Machine:
             exit_code = self._execute(entry, args)
         except ExitSignal as signal:
             exit_code = signal.code
-        if self._metrics is not None:
-            metrics = self._metrics
+        # Dynamic counts go to the current metrics once per run, never
+        # from the hot loop.
+        metrics = current().metrics
+        if metrics.enabled:
             metrics.inc("vm.runs")
             metrics.inc("vm.instructions_retired", self.counters.il)
             metrics.inc("vm.control_transfers", self.counters.ct)

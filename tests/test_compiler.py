@@ -13,7 +13,7 @@ import pytest
 from repro import compiler
 from repro.compiler import compile_program, compile_with_analysis
 from repro.errors import ReproError, SemanticError
-from repro.observability import Observability
+from repro.observability import Observability, observing
 from repro.opt import optimize_module
 from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.pipeline.session import module_content_key
@@ -284,8 +284,8 @@ class TestLibcPrefix:
     def test_no_pass_spec_means_no_optimization(self):
         source = benchmark_by_name("tee").source
         for spec in (None, ""):
-            obs = Observability.create()
-            module = compile_program(source, obs=obs, pass_spec=spec)
+            with observing(Observability.create()) as obs:
+                module = compile_program(source, pass_spec=spec)
             assert _shape(module) == _shape(compile_program(source))
             names = {r["name"] for r in obs.tracer.records if r["type"] == "span"}
             assert "opt.module" not in names
@@ -334,9 +334,8 @@ class TestLibcPrefix:
 
         def compile_one(name: str) -> None:
             benchmark = benchmark_by_name(name)
-            modules[name] = benchmark.compile(
-                obs=observed[name], pass_spec=DEFAULT_OPT_SPEC
-            )
+            with observing(observed[name]):
+                modules[name] = benchmark.compile(pass_spec=DEFAULT_OPT_SPEC)
 
         threads = [threading.Thread(target=compile_one, args=(n,)) for n in names]
         interval = sys.getswitchinterval()
@@ -366,8 +365,8 @@ class TestLibcPrefix:
         source = benchmark_by_name("wc").source
         counters = []
         for _ in range(2):
-            obs = Observability.create()
-            compile_program(source, obs=obs, pass_spec=DEFAULT_OPT_SPEC)
+            with observing(Observability.create()) as obs:
+                compile_program(source, pass_spec=DEFAULT_OPT_SPEC)
             counters.append(obs.metrics.counters)
         first, second = counters
         for name in (

@@ -26,7 +26,8 @@ from repro.observability import (
     Observability,
     TraceContext,
     Tracer,
-    resolve,
+    current,
+    observing,
 )
 from repro.observability.context import new_trace_id, valid_id
 from repro.observability.export import (
@@ -175,11 +176,13 @@ class TestMetricsRegistry:
         assert "vm.calls" in text and "counter" in text
         assert "seconds" in text and "histogram" in text
 
-    def test_resolve_defaults_to_null(self):
-        assert resolve(None) is NULL_OBS
+    def test_current_defaults_to_null(self):
+        assert current() is NULL_OBS
         assert not NULL_OBS.enabled
         live = Observability.create()
-        assert resolve(live) is live
+        with observing(live):
+            assert current() is live
+        assert current() is NULL_OBS
         assert live.enabled
 
 
@@ -319,8 +322,8 @@ class TestNoOpTransparency:
     def test_observed_run_matches_unobserved_byte_for_byte(self):
         benchmark = benchmark_by_name("cmp")
         plain = run_benchmark(benchmark, RunConfig())
-        obs = Observability.create()
-        observed = run_benchmark(benchmark, RunConfig(), obs=obs)
+        with observing(Observability.create()) as obs:
+            observed = run_benchmark(benchmark, RunConfig())
         assert all_tables([plain]) == all_tables([observed])
         # The observed run actually recorded something.
         assert obs.metrics.counters["pipeline.benchmarks"] == 1
@@ -329,8 +332,8 @@ class TestNoOpTransparency:
         )
 
     def test_trace_covers_all_arcs_of_benchmark(self):
-        obs = Observability.create()
-        result = run_benchmark(benchmark_by_name("cmp"), RunConfig(), obs=obs)
+        with observing(Observability.create()) as obs:
+            result = run_benchmark(benchmark_by_name("cmp"), RunConfig())
         decision_sites = [
             r["site"]
             for r in obs.tracer.records
@@ -443,8 +446,8 @@ class TestOutputDivergenceDiagnostics:
         assert (other.reused, other.rerun) == (0, 2)
 
     def test_check_span_and_metric_count_reuse(self):
-        obs = Observability.create()
-        result = run_benchmark(benchmark_by_name("cmp"), RunConfig(), obs=obs)
+        with observing(Observability.create()) as obs:
+            result = run_benchmark(benchmark_by_name("cmp"), RunConfig())
         (span,) = [
             r for r in obs.tracer.records
             if r.get("name") == "benchmark.check_outputs"
@@ -587,11 +590,10 @@ class TestCompileWithAnalysisObservability:
     def test_obs_threads_through_same_spans(self):
         from repro.compiler import compile_with_analysis
 
-        obs = Observability.create()
-        result = compile_with_analysis(
-            "#include <sys.h>\nint main(void){ putchar('x'); return 0; }\n",
-            obs=obs,
-        )
+        with observing(Observability.create()) as obs:
+            result = compile_with_analysis(
+                "#include <sys.h>\nint main(void){ putchar('x'); return 0; }\n"
+            )
         assert result.module.functions
         span_names = {
             r["name"] for r in obs.tracer.records if r["type"] == "span"

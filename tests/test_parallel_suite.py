@@ -1,11 +1,15 @@
 """Determinism and caching tests for parallel suite execution."""
 
+from collections import Counter
+
 import pytest
 
+from repro.compiler import compile_program
 from repro.experiments.pipeline import RunConfig, run_suite
 from repro.experiments.tables import all_tables, table4
 from repro.inliner.params import InlineParameters
-from repro.observability import Observability
+from repro.observability import Observability, current, observing
+from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.pipeline import CompilationSession, parallel_map
 from repro.pipeline.parallel import validate_jobs
 
@@ -51,8 +55,8 @@ class TestParallelDeterminism:
         assert table4(parallel) == table4(serial_results)
 
     def test_worker_observability_merged(self):
-        obs = Observability.create()
-        run_suite(RunConfig(names=NAMES, jobs=2), obs=obs)
+        with observing(Observability.create()) as obs:
+            run_suite(RunConfig(names=NAMES, jobs=2))
         assert obs.metrics.counters["pipeline.benchmarks"] == len(NAMES)
         benchmark_spans = [
             r
@@ -71,12 +75,12 @@ class TestParallelDeterminism:
 class TestSessionCaching:
     def test_warm_suite_run_is_all_hits(self, serial_results):
         session = CompilationSession()
-        cold_obs = Observability.create()
-        run_suite(RunConfig(names=NAMES), session=session, obs=cold_obs)
+        with observing(Observability.create()) as cold_obs:
+            run_suite(RunConfig(names=NAMES), session=session)
         assert cold_obs.metrics.counters["pipeline.cache.misses"] > 0
 
-        warm_obs = Observability.create()
-        warm = run_suite(RunConfig(names=NAMES), session=session, obs=warm_obs)
+        with observing(Observability.create()) as warm_obs:
+            warm = run_suite(RunConfig(names=NAMES), session=session)
         counters = warm_obs.metrics.counters
         hits = counters.get("pipeline.cache.hits", 0)
         misses = counters.get("pipeline.cache.misses", 0)
@@ -95,19 +99,19 @@ class TestSessionCaching:
     def test_inliner_knobs_do_not_key_profiles(self):
         session = CompilationSession()
         run_suite(RunConfig(names=["wc"]), session=session)
-        obs = Observability.create()
         # Nothing clears this threshold, so the inlined module is the
         # original: both its profiles are the first run's.
         knobs = InlineParameters(weight_threshold=1e12)
-        run_suite(RunConfig(names=["wc"], params=knobs), session=session, obs=obs)
+        with observing(Observability.create()) as obs:
+            run_suite(RunConfig(names=["wc"], params=knobs), session=session)
         assert obs.metrics.counters.get("profiler.runs", 0) == 0
 
     def test_one_benchmark_on_jobs_2_fills_the_live_session(self):
         # One item runs in this process, so no worker needs the session.
         session = CompilationSession()
         run_suite(RunConfig(names=["tee"], jobs=2), session=session)
-        obs = Observability.create()
-        run_suite(RunConfig(names=["tee"]), session=session, obs=obs)
+        with observing(Observability.create()) as obs:
+            run_suite(RunConfig(names=["tee"]), session=session)
         assert obs.metrics.counters.get("profiler.runs", 0) == 0
 
     def test_parallel_and_cached_together(self, serial_results):
@@ -129,7 +133,8 @@ class TestProcessExecutor:
         # moment they are emitted: run_benchmark mints no id of its own.
         obs = Observability.create()
         obs.tracer.bind(trace_id="suite-trace")
-        run_suite(RunConfig(names=NAMES, jobs=2), obs=obs)
+        with observing(obs):
+            run_suite(RunConfig(names=NAMES, jobs=2))
         benchmark_spans = [
             r
             for r in obs.tracer.records
@@ -141,10 +146,27 @@ class TestProcessExecutor:
     def test_process_workers_share_disk_store(self, tmp_path):
         session = CompilationSession(cache_dir=str(tmp_path / "cache"))
         run_suite(RunConfig(names=NAMES, jobs=2), session=session)
-        warm_obs = Observability.create()
-        run_suite(RunConfig(names=NAMES), session=session, obs=warm_obs)
+        with observing(Observability.create()) as warm_obs:
+            run_suite(RunConfig(names=NAMES), session=session)
         # The warm serial run reads artifacts the worker processes wrote.
         assert warm_obs.metrics.counters.get("pipeline.cache.disk_hits", 0) > 0
+
+    def test_workers_record_what_one_process_records(self):
+        # Forked workers inherit this process's libc prefix, so warm it
+        # first: then neither run builds it. A worker inherits the
+        # parent's binding too, and records only what it binds itself.
+        compile_program("int main(void) { return 0; }", pass_spec=DEFAULT_OPT_SPEC)
+        recorded = []
+        for jobs in (1, 2):
+            with observing(Observability.create()) as obs:
+                run_suite(RunConfig(names=NAMES, jobs=jobs))
+            spans = Counter(
+                r["name"] for r in obs.tracer.records if r["type"] == "span"
+            )
+            recorded.append((obs.metrics.counters, spans))
+        (serial, serial_spans), (workers, worker_spans) = recorded
+        assert workers == serial
+        assert worker_spans == serial_spans
 
 
 class TestValidation:
@@ -174,7 +196,10 @@ class TestValidation:
             RunConfig(pass_spec="bogus")
         with pytest.raises(ValueError, match="empty pass spec"):
             RunConfig(pass_spec=" , ")
+        with pytest.raises(ValueError, match="not None"):
+            RunConfig(pass_spec=None)
         assert RunConfig(pass_spec="").pass_spec == ""
+        assert RunConfig().pass_spec == DEFAULT_OPT_SPEC
 
     def test_run_config_names_are_frozen(self):
         config = RunConfig(names=["wc", "tee"])
@@ -184,12 +209,13 @@ class TestValidation:
             config.jobs = 2
 
 
-def _square_task(item, obs):
-    obs.metrics.inc("tick")
+def _square_task(item):
+    current().metrics.inc("tick")
     return item * item
 
 
-def _traced_task(item, obs):
+def _traced_task(item):
+    obs = current()
     obs.metrics.inc("total", item)
     obs.tracer.event("item", value=item)
     return item
@@ -197,9 +223,9 @@ def _traced_task(item, obs):
 
 class TestParallelMap:
     def test_process_backend_with_picklable_task(self):
-        obs = Observability.create()
         items = list(range(8))
-        result = parallel_map(_square_task, items, jobs=2, obs=obs)
+        with observing(Observability.create()) as obs:
+            result = parallel_map(_square_task, items, jobs=2)
         assert result == [x * x for x in items]
         assert obs.metrics.counters["tick"] == len(items)
 
@@ -210,17 +236,15 @@ class TestParallelMap:
         ]
 
     def test_serial_uses_parent_obs(self):
-        obs = Observability.create()
-        parallel_map(
-            lambda x, child: child.metrics.inc("tick"), [1, 2], jobs=1, obs=obs
-        )
+        with observing(Observability.create()) as obs:
+            parallel_map(lambda x: current().metrics.inc("tick"), [1, 2], jobs=1)
         assert obs.metrics.counters["tick"] == 2
 
     def test_parallel_metrics_merge(self):
         # Each child is absorbed in item order, tagged with its label.
-        obs = Observability.create()
         items = [3, 1, 4, 1, 5]
-        parallel_map(_traced_task, items, jobs=2, obs=obs, worker_label="w")
+        with observing(Observability.create()) as obs:
+            parallel_map(_traced_task, items, jobs=2, worker_label="w")
         assert obs.metrics.counters["total"] == sum(items)
         events = [r for r in obs.tracer.records if r.get("name") == "item"]
         assert [(event["attrs"]["value"], event["worker"]) for event in events] == [

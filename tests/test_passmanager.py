@@ -14,7 +14,7 @@ from repro.inliner.linearize import linearize
 from repro.inliner.manager import InlineExpander
 from repro.inliner.params import InlineParameters
 from repro.inliner.select import select_sites
-from repro.observability import Observability
+from repro.observability import Observability, observing
 from repro.opt import optimize_function, optimize_module
 from repro.opt.pipeline import DEFAULT_OPT_SPEC, parse_pass_spec
 from repro.pipeline.session import module_cache_key
@@ -120,11 +120,11 @@ class TestFunctionPipeline:
                 optimize_function(module.functions["main"], pass_spec=phase)
 
     def test_per_pass_metrics_reported(self):
-        obs = Observability.create()
         module = _fresh_module()
-        optimize_module(module, obs=obs)
-        profile = profile_module(module, [RunSpec()])
-        InlineExpander(module, profile, obs=obs).run()
+        with observing(Observability.create()) as obs:
+            optimize_module(module)
+            profile = profile_module(module, [RunSpec()])
+            InlineExpander(module, profile).run()
         histograms = obs.metrics.snapshot()["histograms"]
         assert {
             name for name in histograms if name.startswith("pipeline.pass.")
@@ -138,8 +138,8 @@ class TestInlinePhases:
     def test_expander_equivalent_to_manual_phases(self):
         module = _fresh_module()
         profile = profile_module(module, [RunSpec()])
-        obs = Observability.create()
-        result = InlineExpander(module, profile, check=True, obs=obs).run()
+        with observing(Observability.create()) as obs:
+            result = InlineExpander(module, profile, check=True).run()
         assert result.records
         assert result.module.total_code_size() == result.final_size
 
@@ -172,8 +172,8 @@ class TestInlinePhases:
     def test_check_names_the_phase_that_broke_the_il(self, monkeypatch):
         module = _fresh_module()
         profile = profile_module(module, [RunSpec()])
-        obs = Observability.create()
-        InlineExpander(module, profile, check=True, obs=obs).run()
+        with observing(Observability.create()) as obs:
+            InlineExpander(module, profile, check=True).run()
         assert obs.metrics.snapshot()["counters"]["verify.pass_checks"] == 6
 
         find_call = expand._find_call

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.il.printer import format_module
-from repro.observability import Observability
+from repro.observability import Observability, observing
 from repro.pipeline import (
     CompilationSession,
     module_cache_key,
@@ -72,11 +72,11 @@ class TestKeys:
 
 class TestMemoryCache:
     def test_second_compile_is_a_hit(self):
-        obs = Observability.create()
-        session = CompilationSession(obs=obs)
-        session.compiled_module(SOURCE)
-        assert _cache_counters(obs) == {"misses": 1}
-        session.compiled_module(SOURCE)
+        session = CompilationSession()
+        with observing(Observability.create()) as obs:
+            session.compiled_module(SOURCE)
+            assert _cache_counters(obs) == {"misses": 1}
+            session.compiled_module(SOURCE)
         assert _cache_counters(obs) == {"misses": 1, "hits": 1}
 
     def test_returned_module_is_isolated_clone(self):
@@ -89,36 +89,36 @@ class TestMemoryCache:
         assert Machine(second).run().exit_code == 0
 
     def test_profile_cached_and_copied(self):
-        obs = Observability.create()
-        session = CompilationSession(obs=obs)
-        module = session.compiled_module(SOURCE)
+        session = CompilationSession()
         specs = [RunSpec()]
-        profile = session.profile(module, specs)
-        profile.node_weights["main"] = -1.0  # vandalize the caller's copy
-        again = session.profile(module, specs)
+        with observing(Observability.create()) as obs:
+            module = session.compiled_module(SOURCE)
+            profile = session.profile(module, specs)
+            profile.node_weights["main"] = -1.0  # vandalize the caller's copy
+            again = session.profile(module, specs)
         assert again.node_weights["main"] != -1.0
         assert _cache_counters(obs)["hits"] == 1
 
     def test_eviction_counted(self):
-        obs = Observability.create()
-        session = CompilationSession(max_entries=1, obs=obs)
-        session.compiled_module(SOURCE)
-        session.compiled_module(OTHER_SOURCE)
-        assert _cache_counters(obs)["evictions"] == 1
-        # The first entry is gone: compiling it again is a miss.
-        session.compiled_module(SOURCE)
+        session = CompilationSession(max_entries=1)
+        with observing(Observability.create()) as obs:
+            session.compiled_module(SOURCE)
+            session.compiled_module(OTHER_SOURCE)
+            assert _cache_counters(obs)["evictions"] == 1
+            # The first entry is gone: compiling it again is a miss.
+            session.compiled_module(SOURCE)
         assert _cache_counters(obs)["misses"] == 3
 
 
 class TestDiskStore:
     def test_roundtrip_across_sessions(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        warm_obs = Observability.create()
         producer = CompilationSession(cache_dir=cache_dir)
         baseline = format_module(producer.compiled_module(SOURCE))
 
-        consumer = CompilationSession(cache_dir=cache_dir, obs=warm_obs)
-        module = consumer.compiled_module(SOURCE)
+        consumer = CompilationSession(cache_dir=cache_dir)
+        with observing(Observability.create()) as warm_obs:
+            module = consumer.compiled_module(SOURCE)
         counters = _cache_counters(warm_obs)
         assert counters.get("disk_hits") == 1
         assert counters.get("misses") is None
@@ -133,9 +133,9 @@ class TestDiskStore:
         for entry in entries:
             entry.write_bytes(b"\x00garbage not pickle")
 
-        obs = Observability.create()
-        session = CompilationSession(cache_dir=cache_dir, obs=obs)
-        module = session.compiled_module(SOURCE)  # must not raise
+        session = CompilationSession(cache_dir=cache_dir)
+        with observing(Observability.create()) as obs:
+            module = session.compiled_module(SOURCE)  # must not raise
         assert Machine(module).run().exit_code == 0
         assert _cache_counters(obs)["misses"] == 1
 
@@ -152,9 +152,9 @@ class TestDiskStore:
         assert list((tmp_path / "cache" / STORE).iterdir())
         session.clear(disk=True)
         assert not list((tmp_path / "cache" / STORE).iterdir())
-        obs = Observability.create()
-        again = CompilationSession(cache_dir=cache_dir, obs=obs)
-        again.compiled_module(SOURCE)
+        again = CompilationSession(cache_dir=cache_dir)
+        with observing(Observability.create()) as obs:
+            again.compiled_module(SOURCE)
         assert _cache_counters(obs)["misses"] == 1
 
 
@@ -168,9 +168,9 @@ class TestProfileObservations:
         assert len(expected) == len(specs)
         assert producer.profile(module, specs).observations == expected
 
-        obs = Observability.create()
-        consumer = CompilationSession(cache_dir=cache_dir, obs=obs)
-        loaded = consumer.profile(consumer.compiled_module(SOURCE), specs)
+        consumer = CompilationSession(cache_dir=cache_dir)
+        with observing(Observability.create()) as obs:
+            loaded = consumer.profile(consumer.compiled_module(SOURCE), specs)
         assert _cache_counters(obs)["disk_hits"] == 2
         assert loaded.observations == expected
         assert _copy_profile(loaded).observations == expected
@@ -224,10 +224,11 @@ class TestCrossProcessSafety:
         assert all(digests == digest_sets[0] for digests in digest_sets)
         assert len(digest_sets[0]) == 2
         # ...and the store they all wrote is intact and readable.
-        obs = Observability.create()
-        session = CompilationSession(cache_dir=cache_dir, obs=obs)
-        for source in (SOURCE, OTHER_SOURCE):
-            assert Machine(session.compiled_module(source)).run().exit_code == 0
+        session = CompilationSession(cache_dir=cache_dir)
+        with observing(Observability.create()) as obs:
+            for source in (SOURCE, OTHER_SOURCE):
+                module = session.compiled_module(source)
+                assert Machine(module).run().exit_code == 0
         counters = _cache_counters(obs)
         assert counters.get("disk_hits") == 2
         assert counters.get("misses") is None
@@ -235,11 +236,12 @@ class TestCrossProcessSafety:
 
 class TestPreOptimizedCaching:
     def test_pass_spec_distinguishes_entries(self):
-        obs = Observability.create()
-        session = CompilationSession(obs=obs)
-        plain = session.compiled_module(SOURCE, pass_spec="")
-        optimized = session.compiled_module(
-            SOURCE, pass_spec="constant-fold,copy-propagate,cse,jump-optimize,dead-code"
-        )
+        session = CompilationSession()
+        with observing(Observability.create()) as obs:
+            plain = session.compiled_module(SOURCE, pass_spec="")
+            optimized = session.compiled_module(
+                SOURCE,
+                pass_spec="constant-fold,copy-propagate,cse,jump-optimize,dead-code",
+            )
         assert _cache_counters(obs)["misses"] == 2
         assert optimized.total_code_size() <= plain.total_code_size()

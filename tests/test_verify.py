@@ -12,6 +12,7 @@ import copy
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.inliner.linearize import linearize
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.inliner.select import select_sites
+from repro.observability import Observability, observing
 from repro.observability.audit import DecisionReason
 from repro.opt import optimize_module
 from repro.opt.pipeline import DEFAULT_OPT_SPEC
@@ -755,3 +757,13 @@ class TestFuzz:
         )
         assert report.ok, details
         assert report.expansions > 0
+
+    def test_each_program_is_inlined_once(self):
+        # The optimize-after-inline stage optimizes a clone of the
+        # oracle's inlined module: two profiles and one inline each.
+        with observing(Observability.create()) as obs:
+            report = run_fuzz(5, seed=1234)
+        spans = Counter(r["name"] for r in obs.tracer.records if r["type"] == "span")
+        assert (spans["profile.module"], spans["inline.expand"]) == (10, 5)
+        assert report.expansions == 31
+        assert obs.metrics.counters["inliner.expansions_performed"] == 31
