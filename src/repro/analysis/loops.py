@@ -23,10 +23,6 @@ class NaturalLoop:
     back_edge_source: int
     body: set[int] = field(default_factory=set)
 
-    @property
-    def depth_key(self) -> int:
-        return len(self.body)
-
 
 def natural_loops(cfg: CFG) -> list[NaturalLoop]:
     """All natural loops, one per back edge."""

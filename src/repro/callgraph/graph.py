@@ -13,8 +13,6 @@ EXTERNAL_NODE = "$$$"
 #: Special node summarizing calls through pointers (§3.2).
 POINTER_NODE = "###"
 
-SPECIAL_NODES = (EXTERNAL_NODE, POINTER_NODE)
-
 
 class ArcStatus(enum.Enum):
     """Selection status of an arc (§2.2: "considered for inline
@@ -44,10 +42,6 @@ class Node:
     weight: float = 0.0
     out_arcs: list["Arc"] = field(default_factory=list)
     in_arcs: list["Arc"] = field(default_factory=list)
-
-    @property
-    def is_special(self) -> bool:
-        return self.name in SPECIAL_NODES
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name} w={self.weight:g}>"

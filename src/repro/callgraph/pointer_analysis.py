@@ -39,9 +39,6 @@ class PointerCallSummary:
     #: True when an indirect call may still reach an external function.
     may_reach_external: bool = False
 
-    def targets_of(self, site: int) -> set[str]:
-        return self.callees_by_site.get(site, set())
-
 
 def analyze_pointer_calls(module: ILModule) -> PointerCallSummary:
     """Compute refined callee sets for every ICALL site."""

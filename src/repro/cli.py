@@ -5,8 +5,9 @@ Subcommands::
     impact-inline run FILE.c [--stdin TEXT] [--arg A ...]
         Compile a C-subset file and execute it in the VM.
     impact-inline inline FILE.c [--stdin TEXT] [--arg A ...] [--dump]
-        Profile the program on the given input, inline, re-run, and
-        report the call decrease / code increase.
+        Profile the program on the given input, inline (under the
+        ``--profile-file`` profile, when given), re-run on the same
+        input, and report the call decrease / code increase.
     impact-inline tables [WHAT] [--scale small|full] [--benchmarks ...]
         Regenerate the paper's tables, the ablations or the extension
         experiments (python -m repro.experiments is another name).
@@ -52,6 +53,7 @@ counts".
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from repro.compiler import compile_program
@@ -253,29 +255,35 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_inline(args: argparse.Namespace) -> int:
+    from repro.experiments import pipeline
+
     with open(args.file, encoding="utf-8") as handle:
         source = handle.read()
     module = compile_program(source, args.file, pass_spec=args.passes)
-    spec = RunSpec.from_text(args.stdin, args.arg)
+    selecting = None
     if args.profile_file:
         from repro.profiler.serialize import load_profile
 
         with open(args.profile_file, encoding="utf-8") as handle:
-            profile = load_profile(handle.read(), module)
-    else:
-        profile = profile_module(module, [spec], check_exit=False)
-    result = inline_module(module, profile, _inline_params(args), check=args.check)
+            selecting = load_profile(handle.read(), module)
+    measured = pipeline.measure_inlining(
+        module,
+        [RunSpec.from_text(args.stdin, args.arg)],
+        _inline_params(args),
+        name=args.file,
+        profiler=functools.partial(pipeline.profile_module, check_exit=False),
+        selecting=selecting,
+        check=args.check,
+    )
+    result = measured.inline
     tracer = current().tracer
     if tracer.enabled:
         for decision in result.decisions:
             tracer.record(decision.to_record())
-    after = profile_module(result.module, [spec], check_exit=False)
-    before_calls = profile.avg_calls
-    decrease = 1.0 - after.avg_calls / before_calls if before_calls else 0.0
     print(f"expanded call sites : {len(result.records)}")
     print(f"code increase       : {100 * result.code_increase:.1f}%")
-    print(f"call decrease       : {100 * decrease:.1f}%")
-    print(f"ILs per call after  : {after.avg_il / after.avg_calls if after.avg_calls else float('inf'):.0f}")
+    print(f"call decrease       : {100 * measured.call_decrease:.1f}%")
+    print(f"ILs per call after  : {measured.ils_per_call:.0f}")
     if args.dump:
         print(format_module(result.module))
     return 0

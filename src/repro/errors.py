@@ -70,8 +70,3 @@ class VMTrap(VMError):
 
 class InlineError(ReproError):
     """Raised when a physical inline expansion cannot be performed."""
-
-
-class VerifyError(ReproError):
-    """Raised when the differential-correctness harness finds a
-    divergence or a broken invariant (see :mod:`repro.verify`)."""

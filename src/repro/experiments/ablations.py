@@ -25,7 +25,7 @@ from repro.baselines import (
     loop_inline,
     size_threshold_inline,
 )
-from repro.experiments.pipeline import RunConfig
+from repro.experiments.pipeline import RunConfig, call_decrease, measure_inlining
 from repro.experiments.report import pct, render_table
 from repro.inliner.manager import InlineExpander
 from repro.inliner.params import InlineParameters
@@ -76,10 +76,7 @@ def _measure_all(prepared, one, config):
 def _measure(
     module, inlined_module, specs, profile, config
 ) -> tuple[float, float]:
-    before = profile.avg_calls
-    after_profile = profile_module(inlined_module, specs)
-    after = after_profile.avg_calls
-    decrease = max(0.0, 1.0 - after / before) if before else 0.0
+    decrease = call_decrease(profile, profile_module(inlined_module, specs))
     original = module.total_code_size()
     increase = (inlined_module.total_code_size() - original) / original
     return increase, decrease
@@ -208,30 +205,26 @@ def heldout_input_check(config: RunConfig) -> list[AblationPoint]:
     """
     points = []
     for subset in ("train-inputs", "held-out-inputs"):
-        incs, decs = [], []
+        measured = []
         for benchmark in select_benchmarks(config.names):
             module = benchmark.compile(pass_spec=config.pass_spec)
             specs = benchmark.make_runs(config.scale)
             if len(specs) < 2:
                 continue
             train = specs[0::2]
-            test = specs[1::2]
-            profile = profile_module(module, train)
-            inlined = InlineExpander(
-                module, profile, check=config.check
-            ).run().module
-            evaluate = train if subset == "train-inputs" else test
-            base = profile_module(module, evaluate)
-            after = profile_module(inlined, evaluate)
-            decs.append(
-                max(0.0, 1.0 - after.avg_calls / base.avg_calls)
-                if base.avg_calls
-                else 0.0
+            measured.append(
+                measure_inlining(
+                    module,
+                    train if subset == "train-inputs" else specs[1::2],
+                    name=benchmark.name,
+                    selecting=profile_module(module, train),
+                    check=config.check,
+                )
             )
-            original = module.total_code_size()
-            incs.append((inlined.total_code_size() - original) / original)
         points.append(
-            AblationPoint(subset, statistics.fmean(incs), statistics.fmean(decs))
+            _mean_point(
+                subset, [(m.code_increase, m.call_decrease) for m in measured]
+            )
         )
     return points
 

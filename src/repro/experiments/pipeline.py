@@ -2,11 +2,20 @@
 
 For each benchmark: compile, pre-optimize (constant folding and jump
 optimization, which the paper applies *before* inline expansion — §4.4),
-profile over the input set, classify call sites, inline, re-profile the
-inlined program over the same inputs, and check output equivalence
-between the original and inlined binaries on every input. The check
-compares the :class:`~repro.profiler.profile.Observation` each profiled
-run left behind, so every (module, input) pair executes once.
+then measure the inlining with :func:`measure_inlining`, and classify
+the inlined program's call sites.
+
+:func:`measure_inlining` is the one place an inlining is measured, the
+way §4 measures it: profile the program over its inputs, inline under
+that profile, re-profile the inlined program over the same inputs, and
+check that both printed the same outputs. The check compares the
+:class:`~repro.profiler.profile.Observation` each profiled run left
+behind, so every (module, input) pair executes once. The suite, the
+differential oracle, the service's ``inline`` and ``check`` operations,
+``impact-inline inline`` and the held-out-input ablation all call it,
+each with its own way of profiling; Table 4's call decrease, ILs/call
+and CTs/call are defined once, on the :class:`InliningMeasurement` it
+returns.
 
 Every stage is instrumented: run it under
 ``with observing(Observability.create()):`` (see
@@ -23,7 +32,7 @@ import logging
 from dataclasses import dataclass, field
 
 from repro.inliner.classify import ClassifiedSites, SiteClass, classify_sites
-from repro.inliner.manager import InlineExpander, InlineResult
+from repro.inliner.manager import InlineResult, inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import current
 # Nothing here calls it any more; bench/layers.py times this name.
@@ -78,62 +87,6 @@ class RunConfig:
 
 
 @dataclass
-class BenchmarkResult:
-    """Everything the four tables need for one benchmark."""
-
-    name: str
-    c_lines: int
-    runs: int
-    input_description: str
-    profile: ProfileData
-    classified: ClassifiedSites
-    inline: InlineResult
-    post_profile: ProfileData
-    post_classified: ClassifiedSites
-    outputs_match: bool
-    params: InlineParameters = field(default_factory=InlineParameters)
-    #: Human-readable description of every input whose outputs diverged
-    #: between the original and inlined binaries (empty when they match).
-    output_divergences: list[str] = field(default_factory=list)
-
-    # ------------------------------------------------------------------
-    # Table 1 quantities
-
-    @property
-    def avg_il_thousands(self) -> float:
-        return self.profile.avg_il / 1000.0
-
-    @property
-    def avg_ct_thousands(self) -> float:
-        return self.profile.avg_ct / 1000.0
-
-    # ------------------------------------------------------------------
-    # Table 4 quantities
-
-    @property
-    def code_increase(self) -> float:
-        return self.inline.code_increase
-
-    @property
-    def call_decrease(self) -> float:
-        before = self.profile.avg_calls
-        after = self.post_profile.avg_calls
-        if before <= 0:
-            return 0.0
-        return max(0.0, 1.0 - after / before)
-
-    @property
-    def ils_per_call(self) -> float:
-        calls = self.post_profile.avg_calls
-        return self.post_profile.avg_il / calls if calls else float("inf")
-
-    @property
-    def cts_per_call(self) -> float:
-        calls = self.post_profile.avg_calls
-        return self.post_profile.avg_ct / calls if calls else float("inf")
-
-
-@dataclass
 class OutputComparison:
     """Outcome of comparing two modules' outputs over an input set."""
 
@@ -147,6 +100,142 @@ class OutputComparison:
     rerun: int = 0
 
 
+def call_decrease(before: ProfileData, after: ProfileData) -> float:
+    """Table 4's *call dec*: the share of the dynamic calls in ``before``
+    that are gone in ``after``, two profiles over the same inputs."""
+    if before.avg_calls <= 0:
+        return 0.0
+    return max(0.0, 1.0 - after.avg_calls / before.avg_calls)
+
+
+@dataclass
+class InliningMeasurement:
+    """One inlining as :func:`measure_inlining` measured it.
+
+    ``profile`` and ``post_profile`` are the original's and the inlined
+    module's profiles over the same inputs, and ``comparison`` is read
+    from the two profiles' observations.
+    """
+
+    profile: ProfileData
+    inline: InlineResult
+    post_profile: ProfileData
+    comparison: OutputComparison
+
+    @property
+    def outputs_match(self) -> bool:
+        return self.comparison.matches
+
+    @property
+    def output_divergences(self) -> list[str]:
+        """Human-readable description of every input whose outputs
+        diverged between the original and inlined binaries (empty when
+        they match)."""
+        return self.comparison.divergences
+
+    # ------------------------------------------------------------------
+    # Table 4 quantities
+
+    @property
+    def code_increase(self) -> float:
+        return self.inline.code_increase
+
+    @property
+    def call_decrease(self) -> float:
+        return call_decrease(self.profile, self.post_profile)
+
+    @property
+    def ils_per_call(self) -> float:
+        calls = self.post_profile.avg_calls
+        return self.post_profile.avg_il / calls if calls else float("inf")
+
+    @property
+    def cts_per_call(self) -> float:
+        calls = self.post_profile.avg_calls
+        return self.post_profile.avg_ct / calls if calls else float("inf")
+
+
+@dataclass
+class BenchmarkResult(InliningMeasurement):
+    """Everything the four tables need for one benchmark."""
+
+    name: str
+    c_lines: int
+    input_description: str
+    post_classified: ClassifiedSites
+    params: InlineParameters = field(default_factory=InlineParameters)
+
+    @property
+    def runs(self) -> int:
+        return self.profile.runs
+
+    @property
+    def classified(self) -> ClassifiedSites:
+        return self.inline.classified
+
+    # ------------------------------------------------------------------
+    # Table 1 quantities
+
+    @property
+    def avg_il_thousands(self) -> float:
+        return self.profile.avg_il / 1000.0
+
+    @property
+    def avg_ct_thousands(self) -> float:
+        return self.profile.avg_ct / 1000.0
+
+
+def measure_inlining(
+    module,
+    specs: list[RunSpec],
+    params: InlineParameters | None = None,
+    *,
+    name: str,
+    profiler=None,
+    selecting: ProfileData | None = None,
+    check: bool = False,
+    seed: int = 0,
+) -> InliningMeasurement:
+    """Profile ``module`` over ``specs``, inline it, re-profile the
+    inlined module over the same inputs, and compare their outputs.
+
+    ``profiler(module, specs)`` is the caller's way of profiling, used
+    for both modules: a session's cached
+    :meth:`~repro.pipeline.session.CompilationSession.profile`, or
+    :func:`~repro.profiler.profile.profile_module` with the caller's
+    fuel and exit-code policy (plain ``profile_module`` when ``None``).
+    The inliner selects under ``selecting``, a profile of other inputs,
+    when one is given, and under the original's profile otherwise; the
+    original is profiled over ``specs`` either way, so every figure on
+    the record compares an input with itself. ``params``, ``check``
+    and ``seed`` go to the inliner. Each stage runs in its
+    ``benchmark.<stage>`` span, tagged with ``name``. The output check
+    reads the two profiles' observations (:func:`compare_outputs`) and
+    runs the modules again only to describe a divergence.
+    """
+    profiler = profiler or profile_module
+    tracer = current().tracer
+    with tracer.span("benchmark.profile", name=name):
+        profile = profiler(module, specs)
+    with tracer.span("benchmark.inline", name=name):
+        inlined = inline_module(
+            module, selecting or profile, params, seed, check=check
+        )
+    with tracer.span("benchmark.post_profile", name=name):
+        post_profile = profiler(inlined.module, specs)
+    with tracer.span("benchmark.check_outputs", name=name) as attrs:
+        comparison = compare_outputs(
+            module,
+            inlined.module,
+            specs,
+            before=profile.observations,
+            after=post_profile.observations,
+        )
+        attrs["reused"] = comparison.reused
+        attrs["rerun"] = comparison.rerun
+    return InliningMeasurement(profile, inlined, post_profile, comparison)
+
+
 def run_benchmark(
     benchmark: Benchmark,
     config: RunConfig,
@@ -158,8 +247,9 @@ def run_benchmark(
     With a :class:`~repro.pipeline.session.CompilationSession`, the
     compile (including pre-optimization) and both profiling stages are
     served content-addressed from its cache when possible; without one
-    every stage runs from scratch. ``config.names`` and ``config.jobs``
-    are the suite's business and are ignored here.
+    every stage runs from scratch. Either way a run that exits non-zero
+    raises. ``config.names`` and ``config.jobs`` are the suite's
+    business and are ignored here.
     """
     scale, params = config.scale, config.params
     obs = current()
@@ -185,39 +275,21 @@ def run_benchmark(
                 )
             else:
                 module = benchmark.compile(pass_spec=config.pass_spec)
-        specs = benchmark.make_runs(scale)
-        with tracer.span("benchmark.profile", name=benchmark.name):
-            if session is not None:
-                profile = session.profile(module, specs)
-            else:
-                profile = profile_module(module, specs)
-
-        with tracer.span("benchmark.inline", name=benchmark.name):
-            expander = InlineExpander(module, profile, params, check=config.check)
-            inline_result = expander.run()
+        measured = measure_inlining(
+            module,
+            benchmark.make_runs(scale),
+            params,
+            name=benchmark.name,
+            profiler=session.profile if session is not None else None,
+            check=config.check,
+        )
+        inlined, post_profile = measured.inline, measured.post_profile
         if tracer.enabled:
-            for decision in inline_result.decisions:
+            for decision in inlined.decisions:
                 record = decision.to_record()
                 record["benchmark"] = benchmark.name
                 tracer.record(record)
-        with tracer.span("benchmark.post_profile", name=benchmark.name):
-            if session is not None:
-                post_profile = session.profile(inline_result.module, specs)
-            else:
-                post_profile = profile_module(inline_result.module, specs)
-
-        with tracer.span(
-            "benchmark.check_outputs", name=benchmark.name
-        ) as check_attrs:
-            comparison = compare_outputs(
-                module,
-                inline_result.module,
-                specs,
-                before=profile.observations,
-                after=post_profile.observations,
-            )
-            check_attrs["reused"] = comparison.reused
-            check_attrs["rerun"] = comparison.rerun
+        comparison = measured.comparison
         if obs.metrics.enabled:
             obs.metrics.inc("pipeline.check.reused_inputs", comparison.reused)
         for divergence in comparison.divergences:
@@ -227,29 +299,23 @@ def run_benchmark(
             _LOG.warning("[%s] output divergence: %s", benchmark.name, divergence)
 
         with tracer.span("benchmark.post_classify", name=benchmark.name):
-            post_graph = build_call_graph(inline_result.module, post_profile)
+            post_graph = build_call_graph(inlined.module, post_profile)
             post_classified = classify_sites(
-                inline_result.module, post_graph, post_profile, params
+                inlined.module, post_graph, post_profile, params
             )
         attrs["outputs_match"] = comparison.matches
-        attrs["expansions"] = len(inline_result.records)
+        attrs["expansions"] = len(inlined.records)
     if obs.metrics.enabled:
         obs.metrics.inc("pipeline.benchmarks")
         if not comparison.matches:
             obs.metrics.inc("pipeline.output_divergences", len(comparison.divergences))
     return BenchmarkResult(
+        **vars(measured),
         name=benchmark.name,
         c_lines=benchmark.c_lines,
-        runs=len(specs),
         input_description=benchmark.input_description,
-        profile=profile,
-        classified=inline_result.classified,
-        inline=inline_result,
-        post_profile=post_profile,
         post_classified=post_classified,
-        outputs_match=comparison.matches,
         params=params,
-        output_divergences=comparison.divergences,
     )
 
 

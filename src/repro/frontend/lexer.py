@@ -193,9 +193,9 @@ class Lexer:
             if not digits:
                 raise LexError("malformed hex escape", location)
             return int(digits, 16) & 0xFF
-        if char.isdigit():
+        if char in "01234567":
             digits = ""
-            while self._peek().isdigit() and len(digits) < 3:
+            while self._peek() and self._peek() in "01234567" and len(digits) < 3:
                 digits += self._peek()
                 self._advance()
             return int(digits, 8) & 0xFF

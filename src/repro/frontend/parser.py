@@ -744,3 +744,17 @@ def parse_translation_unit(
     if metrics.enabled:
         metrics.inc("frontend.tokens_lexed", len(tokens))
     return Parser(tokens, structs).parse()
+
+
+def evaluate_constant(text: str, filename: str = "<input>") -> int:
+    """The value of ``text``, one integer constant expression, parsed and
+    evaluated by the rules ``case`` labels use.
+
+    Anything else raises a :class:`~repro.errors.ReproError`.
+    """
+    parser = Parser(tokenize(text, filename))
+    expr = parser._conditional()
+    token = parser._peek()
+    if token.kind is not TokenKind.EOF:
+        raise ParseError(f"unexpected {token} after the expression", token.location)
+    return eval_const_expr(expr)

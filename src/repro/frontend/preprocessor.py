@@ -7,9 +7,11 @@ Supports the directives the workload programs need:
 - object-like and function-like ``#define`` (single-line bodies,
   single-line invocations), ``#undef``,
 - ``#ifdef`` / ``#ifndef`` / ``#if`` / ``#elif`` / ``#else`` /
-  ``#endif`` with a small constant-expression evaluator supporting
-  integer literals, ``defined(X)``, ``!``, ``&&``, ``||``, comparisons,
-  and parentheses,
+  ``#endif``, where an ``#if`` condition is a C integer constant
+  expression: ``defined(X)`` becomes 1 or 0, macros are expanded, every
+  identifier left becomes 0, and the parser evaluates the result as it
+  evaluates a ``case`` label
+  (:func:`~repro.frontend.parser.evaluate_constant`),
 - backslash line continuation and comment stripping inside directives.
 
 Output is plain C text with one line per active source line; directive
@@ -25,12 +27,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.errors import PreprocessorError, SourceLocation
+from repro.errors import PreprocessorError, ReproError, SourceLocation
+from repro.frontend.parser import evaluate_constant
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
     r"""[A-Za-z_][A-Za-z0-9_]*      # identifier
-      | 0[xX][0-9a-fA-F]+ | \d+    # integer
+      | \d\w*                      # number, suffix and all
       | "(?:[^"\\\n]|\\.)*"        # string
       | '(?:[^'\\\n]|\\.)'         # char
       | <<=|>>=|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%&^|~!<>=?:;,.(){}\[\]\#]
@@ -389,107 +392,14 @@ class Preprocessor:
         )
         expanded = self._expand_tokens(_split_tokens(text), location, frozenset(), 0)
         # Any identifier left after expansion evaluates to 0, as in C.
-        expanded = _IDENT_RE.sub("0", expanded)
-        return _ConditionParser(expanded, location).parse()
-
-
-class _ConditionParser:
-    """Recursive-descent evaluator for #if constant expressions."""
-
-    def __init__(self, text: str, location: SourceLocation):
-        self._tokens = [t for t in _split_tokens(text) if not t.isspace()]
-        self._pos = 0
-        self._location = location
-
-    def parse(self) -> int:
-        value = self._or()
-        if self._pos != len(self._tokens):
-            raise PreprocessorError(
-                f"trailing tokens in #if expression: {self._tokens[self._pos:]}",
-                self._location,
-            )
-        return value
-
-    def _peek(self) -> str:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else ""
-
-    def _next(self) -> str:
-        token = self._peek()
-        self._pos += 1
-        return token
-
-    def _or(self) -> int:
-        value = self._and()
-        while self._peek() == "||":
-            self._next()
-            right = self._and()
-            value = 1 if value or right else 0
-        return value
-
-    def _and(self) -> int:
-        value = self._compare()
-        while self._peek() == "&&":
-            self._next()
-            right = self._compare()
-            value = 1 if value and right else 0
-        return value
-
-    def _compare(self) -> int:
-        value = self._additive()
-        while self._peek() in ("==", "!=", "<", ">", "<=", ">="):
-            op = self._next()
-            right = self._additive()
-            ops = {
-                "==": value == right,
-                "!=": value != right,
-                "<": value < right,
-                ">": value > right,
-                "<=": value <= right,
-                ">=": value >= right,
-            }
-            value = 1 if ops[op] else 0
-        return value
-
-    def _additive(self) -> int:
-        value = self._unary()
-        while self._peek() in ("+", "-", "*", "/", "%"):
-            op = self._next()
-            right = self._unary()
-            if op == "+":
-                value += right
-            elif op == "-":
-                value -= right
-            elif op == "*":
-                value *= right
-            elif right == 0:
-                raise PreprocessorError("division by zero in #if", self._location)
-            elif op == "/":
-                value //= right
-            else:
-                value %= right
-        return value
-
-    def _unary(self) -> int:
-        token = self._peek()
-        if token == "!":
-            self._next()
-            return 0 if self._unary() else 1
-        if token == "-":
-            self._next()
-            return -self._unary()
-        if token == "+":
-            self._next()
-            return self._unary()
-        if token == "(":
-            self._next()
-            value = self._or()
-            if self._next() != ")":
-                raise PreprocessorError("expected ')' in #if", self._location)
-            return value
-        if token and (token[0].isdigit()):
-            self._next()
-            return int(token, 0)
-        raise PreprocessorError(f"bad token {token!r} in #if expression", self._location)
+        expanded = "".join(
+            "0" if _IDENT_RE.fullmatch(token) else token
+            for token in _split_tokens(expanded)
+        )
+        try:
+            return evaluate_constant(expanded, "#if")
+        except ReproError as error:
+            raise PreprocessorError(str(error), location) from None
 
 
 def preprocess(

@@ -58,12 +58,6 @@ class AnalyzedUnit:
             name for name, sym in self.functions.items() if sym.is_external
         )
 
-    @property
-    def address_taken_functions(self) -> list[str]:
-        return sorted(
-            name for name, sym in self.functions.items() if sym.address_taken
-        )
-
 
 class Analyzer:
     """Walks a TranslationUnit, checking and annotating it in place.

@@ -81,6 +81,3 @@ class Scope:
                 return symbol
             scope = scope.parent
         return None
-
-    def lookup_local(self, name: str) -> Symbol | None:
-        return self._entries.get(name)

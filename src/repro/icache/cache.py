@@ -59,9 +59,6 @@ class InstructionCache:
             ways.pop(0)
         return False
 
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<ICache {self.size_bytes}B/{self.line_bytes}B"

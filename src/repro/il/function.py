@@ -106,16 +106,6 @@ class ILFunction:
         per-function code size metric, re-evaluated during selection."""
         return sum(1 for instr in self.body if is_real(instr))
 
-    def label_indices(self) -> dict[str, int]:
-        """Map each label name to its instruction index."""
-        result: dict[str, int] = {}
-        for index, instr in enumerate(self.body):
-            if instr.label is not None and instr.op == 0:  # Opcode.LABEL
-                if instr.label in result:
-                    raise ILError(f"duplicate label {instr.label!r} in {self.name}")
-                result[instr.label] = index
-        return result
-
     def clone(self) -> "ILFunction":
         """Deep-copy this function (used to duplicate callees, §2.4)."""
         copy = ILFunction(self.name, self.params, self.returns_value, self.inline_hint)

@@ -15,6 +15,11 @@ An operation records into the current observability
 around :func:`execute`, or the child ``worker_task`` binds for the
 request on a worker.
 
+``inline`` and ``check`` are one computation with two reply shapes:
+:func:`~repro.experiments.pipeline.measure_inlining` on the request's
+one input, every VM run capped at :data:`REQUEST_FUEL` and any exit
+code accepted as an output.
+
 Deterministic inputs produce deterministic result dicts, which is what
 makes the service path byte-comparable with direct calls and lets the
 server deduplicate identical in-flight requests by
@@ -23,6 +28,7 @@ server deduplicate identical in-flight requests by
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -100,11 +106,28 @@ def _inline_params(params: dict):
     )
 
 
-def _profile(module, spec):
-    """Profile ``module`` over the one request input, under `REQUEST_FUEL`."""
-    from repro.profiler.profile import profile_module
+def _measured(params: dict, session=None):
+    """The inlining of the request's source, measured on its one input.
 
-    return profile_module(module, [spec], fuel=REQUEST_FUEL, check_exit=False)
+    :func:`~repro.experiments.pipeline.measure_inlining` profiles the
+    original, inlines, and profiles the inlined module; each run is
+    capped at `REQUEST_FUEL`, and any exit code is an output like the
+    others.
+    """
+    from repro.experiments import pipeline
+    from repro.profiler.profile import RunSpec
+
+    spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
+    module = _compiled(params, session)
+    return pipeline.measure_inlining(
+        module,
+        [spec],
+        _inline_params(params),
+        name=params.get("filename") or "<service>",
+        profiler=functools.partial(
+            pipeline.profile_module, fuel=REQUEST_FUEL, check_exit=False
+        ),
+    )
 
 
 def op_compile(params: dict, session=None) -> dict:
@@ -136,55 +159,33 @@ def op_profile(params: dict, session=None) -> dict:
 
 def op_inline(params: dict, session=None) -> dict:
     """The full profile -> inline -> re-profile loop for one input."""
-    from repro.inliner.manager import inline_module
-    from repro.profiler.profile import RunSpec
-
-    spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
-    module = _compiled(params, session)
-    profile = _profile(module, spec)
-    outcome = inline_module(module, profile, _inline_params(params))
-    after = _profile(outcome.module, spec)
-    before_calls = profile.avg_calls
+    measured = _measured(params, session)
+    outcome = measured.inline
+    before, after = measured.profile.total, measured.post_profile.total
     return {
         "expanded": len(outcome.records),
         "code_size_before": outcome.original_size,
         "code_size_after": outcome.final_size,
         "code_increase": outcome.code_increase,
-        "call_decrease": (
-            1.0 - after.avg_calls / before_calls if before_calls else 0.0
-        ),
-        "il_before": profile.total.il,
-        "il_after": after.total.il,
-        "calls_before": profile.total.calls,
-        "calls_after": after.total.calls,
+        "call_decrease": measured.call_decrease,
+        "il_before": before.il,
+        "il_after": after.il,
+        "calls_before": before.calls,
+        "calls_after": after.calls,
     }
 
 
 def op_check(params: dict, session=None) -> dict:
     """Inline, then check the inlined module's outputs against the original.
 
-    Each module runs once, under `REQUEST_FUEL`; the comparison reads
-    the observations those runs left.
+    The same measurement as :func:`op_inline`: each module runs once,
+    and the comparison reads the observations those runs left.
     """
-    from repro.experiments.pipeline import compare_outputs
-    from repro.inliner.manager import inline_module
-    from repro.profiler.profile import RunSpec
-
-    spec = RunSpec.from_text(params.get("stdin"), params.get("argv"))
-    module = _compiled(params, session)
-    profile = _profile(module, spec)
-    outcome = inline_module(module, profile, _inline_params(params))
-    comparison = compare_outputs(
-        module,
-        outcome.module,
-        [spec],
-        before=profile.observations,
-        after=_profile(outcome.module, spec).observations,
-    )
+    measured = _measured(params, session)
     return {
-        "ok": comparison.matches,
-        "expanded": len(outcome.records),
-        "divergences": list(comparison.divergences),
+        "ok": measured.outputs_match,
+        "expanded": len(measured.inline.records),
+        "divergences": list(measured.output_divergences),
     }
 
 

@@ -1,12 +1,13 @@
 """The differential-equivalence oracle.
 
 Inline expansion must be a *semantic no-op*: for every input, the
-inlined program produces exactly the outputs of the original. This
-module proves that claim empirically by running both modules over the
-same inputs and asserting, per input, identical exit codes, identical
-stdout and stderr bytes, and identical written files — and, over the
-whole input set, two quantitative invariants tying the inliner's
-bookkeeping to physical reality:
+inlined program produces exactly the outputs of the original. The
+oracle measures one inlining with
+:func:`~repro.experiments.pipeline.measure_inlining`, which profiles
+both modules over the same inputs and compares, per input, their exit
+codes, stdout and stderr bytes and written files, and it checks two
+quantitative invariants tying the inliner's bookkeeping to physical
+reality:
 
 - **calls-eliminated floor**: the dynamic calls removed by inlining
   (original total minus inlined total, from the VM's exact integer
@@ -16,20 +17,22 @@ bookkeeping to physical reality:
   the floor is tight in a deterministic VM.
 - **size reconciliation**: the cost model's projected program size
   equals the measured post-expansion code size, exactly (no epsilon).
-  :class:`~repro.inliner.manager.InlineExpander` asserts the same
-  identity internally; the oracle re-checks and *reports* it so a
-  drift shows up as data, not just a raised exception.
+  :class:`~repro.inliner.manager.InlineExpander` asserts the identity
+  and raises :class:`~repro.errors.InlineError` on a breach; the oracle
+  records that error as an invariant failure, so a drift shows up as
+  data in the report instead of aborting the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.inliner.manager import InlineResult, inline_module
+from repro.errors import InlineError
+from repro.experiments import pipeline
 from repro.inliner.params import InlineParameters
 from repro.observability import current
 from repro.opt.pipeline import DEFAULT_OPT_SPEC
-from repro.profiler.profile import ProfileData, RunSpec, profile_module
+from repro.profiler.profile import ProfileData, RunSpec
 from repro.workloads.suite import Benchmark, select_benchmarks
 
 
@@ -51,8 +54,10 @@ class DifferentialReport:
     eliminated_floor: int = 0
     projected_size: int = 0
     measured_size: int = 0
-    #: The inliner's result the oracle checked (``None`` until it ran).
-    inline: InlineResult | None = None
+    #: The measurement the oracle checked: both profiles, the inliner's
+    #: result and the output comparison (``None`` when the inliner
+    #: raised).
+    measured: pipeline.InliningMeasurement | None = None
 
     @property
     def calls_eliminated(self) -> int:
@@ -87,61 +92,57 @@ def verify_inlining(
 ) -> DifferentialReport:
     """Run the differential oracle on one compiled module.
 
-    Profiles the original over ``specs`` (unless a matching ``profile``
-    is supplied), inlines under it with the per-pass IL checker enabled,
-    then profiles the inlined module over the same inputs and compares
-    the two sides with
-    :func:`~repro.experiments.pipeline.compare_outputs`, which matches
-    each input on the observations profiling took and re-runs only to
-    describe a divergence. A supplied ``profile`` may stem from other
-    inputs, so the original is then profiled over ``specs`` as well.
-    Never raises on a divergence — everything the oracle finds lands in
-    the returned :class:`DifferentialReport`, which also carries the
-    inliner's result.
+    Measures the inlining with
+    :func:`~repro.experiments.pipeline.measure_inlining`, the per-pass
+    IL checker enabled: the inliner selects under ``profile`` when one
+    is supplied (it may stem from other inputs) and under the
+    original's profile over ``specs`` otherwise. A self-profiled
+    original that exits non-zero raises, because its weights would be
+    poisoned; a non-zero exit anywhere else is compared like any other
+    output. Never raises on a divergence or a broken invariant, the
+    inliner's size reconciliation included: everything the oracle finds
+    lands in the returned :class:`DifferentialReport`, which also
+    carries the measurement.
     """
-    from repro.experiments.pipeline import compare_outputs
 
-    params = params or InlineParameters()
+    def profiled(candidate, inputs):
+        strict = candidate is module and profile is None
+        return pipeline.profile_module(candidate, inputs, check_exit=strict)
+
     obs = current()
     report = DifferentialReport(name=name, runs=len(specs))
     with obs.tracer.span("verify.differential", name=name) as attrs:
-        before = None
-        if profile is None:
-            profile = before = profile_module(module, specs)
-        result = report.inline = inline_module(
-            module, profile, params, seed=seed, check=True
-        )
-        report.expansions = len(result.records)
-        report.projected_size = result.selection.projected_size
-        report.measured_size = result.pre_cleanup_size
-        if report.projected_size != report.measured_size:
-            report.invariant_failures.append(
-                f"projected size {report.projected_size} != measured"
-                f" post-expansion size {report.measured_size}"
+        try:
+            measured = report.measured = pipeline.measure_inlining(
+                module,
+                specs,
+                params,
+                name=name,
+                profiler=profiled,
+                selecting=profile,
+                check=True,
+                seed=seed,
             )
-
-        site_counts = profile.total.site_counts
-        report.eliminated_floor = sum(
-            site_counts.get(arc.site, 0) for arc in result.selection.selected
-        )
-        after = profile_module(result.module, specs, check_exit=False)
-        if before is None:
-            before = profile_module(module, specs, check_exit=False)
-        report.calls_before = before.total.calls
-        report.calls_after = after.total.calls
-        report.divergences = compare_outputs(
-            module,
-            result.module,
-            specs,
-            before=before.observations,
-            after=after.observations,
-        ).divergences
-        if report.calls_eliminated < report.eliminated_floor:
-            report.invariant_failures.append(
-                f"only {report.calls_eliminated} dynamic calls eliminated,"
-                f" but the {len(result.selection.selected)} selected arcs"
-                f" executed {report.eliminated_floor} times under the profile"
+        except InlineError as error:
+            report.invariant_failures.append(str(error))
+        else:
+            result = measured.inline
+            report.expansions = len(result.records)
+            report.projected_size = result.selection.projected_size
+            report.measured_size = result.pre_cleanup_size
+            report.calls_before = measured.profile.total.calls
+            report.calls_after = measured.post_profile.total.calls
+            report.divergences = measured.output_divergences
+            site_counts = (profile or measured.profile).total.site_counts
+            report.eliminated_floor = sum(
+                site_counts.get(arc.site, 0) for arc in result.selection.selected
             )
+            if report.calls_eliminated < report.eliminated_floor:
+                report.invariant_failures.append(
+                    f"only {report.calls_eliminated} dynamic calls eliminated,"
+                    f" but the {len(result.selection.selected)} selected arcs"
+                    f" executed {report.eliminated_floor} times under the profile"
+                )
         attrs["ok"] = report.ok
         attrs["expansions"] = report.expansions
     if obs.metrics.enabled:

@@ -316,11 +316,13 @@ def check_program(
     """Push one program through every stage, differentially.
 
     Stage order: compile (hardened verifier runs inside), baseline run,
-    optimize + re-verify + re-run, differential inline oracle on the
-    optimized module, optimize-after-inlining (a clone of the oracle's
-    inlined module) + re-verify + re-run. Every stage's
+    optimize + re-verify, differential inline oracle on the optimized
+    module, optimize-after-inlining (a clone of the oracle's inlined
+    module) + re-verify + re-run. Every stage's
     :class:`~repro.profiler.profile.Observation` (exit code, stdout,
-    stderr, written files) is compared against the baseline's.
+    stderr, written files) is compared against the baseline's; the
+    optimize stage's is the one the oracle took when it profiled the
+    optimized module, so that module runs once.
     """
     params = params or FUZZ_PARAMS
     spec = RunSpec(label=f"fuzz-{index}")
@@ -345,21 +347,29 @@ def check_program(
         verify_module(optimized)
     except ReproError as error:
         return [fail("optimize", str(error))], None
-    if observe(optimized) != expected:
-        return [fail("optimize", "behavior diverged from baseline")], None
+    diverged = [fail("optimize", "behavior diverged from baseline")], None
 
     try:
         report = verify_inlining(
             optimized, [spec], params, seed=seed, name=f"fuzz-{index}"
         )
+    except RuntimeError:
+        # The oracle refuses an original that exits non-zero, and the
+        # baseline exited 0.
+        return diverged
     except ReproError as error:
         return [fail("inline", str(error))], None
+    measured = report.measured
+    if measured is not None and measured.profile.observations[0] != expected:
+        return diverged
     failures = [
         fail("inline", problem)
         for problem in report.divergences + report.invariant_failures
     ]
+    if measured is None:
+        return failures, report
 
-    inlined = report.inline.module.clone()
+    inlined = measured.inline.module.clone()
     try:
         optimize_module(inlined)
         verify_module(inlined)

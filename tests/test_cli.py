@@ -84,6 +84,31 @@ class TestInlineCommand:
         out = capsys.readouterr().out
         assert "expanded call sites : 0" in out
 
+    def test_profile_file_call_decrease_compares_one_input(self, tmp_path, capsys):
+        # Select under a profile of 200 characters of stdin, then inline
+        # and measure on empty stdin: bump never runs there, so no call
+        # is removed. Dividing by the saved profile's calls read 99.3%.
+        path = tmp_path / "bump.c"
+        path.write_text(
+            "#include <sys.h>\n"
+            "int total = 0;\n"
+            "void bump(int x) { total = total + x; }\n"
+            "int main(void) {\n"
+            "    int c = getchar();\n"
+            "    while (c != EOF) { bump(c); c = getchar(); }\n"
+            "    print_int(total);\n"
+            "    putchar('\\n');\n"
+            "    return 0;\n"
+            "}\n"
+        )
+        saved = str(tmp_path / "bump.profile")
+        cli_main(["profile", str(path), "--stdin", "x" * 200, "-o", saved])
+        capsys.readouterr()
+        assert cli_main(["inline", str(path), "--profile-file", saved]) == 0
+        out = capsys.readouterr().out
+        assert "expanded call sites : 1" in out
+        assert "call decrease       : 0.0%" in out
+
 
 class TestTablesCommand:
     def test_single_benchmark_table(self, capsys):

@@ -84,6 +84,11 @@ class TestCharConstants:
     def test_octal_escape(self):
         assert values(r"'\101'") == [65]
 
+    def test_octal_escape_takes_octal_digits_only(self):
+        assert values(r'"\18"') == ["\x018"]
+        with pytest.raises(LexError, match="unknown escape sequence"):
+            tokenize(r"'\8'")
+
     def test_unterminated_raises(self):
         with pytest.raises(LexError):
             tokenize("'a")

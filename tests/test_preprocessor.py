@@ -106,8 +106,27 @@ class TestConditionals:
         out = pp(text)
         assert "int y;" in out and "int x;" not in out
 
-    def test_if_expression_arithmetic(self):
-        out = pp("#if 2 + 3 == 5\nint a;\n#endif")
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "2 + 3 == 5",
+            "1 + 2 * 3 == 7",
+            "-7 / 2 == -3",
+            "-7 % 2 == -1",
+            "0x10",
+            "'a' == 97",
+            "1 << 4 == 16",
+            "256 >> 4 == 16",
+            "(6 & 3) == 2",
+            "(4 | 1) == 5",
+            "(6 ^ 3) == 5",
+            "~0 == -1",
+            "0 ? 0 : 1",
+        ],
+    )
+    def test_if_expression_arithmetic(self, condition):
+        # #if evaluates C integer constant expressions, as case labels do.
+        out = pp(f"#if {condition}\nint a;\n#endif")
         assert "int a;" in out
 
     def test_if_defined(self):

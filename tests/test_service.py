@@ -7,6 +7,7 @@ import signal
 import socket
 import threading
 import time
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -811,7 +812,7 @@ class TestSlowLog:
         finally:
             handle.stop()
         records = [
-            json.loads(line) for line in open(slow_log).read().splitlines()
+            json.loads(line) for line in Path(slow_log).read_text().splitlines()
         ]
         assert records
         record = records[0]
@@ -835,7 +836,7 @@ class TestSlowLog:
         finally:
             handle.stop()
         records = [
-            json.loads(line) for line in open(slow_log).read().splitlines()
+            json.loads(line) for line in Path(slow_log).read_text().splitlines()
         ]
         kinds = {record["kind"] for record in records}
         assert "error" in kinds

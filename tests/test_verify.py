@@ -28,7 +28,7 @@ from repro.il.verifier import (
     verify_function_local,
     verify_module,
 )
-from repro.inliner.cost import INFINITY, make_cost_model
+from repro.inliner.cost import INFINITY, CostModel, make_cost_model
 from repro.inliner.expand import expand_call_site
 from repro.inliner.linearize import linearize
 from repro.inliner.manager import inline_module
@@ -681,7 +681,7 @@ class TestDifferentialOracle:
             result.module = wrong
             return result
 
-        monkeypatch.setattr("repro.verify.differential.inline_module", planted)
+        monkeypatch.setattr("repro.experiments.pipeline.inline_module", planted)
         supplied = verify_inlining(
             module, specs, LOW_THRESHOLD, profile=profile_module(module, specs)
         )
@@ -706,7 +706,7 @@ class TestDifferentialOracle:
             result.module = wrong
             return result
 
-        monkeypatch.setattr("repro.verify.differential.inline_module", planted)
+        monkeypatch.setattr("repro.experiments.pipeline.inline_module", planted)
         supplied = verify_inlining(
             module, specs, LOW_THRESHOLD, profile=profile_module(module, specs)
         )
@@ -714,6 +714,30 @@ class TestDifferentialOracle:
         expected = ["probe: stderr differs at byte 0 (lengths 1 vs 1)"]
         assert report.divergences == supplied.divergences == expected
         assert not report.ok
+
+    def test_cost_model_drift_is_reported_not_raised(self, monkeypatch, capsys):
+        # A cost model that projects one instruction too many per
+        # expansion: the inliner's size reconciliation raises, the
+        # oracle reports that as a broken invariant, and `check` still
+        # prints a line for every program before it exits 1.
+        from repro.cli import main as cli_main
+
+        original = CostModel.splice_delta
+        monkeypatch.setattr(
+            CostModel,
+            "splice_delta",
+            lambda self, *args, **kwargs: original(self, *args, **kwargs) + 1,
+        )
+        report = verify_benchmark(benchmark_by_name("cmp"))
+        assert not report.ok
+        assert report.invariant_failures == [
+            "cost model drifted from physical expansion: projected size 714"
+            " != measured post-expansion size 712 (2 expansions from size 704)"
+        ]
+        assert cli_main(["check", "--benchmarks", "cmp", "tee"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == report.summary().splitlines()
+        assert len(lines) == 3 and lines[2].startswith("tee: ok")
 
     def test_unknown_benchmark_name_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
@@ -761,9 +785,13 @@ class TestFuzz:
     def test_each_program_is_inlined_once(self):
         # The optimize-after-inline stage optimizes a clone of the
         # oracle's inlined module: two profiles and one inline each.
+        # The optimize stage reads the oracle's run of the optimized
+        # module: four VM runs each (baseline, both profiles, and the
+        # re-optimized inlined module).
         with observing(Observability.create()) as obs:
             report = run_fuzz(5, seed=1234)
         spans = Counter(r["name"] for r in obs.tracer.records if r["type"] == "span")
         assert (spans["profile.module"], spans["inline.expand"]) == (10, 5)
         assert report.expansions == 31
         assert obs.metrics.counters["inliner.expansions_performed"] == 31
+        assert obs.metrics.counters["vm.runs"] == 20
