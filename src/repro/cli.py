@@ -266,14 +266,18 @@ def _cmd_inline(args: argparse.Namespace) -> int:
 
         with open(args.profile_file, encoding="utf-8") as handle:
             selecting = load_profile(handle.read(), module)
+
+    def inliner(profile):
+        return inline_module(
+            module, selecting or profile, _inline_params(args), check=args.check
+        )
+
     measured = pipeline.measure_inlining(
         module,
         [RunSpec.from_text(args.stdin, args.arg)],
-        _inline_params(args),
+        inliner,
         name=args.file,
         profiler=functools.partial(pipeline.profile_module, check_exit=False),
-        selecting=selecting,
-        check=args.check,
     )
     result = measured.inline
     tracer = current().tracer

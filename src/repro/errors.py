@@ -69,4 +69,5 @@ class VMTrap(VMError):
 
 
 class InlineError(ReproError):
-    """Raised when a physical inline expansion cannot be performed."""
+    """Raised when a physical inline expansion cannot be performed or
+    proves unsound."""

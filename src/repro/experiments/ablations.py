@@ -3,19 +3,29 @@
 A — weight threshold T (§2.3.3's ``weight(Ai) < T`` guard),
 B — profile-guided selection vs. the no-profile baselines of §1.2,
 C — code-growth limit (§2.3.1's program-size cap),
-D — linearization order (paper's weight heuristic vs. hybrid).
+D — linearization order (paper's weight heuristic vs. hybrid),
+E — held-out inputs: does a profile of some inputs select for others?
 
-Every sweep takes a :class:`~repro.experiments.pipeline.RunConfig`
-(benchmarks, scale, pre-optimization passes, ``check``, and
-``jobs``) and fans out over the selected benchmarks via
-:func:`~repro.pipeline.parallel.parallel_map`; the measurement tasks
-are module-level functions parameterized with :func:`functools.partial`
-so they pickle for the worker processes ``jobs > 1`` runs them on.
+A point of A–D is a ``(label, variant)`` pair, where
+``variant(module, profile, check=...)`` inlines one compiled program
+given its profile. Every sweep takes a
+:class:`~repro.experiments.pipeline.RunConfig` and runs one task per
+program it selects under :func:`~repro.pipeline.parallel.parallel_map`.
+The task compiles the program once and measures every variant with
+:func:`~repro.experiments.pipeline.measure_inlining`, profiling through
+one in-memory :class:`~repro.pipeline.session.CompilationSession`: the
+original is profiled once, and an inlined module identical to one
+already measured (the default configuration is a point of A, B, C and
+D) is not run again. A point whose outputs diverge raises
+:class:`~repro.errors.InlineError`. Variants are partials of
+module-level functions, so they pickle for the worker processes
+``jobs > 1`` runs the tasks on.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import statistics
 from dataclasses import dataclass
 
@@ -25,13 +35,18 @@ from repro.baselines import (
     loop_inline,
     size_threshold_inline,
 )
-from repro.experiments.pipeline import RunConfig, call_decrease, measure_inlining
+from repro.errors import InlineError
+from repro.experiments.pipeline import RunConfig, measure_inlining
 from repro.experiments.report import pct, render_table
-from repro.inliner.manager import InlineExpander
+from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.pipeline.parallel import parallel_map
-from repro.profiler.profile import profile_module
+from repro.pipeline.session import CompilationSession
+from repro.profiler.static_estimate import estimate_profile
 from repro.workloads.suite import benchmark_by_name, select_benchmarks
+
+_THRESHOLDS = (1, 10, 100, 1000)
+_GROWTH_LIMITS = (1.0, 1.1, 1.25, 1.5, 2.0)
 
 
 @dataclass
@@ -41,157 +56,178 @@ class AblationPoint:
     call_decrease: float
 
 
-def _prepare(benchmark, config):
+def _checked(measured, name: str, label: str):
+    """``measured``'s Table 4 pair; raises when its outputs diverged."""
+    if not measured.outputs_match:
+        raise InlineError(
+            f"{name} [{label}]: inlined outputs diverge: "
+            + "; ".join(measured.output_divergences)
+        )
+    return measured.code_increase, measured.call_decrease
+
+
+def _mean_points(task, config: RunConfig, labels) -> list[AblationPoint]:
+    """Run ``task(name)`` on every program ``config`` selects; it
+    returns one ``(code_increase, call_decrease)`` pair per label, or
+    ``None`` to sit out. Each label's point is its mean over the
+    programs."""
+    per_program = [
+        pairs
+        for pairs in parallel_map(
+            task,
+            [benchmark.name for benchmark in select_benchmarks(config.names)],
+            config.jobs,
+            worker_label="ablation",
+        )
+        if pairs is not None
+    ]
+    return [
+        AblationPoint(
+            label,
+            statistics.fmean(pairs[index][0] for pairs in per_program),
+            statistics.fmean(pairs[index][1] for pairs in per_program),
+        )
+        for index, label in enumerate(labels)
+    ]
+
+
+def _measure_program(name, *, config, variants):
+    """Every ``(label, variant)`` measured on one program, addressed by
+    name so it pickles."""
+    benchmark = benchmark_by_name(name)
     module = benchmark.compile(pass_spec=config.pass_spec)
     specs = benchmark.make_runs(config.scale)
-    profile = profile_module(module, specs)
-    return module, specs, profile
-
-
-def _prepare_task(name, *, config):
-    """Compile+pre-optimize+profile one benchmark, addressed by name."""
-    return _prepare(benchmark_by_name(name), config)
-
-
-def _prepare_suite(config):
-    """Compile+pre-optimize+profile every selected benchmark."""
-    return parallel_map(
-        functools.partial(_prepare_task, config=config),
-        [benchmark.name for benchmark in select_benchmarks(config.names)],
-        config.jobs,
-        worker_label="ablation-prepare",
-    )
-
-
-def _measure_all(prepared, one, config):
-    """Apply ``one(module, specs, profile)`` to every prepared benchmark."""
-    return parallel_map(
-        one,
-        prepared,
-        config.jobs,
-        worker_label="ablation-measure",
-    )
-
-
-def _measure(
-    module, inlined_module, specs, profile, config
-) -> tuple[float, float]:
-    decrease = call_decrease(profile, profile_module(inlined_module, specs))
-    original = module.total_code_size()
-    increase = (inlined_module.total_code_size() - original) / original
-    return increase, decrease
-
-
-def _expander_task(entry, *, config, **options):
-    """Inline one prepared benchmark with the paper's expander.
-
-    ``options`` go to :class:`InlineExpander` (``params``,
-    ``linearize_method``).
-    """
-    module, specs, profile = entry
-    result = InlineExpander(module, profile, check=config.check, **options).run()
-    return _measure(module, result.module, specs, profile, config)
-
-
-def _mean_point(label, pairs) -> AblationPoint:
-    incs = [inc for inc, _ in pairs]
-    decs = [dec for _, dec in pairs]
-    return AblationPoint(label, statistics.fmean(incs), statistics.fmean(decs))
-
-
-def threshold_sweep(
-    config: RunConfig, thresholds: tuple[float, ...] = (1, 10, 100, 1000)
-) -> list[AblationPoint]:
-    """Ablation A: sweep the arc-weight threshold T."""
-    points = []
-    prepared = _prepare_suite(config)
-    for threshold in thresholds:
-        one = functools.partial(
-            _expander_task,
-            config=config,
-            params=InlineParameters(weight_threshold=threshold),
+    session = CompilationSession()
+    return [
+        _checked(
+            measure_inlining(
+                module,
+                specs,
+                functools.partial(variant, module, check=config.check),
+                name=name,
+                profiler=session.profile,
+            ),
+            name,
+            label,
         )
-        pairs = _measure_all(prepared, one, config)
-        points.append(_mean_point(f"T={threshold:g}", pairs))
-    return points
+        for label, variant in variants
+    ]
 
 
-def growth_limit_sweep(
-    config: RunConfig, factors: tuple[float, ...] = (1.0, 1.1, 1.25, 1.5, 2.0)
-) -> list[AblationPoint]:
-    """Ablation C: sweep the program-size cap."""
-    points = []
-    prepared = _prepare_suite(config)
-    for factor in factors:
-        one = functools.partial(
-            _expander_task,
-            config=config,
-            params=InlineParameters(size_limit_factor=factor),
+def _sweep(config: RunConfig, variants) -> list[AblationPoint]:
+    task = functools.partial(_measure_program, config=config, variants=variants)
+    return _mean_points(task, config, [label for label, _variant in variants])
+
+
+def _static(heuristic, module, _profile, check=False):
+    """A §1.2 baseline: ``heuristic`` inlines without a profile. It
+    verifies its result's IL either way, so ``check`` adds nothing."""
+    return heuristic(module)
+
+
+def _static_estimate(module, _profile, check=False):
+    """§4.2's open question: the paper's expander selecting under
+    weights estimated by structure analysis instead of profiling."""
+    return inline_module(module, estimate_profile(module), check=check)
+
+
+def _threshold_variants(thresholds):
+    return [
+        (
+            f"T={threshold:g}",
+            functools.partial(
+                inline_module, params=InlineParameters(weight_threshold=threshold)
+            ),
         )
-        pairs = _measure_all(prepared, one, config)
-        points.append(_mean_point(f"limit={factor:g}x", pairs))
-    return points
+        for threshold in thresholds
+    ]
 
 
-def linearization_comparison(config: RunConfig) -> list[AblationPoint]:
-    """Ablation D: the paper's pure-weight order vs. the hybrid order."""
-    points = []
-    prepared = _prepare_suite(config)
-    for method in ("weight", "hybrid"):
-        one = functools.partial(
-            _expander_task, config=config, linearize_method=method
+def _growth_variants(factors):
+    return [
+        (
+            f"limit={factor:g}x",
+            functools.partial(
+                inline_module, params=InlineParameters(size_limit_factor=factor)
+            ),
         )
-        pairs = _measure_all(prepared, one, config)
-        points.append(_mean_point(method, pairs))
-    return points
-
-
-def _size25_inline(module, params):
-    return size_threshold_inline(module, 25, params)
-
-
-def _baseline_task(entry, *, config, label):
-    """Inline one prepared benchmark with the named baseline heuristic."""
-    module, specs, profile = entry
-    params = InlineParameters()
-    heuristic = dict(_BASELINES)[label]
-    if heuristic is None:
-        inlined = InlineExpander(
-            module, profile, params, check=config.check
-        ).run().module
-    elif heuristic == "static-estimate":
-        # §4.2's open question: run the same expander on weights
-        # estimated by structure analysis instead of profiling.
-        from repro.profiler.static_estimate import estimate_profile
-
-        estimated = estimate_profile(module)
-        inlined = InlineExpander(
-            module, estimated, params, check=config.check
-        ).run().module
-    else:
-        inlined = heuristic(module, params).module
-    return _measure(module, inlined, specs, profile, config)
+        for factor in factors
+    ]
 
 
 _BASELINES = (
-    ("profile-guided", None),
-    ("static-estimate", "static-estimate"),
-    ("leaf (PL.8)", leaf_inline),
-    ("loop (MIPS)", loop_inline),
-    ("size<=25", _size25_inline),
-    ("hint (GNU)", hint_inline),
+    ("profile-guided", inline_module),
+    ("static-estimate", _static_estimate),
+    ("leaf (PL.8)", functools.partial(_static, leaf_inline)),
+    ("loop (MIPS)", functools.partial(_static, loop_inline)),
+    (
+        "size<=25",
+        functools.partial(
+            _static, functools.partial(size_threshold_inline, max_callee_size=25)
+        ),
+    ),
+    ("hint (GNU)", functools.partial(_static, hint_inline)),
 )
+
+_LINEARIZATIONS = tuple(
+    (method, functools.partial(inline_module, linearize_method=method))
+    for method in ("weight", "hybrid")
+)
+
+
+def threshold_sweep(
+    config: RunConfig, thresholds: tuple[float, ...] = _THRESHOLDS
+) -> list[AblationPoint]:
+    """Ablation A: sweep the arc-weight threshold T."""
+    return _sweep(config, _threshold_variants(thresholds))
 
 
 def baseline_comparison(config: RunConfig) -> list[AblationPoint]:
     """Ablation B: profile-guided vs. static heuristics, same size cap."""
-    points = []
-    prepared = _prepare_suite(config)
-    for label, _heuristic in _BASELINES:
-        one = functools.partial(_baseline_task, config=config, label=label)
-        pairs = _measure_all(prepared, one, config)
-        points.append(_mean_point(label, pairs))
-    return points
+    return _sweep(config, _BASELINES)
+
+
+def growth_limit_sweep(
+    config: RunConfig, factors: tuple[float, ...] = _GROWTH_LIMITS
+) -> list[AblationPoint]:
+    """Ablation C: sweep the program-size cap."""
+    return _sweep(config, _growth_variants(factors))
+
+
+def linearization_comparison(config: RunConfig) -> list[AblationPoint]:
+    """Ablation D: the paper's pure-weight order vs. the hybrid order."""
+    return _sweep(config, _LINEARIZATIONS)
+
+
+def _heldout_program(name, *, config):
+    """Ablation E's train and held-out pairs for one program, or
+    ``None`` when it has fewer than two inputs to split."""
+    benchmark = benchmark_by_name(name)
+    specs = benchmark.make_runs(config.scale)
+    if len(specs) < 2:
+        return None
+    module = benchmark.compile(pass_spec=config.pass_spec)
+    session = CompilationSession()
+    # The training side's original profile is the one the program is
+    # inlined under; the held-out side measures that same inlining.
+    train = measure_inlining(
+        module,
+        specs[0::2],
+        functools.partial(inline_module, module, check=config.check),
+        name=name,
+        profiler=session.profile,
+    )
+    held_out = measure_inlining(
+        module,
+        specs[1::2],
+        lambda _profile: train.inline,
+        name=name,
+        profiler=session.profile,
+    )
+    return [
+        _checked(train, name, "train-inputs"),
+        _checked(held_out, name, "held-out-inputs"),
+    ]
 
 
 def heldout_input_check(config: RunConfig) -> list[AblationPoint]:
@@ -201,32 +237,12 @@ def heldout_input_check(config: RunConfig) -> list[AblationPoint]:
     §4: "representative inputs for each benchmark are applied to
     establish reliable profile information"). If profiles generalize,
     the call decrease measured on held-out inputs should track the
-    trained-inputs number closely.
+    trained-inputs number closely. Each program is inlined once, under
+    the profile of its even-numbered inputs, and that inlining is
+    measured on those inputs and on the odd-numbered ones.
     """
-    points = []
-    for subset in ("train-inputs", "held-out-inputs"):
-        measured = []
-        for benchmark in select_benchmarks(config.names):
-            module = benchmark.compile(pass_spec=config.pass_spec)
-            specs = benchmark.make_runs(config.scale)
-            if len(specs) < 2:
-                continue
-            train = specs[0::2]
-            measured.append(
-                measure_inlining(
-                    module,
-                    train if subset == "train-inputs" else specs[1::2],
-                    name=benchmark.name,
-                    selecting=profile_module(module, train),
-                    check=config.check,
-                )
-            )
-        points.append(
-            _mean_point(
-                subset, [(m.code_increase, m.call_decrease) for m in measured]
-            )
-        )
-    return points
+    task = functools.partial(_heldout_program, config=config)
+    return _mean_points(task, config, ("train-inputs", "held-out-inputs"))
 
 
 def render_points(title: str, points: list[AblationPoint]) -> str:
@@ -238,22 +254,18 @@ def render_points(title: str, points: list[AblationPoint]) -> str:
 
 
 def render_ablations(config: RunConfig) -> str:
-    """Ablations A–D under ``config``, one table each."""
+    """Ablations A–D under ``config``, one table each, measured as one
+    sweep."""
+    tables = [
+        ("Ablation A: weight threshold T.", _threshold_variants(_THRESHOLDS)),
+        ("Ablation B: profile-guided vs. static heuristics.", _BASELINES),
+        ("Ablation C: code-growth limit.", _growth_variants(_GROWTH_LIMITS)),
+        ("Ablation D: linearization order.", _LINEARIZATIONS),
+    ]
+    points = iter(
+        _sweep(config, [variant for _, variants in tables for variant in variants])
+    )
     return "\n\n".join(
-        [
-            render_points(
-                "Ablation A: weight threshold T.", threshold_sweep(config)
-            ),
-            render_points(
-                "Ablation B: profile-guided vs. static heuristics.",
-                baseline_comparison(config),
-            ),
-            render_points(
-                "Ablation C: code-growth limit.", growth_limit_sweep(config)
-            ),
-            render_points(
-                "Ablation D: linearization order.",
-                linearization_comparison(config),
-            ),
-        ]
+        render_points(title, list(itertools.islice(points, len(variants))))
+        for title, variants in tables
     )

@@ -12,10 +12,10 @@ check that both printed the same outputs. The check compares the
 :class:`~repro.profiler.profile.Observation` each profiled run left
 behind, so every (module, input) pair executes once. The suite, the
 differential oracle, the service's ``inline`` and ``check`` operations,
-``impact-inline inline`` and the held-out-input ablation all call it,
-each with its own way of profiling; Table 4's call decrease, ILs/call
-and CTs/call are defined once, on the :class:`InliningMeasurement` it
-returns.
+``impact-inline inline`` and the ablations all call it, each with its
+own way of profiling and its own way of inlining; Table 4's call
+decrease, ILs/call and CTs/call are defined once, on the
+:class:`InliningMeasurement` it returns.
 
 Every stage is instrumented: run it under
 ``with observing(Observability.create()):`` (see
@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from repro.inliner.classify import ClassifiedSites, SiteClass, classify_sites
 from repro.inliner.manager import InlineResult, inline_module
@@ -50,6 +51,9 @@ from repro.profiler.profile import (
 )
 from repro.callgraph.build import build_call_graph
 from repro.workloads.suite import Benchmark, benchmark_by_name, select_benchmarks
+
+if TYPE_CHECKING:  # a baseline's result, named only in annotations
+    from repro.baselines import StaticInlineResult
 
 _LOG = logging.getLogger("repro.experiments")
 
@@ -100,25 +104,18 @@ class OutputComparison:
     rerun: int = 0
 
 
-def call_decrease(before: ProfileData, after: ProfileData) -> float:
-    """Table 4's *call dec*: the share of the dynamic calls in ``before``
-    that are gone in ``after``, two profiles over the same inputs."""
-    if before.avg_calls <= 0:
-        return 0.0
-    return max(0.0, 1.0 - after.avg_calls / before.avg_calls)
-
-
 @dataclass
 class InliningMeasurement:
     """One inlining as :func:`measure_inlining` measured it.
 
     ``profile`` and ``post_profile`` are the original's and the inlined
-    module's profiles over the same inputs, and ``comparison`` is read
-    from the two profiles' observations.
+    module's profiles over the same inputs, ``inline`` is what the
+    inliner returned, and ``comparison`` is read from the two profiles'
+    observations.
     """
 
     profile: ProfileData
-    inline: InlineResult
+    inline: InlineResult | StaticInlineResult
     post_profile: ProfileData
     comparison: OutputComparison
 
@@ -142,7 +139,12 @@ class InliningMeasurement:
 
     @property
     def call_decrease(self) -> float:
-        return call_decrease(self.profile, self.post_profile)
+        """Table 4's *call dec*: the share of the original's dynamic
+        calls that are gone from the inlined module's."""
+        before, after = self.profile.avg_calls, self.post_profile.avg_calls
+        if before <= 0:
+            return 0.0
+        return max(0.0, 1.0 - after / before)
 
     @property
     def ils_per_call(self) -> float:
@@ -188,13 +190,10 @@ class BenchmarkResult(InliningMeasurement):
 def measure_inlining(
     module,
     specs: list[RunSpec],
-    params: InlineParameters | None = None,
+    inliner: Callable[[ProfileData], InlineResult | StaticInlineResult],
     *,
     name: str,
     profiler=None,
-    selecting: ProfileData | None = None,
-    check: bool = False,
-    seed: int = 0,
 ) -> InliningMeasurement:
     """Profile ``module`` over ``specs``, inline it, re-profile the
     inlined module over the same inputs, and compare their outputs.
@@ -204,23 +203,23 @@ def measure_inlining(
     :meth:`~repro.pipeline.session.CompilationSession.profile`, or
     :func:`~repro.profiler.profile.profile_module` with the caller's
     fuel and exit-code policy (plain ``profile_module`` when ``None``).
-    The inliner selects under ``selecting``, a profile of other inputs,
-    when one is given, and under the original's profile otherwise; the
-    original is profiled over ``specs`` either way, so every figure on
-    the record compares an input with itself. ``params``, ``check``
-    and ``seed`` go to the inliner. Each stage runs in its
-    ``benchmark.<stage>`` span, tagged with ``name``. The output check
-    reads the two profiles' observations (:func:`compare_outputs`) and
-    runs the modules again only to describe a divergence.
+    ``inliner(profile)`` is the caller's way of inlining, given the
+    original's profile: a :func:`functools.partial` of
+    :func:`~repro.inliner.manager.inline_module`, a static heuristic
+    that ignores the profile, or one that selects under a profile of
+    other inputs. Whatever it selects under, the original is profiled
+    over ``specs``, so every figure on the record compares an input
+    with itself. Each stage runs in its ``benchmark.<stage>`` span,
+    tagged with ``name``. The output check reads the two profiles'
+    observations (:func:`compare_outputs`) and runs the modules again
+    only to describe a divergence.
     """
     profiler = profiler or profile_module
     tracer = current().tracer
     with tracer.span("benchmark.profile", name=name):
         profile = profiler(module, specs)
     with tracer.span("benchmark.inline", name=name):
-        inlined = inline_module(
-            module, selecting or profile, params, seed, check=check
-        )
+        inlined = inliner(profile)
     with tracer.span("benchmark.post_profile", name=name):
         post_profile = profiler(inlined.module, specs)
     with tracer.span("benchmark.check_outputs", name=name) as attrs:
@@ -278,10 +277,11 @@ def run_benchmark(
         measured = measure_inlining(
             module,
             benchmark.make_runs(scale),
-            params,
+            functools.partial(
+                inline_module, module, params=params, check=config.check
+            ),
             name=benchmark.name,
             profiler=session.profile if session is not None else None,
-            check=config.check,
         )
         inlined, post_profile = measured.inline, measured.post_profile
         if tracer.enabled:

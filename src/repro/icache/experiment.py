@@ -38,28 +38,26 @@ class CachePoint:
         return 1.0 - self.miss_after / self.miss_before
 
 
-def _traced_miss_ratio(
+def traced_miss_ratio(
     module: ILModule,
     specs: list[RunSpec],
     size_bytes: int,
     line_bytes: int,
     associativity: int,
-    layout: str = "sequential",
     seeds: tuple[int, ...] = (0,),
+    **layout,
 ) -> float:
-    """Average miss ratio over the given layout seeds."""
+    """Mean miss ratio over the layout seeds: a fresh cache per seed
+    traces one run of every spec. ``layout`` goes to the
+    :class:`~repro.vm.machine.Machine` (``code_layout``,
+    ``function_order``)."""
     total = 0.0
     for seed in seeds:
         cache = InstructionCache(size_bytes, line_bytes, associativity)
         for spec in specs:
-            machine = Machine(
-                module,
-                spec.make_os(),
-                icache=cache,
-                code_layout=layout,
-                layout_seed=seed,
-            )
-            machine.run()
+            Machine(
+                module, spec.make_os(), icache=cache, layout_seed=seed, **layout
+            ).run()
         total += cache.stats.miss_ratio
     return total / len(seeds)
 
@@ -98,11 +96,13 @@ def icache_experiment(
 
     points = []
     for size_bytes, line_bytes, associativity in configs:
-        before = _traced_miss_ratio(
-            working, specs, size_bytes, line_bytes, associativity, layout, seeds
+        before = traced_miss_ratio(
+            working, specs, size_bytes, line_bytes, associativity, seeds,
+            code_layout=layout,
         )
-        after = _traced_miss_ratio(
-            inlined, specs, size_bytes, line_bytes, associativity, layout, seeds
+        after = traced_miss_ratio(
+            inlined, specs, size_bytes, line_bytes, associativity, seeds,
+            code_layout=layout,
         )
         points.append(
             CachePoint(size_bytes, line_bytes, associativity, before, after)

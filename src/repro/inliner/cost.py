@@ -25,7 +25,7 @@ the call site consumes a value* — the spliced ``…/return`` label is a
 pseudo-instruction and never counts toward code size). Because the
 selector accepts arcs in weight order while physical expansion runs in
 linear order, :meth:`CostModel.commit` replays the committed set in
-linear order whenever the model knows the sequence, so
+linear order, so
 ``program_size``/``sizes`` always equal what expansion will physically
 produce. :class:`~repro.inliner.manager.InlineExpander` asserts this
 reconciliation after every run.
@@ -74,9 +74,10 @@ class CostModel:
     #: Valueless-RET count per function: a callee with one can never be
     #: expanded into a value-consuming call site (RETURN_MISMATCH).
     void_rets: dict[str, int] = field(default_factory=dict)
-    #: The linear expansion sequence (§3.3). When set, commits replay in
-    #: this order so sizes match physical expansion exactly even though
-    #: the selector commits in weight order.
+    #: The linear expansion sequence (§3.3), which :meth:`commit` needs:
+    #: commits replay in this order so sizes match physical expansion
+    #: exactly even though the selector commits in weight order. A model
+    #: that only evaluates costs can do without it.
     sequence: list[str] | None = None
     program_size: int = 0
     original_size: int = 0
@@ -192,24 +193,13 @@ class CostModel:
         """Account for an accepted expansion.
 
         Matches :func:`repro.inliner.expand.expand_call_site` exactly
-        (see :meth:`splice_delta`). When the model knows the linear
-        ``sequence``, the whole committed set is replayed in linear
-        order — the order physical expansion uses — so nested
-        expansions are sized correctly no matter what order the
-        selector accepts them in. Without a sequence (direct unit use),
-        the delta is applied incrementally, which is exact whenever
-        commits already arrive in linear order.
+        (see :meth:`splice_delta`): the whole committed set is replayed
+        in the linear ``sequence`` — the order physical expansion uses —
+        so nested expansions are sized correctly no matter what order
+        the selector accepts them in.
         """
         self.committed.append(arc)
-        if self.sequence is not None:
-            self._replay()
-            return
-        delta = self.splice_delta(arc)
-        self.sizes[arc.caller] += delta
-        self.program_size += delta
-        self.frames[arc.caller] += self.frames[arc.callee]
-        # When the caller is inlined later, its body carries the copy's
-        # rewritten returns; its own RET count is unchanged.
+        self._replay()
 
     def _replay(self) -> None:
         """Recompute sizes/frames by replaying commits in linear order.

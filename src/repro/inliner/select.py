@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.callgraph.graph import Arc, ArcKind, ArcStatus, CallGraph
 from repro.il.module import ILModule
-from repro.inliner.cost import INFINITY, CostModel, make_cost_model
+from repro.inliner.cost import INFINITY, make_cost_model
 from repro.inliner.linearize import order_index
 from repro.inliner.params import InlineParameters
 from repro.observability import current
@@ -51,15 +51,14 @@ def select_sites(
     profile: ProfileData,
     sequence: list[str],
     params: InlineParameters | None = None,
-    cost_model: CostModel | None = None,
     seed: int = 0,
 ) -> SelectionResult:
     """Choose the arcs to expand, following the paper's §3.4."""
     params = params or InlineParameters()
-    model = cost_model or make_cost_model(module, graph, params)
-    # Give the model the linear order so committed sizes replay exactly
-    # as physical expansion will apply them (nested expansions included).
-    model.sequence = sequence
+    # The model knows the linear order, so committed sizes replay
+    # exactly as physical expansion will apply them (nested expansions
+    # included).
+    model = make_cost_model(module, graph, params, sequence)
     position = order_index(sequence)
     result = SelectionResult(original_size=model.program_size)
 
@@ -145,9 +144,9 @@ def select_sites(
             result.rejected.append(arc)
             audit(arc, decision.reason, inputs=decision.inputs)
 
-    # With the sequence set above, commits were replayed in linear
-    # order, so this projection equals the physical post-expansion code
-    # size exactly; InlineExpander asserts the reconciliation.
+    # Commits were replayed in linear order, so this projection equals
+    # the physical post-expansion code size exactly; InlineExpander
+    # asserts the reconciliation.
     result.projected_size = model.program_size
     obs = current()
     if obs.enabled:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.icache.cache import InstructionCache
+from repro.icache.experiment import traced_miss_ratio
 from repro.il.module import ILModule
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.opt import optimize_module
 from repro.profiler.profile import ProfileData, RunSpec, profile_module
-from repro.vm.machine import Machine
 from repro.il.instructions import Opcode
 
 
@@ -87,18 +86,6 @@ class PlacementResult:
         return 1.0 - self.miss_inlined_scattered / self.miss_scattered
 
 
-def _miss_ratio(module, specs, size_bytes, associativity, seeds, **kwargs):
-    total = 0.0
-    for seed in seeds:
-        cache = InstructionCache(size_bytes, 16, associativity)
-        for spec in specs:
-            Machine(
-                module, spec.make_os(), icache=cache, layout_seed=seed, **kwargs
-            ).run()
-        total += cache.stats.miss_ratio
-    return total / len(seeds)
-
-
 def placement_experiment(
     module: ILModule,
     specs: list[RunSpec],
@@ -124,16 +111,15 @@ def placement_experiment(
 
     results = []
     for size_bytes, associativity in configs:
-        scattered = _miss_ratio(
-            working, specs, size_bytes, associativity, seeds,
+        scattered = traced_miss_ratio(
+            working, specs, size_bytes, 16, associativity, seeds,
             code_layout="scattered",
         )
-        placed = _miss_ratio(
-            working, specs, size_bytes, associativity, (0,),
-            function_order=order,
+        placed = traced_miss_ratio(
+            working, specs, size_bytes, 16, associativity, function_order=order
         )
-        inlined_scattered = _miss_ratio(
-            inlined, specs, size_bytes, associativity, seeds,
+        inlined_scattered = traced_miss_ratio(
+            inlined, specs, size_bytes, 16, associativity, seeds,
             code_layout="scattered",
         )
         results.append(

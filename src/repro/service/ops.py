@@ -122,7 +122,9 @@ def _measured(params: dict, session=None):
     return pipeline.measure_inlining(
         module,
         [spec],
-        _inline_params(params),
+        functools.partial(
+            pipeline.inline_module, module, params=_inline_params(params)
+        ),
         name=params.get("filename") or "<service>",
         profiler=functools.partial(
             pipeline.profile_module, fuel=REQUEST_FUEL, check_exit=False

@@ -109,19 +109,17 @@ def verify_inlining(
         strict = candidate is module and profile is None
         return pipeline.profile_module(candidate, inputs, check_exit=strict)
 
+    def inliner(measured):
+        return pipeline.inline_module(
+            module, profile or measured, params, seed, check=True
+        )
+
     obs = current()
     report = DifferentialReport(name=name, runs=len(specs))
     with obs.tracer.span("verify.differential", name=name) as attrs:
         try:
             measured = report.measured = pipeline.measure_inlining(
-                module,
-                specs,
-                params,
-                name=name,
-                profiler=profiled,
-                selecting=profile,
-                check=True,
-                seed=seed,
+                module, specs, inliner, name=name, profiler=profiled
             )
         except InlineError as error:
             report.invariant_failures.append(str(error))
@@ -133,7 +131,7 @@ def verify_inlining(
             report.calls_before = measured.profile.total.calls
             report.calls_after = measured.post_profile.total.calls
             report.divergences = measured.output_divergences
-            site_counts = (profile or measured.profile).total.site_counts
+            site_counts = measured.profile.total.site_counts
             report.eliminated_floor = sum(
                 site_counts.get(arc.site, 0) for arc in result.selection.selected
             )

@@ -198,21 +198,22 @@ class TestModeFlags:
         from repro.experiments import ablations
 
         prepared = []
-        original = ablations._prepare
+        original = ablations._measure_program
 
-        def spy(benchmark, config):
-            prepared.append((benchmark.name, config))
-            return original(benchmark, config)
+        def spy(name, *, config, variants):
+            prepared.append((name, config))
+            return original(name, config=config, variants=variants)
 
-        monkeypatch.setattr(ablations, "_prepare", spy)
+        monkeypatch.setattr(ablations, "_measure_program", spy)
         code = experiments_main(
             ["ablations", "--benchmarks", "wc", "tee", "--passes", "fold",
              "--check"]
         )
         assert code == 0
         assert "Ablation D" in capsys.readouterr().out
-        # Four sweeps, each over the two programs in suite order.
-        assert [name for name, _ in prepared] == ["tee", "wc"] * 4
+        # One sweep, compiling each of the two programs once, in suite
+        # order.
+        assert [name for name, _ in prepared] == ["tee", "wc"]
         for _, config in prepared:
             assert config.names == ("wc", "tee")
             assert config.pass_spec == "fold"

@@ -1,7 +1,14 @@
-"""Tests for the experiment harness: pipeline and table builders."""
+"""Tests for the experiment harness: pipeline, table builders and the
+ablations."""
+
+import hashlib
+from collections import Counter
 
 import pytest
 
+from repro.compiler import compile_program
+from repro.errors import InlineError
+from repro.experiments import ablations
 from repro.experiments.pipeline import (
     RunConfig,
     aggregate_dynamic_breakdown,
@@ -18,6 +25,8 @@ from repro.experiments.tables import (
     table4,
 )
 from repro.inliner.classify import SiteClass
+from repro.inliner.manager import inline_module
+from repro.observability import Observability, observing
 from repro.pipeline.session import CompilationSession
 from repro.vm.machine import Machine
 from repro.workloads import benchmark_by_name
@@ -261,6 +270,54 @@ class TestClassifiedFractionsInPipeline:
         external = cmp_result.classified.dynamic_fraction(SiteClass.EXTERNAL)
         assert safe == pytest.approx(0.5, abs=0.15)
         assert external == pytest.approx(0.5, abs=0.15)
+
+
+class TestAblations:
+    """Each ablation task compiles and profiles its program once, and
+    every point's outputs are compared."""
+
+    def test_sweep_compiles_and_profiles_each_program_once(self):
+        obs = Observability.create()
+        with observing(obs):
+            text = ablations.render_ablations(RunConfig(names=("wc", "tee", "cmp")))
+        # What `tables ablations --benchmarks wc tee cmp` prints.
+        digest = hashlib.md5((text + "\n").encode()).hexdigest()
+        assert digest == "da07d7d5970f6c019e86b6fd44022e76"
+        counters = obs.metrics.counters
+        assert counters["frontend.modules_compiled"] == 3
+        # Each original, and each distinct inlined module, runs once per
+        # input.
+        assert counters["vm.runs"] == 64
+
+    def test_heldout_inlines_each_program_once(self):
+        obs = Observability.create()
+        with observing(obs):
+            points = ablations.heldout_input_check(RunConfig())
+        assert [(p.label, p.code_increase, p.call_decrease) for p in points] == [
+            ("train-inputs", 0.16954235580209456, 0.6038809721572699),
+            ("held-out-inputs", 0.16954235580209456, 0.5751633340244072),
+        ]
+        spans = Counter(
+            record["name"]
+            for record in obs.tracer.records
+            if record["type"] == "span"
+        )
+        assert spans["inline.expand"] == 12
+        assert obs.metrics.counters["vm.runs"] <= 104
+
+    def test_diverging_point_raises(self, monkeypatch):
+        silent = compile_program("int main(void) { return 0; }")
+
+        def planted(module, profile, **options):
+            result = inline_module(module, profile, **options)
+            result.module = silent
+            return result
+
+        monkeypatch.setattr(ablations, "inline_module", planted)
+        with pytest.raises(
+            InlineError, match=r"^wc \[T=10\]: inlined outputs diverge: .*stdout"
+        ):
+            ablations.threshold_sweep(RunConfig(names=("wc",)), thresholds=(10,))
 
 
 class TestReportHelpers:

@@ -166,7 +166,9 @@ class TestCostModel:
 
     def test_commit_grows_sizes(self):
         module, profile, graph = prepared(HOT_COLD)
-        model = make_cost_model(module, graph, InlineParameters())
+        model = make_cost_model(
+            module, graph, InlineParameters(), linearize(module, profile)
+        )
         [arc] = graph.arcs_between("main", "hot")
         before = model.sizes["main"]
         program_before = model.program_size
@@ -176,7 +178,9 @@ class TestCostModel:
 
     def test_commit_accumulates_frames(self):
         module, profile, graph = prepared(HOT_COLD)
-        model = make_cost_model(module, graph, InlineParameters())
+        model = make_cost_model(
+            module, graph, InlineParameters(), linearize(module, profile)
+        )
         [arc] = graph.arcs_between("main", "hot")
         frame_before = model.frames["main"]
         model.commit(arc)

@@ -620,34 +620,47 @@ class TestDifferentialOracle:
         assert report.calls_eliminated >= report.eliminated_floor
         assert report.projected_size == report.measured_size
 
-    def test_oracle_reports_broken_calls_floor(self):
-        # Select under a profile measured on a long input, then verify
-        # on a short one: the floor (from the selecting profile) exceeds
-        # what the short input can eliminate, so the invariant must
-        # report — without any behavioral divergence.
+    def test_oracle_reports_broken_calls_floor(self, monkeypatch):
+        # An inliner that selects arcs but hands back the program
+        # unexpanded: the selected arcs still execute, so the calls
+        # eliminated fall short of the floor and the invariant must
+        # report, without any behavioral divergence.
+        module = compile_program(VOID_HOT)
+
+        def planted(*args, **kwargs):
+            result = inline_module(*args, **kwargs)
+            result.module = module.clone()
+            return result
+
+        monkeypatch.setattr("repro.experiments.pipeline.inline_module", planted)
+        report = verify_inlining(module, [RunSpec()], LOW_THRESHOLD)
+        assert not report.divergences
+        assert report.invariant_failures
+        assert report.eliminated_floor > report.calls_eliminated
+
+    def test_floor_counts_the_checked_inputs(self):
+        # Select under a profile of a long input, then check a short
+        # one: the floor sums the selected arcs' counts over the checked
+        # input, as the calls eliminated are counted, so a sound
+        # inlining breaks no invariant.
         source = """
         #include <sys.h>
-        int total = 0;
-        void bump(int x) { total = total + x; }
+        int f(int c) { return c + 1; }
         int main(void) {
+            int s = 0;
             int c = getchar();
-            while (c != EOF) { bump(c); c = getchar(); }
-            print_int(total);
-            putchar('\\n');
+            while (c != EOF) { s = s + f(c); c = getchar(); }
+            print_int(s);
             return 0;
         }
         """
         module = compile_program(source)
-        selecting = profile_module(module, [RunSpec(stdin=b"x" * 200)])
+        selecting = profile_module(module, [RunSpec.from_text("a" * 100)])
         report = verify_inlining(
-            module,
-            [RunSpec(stdin=b"hi")],
-            LOW_THRESHOLD,
-            profile=selecting,
+            module, [RunSpec.from_text("a")], profile=selecting
         )
-        assert not report.divergences
-        assert report.invariant_failures
-        assert report.eliminated_floor > report.calls_eliminated
+        assert report.ok, report.summary()
+        assert report.calls_eliminated == report.eliminated_floor == 1
 
     def test_self_profiled_oracle_runs_each_module_once(self, monkeypatch):
         module = compile_program(NESTED)
