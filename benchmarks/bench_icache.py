@@ -10,8 +10,8 @@ profile-guided inlining.
 """
 
 from conftest import emit
+from repro.experiments.extensions import measure_compress
 from repro.icache import icache_experiment
-from repro.workloads import benchmark_by_name
 
 _CONFIGS = [
     (512, 16, 1),
@@ -22,10 +22,8 @@ _CONFIGS = [
 
 
 def _run_experiment():
-    benchmark = benchmark_by_name("compress")
-    module = benchmark.compile()
-    specs = benchmark.make_runs("small")[:2]
-    return icache_experiment(module, specs, configs=_CONFIGS)
+    module, specs, measured = measure_compress("small")
+    return icache_experiment(module, specs, measured, configs=_CONFIGS)
 
 
 def bench_icache(benchmark):

@@ -8,10 +8,13 @@ callers' loops, because the callees' (previously hidden) address
 arithmetic becomes visibly invariant.
 """
 
+import functools
+
 from conftest import emit
+from repro.experiments.pipeline import checked, measure_inlining
 from repro.inliner.manager import inline_module
 from repro.opt import licm_module, optimize_module
-from repro.profiler.profile import profile_module, run_once
+from repro.profiler.profile import run_once
 from repro.workloads import benchmark_by_name
 
 
@@ -20,22 +23,24 @@ def _measure(name):
     module = benchmark.compile()
     optimize_module(module)
     specs = benchmark.make_runs("small")[:2]
-    profile = profile_module(module, specs)
+    # The original's and the inlined module's ILs are their profiles'
+    # totals; only the LICM variants run again.
+    measured = checked(
+        measure_inlining(
+            module, specs, functools.partial(inline_module, module), name=name
+        ),
+        name,
+        "licm",
+    )
 
-    def total_ils(m):
-        return sum(run_once(m, spec).counters.il for spec in specs)
+    def licm_ils(m):
+        hoisted = m.clone()
+        licm_module(hoisted)
+        optimize_module(hoisted)
+        return sum(run_once(hoisted, spec).counters.il for spec in specs)
 
-    plain_licm = module.clone()
-    licm_module(plain_licm)
-    optimize_module(plain_licm)
-
-    inlined = inline_module(module, profile).module
-    inlined_licm = inlined.clone()
-    licm_module(inlined_licm)
-    optimize_module(inlined_licm)
-
-    saved_before = total_ils(module) - total_ils(plain_licm)
-    saved_after = total_ils(inlined) - total_ils(inlined_licm)
+    saved_before = measured.profile.total.il - licm_ils(module)
+    saved_after = measured.post_profile.total.il - licm_ils(measured.inline.module)
     return name, saved_before, saved_after
 
 

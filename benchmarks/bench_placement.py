@@ -10,15 +10,13 @@ no longer depends on where the linker puts them — the IMPACT-I position
 """
 
 from conftest import emit
+from repro.experiments.extensions import measure_compress
 from repro.layout import placement_experiment
-from repro.workloads import benchmark_by_name
 
 
 def _run_experiment():
-    benchmark = benchmark_by_name("compress")
-    module = benchmark.compile()
-    specs = benchmark.make_runs("small")[:2]
-    return placement_experiment(module, specs)
+    module, specs, measured = measure_compress("small")
+    return placement_experiment(module, specs, measured)
 
 
 def bench_placement(benchmark):

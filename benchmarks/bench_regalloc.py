@@ -10,15 +10,13 @@ traffic drops sharply at every register-file size.
 """
 
 from conftest import emit
+from repro.experiments.extensions import measure_compress
 from repro.regalloc import pressure_experiment
-from repro.workloads import benchmark_by_name
 
 
 def _run_experiment():
-    benchmark = benchmark_by_name("compress")
-    module = benchmark.compile()
-    specs = benchmark.make_runs("small")[:2]
-    return pressure_experiment(module, specs, ks=(4, 8, 16))
+    module, _specs, measured = measure_compress("small")
+    return pressure_experiment(module, measured, ks=(4, 8, 16))
 
 
 def bench_regalloc(benchmark):

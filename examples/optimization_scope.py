@@ -13,9 +13,11 @@ Three instruments on one program:
 Run with ``python examples/optimization_scope.py``.
 """
 
-from repro import RunSpec, compile_program, inline_module, profile_module, run_once
+from repro import RunSpec, compile_program, run_once
+from repro.experiments.extensions import measure_extension
 from repro.icache import icache_experiment
 from repro.opt import licm_module, optimize_module
+from repro.profiler.profile import Observation
 from repro.regalloc import pressure_experiment
 
 SOURCE = """
@@ -51,38 +53,42 @@ def main() -> None:
     spec = RunSpec(stdin=b"\x05")
     module = compile_program(SOURCE)
     optimize_module(module)
-    profile = profile_module(module, [spec])
+    # Profile, inline (then optimize), re-profile and compare outputs:
+    # one measurement, which all three instruments read.
+    measured = measure_extension(module, [spec], name="score")
 
-    # 1. LICM before vs. after inlining.
-    plain = module.clone()
-    licm_module(plain)
-    optimize_module(plain)
-    inlined = inline_module(module, profile).module
-    optimize_module(inlined)
-    inlined_licm = inlined.clone()
-    licm_module(inlined_licm)
-    optimize_module(inlined_licm)
-
-    base_il = run_once(module, spec).counters.il
-    for label, m in (
-        ("original", module),
-        ("original + LICM", plain),
-        ("inlined", inlined),
-        ("inlined + LICM", inlined_licm),
+    # 1. LICM before vs. after inlining. The original's and the inlined
+    # module's counts are their profiles' totals; the LICM variants run
+    # once each and must print what the original printed.
+    hoisted = []
+    for variant in (module.clone(), measured.inline.module.clone()):
+        licm_module(variant)
+        optimize_module(variant)
+        hoisted.append(run_once(variant, spec))
+    assert all(
+        Observation.of(result) == measured.profile.observations[0]
+        for result in hoisted
+    )
+    output = hoisted[0].stdout.strip()
+    base_il = measured.profile.total.il
+    for label, counters in (
+        ("original", measured.profile.total),
+        ("original + LICM", hoisted[0].counters),
+        ("inlined", measured.post_profile.total),
+        ("inlined + LICM", hoisted[1].counters),
     ):
-        result = run_once(m, spec)
-        print(f"{label:18s} {result.counters.il:6d} ILs "
-              f"({result.counters.il / base_il:.2f}x), "
-              f"{result.counters.calls:4d} calls -> {result.stdout.strip()}")
+        print(f"{label:18s} {counters.il:6d} ILs "
+              f"({counters.il / base_il:.2f}x), "
+              f"{counters.calls:4d} calls -> {output}")
 
     # 2. Register traffic at K=8.
-    [(k, before, after)] = pressure_experiment(module, [spec], ks=(8,))
+    [(k, before, after)] = pressure_experiment(module, measured, ks=(8,))
     print(f"\nregister traffic (K={k}): save/restore "
           f"{before.save_restore_events:.0f} -> {after.save_restore_events:.0f}, "
           f"spill events {before.spill_events:.0f} -> {after.spill_events:.0f}")
 
     # 3. Instruction cache under a scattered layout.
-    [point] = icache_experiment(module, [spec], configs=[(512, 16, 1)])
+    [point] = icache_experiment(module, [spec], measured, configs=[(512, 16, 1)])
     print(f"icache 512B direct-mapped: miss {point.miss_before:.4f} -> "
           f"{point.miss_after:.4f} ({point.improvement:+.0%})")
 

@@ -20,7 +20,6 @@ from repro.il.instructions import Opcode
 @dataclass
 class NaturalLoop:
     header: int
-    back_edge_source: int
     body: set[int] = field(default_factory=set)
 
 
@@ -36,7 +35,7 @@ def natural_loops(cfg: CFG) -> list[NaturalLoop]:
 
 
 def _natural_loop(cfg: CFG, header: int, source: int) -> NaturalLoop:
-    loop = NaturalLoop(header, source, {header, source})
+    loop = NaturalLoop(header, {header, source})
     frontier = [source]
     while frontier:
         index = frontier.pop()

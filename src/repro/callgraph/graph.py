@@ -41,7 +41,6 @@ class Node:
     name: str
     weight: float = 0.0
     out_arcs: list["Arc"] = field(default_factory=list)
-    in_arcs: list["Arc"] = field(default_factory=list)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name} w={self.weight:g}>"
@@ -106,7 +105,6 @@ class CallGraph:
         arc = Arc(site, caller, callee, weight, kind)
         self.arcs[site] = arc
         self.nodes[caller].out_arcs.append(arc)
-        self.nodes[callee].in_arcs.append(arc)
         return arc
 
     def add_synthetic_arc(self, caller: str, callee: str) -> Arc:

@@ -42,12 +42,13 @@ any is given and exports it afterwards; see README "Observability".
 (the suite on N worker processes), ``--cache-dir [DIR]``
 (content-addressed compile/profile cache) and ``--passes SPEC``
 (pre-optimization pipeline, default all five passes, ``''`` for
-none); see README
-"Pipeline architecture". A ``--passes`` spec that
+none); see README "Pipeline architecture". A ``--passes`` spec that
 :func:`~repro.opt.pipeline.parse_pass_spec` rejects is a usage error
-(exit 2) on every command that takes the flag. Speed is measured by
-``bench/run.py``, not by this tool; see README "Measuring speed and
-counts".
+(exit 2) on every command that takes the flag; so, in one line on
+stderr, is a FILE that cannot be read or compiled, ``--stdin`` or
+``--arg`` text the VM cannot take, or an unusable ``--profile-file``.
+Speed is measured by ``bench/run.py``, not by this tool; see README
+"Measuring speed and counts".
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import NoReturn
 
 from repro.compiler import compile_program
+from repro.errors import ReproError
 from repro.il.printer import format_module
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
@@ -71,7 +74,7 @@ from repro.opt.pipeline import DEFAULT_OPT_SPEC, parse_pass_spec
 from repro.pipeline.parallel import jobs_argument
 from repro.pipeline.session import DEFAULT_CACHE_DIR
 from repro.profiler.profile import RunSpec, profile_module, run_once
-from repro.service.ops import DEFAULT_SLOW_THRESHOLD, DEFAULT_SOCKET
+from repro.service.ops import DEFAULT_SLOW_THRESHOLD, DEFAULT_SOCKET, OPS
 
 
 def _make_obs(args: argparse.Namespace) -> Observability | None:
@@ -216,16 +219,44 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _bad_input(args: argparse.Namespace, message: str) -> NoReturn:
+    """Input the command cannot use: one line on stderr, exit status 2."""
+    print(f"impact-inline {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read(args: argparse.Namespace, path: str) -> str:
+    """The text of ``path``; a file that cannot be read is bad input."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        _bad_input(args, f"cannot read {path}: {error}")
+
+
+def _compile(args: argparse.Namespace, **options):
+    """``args.file`` compiled; source the compiler rejects is bad input."""
+    try:
+        return compile_program(_read(args, args.file), args.file, **options)
+    except ReproError as error:
+        _bad_input(args, str(error))
+
+
+def _run_spec(args: argparse.Namespace) -> RunSpec:
+    """The ``--stdin``/``--arg`` run; text the VM cannot take is bad input."""
+    try:
+        return RunSpec.from_text(args.stdin, args.arg)
+    except ValueError as error:
+        _bad_input(args, str(error))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        source = handle.read()
-    module = compile_program(source, args.file)
+    module = _compile(args)
     if args.check:
         from repro.il.verifier import verify_module
 
         verify_module(module)
-    spec = RunSpec.from_text(args.stdin, args.arg)
-    result = run_once(module, spec)
+    result = run_once(module, _run_spec(args))
     sys.stdout.write(result.stdout)
     counters = result.counters
     print(
@@ -239,11 +270,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.profiler.serialize import dump_profile
 
-    with open(args.file, encoding="utf-8") as handle:
-        source = handle.read()
-    module = compile_program(source, args.file)
-    spec = RunSpec.from_text(args.stdin, args.arg)
-    profile = profile_module(module, [spec], check_exit=False)
+    module = _compile(args)
+    profile = profile_module(module, [_run_spec(args)], check_exit=False)
     text = dump_profile(profile, module)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -257,15 +285,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_inline(args: argparse.Namespace) -> int:
     from repro.experiments import pipeline
 
-    with open(args.file, encoding="utf-8") as handle:
-        source = handle.read()
-    module = compile_program(source, args.file, pass_spec=args.passes)
+    module = _compile(args, pass_spec=args.passes)
     selecting = None
     if args.profile_file:
         from repro.profiler.serialize import load_profile
 
-        with open(args.profile_file, encoding="utf-8") as handle:
-            selecting = load_profile(handle.read(), module)
+        try:
+            selecting = load_profile(_read(args, args.profile_file), module)
+        except (ValueError, KeyError, TypeError, AttributeError) as error:
+            _bad_input(args, f"cannot use profile {args.profile_file}: {error}")
 
     def inliner(profile):
         return inline_module(
@@ -274,7 +302,7 @@ def _cmd_inline(args: argparse.Namespace) -> int:
 
     measured = pipeline.measure_inlining(
         module,
-        [RunSpec.from_text(args.stdin, args.arg)],
+        [_run_spec(args)],
         inliner,
         name=args.file,
         profiler=functools.partial(pipeline.profile_module, check_exit=False),
@@ -297,34 +325,26 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     from repro.callgraph.build import build_call_graph
     from repro.callgraph.dot import to_dot
 
-    with open(args.file, encoding="utf-8") as handle:
-        source = handle.read()
-    module = compile_program(source, args.file)
+    module = _compile(args)
+    profile = decisions = None
+    if args.profile or args.dot:
+        profile = profile_module(module, [_run_spec(args)], check_exit=False)
     if args.dot:
-        # Run a full profile + selection so every arc carries the
-        # selector's reason code, then color the DOT output by it.
-        spec = RunSpec.from_text(args.stdin, args.arg)
-        profile = profile_module(module, [spec], check_exit=False)
+        # Run the selector so every arc carries its reason code, then
+        # color the DOT output by it.
         result = inline_module(module, profile, _inline_params(args))
-        reasons = {
-            decision.site: decision.reason.value
-            for decision in result.decisions
-        }
-        print(
-            to_dot(
-                result.graph,
-                include_synthetic=args.synthetic,
-                min_weight=args.min_weight,
-                decisions=reasons,
-            )
+        graph = result.graph
+        decisions = {d.site: d.reason.value for d in result.decisions}
+    else:
+        graph = build_call_graph(module, profile, refine_pointers=args.refine)
+    print(
+        to_dot(
+            graph,
+            include_synthetic=args.synthetic,
+            min_weight=args.min_weight,
+            decisions=decisions,
         )
-        return 0
-    profile = None
-    if args.profile:
-        spec = RunSpec.from_text(args.stdin, args.arg)
-        profile = profile_module(module, [spec], check_exit=False)
-    graph = build_call_graph(module, profile, refine_pointers=args.refine)
-    print(to_dot(graph, include_synthetic=args.synthetic, min_weight=args.min_weight))
+    )
     return 0
 
 
@@ -351,43 +371,6 @@ def _session(args: argparse.Namespace):
     return CompilationSession(cache_dir=args.cache_dir)
 
 
-def _print_extensions(scale: str) -> None:
-    """The extension experiments: icache, placement, register pressure."""
-    from repro.icache import icache_experiment
-    from repro.layout import placement_experiment
-    from repro.regalloc import pressure_experiment
-    from repro.workloads import benchmark_by_name
-
-    benchmark = benchmark_by_name("compress")
-    module = benchmark.compile()
-    specs = benchmark.make_runs(scale)[:2]
-
-    print("I-cache miss ratios before/after inlining (compress, scattered):")
-    for point in icache_experiment(module, specs):
-        print(
-            f"  {point.size_bytes:5d}B {point.associativity}-way:"
-            f" {point.miss_before:.4f} -> {point.miss_after:.4f}"
-            f" ({point.improvement:+.0%})"
-        )
-    print()
-    print("Placement vs. inlining (compress):")
-    for p in placement_experiment(module, specs):
-        print(
-            f"  {p.size_bytes:5d}B {p.associativity}-way: scattered"
-            f" {p.miss_scattered:.4f}, placed {p.miss_placed:.4f}"
-            f" ({p.placement_improvement:+.0%}), inlined"
-            f" {p.miss_inlined_scattered:.4f} ({p.inlining_improvement:+.0%})"
-        )
-    print()
-    print("Register memory traffic before/after inlining (compress):")
-    for k, before, after in pressure_experiment(module, specs, ks=(4, 8, 16)):
-        print(
-            f"  K={k:2d}: save/restore {before.save_restore_events:.0f} ->"
-            f" {after.save_restore_events:.0f}; spills"
-            f" {before.spill_events:.0f} -> {after.spill_events:.0f}"
-        )
-
-
 def _cmd_tables(args: argparse.Namespace) -> int:
     # run_suite is looked up on its module at call time, so a wrapper
     # installed there (bench/launch.py installs one) sees every run.
@@ -396,15 +379,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
     config = _run_config(args, check=args.check)
     if args.what in ("ablations", "extensions"):
-        if args.cache_dir or args.trace or args.metrics_out or args.summary:
-            args.parser.error(
-                f"{args.what} takes neither --cache-dir nor"
-                " --trace/--metrics-out/--summary"
-            )
+        if args.cache_dir:
+            args.parser.error(f"{args.what} takes no --cache-dir")
         if args.what == "extensions":
             if config != pipeline.RunConfig(scale=config.scale):
                 args.parser.error("extensions takes no run flag but --scale")
-            _print_extensions(config.scale)
+            from repro.experiments.extensions import render_extensions
+
+            print(render_extensions(config.scale))
         else:
             from repro.experiments.ablations import render_ablations
 
@@ -490,15 +472,13 @@ def _cmd_call(args: argparse.Namespace) -> int:
     import json
 
     from repro.service.client import ServiceClient, ServiceError
-    from repro.service.ops import OPS
 
     params: dict = {}
     if args.op in OPS:
         if not args.file:
             print(f"call {args.op} requires a FILE.c", file=sys.stderr)
             return 2
-        with open(args.file, encoding="utf-8") as handle:
-            params["source"] = handle.read()
+        params["source"] = _read(args, args.file)
         params["filename"] = args.file
         if args.stdin:
             params["stdin"] = args.stdin
@@ -707,17 +687,7 @@ def main(argv: list[str] | None = None) -> int:
         "call", help="send one request to a running service"
     )
     call_parser.add_argument(
-        "op",
-        choices=[
-            "compile",
-            "profile",
-            "inline",
-            "check",
-            "ping",
-            "health",
-            "stats",
-            "shutdown",
-        ],
+        "op", choices=[*OPS, "ping", "health", "stats", "shutdown"]
     )
     call_parser.add_argument("file", nargs="?", default=None)
     _add_socket_flag(call_parser)

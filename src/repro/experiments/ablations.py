@@ -35,8 +35,7 @@ from repro.baselines import (
     loop_inline,
     size_threshold_inline,
 )
-from repro.errors import InlineError
-from repro.experiments.pipeline import RunConfig, measure_inlining
+from repro.experiments.pipeline import RunConfig, checked, measure_inlining
 from repro.experiments.report import pct, render_table
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
@@ -58,11 +57,7 @@ class AblationPoint:
 
 def _checked(measured, name: str, label: str):
     """``measured``'s Table 4 pair; raises when its outputs diverged."""
-    if not measured.outputs_match:
-        raise InlineError(
-            f"{name} [{label}]: inlined outputs diverge: "
-            + "; ".join(measured.output_divergences)
-        )
+    measured = checked(measured, name, label)
     return measured.code_increase, measured.call_decrease
 
 

@@ -12,10 +12,11 @@ check that both printed the same outputs. The check compares the
 :class:`~repro.profiler.profile.Observation` each profiled run left
 behind, so every (module, input) pair executes once. The suite, the
 differential oracle, the service's ``inline`` and ``check`` operations,
-``impact-inline inline`` and the ablations all call it, each with its
-own way of profiling and its own way of inlining; Table 4's call
-decrease, ILs/call and CTs/call are defined once, on the
-:class:`InliningMeasurement` it returns.
+``impact-inline inline``, the ablations and the extension studies all
+call it, each with its own way of profiling and of inlining; Table 4's
+call decrease, ILs/call and CTs/call are defined once, on the
+:class:`InliningMeasurement` it returns (:func:`checked` raises on a
+divergence).
 
 Every stage is instrumented: run it under
 ``with observing(Observability.create()):`` (see
@@ -32,6 +33,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from repro.errors import InlineError
 from repro.inliner.classify import ClassifiedSites, SiteClass, classify_sites
 from repro.inliner.manager import InlineResult, inline_module
 from repro.inliner.params import InlineParameters
@@ -233,6 +235,19 @@ def measure_inlining(
         attrs["reused"] = comparison.reused
         attrs["rerun"] = comparison.rerun
     return InliningMeasurement(profile, inlined, post_profile, comparison)
+
+
+def checked(
+    measured: InliningMeasurement, name: str, label: str
+) -> InliningMeasurement:
+    """``measured``, if its outputs matched; otherwise raises
+    :class:`~repro.errors.InlineError` naming ``name [label]`` and each divergence."""
+    if not measured.outputs_match:
+        raise InlineError(
+            f"{name} [{label}]: inlined outputs diverge: "
+            + "; ".join(measured.output_divergences)
+        )
+    return measured
 
 
 def run_benchmark(

@@ -185,7 +185,7 @@ class Parser:
             ast.Param(name, ptype, location=decl.location)
             for name, ptype in zip(decl.param_names, decl.type.param_types)
         ]
-        signature = FunctionSignature(decl.name, decl.type, decl.param_names, inline_hint)
+        signature = FunctionSignature(decl.name, decl.type, decl.param_names)
         body = self._compound_statement()
         self._unit.functions.append(
             ast.FunctionDef(

@@ -39,7 +39,6 @@ class FunctionInfo:
     definition: ast.FunctionDef
     params: list[VarSymbol] = field(default_factory=list)
     locals: list[VarSymbol] = field(default_factory=list)
-    has_return_value: bool = False
 
 
 @dataclass
@@ -300,7 +299,6 @@ class Analyzer:
                 f"cannot return {value_type} from function returning {return_type}",
                 stmt.location,
             )
-        self._current.has_return_value = True
 
     # ------------------------------------------------------------------
     # initializers

@@ -7,7 +7,7 @@ are laid out contiguously with natural alignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SemanticError
 
@@ -46,10 +46,6 @@ class CType:
 
     @property
     def is_struct(self) -> bool:
-        return False
-
-    @property
-    def is_function(self) -> bool:
         return False
 
 
@@ -182,10 +178,6 @@ class FunctionType(CType):
     def size(self) -> int:
         return WORD_SIZE  # as a value: decays to a function pointer
 
-    @property
-    def is_function(self) -> bool:
-        return True
-
     def __str__(self) -> str:
         params = ", ".join(str(p) for p in self.param_types) or "void"
         return f"{self.return_type}({params})"
@@ -195,8 +187,6 @@ class FunctionType(CType):
 VOID = VoidType()
 INT = IntType(WORD_SIZE)
 CHAR = IntType(1)
-CHAR_PTR = PointerType(CHAR)
-INT_PTR = PointerType(INT)
 
 
 def complete_struct(struct: StructType, members: list[tuple[str, CType]]) -> StructType:
@@ -263,4 +253,3 @@ class FunctionSignature:
     name: str
     type: FunctionType
     param_names: tuple[str, ...] = ()
-    is_inline_hint: bool = field(default=False)

@@ -10,14 +10,15 @@ reducing mapping conflicts in caches with small set-associativities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.icache.cache import InstructionCache
 from repro.il.module import ILModule
-from repro.inliner.manager import inline_module
-from repro.inliner.params import InlineParameters
-from repro.opt import optimize_module
-from repro.profiler.profile import RunSpec, profile_module
+from repro.profiler.profile import RunSpec
 from repro.vm.machine import Machine
+
+if TYPE_CHECKING:  # the measurement, named only in annotations
+    from repro.experiments.pipeline import InliningMeasurement
 
 
 @dataclass
@@ -65,44 +66,32 @@ def traced_miss_ratio(
 def icache_experiment(
     module: ILModule,
     specs: list[RunSpec],
-    configs: list[tuple[int, int, int]] | None = None,
-    params: InlineParameters | None = None,
-    layout: str = "scattered",
+    measured: InliningMeasurement,
+    configs: tuple[tuple[int, int, int], ...] = (
+        (512, 16, 1), (1024, 16, 1), (2048, 16, 1), (1024, 16, 2), (4096, 32, 1)
+    ),
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
 ) -> list[CachePoint]:
-    """Compare miss ratios before/after inlining over ``configs``.
+    """Miss ratios of ``module`` and of ``measured``'s inlined module
+    over ``specs``, for each of ``configs``.
 
     ``configs`` entries are (size_bytes, line_bytes, associativity);
-    the defaults span the small caches of the paper's era. ``layout``
-    chooses the simulated code placement: "scattered" (default) models
-    a linker that separates related functions — the mapping-conflict
-    regime where the paper's companion study found inlining helps most;
-    "sequential" packs functions contiguously (a best-case pre-inline
-    layout where inlining's duplication can instead cost misses).
+    the defaults span the small caches of the paper's era. Both modules
+    run under a scattered layout, a linker that separates related
+    functions: the mapping-conflict regime where the paper's companion
+    study found inlining helps most. ``traced_miss_ratio(...,
+    code_layout="sequential")`` measures the counter-case, a contiguous
+    layout where inlining's duplication can instead cost misses.
     """
-    if configs is None:
-        configs = [
-            (512, 16, 1),
-            (1024, 16, 1),
-            (2048, 16, 1),
-            (1024, 16, 2),
-            (4096, 32, 1),
-        ]
-    working = module.clone()
-    optimize_module(working)
-    profile = profile_module(working, specs, check_exit=False)
-    inlined = inline_module(working, profile, params).module
-    optimize_module(inlined)
-
     points = []
     for size_bytes, line_bytes, associativity in configs:
         before = traced_miss_ratio(
-            working, specs, size_bytes, line_bytes, associativity, seeds,
-            code_layout=layout,
+            module, specs, size_bytes, line_bytes, associativity, seeds,
+            code_layout="scattered",
         )
         after = traced_miss_ratio(
-            inlined, specs, size_bytes, line_bytes, associativity, seeds,
-            code_layout=layout,
+            measured.inline.module, specs, size_bytes, line_bytes, associativity,
+            seeds, code_layout="scattered",
         )
         points.append(
             CachePoint(size_bytes, line_bytes, associativity, before, after)

@@ -31,9 +31,6 @@ class ExpansionRecord:
     #: excluded, the removed call accounted). Matches
     #: :meth:`repro.inliner.cost.CostModel.splice_delta` exactly.
     added_instructions: int = 0
-    #: Net growth in label pseudo-instructions (the copied callee
-    #: labels plus the spliced ``…/return`` label).
-    added_labels: int = 0
 
 
 def _find_call(caller: ILFunction, site: int) -> int:
@@ -142,5 +139,4 @@ def expand_call_site(
     caller.layout_frame()  # frame sizes are updated after each expansion
     real = sum(1 for instr in spliced if is_real(instr))
     record.added_instructions = real - 1  # the call itself went away
-    record.added_labels = len(spliced) - real
     return record

@@ -9,14 +9,15 @@ adjacent. The final concatenation is the placement order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.icache.experiment import traced_miss_ratio
 from repro.il.module import ILModule
-from repro.inliner.manager import inline_module
-from repro.inliner.params import InlineParameters
-from repro.opt import optimize_module
-from repro.profiler.profile import ProfileData, RunSpec, profile_module
+from repro.profiler.profile import ProfileData, RunSpec
 from repro.il.instructions import Opcode
+
+if TYPE_CHECKING:  # the measurement, named only in annotations
+    from repro.experiments.pipeline import InliningMeasurement
 
 
 def affinity_order(module: ILModule, profile: ProfileData) -> list[str]:
@@ -89,37 +90,31 @@ class PlacementResult:
 def placement_experiment(
     module: ILModule,
     specs: list[RunSpec],
-    configs: list[tuple[int, int]] | None = None,
-    params: InlineParameters | None = None,
+    measured: InliningMeasurement,
+    configs: tuple[tuple[int, int], ...] = ((512, 1), (1024, 1), (1024, 2)),
     seeds: tuple[int, ...] = (0, 1, 2),
 ) -> list[PlacementResult]:
-    """Compare three locality strategies on the I-cache:
+    """Compare three locality strategies on the I-cache, over ``specs``:
 
-    1. scattered layout (the do-nothing linker),
-    2. profile-guided placement of the original program,
-    3. inline expansion under the scattered layout (locality made
-       internal to functions, robust against placement).
+    1. ``module`` under a scattered layout (the do-nothing linker),
+    2. ``module`` placed by :func:`affinity_order` under ``measured``'s
+       profile of it,
+    3. ``measured``'s inlined module under the scattered layout
+       (locality made internal to functions, robust against placement).
     """
-    if configs is None:
-        configs = [(512, 1), (1024, 1), (1024, 2)]
-    working = module.clone()
-    optimize_module(working)
-    profile = profile_module(working, specs, check_exit=False)
-    order = affinity_order(working, profile)
-    inlined = inline_module(working, profile, params).module
-    optimize_module(inlined)
+    order = affinity_order(module, measured.profile)
 
     results = []
     for size_bytes, associativity in configs:
         scattered = traced_miss_ratio(
-            working, specs, size_bytes, 16, associativity, seeds,
+            module, specs, size_bytes, 16, associativity, seeds,
             code_layout="scattered",
         )
         placed = traced_miss_ratio(
-            working, specs, size_bytes, 16, associativity, function_order=order
+            module, specs, size_bytes, 16, associativity, function_order=order
         )
         inlined_scattered = traced_miss_ratio(
-            inlined, specs, size_bytes, 16, associativity, seeds,
+            measured.inline.module, specs, size_bytes, 16, associativity, seeds,
             code_layout="scattered",
         )
         results.append(

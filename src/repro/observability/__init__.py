@@ -89,26 +89,19 @@ def observing(observability: Observability):
         _CURRENT.reset(token)
 
 
-def get_logger(name: str) -> logging.Logger:
-    """A logger under the ``repro`` namespace (``repro.<name>``)."""
-    return logging.getLogger(f"repro.{name}")
-
-
-def enable_console_logging(
-    level: int = logging.INFO, stream=None
-) -> logging.Logger:
-    """Attach a stderr handler to the ``repro`` logger (idempotent).
+def enable_console_logging() -> None:
+    """Attach a stderr handler to the ``repro`` logger at INFO level
+    (idempotent).
 
     Library users who configure logging themselves never need this; the
     CLI calls it so progress messages stay visible by default.
     """
     logger = logging.getLogger("repro")
     if not logger.handlers:
-        handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+        handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("%(message)s"))
         logger.addHandler(handler)
-    logger.setLevel(level)
-    return logger
+    logger.setLevel(logging.INFO)
 
 
 __all__ = [
@@ -126,6 +119,5 @@ __all__ = [
     "Tracer",
     "current",
     "enable_console_logging",
-    "get_logger",
     "observing",
 ]

@@ -23,7 +23,6 @@ class AllocationResult:
     """Coloring of one function's registers."""
 
     function: str
-    k: int
     assignment: dict[str, int] = field(default_factory=dict)
     spilled: set[str] = field(default_factory=set)
     graph: InterferenceGraph | None = None
@@ -59,7 +58,7 @@ def allocate_function(
 ) -> AllocationResult:
     """Color ``function``'s virtual registers with K colors."""
     graph = build_interference(function)
-    result = AllocationResult(function.name, k, graph=graph)
+    result = AllocationResult(function.name, graph=graph)
 
     degrees = {reg: graph.degree(reg) for reg in graph.nodes}
     removed: set[str] = set()

@@ -13,27 +13,25 @@ profile:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.il.module import ILModule
-from repro.inliner.manager import inline_module
-from repro.inliner.params import InlineParameters
-from repro.opt import optimize_module
-from repro.profiler.profile import ProfileData, RunSpec, profile_module
+from repro.profiler.profile import ProfileData
 from repro.regalloc.coloring import allocate_module
+
+if TYPE_CHECKING:  # the measurement, named only in annotations
+    from repro.experiments.pipeline import InliningMeasurement
 
 
 @dataclass
 class PressureReport:
     """Pressure numbers for one module under a K-register machine."""
 
-    k: int
-    total_spilled_registers: int = 0
     #: Profile-weighted spill events (memory accesses from spills).
     spill_events: float = 0.0
     #: Profile-weighted save/restore traffic at call boundaries.
     save_restore_events: float = 0.0
-    per_function_spills: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_memory_events(self) -> float:
@@ -44,47 +42,34 @@ def measure_pressure(
     module: ILModule, profile: ProfileData, k: int = 16
 ) -> PressureReport:
     """Allocate every function and weight the outcome by the profile."""
-    report = PressureReport(k)
-    allocations = allocate_module(module, k)
-    for name, allocation in allocations.items():
-        report.total_spilled_registers += allocation.spill_count
-        report.per_function_spills[name] = allocation.spill_count
+    report = PressureReport()
+    for name, allocation in allocate_module(module, k).items():
         weight = profile.node_weight(name)
         report.spill_events += weight * allocation.spill_cost()
-    # Save/restore: per dynamic call, the convention moves
-    # min(K, registers the callee actually uses) registers to memory
-    # and back (callee-saved discipline).
-    for name, allocation in allocations.items():
-        calls_into = profile.node_weight(name)
-        report.save_restore_events += (
-            2 * calls_into * min(k, allocation.registers_used)
-        )
+        # Save/restore: per dynamic call, the convention moves
+        # min(K, registers the callee actually uses) registers to memory
+        # and back (callee-saved discipline).
+        report.save_restore_events += 2 * weight * min(k, allocation.registers_used)
     return report
 
 
 def pressure_experiment(
     module: ILModule,
-    specs: list[RunSpec],
+    measured: InliningMeasurement,
     ks: tuple[int, ...] = (8, 16, 32),
-    params: InlineParameters | None = None,
 ) -> list[tuple[int, PressureReport, PressureReport]]:
-    """(K, before, after) pressure reports across register-file sizes.
+    """(K, before, after) pressure reports across register-file sizes:
+    ``module`` under ``measured``'s profile of it, and ``measured``'s
+    inlined module under its post-inline profile.
 
     Expected shape: inlining trades save/restore traffic (large before,
     tiny after) for extra spills (small before, moderate after), with a
     large net win for realistic K — the software counterpart of the
     paper's "register windows become unnecessary" claim.
     """
-    working = module.clone()
-    optimize_module(working)
-    profile = profile_module(working, specs, check_exit=False)
-    inlined = inline_module(working, profile, params).module
-    optimize_module(inlined)
-    inlined_profile = profile_module(inlined, specs, check_exit=False)
-
     results = []
     for k in ks:
-        before = measure_pressure(working, profile, k)
-        after = measure_pressure(inlined, inlined_profile, k)
+        before = measure_pressure(module, measured.profile, k)
+        after = measure_pressure(measured.inline.module, measured.post_profile, k)
         results.append((k, before, after))
     return results

@@ -1,11 +1,13 @@
 """Tests for the impact-inline CLI and the experiments __main__."""
 
+import json
 import os
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments.__main__ import main as experiments_main
+from repro.profiler.serialize import FORMAT_VERSION
 
 PROGRAM = """
 #include <sys.h>
@@ -157,16 +159,11 @@ class TestTablesAlias:
 class TestModeFlags:
     """``ablations`` and ``extensions`` honour a flag or reject it."""
 
+    # Both modes record --trace/--metrics-out/--summary like any
+    # command; neither reads or fills a cache.
     @pytest.mark.parametrize("mode", ["ablations", "extensions"])
     @pytest.mark.parametrize(
-        "flag",
-        [
-            ["--trace", "t.jsonl"],
-            ["--metrics-out", "m.json"],
-            ["--summary"],
-            ["--cache-dir", "cache"],
-        ],
-        ids=["trace", "metrics-out", "summary", "cache-dir"],
+        "flag", [["--cache-dir", "cache"]], ids=["cache-dir"]
     )
     def test_obs_and_cache_flags_rejected(
         self, mode, flag, tmp_path, monkeypatch, capsys
@@ -193,6 +190,18 @@ class TestModeFlags:
             experiments_main(["extensions", "--scale", "small", *flag])
         assert excinfo.value.code == 2
         assert "takes no run flag but --scale" in capsys.readouterr().err
+
+    def test_ablations_record_metrics(self, tmp_path, capsys):
+        metrics = tmp_path / "m.json"
+        code = experiments_main(
+            ["ablations", "--benchmarks", "wc", "--metrics-out", str(metrics)]
+        )
+        assert code == 0
+        assert "Ablation D" in capsys.readouterr().out
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["frontend.modules_compiled"] == 1
+        assert counters["vm.runs"] == 20
+        assert counters["inliner.expansions_performed"] == 2
 
     def test_ablations_honour_run_flags(self, monkeypatch, capsys):
         from repro.experiments import ablations
@@ -279,6 +288,62 @@ class TestReportCommand:
         assert "usage:" in err
         assert f"cannot read trace {path}: " in err
         assert "Traceback" not in err
+
+
+class TestBadInput:
+    """Input a command cannot use is one line on stderr and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "bad.c"], "use of undeclared identifier 'nowhere'"),
+            (["run", "missing.c"], "cannot read missing.c: "),
+            (["run", "prog.c", "--stdin", "\u20ac"], "stdin holds '\u20ac'"),
+            (
+                ["inline", "prog.c", "--profile-file", "other.profile"],
+                "profile fingerprint mismatch",
+            ),
+            (
+                ["inline", "prog.c", "--profile-file", "notes.txt"],
+                "cannot use profile notes.txt: ",
+            ),
+            (
+                ["inline", "prog.c", "--profile-file", "list.json"],
+                "cannot use profile list.json: ",
+            ),
+            (
+                ["inline", "prog.c", "--profile-file", "runless.json"],
+                "cannot use profile runless.json: ",
+            ),
+        ],
+        ids=[
+            "undeclared-identifier",
+            "missing-file",
+            "non-latin1-stdin",
+            "foreign-profile",
+            "non-json-profile",
+            "non-object-profile",
+            "incomplete-profile",
+        ],
+    )
+    def test_one_line_and_exit_2(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "prog.c").write_text(PROGRAM)
+        (tmp_path / "bad.c").write_text("int main(void) { return nowhere; }\n")
+        (tmp_path / "notes.txt").write_text("not a profile\n")
+        (tmp_path / "list.json").write_text("[]\n")
+        (tmp_path / "runless.json").write_text(json.dumps({"format": FORMAT_VERSION}))
+        (tmp_path / "other.c").write_text("int main(void) { return 0; }\n")
+        assert cli_main(["profile", "other.c", "-o", "other.profile"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith(f"impact-inline {argv[0]}: error: ")
+        assert message in line
 
 
 class TestGraphCommand:

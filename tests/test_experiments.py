@@ -1,5 +1,5 @@
-"""Tests for the experiment harness: pipeline, table builders and the
-ablations."""
+"""Tests for the experiment harness: pipeline, table builders, the
+ablations and the extension studies."""
 
 import hashlib
 from collections import Counter
@@ -8,7 +8,7 @@ import pytest
 
 from repro.compiler import compile_program
 from repro.errors import InlineError
-from repro.experiments import ablations
+from repro.experiments import ablations, extensions
 from repro.experiments.pipeline import (
     RunConfig,
     aggregate_dynamic_breakdown,
@@ -318,6 +318,32 @@ class TestAblations:
             InlineError, match=r"^wc \[T=10\]: inlined outputs diverge: .*stdout"
         ):
             ablations.threshold_sweep(RunConfig(names=("wc",)), thresholds=(10,))
+
+
+class TestExtensions:
+    def test_diverging_inlining_raises_before_any_study(self, monkeypatch):
+        silent = compile_program("int main(void) { return 0; }")
+
+        def planted(module, profile, **options):
+            result = inline_module(module, profile, **options)
+            result.module = silent
+            return result
+
+        def study(*args, **kwargs):
+            raise AssertionError("a study ran on a diverging inlining")
+
+        monkeypatch.setattr(extensions, "inline_module", planted)
+        for name in (
+            "icache_experiment",
+            "placement_experiment",
+            "pressure_experiment",
+        ):
+            monkeypatch.setattr(extensions, name, study)
+        with pytest.raises(
+            InlineError,
+            match=r"^compress \[inline\+optimize\]: inlined outputs diverge: .*stdout",
+        ):
+            extensions.render_extensions("small")
 
 
 class TestReportHelpers:

@@ -7,9 +7,11 @@ import pytest
 from repro.callgraph import analyze_pointer_calls, build_call_graph
 from repro.callgraph.graph import POINTER_NODE
 from repro.compiler import compile_program
+from repro.experiments.extensions import measure_extension
 from repro.il.verifier import verify_module
 from repro.opt import eliminate_tail_recursion, eliminate_tail_recursion_module
 from repro.icache import InstructionCache, icache_experiment
+from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.profiler.profile import RunSpec, run_once
 from repro.vm.machine import Machine
 from repro.vm.os import VirtualOS
@@ -208,10 +210,11 @@ class TestInstructionCache:
         from repro.workloads import benchmark_by_name
 
         benchmark = benchmark_by_name("cmp")
-        module = benchmark.compile()
+        module = benchmark.compile(pass_spec=DEFAULT_OPT_SPEC)
         specs = benchmark.make_runs("small")[:1]
+        measured = measure_extension(module, specs, name="cmp")
         points = icache_experiment(
-            module, specs, configs=[(512, 16, 1)], seeds=(0, 1)
+            module, specs, measured, configs=[(512, 16, 1)], seeds=(0, 1)
         )
         [point] = points
         assert 0.0 <= point.miss_before <= 1.0

@@ -1,7 +1,9 @@
 """Tests for profile-guided function placement."""
 
 from repro.compiler import compile_program
+from repro.experiments.extensions import measure_extension
 from repro.layout import affinity_order, placement_experiment
+from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.profiler.profile import RunSpec, profile_module
 from repro.vm.machine import Machine
 from repro.vm.os import VirtualOS
@@ -68,9 +70,10 @@ class TestExplicitOrderInVM:
 
 class TestPlacementExperiment:
     def test_reports_all_configs(self):
-        module, _ = prepared()
+        module = compile_program(HOT_PAIR, pass_spec=DEFAULT_OPT_SPEC)
+        measured = measure_extension(module, [RunSpec()], name="hot_pair")
         points = placement_experiment(
-            module, [RunSpec()], configs=[(512, 1)], seeds=(0,)
+            module, [RunSpec()], measured, configs=[(512, 1)], seeds=(0,)
         )
         [point] = points
         assert 0.0 <= point.miss_scattered <= 1.0

@@ -1,6 +1,8 @@
 """Tests for the register allocator (interference, coloring, pressure)."""
 
 from repro.compiler import compile_program
+from repro.experiments.extensions import measure_extension
+from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.profiler.profile import RunSpec, profile_module
 from repro.regalloc import (
     allocate_function,
@@ -122,9 +124,11 @@ class TestPressure:
             "int f(int x) { return x * 2 + 1; }\n"
             "int main(void) { int i; int s = 0;"
             " for (i = 0; i < 200; i++) s += f(i);"
-            " print_int(s); return 0; }"
+            " print_int(s); return 0; }",
+            pass_spec=DEFAULT_OPT_SPEC,
         )
-        results = pressure_experiment(module, [RunSpec()], ks=(8,))
+        measured = measure_extension(module, [RunSpec()], name="f")
+        results = pressure_experiment(module, measured, ks=(8,))
         [(k, before, after)] = results
         assert after.save_restore_events < before.save_restore_events
         assert after.total_memory_events < before.total_memory_events
