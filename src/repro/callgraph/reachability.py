@@ -2,8 +2,7 @@
 
 A function is removable when it cannot be reached from ``main``. With
 any external function present, the worst case must be assumed — the
-external may call anything — so nothing can be removed unless the
-caller opts into the aggressive mode (useful for closed programs).
+external may call anything — so nothing is removed.
 """
 
 from __future__ import annotations
@@ -12,27 +11,16 @@ from repro.callgraph.graph import EXTERNAL_NODE, POINTER_NODE, CallGraph
 from repro.il.module import ILModule
 
 
-def reachable_functions(
-    graph: CallGraph,
-    entry: str | None = None,
-    ignore_external_closure: bool = False,
-) -> set[str]:
-    """Nodes reachable from the entry by directed paths (entry included).
-
-    With ``ignore_external_closure`` the synthetic worst-case arcs *out
-    of* ``$$$`` are skipped — i.e. external functions are assumed not to
-    call back into the program. Arcs out of ``###`` are always followed
-    (indirect calls are real program behaviour).
-    """
-    start = entry if entry is not None else graph.entry
-    if start not in graph.nodes:
+def reachable_functions(graph: CallGraph) -> set[str]:
+    """Nodes reachable from the graph's entry by directed paths (entry
+    included), following every arc, those out of ``$$$`` and ``###``
+    too."""
+    if graph.entry not in graph.nodes:
         return set()
-    seen = {start}
-    frontier = [start]
+    seen = {graph.entry}
+    frontier = [graph.entry]
     while frontier:
         name = frontier.pop()
-        if ignore_external_closure and name == EXTERNAL_NODE:
-            continue
         for arc in graph.nodes[name].out_arcs:
             if arc.callee not in seen:
                 seen.add(arc.callee)
@@ -40,30 +28,20 @@ def reachable_functions(
     return seen
 
 
-def eliminate_unreachable(
-    module: ILModule,
-    graph: CallGraph,
-    assume_worst_case: bool = True,
-) -> list[str]:
+def eliminate_unreachable(module: ILModule, graph: CallGraph) -> list[str]:
     """Delete functions not reachable from the entry; returns the names.
 
-    ``assume_worst_case`` keeps the paper's conservative stance: when
-    the call graph is incomplete (any external call exists), all
-    functions are presumed reachable and nothing is removed. Address-
-    taken functions are always kept, since an indirect call or an
-    asynchronous event (§2.6) could still invoke them.
+    The paper's conservative stance: when the call graph is incomplete
+    (any external call exists), all functions are presumed reachable
+    and nothing is removed. Address-taken functions are always kept,
+    since an indirect call or an asynchronous event (§2.6) could still
+    invoke them.
     """
-    has_externals = any(
-        arc.callee == EXTERNAL_NODE for arc in graph.call_site_arcs()
-    )
-    if assume_worst_case and has_externals:
+    if any(arc.callee == EXTERNAL_NODE for arc in graph.call_site_arcs()):
         return []
-    reachable = reachable_functions(
-        graph, ignore_external_closure=not assume_worst_case
-    )
     # ### reachability already covers address-taken functions when an
     # indirect call exists; keep address-taken ones regardless.
-    keep = set(reachable) | set(module.address_taken)
+    keep = reachable_functions(graph) | set(module.address_taken)
     keep.add(module.entry)
     keep.discard(EXTERNAL_NODE)
     keep.discard(POINTER_NODE)

@@ -28,10 +28,9 @@ Subcommands::
         Client for a running server: compile|profile|inline|check a
         source file, or ping|health|stats|shutdown the server.
 
-``run``, ``inline``, and ``tables`` accept ``--check`` (re-verify IL
-well-formedness — for ``inline`` and ``tables`` after every inline
-phase). ``run``, ``inline``, ``tables``, ``check`` and ``serve``
-accept ``--trace FILE`` (structured
+``inline`` and ``tables`` accept ``--check`` (re-verify IL
+well-formedness after every inline phase). ``run``, ``inline``,
+``tables``, ``check`` and ``serve`` accept ``--trace FILE`` (structured
 JSONL trace: phase spans, events, inline-decision audit records),
 ``--metrics-out FILE`` (JSON snapshot of pipeline counters and
 histograms), and ``--summary`` (metrics summary table on stderr):
@@ -252,10 +251,6 @@ def _run_spec(args: argparse.Namespace) -> RunSpec:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     module = _compile(args)
-    if args.check:
-        from repro.il.verifier import verify_module
-
-        verify_module(module)
     result = run_once(module, _run_spec(args))
     sys.stdout.write(result.stdout)
     counters = result.counters
@@ -292,7 +287,7 @@ def _cmd_inline(args: argparse.Namespace) -> int:
 
         try:
             selecting = load_profile(_read(args, args.profile_file), module)
-        except (ValueError, KeyError, TypeError, AttributeError) as error:
+        except ValueError as error:
             _bad_input(args, f"cannot use profile {args.profile_file}: {error}")
 
     def inliner(profile):
@@ -523,11 +518,6 @@ def main(argv: list[str] | None = None) -> int:
     run_parser = sub.add_parser("run", help="compile and execute a C-subset file")
     run_parser.add_argument("file")
     _add_input_flags(run_parser)
-    run_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="re-verify IL well-formedness before executing",
-    )
     _add_obs_flags(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 

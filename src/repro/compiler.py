@@ -11,12 +11,13 @@
 
 Unless ``link_libc=False``, every program is linked with the C-subset
 libc (:data:`~repro.runtime.LIBC_SOURCE`) as if the two were one
-translation unit, libc first. The libc is compiled once per process
-and per ``(headers, defines)``, on the first compile that links it: the
-*libc prefix* keeps the preprocessor's macro table after libc, libc's
-global symbols, its lowered IL and, per canonical pass spec, that IL
-pre-optimized. Each program is then preprocessed, parsed, analyzed and
-lowered on top of the prefix, and the two are linked.
+translation unit, libc first. The libc is compiled once per process, on
+the first compile that links it: the *libc prefix* keeps the
+preprocessor's macro table after libc, libc's global symbols, its
+lowered IL and, per canonical pass spec, that IL pre-optimized. Each
+program is then preprocessed, parsed, analyzed and lowered on top of
+the prefix, and the two are linked. Every module is verified after
+lowering and entered at ``main``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import os
 import threading
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
 from repro.frontend import ast
 from repro.frontend.parser import parse_translation_unit
 from repro.frontend.preprocessor import Macro, Preprocessor
@@ -47,19 +47,8 @@ class CompileResult:
     analysis: AnalyzedUnit
 
 
-def _all_headers(headers: dict[str, str] | None) -> dict[str, str]:
-    all_headers = standard_headers()
-    if headers:
-        all_headers.update(headers)
-    return all_headers
-
-
 def compile_to_analysis(
-    source: str,
-    filename: str = "<input>",
-    headers: dict[str, str] | None = None,
-    defines: dict[str, str] | None = None,
-    link_libc: bool = True,
+    source: str, filename: str = "<input>", *, link_libc: bool = True
 ) -> AnalyzedUnit:
     """Preprocess, parse, and semantically analyze a program.
 
@@ -70,7 +59,7 @@ def compile_to_analysis(
     header prototypes only and become external functions.
     """
     tracer = current().tracer
-    preprocessor = Preprocessor(_all_headers(headers), defines)
+    preprocessor = Preprocessor(standard_headers())
     with tracer.span("frontend.preprocess"):
         pieces = []
         if link_libc:
@@ -106,18 +95,19 @@ class _Libc:
     )
 
 
-#: Most libc prefixes kept (one per ``(headers, defines)``), and most
-#: pre-optimized variants kept per prefix; the oldest is dropped first.
+#: Most pre-optimized variants of the libc prefix kept; the oldest is
+#: dropped first.
 LIBC_CACHE_LIMIT = 8
 
 _LIBC_LOCK = threading.Lock()
-_LIBC: dict[tuple, _Libc | None] = {}
-_UNBUILT = object()
+#: This process's libc prefix, built by the first compile that links libc.
+_LIBC: _Libc | None = None
 
 
 def _unlock_after_fork() -> None:
     # A child forked while another thread builds would inherit a held
-    # lock; prefixes are stored only once complete, so a new one is safe.
+    # lock; the prefix and its variants are stored only once complete,
+    # so a new one is safe.
     global _LIBC_LOCK
     _LIBC_LOCK = threading.Lock()
 
@@ -125,68 +115,45 @@ def _unlock_after_fork() -> None:
 os.register_at_fork(after_in_child=_unlock_after_fork)
 
 
-def _put(table: dict, key, value) -> None:
-    table[key] = value
-    if len(table) > LIBC_CACHE_LIMIT:
-        del table[next(iter(table))]
-
-
-def _build_libc(
-    headers: dict[str, str] | None, defines: dict[str, str] | None
-) -> _Libc | None:
-    """Compile libc alone; ``None`` when linking it on its own would not
-    give the single unit's module: libc does not compile alone (a
-    header or define broke it), or its functions intern strings, whose
-    ``.strN`` numbers come after the program's globals' in one unit."""
+def _build_libc() -> _Libc:
+    """Compile libc alone. Under the standard headers it always does,
+    and it interns no string literal, so linking it in front of a
+    program gives the single unit's module."""
     tracer = current().tracer
-    preprocessor = Preprocessor(_all_headers(headers), defines)
-    try:
-        with tracer.span("frontend.preprocess"):
-            text, lines = preprocessor.expand(LIBC_SOURCE, "<libc>")
-        with tracer.span("frontend.parse"):
-            unit = parse_translation_unit(text, "<libc>", lines=lines)
-        with tracer.span("frontend.analyze"):
-            analysis = analyze(unit)
-        with tracer.span("frontend.lower"):
-            module = lower_unit(analysis)
-    except ReproError:
-        return None
-    initialized = {item.symbol for data in module.globals.values() for item in data.init}
-    if any(name.startswith(".str") and name not in initialized for name in module.globals):
-        return None
+    preprocessor = Preprocessor(standard_headers())
+    with tracer.span("frontend.preprocess"):
+        text, lines = preprocessor.expand(LIBC_SOURCE, "<libc>")
+    with tracer.span("frontend.parse"):
+        unit = parse_translation_unit(text, "<libc>", lines=lines)
+    with tracer.span("frontend.analyze"):
+        analysis = analyze(unit)
+    with tracer.span("frontend.lower"):
+        module = lower_unit(analysis)
     symbols = AnalyzedUnit(
         ast.TranslationUnit(structs=unit.structs), analysis.globals, analysis.functions
     )
     return _Libc(preprocessor.macros, symbols, module)
 
 
-def _libc_prefix(
-    headers: dict[str, str] | None,
-    defines: dict[str, str] | None,
-    passes: tuple[str, ...],
-) -> tuple[_Libc, dict[str, ILFunction]] | None:
-    """The libc prefix for ``headers`` and ``defines`` and its functions
-    pre-optimized by ``passes`` (as lowered when there are none), each
-    built on first use inside a ``frontend.libc`` span; ``None`` when
-    the program must be compiled as one unit with libc."""
-    key = (tuple(sorted((headers or {}).items())), tuple(sorted((defines or {}).items())))
+def _libc_prefix(passes: tuple[str, ...]) -> tuple[_Libc, dict[str, ILFunction]]:
+    """The libc prefix and its functions pre-optimized by ``passes`` (as
+    lowered when there are none), each built on first use inside a
+    ``frontend.libc`` span."""
+    global _LIBC
     with _LIBC_LOCK:
-        libc = _LIBC.get(key, _UNBUILT)
-        if libc is _UNBUILT or (
-            libc is not None and passes and passes not in libc.optimized
-        ):
+        libc = _LIBC
+        if libc is None or (passes and passes not in libc.optimized):
             with current().tracer.span("frontend.libc"):
-                if libc is _UNBUILT:
-                    libc = _build_libc(headers, defines)
-                    _put(_LIBC, key, libc)
-                if libc is not None and passes:
+                if libc is None:
+                    libc = _LIBC = _build_libc()
+                if passes:
                     from repro.opt import optimize_module
 
                     optimized = libc.module.clone()
                     optimize_module(optimized, pass_spec=",".join(passes))
-                    _put(libc.optimized, passes, optimized.functions)
-        if libc is None:
-            return None
+                    libc.optimized[passes] = optimized.functions
+                    if len(libc.optimized) > LIBC_CACHE_LIMIT:
+                        del libc.optimized[next(iter(libc.optimized))]
         return libc, libc.optimized[passes] if passes else libc.module.functions
 
 
@@ -203,16 +170,11 @@ def _redefines_libc_prototype(unit: ast.TranslationUnit, libc: _Libc) -> bool:
     return False
 
 
-def _analyze_on_libc(
-    source: str,
-    filename: str,
-    headers: dict[str, str] | None,
-    libc: _Libc,
-) -> AnalyzedUnit | None:
+def _analyze_on_libc(source: str, filename: str, libc: _Libc) -> AnalyzedUnit | None:
     """Preprocess, parse and analyze ``source`` as the rest of a unit
     that libc begins; ``None`` when it must be compiled as one unit."""
     tracer = current().tracer
-    preprocessor = Preprocessor(_all_headers(headers))
+    preprocessor = Preprocessor(standard_headers())
     preprocessor.macros = dict(libc.macros)
     with tracer.span("frontend.preprocess"):
         text, lines = preprocessor.expand(source, filename)
@@ -230,18 +192,12 @@ def _analyze_on_libc(
 # compiling
 
 
-def _lower(
-    analysis: AnalyzedUnit,
-    entry: str,
-    libc: ILModule | None,
-    verify: bool,
-) -> ILModule:
+def _lower(analysis: AnalyzedUnit, libc: ILModule | None = None) -> ILModule:
     tracer = current().tracer
     with tracer.span("frontend.lower"):
-        module = lower_unit(analysis, entry, libc)
-    if verify:
-        with tracer.span("frontend.verify"):
-            verify_module(module)
+        module = lower_unit(analysis, libc)
+    with tracer.span("frontend.verify"):
+        verify_module(module)
     return module
 
 
@@ -256,11 +212,8 @@ def _count(module: ILModule) -> None:
 def compile_program(
     source: str,
     filename: str = "<input>",
-    headers: dict[str, str] | None = None,
-    defines: dict[str, str] | None = None,
+    *,
     link_libc: bool = True,
-    entry: str = "main",
-    verify: bool = True,
     pass_spec: str | None = None,
 ) -> ILModule:
     """Compile C-subset source text into a verified, linked IL module.
@@ -268,7 +221,7 @@ def compile_program(
     With ``link_libc`` the module is the one a single translation unit
     of libc followed by ``source`` gives, instruction for instruction;
     libc's part comes from the process's libc prefix (see the module
-    docstring). ``verify`` checks the whole linked module.
+    docstring).
 
     ``pass_spec`` pre-optimizes the module with
     :func:`~repro.opt.pipeline.optimize_module` (``None``: not at all;
@@ -280,19 +233,14 @@ def compile_program(
     """
     passes = () if pass_spec is None else parse_pass_spec(pass_spec)
     with current().tracer.span("frontend.compile", file=filename):
-        prefix = _libc_prefix(headers, defines, passes) if link_libc else None
-        libc, libc_functions = prefix or (None, {})
+        libc, libc_functions = _libc_prefix(passes) if link_libc else (None, {})
         analysis = None
         if libc is not None:
-            analysis = _analyze_on_libc(source, filename, headers, libc)
+            analysis = _analyze_on_libc(source, filename, libc)
         if analysis is None:  # compile libc and the program as one unit
             libc = None
-            analysis = compile_to_analysis(
-                source, filename, headers, defines, link_libc
-            )
-        module = _lower(
-            analysis, entry, None if libc is None else libc.module, verify
-        )
+            analysis = compile_to_analysis(source, filename, link_libc=link_libc)
+        module = _lower(analysis, None if libc is None else libc.module)
     _count(module)
     if passes:
         from repro.opt import optimize_module
@@ -300,7 +248,7 @@ def compile_program(
         if libc is None:
             optimize_module(module, pass_spec=pass_spec)
         else:
-            own = ILModule(entry)
+            own = ILModule()
             own.functions = {
                 name: function
                 for name, function in module.functions.items()
@@ -312,15 +260,7 @@ def compile_program(
     return module
 
 
-def compile_with_analysis(
-    source: str,
-    filename: str = "<input>",
-    headers: dict[str, str] | None = None,
-    defines: dict[str, str] | None = None,
-    link_libc: bool = True,
-    entry: str = "main",
-    verify: bool = True,
-) -> CompileResult:
+def compile_with_analysis(source: str, filename: str = "<input>") -> CompileResult:
     """Like :func:`compile_program` but also returns the analysis.
 
     It compiles libc and the program as one translation unit, so the
@@ -330,7 +270,7 @@ def compile_with_analysis(
     visible to tracing.
     """
     with current().tracer.span("frontend.compile", file=filename):
-        analysis = compile_to_analysis(source, filename, headers, defines, link_libc)
-        module = _lower(analysis, entry, None, verify)
+        analysis = compile_to_analysis(source, filename)
+        module = _lower(analysis)
     _count(module)
     return CompileResult(module, analysis)

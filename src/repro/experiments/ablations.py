@@ -11,15 +11,17 @@ A point of A–D is a ``(label, variant)`` pair, where
 given its profile. Every sweep takes a
 :class:`~repro.experiments.pipeline.RunConfig` and runs one task per
 program it selects under :func:`~repro.pipeline.parallel.parallel_map`.
-The task compiles the program once and measures every variant with
-:func:`~repro.experiments.pipeline.measure_inlining`, profiling through
-one in-memory :class:`~repro.pipeline.session.CompilationSession`: the
-original is profiled once, and an inlined module identical to one
-already measured (the default configuration is a point of A, B, C and
-D) is not run again. A point whose outputs diverge raises
-:class:`~repro.errors.InlineError`. Variants are partials of
-module-level functions, so they pickle for the worker processes
-``jobs > 1`` runs the tasks on.
+The task compiles the program once and measures every distinct variant
+once with :func:`~repro.experiments.pipeline.measure_inlining`,
+profiling through one in-memory
+:class:`~repro.pipeline.session.CompilationSession`, so the original is
+profiled once. The expander's variants are data, an
+:class:`_Expander` of parameters and linearization, so equal
+configurations compare equal: the default one, a point of A, B, C and
+D, is measured once per program. A point whose outputs diverge raises
+:class:`~repro.errors.InlineError`. Variants are module-level objects
+or partials of module-level functions, so they pickle for the worker
+processes ``jobs > 1`` runs the tasks on.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.baselines import (
     hint_inline,
@@ -43,9 +45,6 @@ from repro.pipeline.parallel import parallel_map
 from repro.pipeline.session import CompilationSession
 from repro.profiler.static_estimate import estimate_profile
 from repro.workloads.suite import benchmark_by_name, select_benchmarks
-
-_THRESHOLDS = (1, 10, 100, 1000)
-_GROWTH_LIMITS = (1.0, 1.1, 1.25, 1.5, 2.0)
 
 
 @dataclass
@@ -87,31 +86,48 @@ def _mean_points(task, config: RunConfig, labels) -> list[AblationPoint]:
 
 
 def _measure_program(name, *, config, variants):
-    """Every ``(label, variant)`` measured on one program, addressed by
-    name so it pickles."""
+    """Every ``(label, variant)`` on one program, addressed by name so
+    it pickles; variants that compare equal share one measurement."""
     benchmark = benchmark_by_name(name)
     module = benchmark.compile(pass_spec=config.pass_spec)
     specs = benchmark.make_runs(config.scale)
     session = CompilationSession()
-    return [
-        _checked(
-            measure_inlining(
+    measured: dict = {}
+    points = []
+    for label, variant in variants:
+        if variant not in measured:
+            measured[variant] = measure_inlining(
                 module,
                 specs,
                 functools.partial(variant, module, check=config.check),
                 name=name,
                 profiler=session.profile,
-            ),
-            name,
-            label,
-        )
-        for label, variant in variants
-    ]
+            )
+        points.append(_checked(measured[variant], name, label))
+    return points
 
 
 def _sweep(config: RunConfig, variants) -> list[AblationPoint]:
     task = functools.partial(_measure_program, config=config, variants=variants)
     return _mean_points(task, config, [label for label, _variant in variants])
+
+
+@dataclass(frozen=True)
+class _Expander:
+    """The paper's expander under ``params`` and the linearization
+    order ``linearization`` (``inline_module``'s default unless set)."""
+
+    params: InlineParameters = field(default_factory=InlineParameters)
+    linearization: str = "hybrid"
+
+    def __call__(self, module, profile, check=False):
+        return inline_module(
+            module,
+            profile,
+            params=self.params,
+            linearize_method=self.linearization,
+            check=check,
+        )
 
 
 def _static(heuristic, module, _profile, check=False):
@@ -126,32 +142,18 @@ def _static_estimate(module, _profile, check=False):
     return inline_module(module, estimate_profile(module), check=check)
 
 
-def _threshold_variants(thresholds):
-    return [
-        (
-            f"T={threshold:g}",
-            functools.partial(
-                inline_module, params=InlineParameters(weight_threshold=threshold)
-            ),
-        )
-        for threshold in thresholds
-    ]
+_THRESHOLDS = tuple(
+    (f"T={threshold:g}", _Expander(InlineParameters(weight_threshold=threshold)))
+    for threshold in (1, 10, 100, 1000)
+)
 
-
-def _growth_variants(factors):
-    return [
-        (
-            f"limit={factor:g}x",
-            functools.partial(
-                inline_module, params=InlineParameters(size_limit_factor=factor)
-            ),
-        )
-        for factor in factors
-    ]
-
+_GROWTH_LIMITS = tuple(
+    (f"limit={factor:g}x", _Expander(InlineParameters(size_limit_factor=factor)))
+    for factor in (1.0, 1.1, 1.25, 1.5, 2.0)
+)
 
 _BASELINES = (
-    ("profile-guided", inline_module),
+    ("profile-guided", _Expander()),
     ("static-estimate", _static_estimate),
     ("leaf (PL.8)", functools.partial(_static, leaf_inline)),
     ("loop (MIPS)", functools.partial(_static, loop_inline)),
@@ -165,16 +167,13 @@ _BASELINES = (
 )
 
 _LINEARIZATIONS = tuple(
-    (method, functools.partial(inline_module, linearize_method=method))
-    for method in ("weight", "hybrid")
+    (method, _Expander(linearization=method)) for method in ("weight", "hybrid")
 )
 
 
-def threshold_sweep(
-    config: RunConfig, thresholds: tuple[float, ...] = _THRESHOLDS
-) -> list[AblationPoint]:
+def threshold_sweep(config: RunConfig) -> list[AblationPoint]:
     """Ablation A: sweep the arc-weight threshold T."""
-    return _sweep(config, _threshold_variants(thresholds))
+    return _sweep(config, _THRESHOLDS)
 
 
 def baseline_comparison(config: RunConfig) -> list[AblationPoint]:
@@ -182,11 +181,9 @@ def baseline_comparison(config: RunConfig) -> list[AblationPoint]:
     return _sweep(config, _BASELINES)
 
 
-def growth_limit_sweep(
-    config: RunConfig, factors: tuple[float, ...] = _GROWTH_LIMITS
-) -> list[AblationPoint]:
+def growth_limit_sweep(config: RunConfig) -> list[AblationPoint]:
     """Ablation C: sweep the program-size cap."""
-    return _sweep(config, _growth_variants(factors))
+    return _sweep(config, _GROWTH_LIMITS)
 
 
 def linearization_comparison(config: RunConfig) -> list[AblationPoint]:
@@ -252,9 +249,9 @@ def render_ablations(config: RunConfig) -> str:
     """Ablations A–D under ``config``, one table each, measured as one
     sweep."""
     tables = [
-        ("Ablation A: weight threshold T.", _threshold_variants(_THRESHOLDS)),
+        ("Ablation A: weight threshold T.", _THRESHOLDS),
         ("Ablation B: profile-guided vs. static heuristics.", _BASELINES),
-        ("Ablation C: code-growth limit.", _growth_variants(_GROWTH_LIMITS)),
+        ("Ablation C: code-growth limit.", _GROWTH_LIMITS),
         ("Ablation D: linearization order.", _LINEARIZATIONS),
     ]
     points = iter(

@@ -766,20 +766,15 @@ def _lower_global_init(
     items.append(InitItem(offset, "int", value=value, size=min(ctype.size(), _WORD)))
 
 
-def lower_unit(
-    analyzed: AnalyzedUnit, entry: str = "main", libc: ILModule | None = None
-) -> ILModule:
-    """Lower an analyzed translation unit to an IL module.
+def lower_unit(analyzed: AnalyzedUnit, libc: ILModule | None = None) -> ILModule:
+    """Lower an analyzed translation unit to an IL module entered at
+    ``main``.
 
     With ``libc`` (the lowered unit ``analyzed`` was seeded with), the
     module starts as a copy of it: its globals and functions come
     first, and call-site ids and ``.strN`` names continue after its own.
     """
-    if libc is None:
-        module = ILModule(entry)
-    else:
-        module = libc.clone()
-        module.entry = entry
+    module = ILModule() if libc is None else libc.clone()
     for decl in analyzed.unit.globals:
         assert decl.var_type is not None
         items: list[InitItem] = []

@@ -1,6 +1,6 @@
 """Structural verifier for IL modules.
 
-Runs after lowering (``compile_program(verify=True)``), once after each
+Runs after lowering (in every compile), once after each
 inline run, after each inline phase under ``--check``, and — function-
 local checks only — wherever a pass spec names ``verify``, to guarantee
 transformations preserve IL well-formedness:

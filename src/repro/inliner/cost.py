@@ -142,10 +142,6 @@ class CostModel:
         result_moves = self.rets[arc.callee] if self.site_consumes_value(arc.site) else 0
         return current + len(callee.params) + result_moves - 1
 
-    def cost(self, arc: Arc) -> float:
-        """§2.3.3's cost; INFINITY means the arc must not be expanded."""
-        return self.evaluate(arc).cost
-
     def evaluate(self, arc: Arc) -> CostDecision:
         """§2.3.3's cost plus the clause that fired and its inputs."""
         inputs: dict = {"weight": arc.weight}

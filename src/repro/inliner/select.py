@@ -15,6 +15,7 @@ call-graph arcs.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.callgraph.graph import Arc, ArcKind, ArcStatus, CallGraph
@@ -26,6 +27,14 @@ from repro.observability import current
 from repro.observability.audit import DecisionReason, InlineDecision
 from repro.profiler.profile import ProfileData
 
+#: The audit reasons of arcs that cannot be expanded at all; every
+#: other reason but ACCEPTED rejects an expandable arc.
+_NOT_EXPANDABLE = (
+    DecisionReason.NOT_DIRECT,
+    DecisionReason.CALLEE_UNAVAILABLE,
+    DecisionReason.ORDER_VIOLATION,
+)
+
 
 @dataclass
 class SelectionResult:
@@ -33,10 +42,9 @@ class SelectionResult:
 
     #: Arcs to physically expand, heaviest first.
     selected: list[Arc] = field(default_factory=list)
-    rejected: list[Arc] = field(default_factory=list)
-    not_expandable: list[Arc] = field(default_factory=list)
     #: One audit record per considered arc (every call-site arc of the
-    #: graph appears exactly once).
+    #: graph appears exactly once); with ``arc.status``, the verdict on
+    #: every arc.
     decisions: list[InlineDecision] = field(default_factory=list)
     #: Projected program size after expansion (IL instructions).
     projected_size: int = 0
@@ -84,7 +92,6 @@ def select_sites(
     for arc in graph.call_site_arcs():
         if arc.kind is not ArcKind.DIRECT:
             arc.status = ArcStatus.NOT_EXPANDABLE
-            result.not_expandable.append(arc)
             audit(arc, DecisionReason.NOT_DIRECT, inputs={"kind": arc.kind.value})
             continue
         callee_pos = position.get(arc.callee)
@@ -94,7 +101,6 @@ def select_sites(
             # nothing to expand. Distinct from an ordering conflict
             # between two available bodies.
             arc.status = ArcStatus.NOT_EXPANDABLE
-            result.not_expandable.append(arc)
             audit(
                 arc,
                 DecisionReason.CALLEE_UNAVAILABLE,
@@ -106,7 +112,6 @@ def select_sites(
             continue
         if caller_pos is None or callee_pos >= caller_pos:
             arc.status = ArcStatus.NOT_EXPANDABLE
-            result.not_expandable.append(arc)
             audit(
                 arc,
                 DecisionReason.ORDER_VIOLATION,
@@ -125,7 +130,6 @@ def select_sites(
     for arc in expandable:
         if len(result.selected) >= params.max_expansions:
             arc.status = ArcStatus.REJECTED
-            result.rejected.append(arc)
             audit(
                 arc,
                 DecisionReason.MAX_EXPANSIONS,
@@ -141,7 +145,6 @@ def select_sites(
             audit(arc, DecisionReason.ACCEPTED, decision.cost, decision.inputs)
         else:
             arc.status = ArcStatus.REJECTED
-            result.rejected.append(arc)
             audit(arc, decision.reason, inputs=decision.inputs)
 
     # Commits were replayed in linear order, so this projection equals
@@ -151,12 +154,17 @@ def select_sites(
     obs = current()
     if obs.enabled:
         metrics = obs.metrics
+        reasons = Counter(decision.reason for decision in result.decisions)
+        not_expandable = sum(reasons[reason] for reason in _NOT_EXPANDABLE)
         metrics.inc("inliner.arcs_considered", len(result.decisions))
         metrics.inc("inliner.arcs_selected", len(result.selected))
-        metrics.inc("inliner.arcs_rejected", len(result.rejected))
-        metrics.inc("inliner.arcs_not_expandable", len(result.not_expandable))
-        for decision in result.decisions:
-            metrics.inc(f"inliner.reason.{decision.reason.value}")
+        metrics.inc(
+            "inliner.arcs_rejected",
+            len(result.decisions) - len(result.selected) - not_expandable,
+        )
+        metrics.inc("inliner.arcs_not_expandable", not_expandable)
+        for reason, count in reasons.items():
+            metrics.inc(f"inliner.reason.{reason.value}", count)
         obs.tracer.event(
             "inliner.selection",
             considered=len(result.decisions),

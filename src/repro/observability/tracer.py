@@ -33,9 +33,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock=time.perf_counter):
-        self._clock = clock
-        self._origin = clock()
+    def __init__(self):
+        self._origin = time.perf_counter()
         self._unix_start = time.time()
         self._records: list[dict] = [
             {"type": "trace_start", "unix_time": self._unix_start}
@@ -47,7 +46,7 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def _now(self) -> float:
-        return self._clock() - self._origin
+        return time.perf_counter() - self._origin
 
     @property
     def unix_start(self) -> float | None:

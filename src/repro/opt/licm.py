@@ -36,6 +36,9 @@ _PURE_OPS = frozenset(
 )
 _TRAPPING_BINOPS = frozenset({"/", "%"})
 
+#: Most hoisting rounds run over one function.
+MAX_ROUNDS = 10
+
 
 def hoist_loop_invariants(function: ILFunction) -> int:
     """Hoist invariants out of one loop (the largest); returns moves.
@@ -124,10 +127,10 @@ def hoist_loop_invariants(function: ILFunction) -> int:
     return 0
 
 
-def licm_function(function: ILFunction, max_rounds: int = 10) -> int:
+def licm_function(function: ILFunction) -> int:
     """Run LICM to a fixpoint over all loops; returns total moves."""
     total = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         moved = hoist_loop_invariants(function)
         if moved == 0:
             break

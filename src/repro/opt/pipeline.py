@@ -61,6 +61,9 @@ ALIASES = {
 #: The default pipeline (§4.4's "full set").
 DEFAULT_OPT_SPEC = "constant-fold,copy-propagate,cse,jump-optimize,dead-code"
 
+#: Most rounds of the passes run over one function.
+MAX_ROUNDS = 8
+
 
 def parse_pass_spec(spec: str | None) -> tuple[str, ...]:
     """The canonical names of the passes ``spec`` runs, in order.
@@ -118,13 +121,13 @@ def report_pass(metrics, name: str, start: float, changes: int) -> None:
 
 
 def _fixpoint(
-    function: ILFunction, names: tuple[str, ...], max_rounds: int, metrics
+    function: ILFunction, names: tuple[str, ...], metrics
 ) -> OptimizationStats:
     """Run the named passes over ``function`` in rounds until one
     changes nothing; with live ``metrics``, report every invocation."""
     passes = [(name, PASSES[name]) for name in names]
     stats = OptimizationStats()
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         round_changes = 0
         for name, run in passes:
             if metrics.enabled:
@@ -142,16 +145,14 @@ def _fixpoint(
 
 
 def optimize_function(
-    function: ILFunction, max_rounds: int = 8, pass_spec: str | None = None
+    function: ILFunction, pass_spec: str | None = None
 ) -> OptimizationStats:
     """Optimize one function in place to a fixpoint."""
-    return _fixpoint(
-        function, parse_pass_spec(pass_spec), max_rounds, NULL_OBS.metrics
-    )
+    return _fixpoint(function, parse_pass_spec(pass_spec), NULL_OBS.metrics)
 
 
 def optimize_module(
-    module: ILModule, max_rounds: int = 8, pass_spec: str | None = None
+    module: ILModule, pass_spec: str | None = None
 ) -> OptimizationStats:
     """Optimize every function of the module in place.
 
@@ -165,7 +166,7 @@ def optimize_module(
     total = OptimizationStats()
     with obs.tracer.span("opt.module", functions=len(module.functions)) as attrs:
         for function in module.functions.values():
-            total.merge(_fixpoint(function, names, max_rounds, obs.metrics))
+            total.merge(_fixpoint(function, names, obs.metrics))
         attrs["changes"] = total.total_changes
     if obs.metrics.enabled:
         for name, count in total.by_pass.items():

@@ -3,9 +3,9 @@
 A session maps stable hash keys to the two expensive artifacts of the
 experiment pipeline:
 
-- **compiled modules**, keyed over (source text, defines, ``link_libc``,
-  pre-optimization pass spec, entry) — the cached module already has the
-  pass pipeline applied, and lookups return a :meth:`~repro.il.module.
+- **compiled modules**, keyed over (source text, canonical
+  pre-optimization pass spec) — the cached module already has the pass
+  pipeline applied, and lookups return a :meth:`~repro.il.module.
   ILModule.clone` so callers can mutate freely;
 - **profiles**, keyed over (module content, input specs) — what
   :func:`~repro.profiler.profile.profile_module` reads. The module
@@ -68,6 +68,10 @@ CACHE_FORMAT = 3
 #: Default on-disk store location (created on first use).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
+#: Most in-memory entries a session keeps per artifact kind; the least
+#: recently used is dropped first.
+MAX_ENTRIES = 256
+
 
 def _digest(payload: Any) -> str:
     """A stable sha256 over any JSON-serializable payload."""
@@ -75,14 +79,9 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def module_cache_key(
-    source: str,
-    defines: dict[str, str] | None = None,
-    link_libc: bool = True,
-    pass_spec: str | None = None,
-    entry: str = "main",
-) -> str:
-    """The content-addressed key of a compiled (and pre-optimized) module.
+def module_cache_key(source: str, *, pass_spec: str | None = None) -> str:
+    """The content-addressed key of a compiled (and pre-optimized) module:
+    its source text and canonical pass spec.
 
     The pass spec is keyed in canonical form, so an alias and the name
     it stands for share an entry; ``None`` and ``""`` (no
@@ -93,10 +92,7 @@ def module_cache_key(
             "format": CACHE_FORMAT,
             "kind": "module",
             "source": source,
-            "defines": sorted((defines or {}).items()),
-            "link_libc": link_libc,
             "pass_spec": ",".join(parse_pass_spec(pass_spec or "")),
-            "entry": entry,
         }
     )
 
@@ -185,16 +181,15 @@ def _copy_profile(profile):
 class CompilationSession:
     """Content-addressed artifact cache for compiles and profiles.
 
-    In-memory entries are LRU-bounded by ``max_entries`` per artifact
-    kind; with ``cache_dir`` set, entries are also pickled to disk and
-    found again by later sessions (and later processes).
+    In-memory entries are LRU-bounded by :data:`MAX_ENTRIES` per
+    artifact kind; with ``cache_dir`` set, entries are also pickled to
+    disk and found again by later sessions (and later processes).
     """
 
-    def __init__(self, cache_dir: str | None = None, max_entries: int = 256):
+    def __init__(self, cache_dir: str | None = None):
         self._modules: OrderedDict[str, Any] = OrderedDict()
         self._profiles: OrderedDict[str, Any] = OrderedDict()
         self.cache_dir = cache_dir
-        self.max_entries = max_entries
         self._lock = threading.Lock()
         self._dir = (
             os.path.join(cache_dir, f"v{CACHE_FORMAT}") if cache_dir else None
@@ -226,7 +221,7 @@ class CompilationSession:
         with self._lock:
             table[key] = value
             table.move_to_end(key)
-            while len(table) > self.max_entries:
+            while len(table) > MAX_ENTRIES:
                 table.popitem(last=False)
                 self._count("evictions")
 
@@ -298,13 +293,7 @@ class CompilationSession:
     # artifacts
 
     def compiled_module(
-        self,
-        source: str,
-        filename: str = "<input>",
-        defines: dict[str, str] | None = None,
-        link_libc: bool = True,
-        entry: str = "main",
-        pass_spec: str | None = None,
+        self, source: str, filename: str = "<input>", *, pass_spec: str | None = None
     ):
         """Compile (and pre-optimize, when ``pass_spec`` is set) once.
 
@@ -315,19 +304,12 @@ class CompilationSession:
         module, whose libc part comes pre-optimized from the process's
         libc prefix.
         """
-        key = module_cache_key(source, defines, link_libc, pass_spec, entry)
+        key = module_cache_key(source, pass_spec=pass_spec)
         cached = self._lookup(self._modules, "module", key)
         if cached is None:
             from repro.compiler import compile_program
 
-            cached = compile_program(
-                source,
-                filename,
-                defines=defines,
-                link_libc=link_libc,
-                entry=entry,
-                pass_spec=pass_spec,
-            )
+            cached = compile_program(source, filename, pass_spec=pass_spec)
             self._store(self._modules, "module", key, cached)
         return cached.clone()
 
@@ -345,27 +327,6 @@ class CompilationSession:
             cached = profile_module(module, specs)
             self._store(self._profiles, "profile", key, cached)
         return _copy_profile(cached)
-
-    # ------------------------------------------------------------------
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the in-memory tables (and the disk store with ``disk``)."""
-        with self._lock:
-            self._modules.clear()
-            self._profiles.clear()
-        if disk and self._dir is not None and os.path.isdir(self._dir):
-            with self._store_lock():
-                for root, dirs, files in os.walk(self._dir, topdown=False):
-                    for name in files:
-                        try:
-                            os.unlink(os.path.join(root, name))
-                        except OSError:
-                            pass
-                    for name in dirs:
-                        try:
-                            os.rmdir(os.path.join(root, name))
-                        except OSError:
-                            pass
 
 
 #: The sessions this process opened by cache directory (see

@@ -57,9 +57,35 @@ def dump_profile(profile: ProfileData, module: ILModule | None = None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _field(payload: dict, name: str, table: bool = False):
+    """``payload[name]``, a JSON object when ``table``; raises
+    ValueError naming the field when it is missing or ill-typed."""
+    if name not in payload:
+        raise ValueError(f"profile has no {name!r} field")
+    value = payload[name]
+    if table and not isinstance(value, dict):
+        raise ValueError(f"profile field {name!r} is not a JSON object")
+    return value
+
+
+def _number(convert, value, name: str):
+    """``convert(value)``; raises ValueError naming the field ``name``
+    when ``value`` is not a number."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"profile field {name!r} holds {value!r}, not a number"
+        ) from None
+
+
 def load_profile(text: str, module: ILModule | None = None) -> ProfileData:
-    """Deserialize; raises ValueError on version/fingerprint mismatch."""
+    """Deserialize; raises ValueError on text that is not a profile of
+    this format (naming the missing or ill-typed field) or whose
+    fingerprint does not match ``module``."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("profile is not a JSON object")
     if payload.get("format") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported profile format {payload.get('format')!r}"
@@ -71,18 +97,22 @@ def load_profile(text: str, module: ILModule | None = None) -> ProfileData:
                 "profile fingerprint mismatch: the program's call sites"
                 " changed since this profile was collected"
             )
-    totals = payload.get("totals", {})
+    totals = _field(payload, "totals", table=True) if "totals" in payload else {}
     counters = Counters(
-        il=int(totals.get("il", 0)),
-        ct=int(totals.get("ct", 0)),
-        calls=int(totals.get("calls", 0)),
-        returns=int(totals.get("returns", 0)),
+        **{
+            name: _number(int, totals.get(name, 0), "totals")
+            for name in ("il", "ct", "calls", "returns")
+        }
     )
-    profile = ProfileData(runs=int(payload["runs"]), total=counters)
+    profile = ProfileData(
+        runs=_number(int, _field(payload, "runs"), "runs"), total=counters
+    )
     profile.node_weights = {
-        str(name): float(w) for name, w in payload["node_weights"].items()
+        str(name): _number(float, weight, "node_weights")
+        for name, weight in _field(payload, "node_weights", table=True).items()
     }
     profile.arc_weights = {
-        int(site): float(w) for site, w in payload["arc_weights"].items()
+        _number(int, site, "arc_weights"): _number(float, weight, "arc_weights")
+        for site, weight in _field(payload, "arc_weights", table=True).items()
     }
     return profile

@@ -50,23 +50,3 @@ class Counters:
             "calls": self.calls,
             "returns": self.returns,
         }
-
-    def scaled(self, divisor: float) -> "Counters":
-        """Return averaged counters (used to average over N runs)."""
-        result = Counters(
-            il=int(self.il / divisor),
-            ct=int(self.ct / divisor),
-            calls=int(self.calls / divisor),
-            returns=int(self.returns / divisor),
-        )
-        result.site_counts = {
-            site: count / divisor for site, count in self.site_counts.items()
-        }
-        result.func_counts = {
-            name: count / divisor for name, count in self.func_counts.items()
-        }
-        result.branch_counts = {
-            key: [pair[0] / divisor, pair[1] / divisor]
-            for key, pair in self.branch_counts.items()
-        }
-        return result

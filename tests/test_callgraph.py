@@ -215,16 +215,6 @@ class TestReachability:
         assert removed == []
         assert "orphan" in module.functions
 
-    def test_eliminate_aggressive_mode(self):
-        source = """
-        #include <sys.h>
-        int orphan(void) { return 9; }
-        int main(void) { putchar('x'); return 0; }
-        """
-        module, graph = graph_for(source)
-        removed = eliminate_unreachable(module, graph, assume_worst_case=False)
-        assert removed == ["orphan"]
-
     def test_address_taken_survives_aggressive_mode(self):
         source = """
         int used_via_pointer(int x) { return x; }
@@ -232,7 +222,7 @@ class TestReachability:
         int main(void) { return table[0](1); }
         """
         module, graph = graph_for(source)
-        removed = eliminate_unreachable(module, graph, assume_worst_case=False)
+        removed = eliminate_unreachable(module, graph)
         assert "used_via_pointer" not in removed
 
 

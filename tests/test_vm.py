@@ -102,24 +102,6 @@ class TestCounters:
         a.merge(Counters())
         assert (a.il, a.ct, a.calls, a.returns, dict(a.site_counts)) == before
 
-    def test_scaled_averages_every_field(self):
-        total = Counters(
-            il=100,
-            ct=40,
-            calls=20,
-            returns=20,
-            site_counts={0: 10, 1: 5},
-            func_counts={"main": 4},
-            branch_counts={("main", 2): [8, 4]},
-        )
-        avg = total.scaled(4)
-        assert (avg.il, avg.ct, avg.calls, avg.returns) == (25, 10, 5, 5)
-        assert avg.site_counts == {0: 2.5, 1: 1.25}
-        assert avg.func_counts == {"main": 1.0}
-        assert avg.branch_counts == {("main", 2): [2.0, 1.0]}
-        # scaling never mutates the source counters
-        assert total.il == 100 and total.site_counts == {0: 10, 1: 5}
-
     def test_to_summary_round_trips_scalars(self):
         counters = Counters(il=9, ct=4, calls=3, returns=2)
         summary = counters.to_summary()
