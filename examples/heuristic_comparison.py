@@ -3,31 +3,22 @@
 
 Reproduces in miniature the paper's §1.2 survey: IBM PL.8 inlined all
 leaf procedures, MIPS used loop structure, GNU C trusted the ``inline``
-keyword. On the grep benchmark the profile-guided expander should match
-or beat all of them at equal code budget.
+keyword. Each heuristic is a set of arc weights that the profile-guided
+expander selects under, so every contender spends the same code budget
+(the default 1.25x program-size cap), charged by the same cost model.
+Each inlining is measured the way the paper's tables are: profiled over
+grep's inputs and checked against the original's outputs. On grep the
+profile-guided expander should beat all of them.
 
 Run with ``python examples/heuristic_comparison.py``.
 """
 
-from repro import InlineParameters, profile_module, run_once
-from repro.baselines import (
-    hint_inline,
-    leaf_inline,
-    loop_inline,
-    size_threshold_inline,
-)
+from repro.baselines import hint_weights, leaf_weights, loop_weights, size_weights
+from repro.experiments.pipeline import checked, measure_inlining
 from repro.inliner.manager import inline_module
 from repro.opt import optimize_module
+from repro.pipeline.session import CompilationSession
 from repro.workloads import benchmark_by_name
-
-
-def measure(module, inlined, specs):
-    before = sum(run_once(module, s).counters.calls for s in specs)
-    after = sum(run_once(inlined, s).counters.calls for s in specs)
-    growth = (inlined.total_code_size() - module.total_code_size()) / (
-        module.total_code_size()
-    )
-    return 1 - after / before, growth
 
 
 def main() -> None:
@@ -35,20 +26,35 @@ def main() -> None:
     module = benchmark.compile()
     optimize_module(module)
     specs = benchmark.make_runs("small")
-    profile = profile_module(module, specs)
-    params = InlineParameters()
+    # One session profiles the original once for every contender.
+    session = CompilationSession()
 
     contenders = [
-        ("profile-guided", inline_module(module, profile, params).module),
-        ("leaf (PL.8)", leaf_inline(module, params).module),
-        ("loop (MIPS)", loop_inline(module, params).module),
-        ("size<=25", size_threshold_inline(module, 25, params).module),
-        ("hint (GNU)", hint_inline(module, params).module),
+        ("profile-guided", None),
+        ("leaf (PL.8)", leaf_weights),
+        ("loop (MIPS)", loop_weights),
+        ("size<=25", size_weights),
+        ("hint (GNU)", hint_weights),
     ]
     print(f"{'heuristic':16s}  {'call dec':>8s}  {'code inc':>8s}")
-    for label, inlined in contenders:
-        decrease, growth = measure(module, inlined, specs)
-        print(f"{label:16s}  {100 * decrease:7.1f}%  {100 * growth:7.1f}%")
+    for label, weights in contenders:
+
+        def inliner(profile, weights=weights):
+            return inline_module(
+                module, profile if weights is None else weights(module)
+            )
+
+        measured = checked(
+            measure_inlining(
+                module, specs, inliner, name="grep", profiler=session.profile
+            ),
+            "grep",
+            label,
+        )
+        print(
+            f"{label:16s}  {100 * measured.call_decrease:7.1f}%"
+            f"  {100 * measured.code_increase:7.1f}%"
+        )
 
 
 if __name__ == "__main__":

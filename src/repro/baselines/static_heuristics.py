@@ -1,195 +1,83 @@
-"""Static inlining heuristics (no profile).
+"""Static inlining heuristics (no profile), as arc weights.
 
-Each heuristic is a predicate over candidate call sites; the shared
-driver orders functions callee-before-caller (topological order on the
-acyclic condensation of the static call graph), selects sites under the
-same program-size cap as the profile-guided expander, and reuses the
-same physical expansion code.
+Each heuristic is a predicate over direct call sites, turned into the
+arc weights of a :class:`~repro.profiler.profile.ProfileData` that
+:func:`~repro.inliner.manager.inline_module` selects under, as it does
+under a profile or :func:`~repro.profiler.static_estimate.estimate_profile`.
+A site the predicate accepts weighs more than any weight threshold and
+any function's size. Among accepted sites, loop sites come first and
+then smaller callees: without a profile, the best priority is
+structural. Every other site weighs 0, below any threshold.
+
+So a heuristic spends the profile-guided expander's budget through the
+expander's own linear order, cost model, physical expansion and size
+reconciliation: its program-size cap is the same cap, charged the same
+way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.analysis.loops import call_sites_in_loops
-from repro.callgraph.cycles import find_sccs
 from repro.il.function import ILFunction
 from repro.il.instructions import Opcode
 from repro.il.module import ILModule
-from repro.il.verifier import verify_module
-from repro.inliner.expand import ExpansionRecord, expand_call_site
-from repro.inliner.linearize import _direct_call_graph
-from repro.inliner.params import InlineParameters
+from repro.profiler.profile import ProfileData
+from repro.vm.counters import Counters
+
+#: The size heuristic inlines callees of at most this many IL
+#: instructions.
+MAX_CALLEE_SIZE = 25
+
+#: An accepted site's weight outside a loop, before its callee's size
+#: is subtracted; a loop site weighs twice as much.
+_ACCEPTED = 1e9
 
 
-@dataclass
-class _Candidate:
-    site: int
-    caller: str
-    callee: str
-    in_loop: bool
-
-
-@dataclass
-class StaticInlineResult:
-    """Outcome of one static-heuristic run."""
-
-    module: ILModule
-    heuristic: str
-    records: list[ExpansionRecord] = field(default_factory=list)
-    original_size: int = 0
-    final_size: int = 0
-
-    @property
-    def code_increase(self) -> float:
-        if self.original_size == 0:
-            return 0.0
-        return (self.final_size - self.original_size) / self.original_size
-
-
-def _candidates(module: ILModule) -> list[_Candidate]:
-    result = []
-    for caller_name, function in module.functions.items():
+def _weights(
+    module: ILModule, accepts: Callable[[ILFunction, bool], bool]
+) -> ProfileData:
+    """Arc weights for the direct sites ``accepts(callee, in_loop)``
+    takes; self-recursive ones are left to the linear order."""
+    arc_weights: dict[int, float] = {}
+    for function in module.functions.values():
         loop_sites = call_sites_in_loops(function)
         for instr in function.body:
-            if instr.op is not Opcode.CALL:
-                continue
-            if instr.name not in module.functions:
-                continue  # external: no body to duplicate
-            result.append(
-                _Candidate(
-                    instr.site, caller_name, instr.name, instr.site in loop_sites
+            if instr.op is not Opcode.CALL or instr.name not in module.functions:
+                continue  # indirect or external: no body to duplicate
+            callee = module.functions[instr.name]
+            in_loop = instr.site in loop_sites
+            if accepts(callee, in_loop):
+                arc_weights[instr.site] = (
+                    _ACCEPTED * (2 if in_loop else 1) - callee.code_size()
                 )
-            )
-    return result
+    return ProfileData(runs=1, total=Counters(), arc_weights=arc_weights)
 
 
-def _is_leaf(function: ILFunction) -> bool:
-    return not any(
-        instr.op in (Opcode.CALL, Opcode.ICALL) for instr in function.body
+def leaf_weights(module: ILModule) -> ProfileData:
+    """IBM PL.8 style: every call to a leaf-level procedure."""
+    return _weights(
+        module,
+        lambda callee, _in_loop: not any(
+            instr.op in (Opcode.CALL, Opcode.ICALL) for instr in callee.body
+        ),
     )
 
 
-def _callee_first_order(module: ILModule) -> list[str]:
-    """Functions ordered callees-before-callers (SCC condensation).
-
-    Built over *direct* arcs only — the worst-case ``$$$``/``###``
-    closure would merge every external-calling function into one cycle
-    and destroy the ordering (see repro.inliner.linearize).
-    """
-    graph = _direct_call_graph(module)
-    order: list[str] = []
-    for component in find_sccs(graph):  # already reverse topological
-        for name in component:
-            if name in module.functions:
-                order.append(name)
-    return order
+def loop_weights(module: ILModule) -> ProfileData:
+    """MIPS style: every call site inside a loop."""
+    return _weights(module, lambda _callee, in_loop: in_loop)
 
 
-def run_static_heuristic(
-    module: ILModule,
-    name: str,
-    predicate: Callable[[_Candidate, ILModule], bool],
-    params: InlineParameters | None = None,
-) -> StaticInlineResult:
-    """Apply ``predicate`` to every candidate site and expand matches.
-
-    Recursion safety: a site is only expandable when the callee precedes
-    the caller in callee-first order, which excludes every cycle (the
-    same guarantee the paper gets from its linear sequence).
-    """
-    params = params or InlineParameters()
-    working = module.clone()
-    original_size = working.total_code_size()
-    limit = params.size_limit(original_size)
-    sequence = _callee_first_order(working)
-    position = {fn: i for i, fn in enumerate(sequence)}
-
-    # Without a profile the best static priority is structural: loop
-    # sites first, then cheaper callees — the same budget the
-    # profile-guided expander gets, spent as wisely as a static
-    # heuristic can.
-    candidates = _candidates(working)
-    candidates.sort(
-        key=lambda c: (
-            not c.in_loop,
-            working.functions[c.callee].code_size(),
-        )
-    )
-    selected: list[_Candidate] = []
-    projected = original_size
-    for candidate in candidates:
-        caller_pos = position.get(candidate.caller)
-        callee_pos = position.get(candidate.callee)
-        if caller_pos is None or callee_pos is None or callee_pos >= caller_pos:
-            continue
-        if not predicate(candidate, working):
-            continue
-        callee_size = working.functions[candidate.callee].code_size()
-        if projected + callee_size > limit:
-            continue
-        projected += callee_size
-        selected.append(candidate)
-
-    by_caller: dict[str, list[_Candidate]] = {}
-    for candidate in selected:
-        by_caller.setdefault(candidate.caller, []).append(candidate)
-    records = []
-    for fn_name in sequence:
-        for candidate in by_caller.get(fn_name, ()):
-            records.append(expand_call_site(working, candidate.caller, candidate.site))
-    verify_module(working)
-    return StaticInlineResult(
-        module=working,
-        heuristic=name,
-        records=records,
-        original_size=original_size,
-        final_size=working.total_code_size(),
+def size_weights(module: ILModule) -> ProfileData:
+    """Every call to a callee of at most :data:`MAX_CALLEE_SIZE` IL
+    instructions."""
+    return _weights(
+        module, lambda callee, _in_loop: callee.code_size() <= MAX_CALLEE_SIZE
     )
 
 
-def leaf_inline(
-    module: ILModule, params: InlineParameters | None = None
-) -> StaticInlineResult:
-    """IBM PL.8 style: inline every call to a leaf-level procedure."""
-
-    def predicate(candidate: _Candidate, working: ILModule) -> bool:
-        return _is_leaf(working.functions[candidate.callee])
-
-    return run_static_heuristic(module, "leaf", predicate, params)
-
-
-def loop_inline(
-    module: ILModule, params: InlineParameters | None = None
-) -> StaticInlineResult:
-    """MIPS style: inline call sites that sit inside loops."""
-
-    def predicate(candidate: _Candidate, working: ILModule) -> bool:
-        return candidate.in_loop
-
-    return run_static_heuristic(module, "loop", predicate, params)
-
-
-def size_threshold_inline(
-    module: ILModule,
-    max_callee_size: int = 25,
-    params: InlineParameters | None = None,
-) -> StaticInlineResult:
-    """Inline every call whose callee is small (≤ N IL instructions)."""
-
-    def predicate(candidate: _Candidate, working: ILModule) -> bool:
-        return working.functions[candidate.callee].code_size() <= max_callee_size
-
-    return run_static_heuristic(module, f"size<={max_callee_size}", predicate, params)
-
-
-def hint_inline(
-    module: ILModule, params: InlineParameters | None = None
-) -> StaticInlineResult:
-    """GNU C style: inline calls to functions marked ``inline``."""
-
-    def predicate(candidate: _Candidate, working: ILModule) -> bool:
-        return working.functions[candidate.callee].inline_hint
-
-    return run_static_heuristic(module, "hint", predicate, params)
+def hint_weights(module: ILModule) -> ProfileData:
+    """GNU C style: every call to a function marked ``inline``."""
+    return _weights(module, lambda callee, _in_loop: callee.inline_hint)

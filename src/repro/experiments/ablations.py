@@ -15,13 +15,16 @@ The task compiles the program once and measures every distinct variant
 once with :func:`~repro.experiments.pipeline.measure_inlining`,
 profiling through one in-memory
 :class:`~repro.pipeline.session.CompilationSession`, so the original is
-profiled once. The expander's variants are data, an
-:class:`_Expander` of parameters and linearization, so equal
-configurations compare equal: the default one, a point of A, B, C and
-D, is measured once per program. A point whose outputs diverge raises
-:class:`~repro.errors.InlineError`. Variants are module-level objects
-or partials of module-level functions, so they pickle for the worker
-processes ``jobs > 1`` runs the tasks on.
+profiled once. Every variant is data, an :class:`_Expander` of
+parameters, linearization and arc weights, so equal configurations
+compare equal: the default one, a point of A, B, C and D, is measured
+once per program. B's static baselines are expanders too, selecting
+under their heuristic's arc weights, so every point spends its
+program-size cap through the same cost model and passes the same size
+reconciliation. A point whose outputs diverge raises
+:class:`~repro.errors.InlineError`. Variants hold only module-level
+functions, so they pickle for the worker processes ``jobs > 1`` runs
+the tasks on.
 """
 
 from __future__ import annotations
@@ -30,19 +33,17 @@ import functools
 import itertools
 import statistics
 from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.baselines import (
-    hint_inline,
-    leaf_inline,
-    loop_inline,
-    size_threshold_inline,
-)
+from repro.baselines import hint_weights, leaf_weights, loop_weights, size_weights
 from repro.experiments.pipeline import RunConfig, checked, measure_inlining
 from repro.experiments.report import pct, render_table
+from repro.il.module import ILModule
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.pipeline.parallel import parallel_map
 from repro.pipeline.session import CompilationSession
+from repro.profiler.profile import ProfileData
 from repro.profiler.static_estimate import estimate_profile
 from repro.workloads.suite import benchmark_by_name, select_benchmarks
 
@@ -115,31 +116,23 @@ def _sweep(config: RunConfig, variants) -> list[AblationPoint]:
 @dataclass(frozen=True)
 class _Expander:
     """The paper's expander under ``params`` and the linearization
-    order ``linearization`` (``inline_module``'s default unless set)."""
+    order ``linearization`` (``inline_module``'s default unless set),
+    selecting under the program's profile, or under the arc weights
+    ``weights(module)`` when set: a §1.2 heuristic's, or §4.2's
+    structure-analysis estimate."""
 
     params: InlineParameters = field(default_factory=InlineParameters)
     linearization: str = "hybrid"
+    weights: Callable[[ILModule], ProfileData] | None = None
 
     def __call__(self, module, profile, check=False):
         return inline_module(
             module,
-            profile,
+            profile if self.weights is None else self.weights(module),
             params=self.params,
             linearize_method=self.linearization,
             check=check,
         )
-
-
-def _static(heuristic, module, _profile, check=False):
-    """A §1.2 baseline: ``heuristic`` inlines without a profile. It
-    verifies its result's IL either way, so ``check`` adds nothing."""
-    return heuristic(module)
-
-
-def _static_estimate(module, _profile, check=False):
-    """§4.2's open question: the paper's expander selecting under
-    weights estimated by structure analysis instead of profiling."""
-    return inline_module(module, estimate_profile(module), check=check)
 
 
 _THRESHOLDS = tuple(
@@ -154,16 +147,11 @@ _GROWTH_LIMITS = tuple(
 
 _BASELINES = (
     ("profile-guided", _Expander()),
-    ("static-estimate", _static_estimate),
-    ("leaf (PL.8)", functools.partial(_static, leaf_inline)),
-    ("loop (MIPS)", functools.partial(_static, loop_inline)),
-    (
-        "size<=25",
-        functools.partial(
-            _static, functools.partial(size_threshold_inline, max_callee_size=25)
-        ),
-    ),
-    ("hint (GNU)", functools.partial(_static, hint_inline)),
+    ("static-estimate", _Expander(weights=estimate_profile)),
+    ("leaf (PL.8)", _Expander(weights=leaf_weights)),
+    ("loop (MIPS)", _Expander(weights=loop_weights)),
+    ("size<=25", _Expander(weights=size_weights)),
+    ("hint (GNU)", _Expander(weights=hint_weights)),
 )
 
 _LINEARIZATIONS = tuple(

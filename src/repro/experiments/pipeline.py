@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.errors import InlineError
 from repro.inliner.classify import ClassifiedSites, SiteClass, classify_sites
@@ -53,9 +53,6 @@ from repro.profiler.profile import (
 )
 from repro.callgraph.build import build_call_graph
 from repro.workloads.suite import Benchmark, benchmark_by_name, select_benchmarks
-
-if TYPE_CHECKING:  # a baseline's result, named only in annotations
-    from repro.baselines import StaticInlineResult
 
 _LOG = logging.getLogger("repro.experiments")
 
@@ -117,7 +114,7 @@ class InliningMeasurement:
     """
 
     profile: ProfileData
-    inline: InlineResult | StaticInlineResult
+    inline: InlineResult
     post_profile: ProfileData
     comparison: OutputComparison
 
@@ -192,7 +189,7 @@ class BenchmarkResult(InliningMeasurement):
 def measure_inlining(
     module,
     specs: list[RunSpec],
-    inliner: Callable[[ProfileData], InlineResult | StaticInlineResult],
+    inliner: Callable[[ProfileData], InlineResult],
     *,
     name: str,
     profiler=None,
@@ -207,14 +204,14 @@ def measure_inlining(
     fuel and exit-code policy (plain ``profile_module`` when ``None``).
     ``inliner(profile)`` is the caller's way of inlining, given the
     original's profile: a :func:`functools.partial` of
-    :func:`~repro.inliner.manager.inline_module`, a static heuristic
-    that ignores the profile, or one that selects under a profile of
-    other inputs. Whatever it selects under, the original is profiled
-    over ``specs``, so every figure on the record compares an input
-    with itself. Each stage runs in its ``benchmark.<stage>`` span,
-    tagged with ``name``. The output check reads the two profiles'
-    observations (:func:`compare_outputs`) and runs the modules again
-    only to describe a divergence.
+    :func:`~repro.inliner.manager.inline_module`, or one that selects
+    under static arc weights or under a profile of other inputs.
+    Whatever it selects under, the original is profiled over ``specs``,
+    so every figure on the record compares an input with itself. Each
+    stage runs in its ``benchmark.<stage>`` span, tagged with ``name``.
+    The output check reads the two profiles' observations
+    (:func:`compare_outputs`) and runs the modules again only to
+    describe a divergence.
     """
     profiler = profiler or profile_module
     tracer = current().tracer

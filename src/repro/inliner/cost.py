@@ -28,7 +28,10 @@ linear order, :meth:`CostModel.commit` replays the committed set in
 linear order, so
 ``program_size``/``sizes`` always equal what expansion will physically
 produce. :class:`~repro.inliner.manager.InlineExpander` asserts this
-reconciliation after every run.
+reconciliation after every run. For the same reason the size clause
+charges an arc the growth of replaying the committed set plus that arc,
+not its splice alone: an arc whose caller an earlier commit copies
+elsewhere grows every copy too, and the cap counts each.
 """
 
 from __future__ import annotations
@@ -174,7 +177,9 @@ class CostModel:
         inputs["weight_threshold"] = self.params.weight_threshold
         if arc.weight < self.params.weight_threshold:
             return CostDecision(INFINITY, DecisionReason.BELOW_THRESHOLD, inputs)
-        added = self.splice_delta(arc)
+        # Every copy of the caller that earlier commits made grows too.
+        sizes, _frames = self._replayed(self.committed + [arc])
+        added = sum(sizes.values()) - self.program_size
         inputs["callee_size"] = self.sizes[arc.callee]
         inputs["size_delta"] = added
         inputs["program_size"] = self.program_size
@@ -194,30 +199,30 @@ class CostModel:
         so nested expansions are sized correctly no matter what order
         the selector accepts them in.
         """
+        assert self.sequence is not None
         self.committed.append(arc)
-        self._replay()
+        self.sizes, self.frames = self._replayed(self.committed)
+        self.program_size = sum(self.sizes.values())
 
-    def _replay(self) -> None:
-        """Recompute sizes/frames by replaying commits in linear order.
+    def _replayed(self, arcs: list[Arc]) -> tuple[dict[str, int], dict[str, int]]:
+        """Sizes and frames after expanding ``arcs`` in linear order.
 
         Physical expansion finishes every expansion *into* a function
-        before that function is copied anywhere (§2.7), so the committed
-        arcs grouped by caller and walked in sequence order reproduce
-        the exact post-expansion sizes.
+        before that function is copied anywhere (§2.7), so the arcs
+        grouped by caller and walked in sequence order reproduce the
+        exact post-expansion sizes. A model without a sequence only
+        evaluates, so ``arcs`` is the one arc under evaluation.
         """
-        assert self.sequence is not None
         sizes = dict(self._initial_sizes)
         frames = dict(self._initial_frames)
         by_caller: dict[str, list[Arc]] = {}
-        for arc in self.committed:
+        for arc in arcs:
             by_caller.setdefault(arc.caller, []).append(arc)
-        for name in self.sequence:
+        for name in by_caller if self.sequence is None else self.sequence:
             for arc in by_caller.get(name, ()):
                 sizes[arc.caller] += self.splice_delta(arc, sizes)
                 frames[arc.caller] += frames[arc.callee]
-        self.sizes = sizes
-        self.frames = frames
-        self.program_size = sum(sizes.values())
+        return sizes, frames
 
 
 def make_cost_model(

@@ -1,12 +1,15 @@
-"""Unit tests for the no-profile baseline heuristics."""
+"""Unit tests for the no-profile baseline heuristics: each one's arc
+weights, selected under and expanded by the profile-guided expander."""
 
 from repro.baselines import (
-    hint_inline,
-    leaf_inline,
-    loop_inline,
-    size_threshold_inline,
+    hint_weights,
+    leaf_weights,
+    loop_weights,
+    size_weights,
+    static_heuristics,
 )
 from repro.compiler import compile_program
+from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.profiler.profile import RunSpec, run_once
 
@@ -27,85 +30,93 @@ int main(void) {
 }
 """
 
+HEURISTICS = (leaf_weights, loop_weights, size_weights, hint_weights)
+
 
 def compiled():
     return compile_program(SOURCE)
 
 
+def inlined(weights, module=None, params=None):
+    """``module`` (default: SOURCE's) inlined under ``weights``."""
+    module = module or compiled()
+    return inline_module(module, weights(module), params)
+
+
+def expanded_callees(result):
+    return {record.callee for record in result.records}
+
+
 class TestLeafInline:
     def test_expands_leaf_calls(self):
-        result = leaf_inline(compiled())
-        callees = {record.callee for record in result.records}
-        assert "leaf" in callees
+        assert "leaf" in expanded_callees(inlined(leaf_weights))
 
     def test_preserves_output(self):
         module = compiled()
-        result = leaf_inline(module)
+        result = inlined(leaf_weights, module)
         assert run_once(result.module).stdout == run_once(module).stdout
 
     def test_original_untouched(self):
         module = compiled()
         before = module.total_code_size()
-        leaf_inline(module)
+        inlined(leaf_weights, module)
         assert module.total_code_size() == before
 
     def test_transitive_leaves(self):
-        # After leaf is inlined into nonleaf, nonleaf itself is a leaf,
-        # but single-pass PL.8-style expansion works on the original
-        # leaf set only; nonleaf's call sites remain candidates because
-        # the callee-first order expands leaf into nonleaf first.
-        result = leaf_inline(compiled())
+        # The leaf set is the original module's: nonleaf calls leaf, so
+        # its call sites weigh nothing even once leaf is inlined into it.
+        result = inlined(leaf_weights)
+        assert "nonleaf" not in expanded_callees(result)
         assert result.final_size >= result.original_size
 
 
 class TestLoopInline:
     def test_expands_loop_sites(self):
-        result = loop_inline(compiled())
-        callees = {record.callee for record in result.records}
+        callees = expanded_callees(inlined(loop_weights))
         assert "nonleaf" in callees or "hinted" in callees
 
     def test_preserves_output(self):
         module = compiled()
-        result = loop_inline(module)
+        result = inlined(loop_weights, module)
         assert run_once(result.module).stdout == run_once(module).stdout
 
 
 class TestSizeThreshold:
     def test_small_functions_inlined(self):
-        result = size_threshold_inline(compiled(), max_callee_size=50)
-        assert result.records
+        assert {"leaf", "nonleaf", "hinted"} <= expanded_callees(
+            inlined(size_weights)
+        )
 
-    def test_zero_threshold_inlines_nothing(self):
-        result = size_threshold_inline(compiled(), max_callee_size=0)
-        assert result.records == []
+    def test_zero_threshold_inlines_nothing(self, monkeypatch):
+        monkeypatch.setattr(static_heuristics, "MAX_CALLEE_SIZE", 0)
+        assert inlined(size_weights).records == []
 
     def test_preserves_output(self):
         module = compiled()
-        result = size_threshold_inline(module, 50)
+        result = inlined(size_weights, module)
         assert run_once(result.module).stdout == run_once(module).stdout
 
 
 class TestHintInline:
     def test_only_hinted_functions(self):
-        result = hint_inline(compiled())
-        callees = {record.callee for record in result.records}
-        assert callees == {"hinted"}
+        assert expanded_callees(inlined(hint_weights)) == {"hinted"}
 
     def test_preserves_output(self):
         module = compiled()
-        result = hint_inline(module)
+        result = inlined(hint_weights, module)
         assert run_once(result.module).stdout == run_once(module).stdout
 
 
 class TestSizeCap:
     def test_cap_respected(self):
+        # The expander's own size identity holds for every heuristic
+        # (it raises otherwise), so the cap bounds the physical size.
         params = InlineParameters(size_limit_factor=1.01)
-        module = compiled()
-        result = leaf_inline(module, params)
-        # Selection stays within the projected cap; physical growth can
-        # exceed it slightly because transitive bodies grow, so allow a
-        # small tolerance above the selection-time bound.
-        assert result.final_size <= int(result.original_size * 1.2)
+        for weights in HEURISTICS:
+            result = inlined(weights, params=params)
+            assert result.pre_cleanup_size <= params.size_limit(
+                result.original_size
+            ), weights.__name__
 
 
 class TestRecursionSafety:
@@ -115,8 +126,8 @@ class TestRecursionSafety:
         int main(void) { return f(5) == 5 ? 0 : 1; }
         """
         module = compile_program(source)
-        for heuristic in (leaf_inline, loop_inline):
-            result = heuristic(module)
+        for weights in HEURISTICS:
+            result = inlined(weights, module)
             assert all(record.callee != "f" or record.caller != "f"
                        for record in result.records)
             assert run_once(result.module, RunSpec()).exit_code == 0

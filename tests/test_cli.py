@@ -201,7 +201,7 @@ class TestModeFlags:
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["frontend.modules_compiled"] == 1
         assert counters["vm.runs"] == 20
-        assert counters["inliner.expansions_performed"] == 2
+        assert counters["inliner.expansions_performed"] == 30
 
     def test_ablations_honour_run_flags(self, monkeypatch, capsys):
         from repro.experiments import ablations

@@ -27,9 +27,11 @@ from repro.experiments.tables import (
 from repro.inliner.classify import SiteClass
 from repro.inliner.manager import inline_module
 from repro.observability import Observability, observing
+from repro.opt.pipeline import DEFAULT_OPT_SPEC
 from repro.pipeline.session import CompilationSession
+from repro.profiler.profile import profile_module
 from repro.vm.machine import Machine
-from repro.workloads import benchmark_by_name
+from repro.workloads import benchmark_by_name, benchmark_suite
 
 
 @pytest.fixture(scope="module")
@@ -282,23 +284,24 @@ class TestAblations:
             text = ablations.render_ablations(RunConfig(names=("wc", "tee", "cmp")))
         # What `tables ablations --benchmarks wc tee cmp` prints.
         digest = hashlib.md5((text + "\n").encode()).hexdigest()
-        assert digest == "da07d7d5970f6c019e86b6fd44022e76"
+        assert digest == "f51a24cdb663b3dde71215acd63e9862"
         counters = obs.metrics.counters
         assert counters["frontend.modules_compiled"] == 3
         # Each original, and each distinct inlined module, runs once per
         # input.
         assert counters["vm.runs"] == 64
         # Each distinct configuration is inlined once per program: the
-        # default one is a point of A, B, C and D.
-        assert counters["inliner.expansions_performed"] == 23
+        # default one is a point of A, B, C and D, and B's static
+        # baselines are expander runs too.
+        assert counters["inliner.expansions_performed"] == 117
 
     def test_heldout_inlines_each_program_once(self):
         obs = Observability.create()
         with observing(obs):
             points = ablations.heldout_input_check(RunConfig())
         assert [(p.label, p.code_increase, p.call_decrease) for p in points] == [
-            ("train-inputs", 0.16954235580209456, 0.6038809721572699),
-            ("held-out-inputs", 0.16954235580209456, 0.5751633340244072),
+            ("train-inputs", 0.169281667585202, 0.6040197212215204),
+            ("held-out-inputs", 0.169281667585202, 0.5751633340244072),
         ]
         spans = Counter(
             record["name"]
@@ -307,6 +310,27 @@ class TestAblations:
         )
         assert spans["inline.expand"] == 12
         assert obs.metrics.counters["vm.runs"] <= 104
+
+    def test_every_point_within_its_cap(self):
+        # The expander charges an arc every copy its caller has taken,
+        # and the static baselines spend the same cap through it.
+        variants = {
+            variant
+            for table in (
+                ablations._THRESHOLDS,
+                ablations._BASELINES,
+                ablations._GROWTH_LIMITS,
+                ablations._LINEARIZATIONS,
+            )
+            for _label, variant in table
+        }
+        for benchmark in benchmark_suite():
+            module = benchmark.compile(pass_spec=DEFAULT_OPT_SPEC)
+            profile = profile_module(module, benchmark.make_runs("small"))
+            for variant in variants:
+                result = variant(module, profile)
+                limit = variant.params.size_limit(result.original_size)
+                assert result.pre_cleanup_size <= limit, (benchmark.name, variant)
 
     def test_diverging_point_raises(self, monkeypatch):
         silent = compile_program("int main(void) { return 0; }")

@@ -186,6 +186,36 @@ class TestCostModel:
         model.commit(arc)
         assert model.frames["main"] >= frame_before
 
+    def test_size_clause_charges_copies_of_a_grown_caller(self):
+        # main's loop copies b; committing c into b afterwards grows b
+        # and that copy, and the cap must count both.
+        source = """
+        int c(int x) { return x * 3 + 1; }
+        int b(int x) { return x & 1 ? c(x) + 2 : x; }
+        int main(void) {
+            int i;
+            int s = 0;
+            for (i = 0; i < 100; i++)
+                s += b(i);
+            return s == 0;
+        }
+        """
+        module, profile, graph = prepared(source)
+        model = make_cost_model(
+            module, graph, InlineParameters(), linearize(module, profile)
+        )
+        [outer] = graph.arcs_between("main", "b")
+        [inner] = graph.arcs_between("b", "c")
+        model.commit(outer)
+        decision = model.evaluate(inner)
+        assert decision.inputs["size_delta"] == 2 * model.splice_delta(inner)
+        limit = model.program_size + model.splice_delta(inner)
+        result = inline_module(
+            module, profile, InlineParameters(size_limit_fixed=limit)
+        )
+        assert result.expanded_sites == {outer.site}
+        assert result.pre_cleanup_size <= limit
+
     def test_self_arc_infinite(self):
         source = "int f(int n) { return n ? f(n - 1) : 0; } int main(void) { return f(100) ? 0 : 1; }"
         module, profile, graph = prepared(source)

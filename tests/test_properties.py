@@ -13,7 +13,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.baselines import leaf_inline, size_threshold_inline
+from repro.baselines import hint_weights, leaf_weights, loop_weights, size_weights
 from repro.compiler import compile_program
 from repro.frontend.constexpr import apply_binary, apply_unary, wrap32
 from repro.inliner.manager import inline_module
@@ -161,11 +161,12 @@ class TestTransformationsPreserveBehaviour:
         assert run_once(result.module).stdout == expected
 
     @_SETTINGS
-    @given(straightline_program(), st.integers(min_value=0, max_value=60))
-    def test_static_heuristics_preserve_output(self, source, size_cap):
+    @given(straightline_program())
+    def test_static_heuristics_preserve_output(self, source):
         module = compile_program(source)
         expected = run_once(module).stdout
-        for result in (leaf_inline(module), size_threshold_inline(module, size_cap)):
+        for weights in (leaf_weights, loop_weights, size_weights, hint_weights):
+            result = inline_module(module, weights(module))
             assert run_once(result.module).stdout == expected
 
     @_SETTINGS
